@@ -162,33 +162,30 @@ def probe_points(n: int, count: int = 32) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Bundle terms at a single probe (beta is the closed-form barrier).
 
-_BETA_POLY_CUT = 1e-6
+def _beta_diff(x: float, y):
+    """beta(x) - beta(x+y) for x in the open unit ball, without cancellation.
 
-
-def _beta1(x):
-    return barrier_eval(np.asarray(x, dtype=float))
+    Inside the ball the difference is A^2 - B^2 = (A - B)(A + B) with
+    A = 1 - x^2 and B = 1 - (x+y)^2, and A - B = y (2x + y) is exact in
+    relative terms however small y is; subtracting the two O(1) barrier
+    values instead leaves only rounding noise once |y| falls below ~1e-8.
+    """
+    y = np.asarray(y, dtype=float)
+    z = x + y
+    return np.where(np.abs(z) < 1.0,
+                    y * (2.0 * x + y) * (2.0 - x * x - z * z),
+                    (1.0 - x * x) ** 2)
 
 
 def _term_Ip_signed(x: float, P: ProblemParams, tol: float) -> float:
     """PV integral over {x+y in B1} of phi_p(beta(x)-beta(x+y)) K_sp."""
     e = P.exponents
-    bx = float(_beta1(x))
-    db = -4.0 * x * max(0.0, 1.0 - x * x)
-    d2b = (12.0 * x * x - 4.0) if abs(x) < 1 else 0.0
     r0 = 1.0 - abs(x)
 
     def paired(yv):
         yv = np.asarray(yv, dtype=float)
-        dplus = bx - _beta1(x + yv)
-        dminus = bx - _beta1(x - yv)
-        tiny = yv < _BETA_POLY_CUT
-        if np.any(tiny):
-            yt = yv[tiny]
-            dplus = dplus.copy(); dminus = dminus.copy()
-            dplus[tiny] = -(db * yt + 0.5 * d2b * yt * yt)
-            dminus[tiny] = db * yt - 0.5 * d2b * yt * yt
         ksp = P.Ksp.eval(x, yv)
-        return (_phi(dplus, e.p) + _phi(dminus, e.p)) * ksp
+        return (_phi(_beta_diff(x, yv), e.p) + _phi(_beta_diff(x, -yv), e.p)) * ksp
 
     worst = min(e.p, 2.0 * (e.p - 1.0)) - e.sp - 1.0
     val, _ = near_singular_quad(paired, min(r0, 0.25), worst, tol=tol)
@@ -202,7 +199,7 @@ def _term_Ip_signed(x: float, P: ProblemParams, tol: float) -> float:
 
         def single(yv):
             yv = np.asarray(yv, dtype=float)
-            return _phi(bx - _beta1(x + sgn * yv), e.p) * P.Ksp.eval(x, yv)
+            return _phi(_beta_diff(x, sgn * yv), e.p) * P.Ksp.eval(x, yv)
 
         v3, _ = adaptive_quad(single, lo, hi, tol=tol, initial_edges=[lo, 0.5 * (lo + hi), hi])
         val += v3
@@ -212,9 +209,7 @@ def _term_Ip_signed(x: float, P: ProblemParams, tol: float) -> float:
 def _term_I_abs(x: float, P: ProblemParams, r_exp: float, kernel, coeff,
                 tol: float) -> float:
     """Integral over {x+y in B1} of w(x,y) |beta(x)-beta(x+y)|^(r-1) K."""
-    bx = float(_beta1(x))
-
-    frac = kernel_exp(kernel) - P.n  # sp or tq
+    frac = kernel.exponent - P.n  # sp or tq
     near_exp = (r_exp - 1.0) - frac - 1.0
 
     def one_side(sgn):
@@ -223,7 +218,7 @@ def _term_I_abs(x: float, P: ProblemParams, r_exp: float, kernel, coeff,
         def f(yv):
             yv = np.asarray(yv, dtype=float)
             w = coeff(x, sgn * yv) if coeff is not None else 1.0
-            return w * np.abs(bx - _beta1(x + sgn * yv)) ** (r_exp - 1.0) \
+            return w * np.abs(_beta_diff(x, sgn * yv)) ** (r_exp - 1.0) \
                 * kernel(x, yv)
 
         v, _ = near_singular_quad(f, min(hi, 0.25), near_exp, tol=tol)
@@ -233,10 +228,6 @@ def _term_I_abs(x: float, P: ProblemParams, r_exp: float, kernel, coeff,
         return v
 
     return one_side(+1.0) + one_side(-1.0)
-
-
-def kernel_exp(kernel) -> float:
-    return kernel.exponent
 
 
 def _phi(v, r):
@@ -252,8 +243,8 @@ def _term_II(x: float, P: ProblemParams, kappa: float, eta: float,
 
     (beta vanishes outside the unit ball, so only beta(x) survives.)
     """
-    bx = kappa * float(_beta1(x))
-    decay = (kernel_exp(kernel) - P.n) - eta * (r_exp - 1.0)
+    bx = kappa * float(barrier_eval(x))
+    decay = (kernel.exponent - P.n) - eta * (r_exp - 1.0)
 
     def side(sgn):
         lo = 1.0 - sgn * x
@@ -298,7 +289,7 @@ def _term_III(x: float, P: ProblemParams, eta: float, regime: int,
             (e.p, P.Ksp, None),
             (e.q, P.Ktq, _q_tail_weight(P, regime))):
         f = make(r_exp, kern, wsel)
-        decay = (kernel_exp(kern) - P.n) - eta * (r_exp - 1.0)
+        decay = (kern.exponent - P.n) - eta * (r_exp - 1.0)
         body, _ = adaptive_quad(f, 0.25, 64.0, tol=tol,
                                 initial_edges=np.geomspace(0.25, 64.0, 16))
         tail, _ = geometric_tail_quad(f, 64.0, decay, tol=tol)
@@ -359,27 +350,39 @@ def applicable_regimes(P: ProblemParams) -> list[int]:
 
 def _bundle_terms(x: float, P: ProblemParams, kappa: float, eta: float,
                   regime: int, tol: float, base_cache: dict) -> dict:
-    """All five bundle terms at probe x for (kappa, eta) in one regime."""
+    """All five bundle terms at probe x for (kappa, eta) in one regime.
+
+    ``base_cache`` memoises the raw terms across calls by what each one
+    depends on: the I bases on (x, regime) (kappa enters only as a power),
+    the II pair on (x, kappa, eta) (its regime front factor is applied
+    here) and III on (x, eta, regime), so the kappa bisection reuses III.
+    """
     e = P.exponents
     rc = _regime_constants(P, regime)
-    key = (float(x), regime)
-    if key not in base_cache:
-        if rc.signed_Ip:
-            ip_base = _term_Ip_signed(x, P, tol)
-        else:
-            ip_base = _term_I_abs(x, P, e.p, P.Ksp, None, tol)
-        iq_base = _term_I_abs(x, P, e.q, P.Ktq,
-                              lambda xx, yy: P.c_hat * P.a.eval(xx, yy), tol)
-        base_cache[key] = (ip_base, iq_base)
-    ip_base, iq_base = base_cache[key]
+    x = float(x)
+
+    def cached(key, compute):
+        if key not in base_cache:
+            base_cache[key] = compute()
+        return base_cache[key]
+
+    def coeff_q(xx, yy):
+        return P.c_hat * P.a.eval(xx, yy)
+
+    ip_base, iq_base = cached(("I", x, regime), lambda: (
+        _term_Ip_signed(x, P, tol) if rc.signed_Ip
+        else _term_I_abs(x, P, e.p, P.Ksp, None, tol),
+        _term_I_abs(x, P, e.q, P.Ktq, coeff_q, tol)))
+    iip, iiq = cached(("II", x, kappa, eta), lambda: (
+        _term_II(x, P, kappa, eta, e.p, P.Ksp, None, tol),
+        _term_II(x, P, kappa, eta, e.q, P.Ktq, coeff_q, tol)))
     terms = {
         "I_p": rc.front_Ip * kappa ** (e.p - 1.0) * ip_base,
         "I_q": rc.front_Iq * kappa ** (e.q - 1.0) * iq_base,
-        "II_p": rc.front_IIp * _term_II(x, P, kappa, eta, e.p, P.Ksp, None, tol),
-        "II_q": rc.front_IIq * _term_II(
-            x, P, kappa, eta, e.q, P.Ktq,
-            lambda xx, yy: P.c_hat * P.a.eval(xx, yy), tol),
-        "III": _term_III(x, P, eta, regime, tol),
+        "II_p": rc.front_IIp * iip,
+        "II_q": rc.front_IIq * iiq,
+        "III": cached(("III", x, eta, regime),
+                      lambda: _term_III(x, P, eta, regime, tol)),
     }
     terms["total"] = sum(terms.values())
     return terms

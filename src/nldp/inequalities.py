@@ -148,20 +148,6 @@ def check_C2_bounds(phi_fn, x, y, mode: str, r: float,
     return rhs - lhs
 
 
-# Spec'd mode tags mapped onto the envelope families above.
-_MODE_ALIASES = {
-    "rev3": "second-order",
-    "rev10": "first-order",
-    "rev11": "coeff-bounded",
-    "rev30": "coeff-symmetric",
-}
-
-
-def c2_bound_slack(phi_fn, x, y, mode: str, r: float, **kw):
-    """check_C2_bounds with the short mode tags accepted too."""
-    return check_C2_bounds(phi_fn, x, y, _MODE_ALIASES.get(mode, mode), r, **kw)
-
-
 # --------------------------------------------------------------------------
 # Local integrability of the near field (the five finite-integral checks).
 

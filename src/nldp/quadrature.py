@@ -198,13 +198,6 @@ def geometric_tail_quad(f, a: float, decay: float, tol: float = 1e-11,
     return total + tail_val, err + 2.0 * abs(tail_val)
 
 
-def gk_nodes_weights(a: float, b: float):
-    """GK15 abscissae and weights mapped onto [a, b]."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return mid + half * _XK, half * _WK
-
-
 def panel_nodes_weights(edges: np.ndarray):
     """Concatenated GK15 abscissae/weights for a batch of panels."""
     edges = np.asarray(edges, dtype=float)

@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 
@@ -6,12 +7,15 @@ import pytest
 
 from oracles import sigma_oracle
 
+import nldp.constants
+import nldp.quadrature
 from nldp.constants import (applicable_regimes, choose_eta_kappa,
                             gamma_exponent, lambda_rescale, sigma,
-                            sigma_bounds, theta, _bundle_terms, _term_III,
+                            sigma_bounds, theta, _beta_diff, _bundle_terms,
+                            _term_I_abs, _term_III, _term_Ip_signed,
                             probe_points)
 from nldp.errors import DegenerateScaling, DivergentSigma
-from nldp.params import barrier_eval, model_params
+from nldp.params import barrier_eval, barrier_grad, barrier_hess, model_params
 
 
 class TestSigma:
@@ -147,6 +151,72 @@ class TestLambda:
     def test_degenerate(self):
         with pytest.raises(DegenerateScaling):
             lambda_rescale(0.0, 0.0, 0.3, 2.0)
+
+
+class TestBarrierTerms:
+    def test_beta_diff_matches_direct_difference(self):
+        rng = np.random.default_rng(21)
+        x = rng.uniform(-0.74, 0.74, 200)
+        y = rng.uniform(1e-3, 1.0, 200) * rng.choice([-1.0, 1.0], 200)
+        inside = np.abs(x + y) < 1.0
+        x, y = x[inside], y[inside]
+        direct = barrier_eval(x) - barrier_eval(x + y)
+        exact = np.array([_beta_diff(float(a), b) for a, b in zip(x, y)])
+        assert np.allclose(exact, direct, rtol=1e-13, atol=0.0)
+
+    def test_beta_diff_small_offsets_follow_taylor(self):
+        # The direct difference is pure rounding noise at these offsets.
+        for x in (0.0, 0.37, -0.6475):
+            d1 = float(barrier_grad(x))
+            d2 = float(barrier_hess(x)[0, 0])
+            for y in (1e-9, -1e-9, 1e-12, -1e-12):
+                taylor = -(d1 * y + 0.5 * d2 * y * y)
+                assert float(_beta_diff(x, y)) == pytest.approx(taylor, rel=1e-6)
+
+    def test_beta_diff_outside_ball_is_beta(self):
+        for x, y in ((0.3, 0.7), (0.3, 1.2), (-0.5, -0.6), (0.0, -1.0)):
+            assert float(_beta_diff(x, y)) == float(barrier_eval(x))
+
+    def test_Ip_signed_closed_form_at_origin(self, desk_params):
+        # At x = 0 with p = 2 and K = |y|^(-1-sp), sp = 1.2, the paired
+        # integrand is 2 (2 y^2 - y^4) y^(-2.2), so the term is
+        # 2 int_0^1 (2 y^(-0.2) - y^(1.8)) dy = 2 (2.5 - 1/2.8) = 30/7.
+        val = _term_Ip_signed(0.0, desk_params, 1e-9)
+        assert val == pytest.approx(30.0 / 7.0, rel=1e-12)
+
+    def test_near_field_terms_within_panel_budget(self, desk_params,
+                                                  monkeypatch):
+        # Probes where the barrier difference, formed by subtraction, once
+        # stalled bisection on rounding noise until the budget ran out.
+        orig = nldp.quadrature.adaptive_quad
+        sig = inspect.signature(orig)
+        hits = []
+
+        def counting(*args, **kwargs):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            f = bound.arguments["f"]
+            calls = 0
+
+            def counted(x):
+                nonlocal calls
+                calls += 1
+                return f(x)
+
+            bound.arguments["f"] = counted
+            out = orig(*bound.args, **bound.kwargs)
+            if calls >= bound.arguments["max_total_panels"]:
+                hits.append(calls)
+            return out
+
+        monkeypatch.setattr(nldp.quadrature, "adaptive_quad", counting)
+        monkeypatch.setattr(nldp.constants, "adaptive_quad", counting)
+        P = desk_params
+        for x in (0.37, 0.555, -0.6475):
+            _term_I_abs(x, P, P.exponents.q, P.Ktq,
+                        lambda xx, yy: P.c_hat * P.a.eval(xx, yy), 1e-9)
+            _term_Ip_signed(x, P, 1e-9)
+        assert hits == []
 
 
 class TestSelection:
