@@ -31,6 +31,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import DegenerateScaling, DivergentSigma, SelectionFailed
+from .operator import phi
 from .params import (OMEGA_N, ProblemParams, barrier_eval)
 from .quadrature import adaptive_quad, geometric_tail_quad, PanelRule, near_singular_quad
 
@@ -39,7 +40,7 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "ConstantsBundle", "SelectionCertificate", "sigma", "sigma_bounds",
     "choose_eta_kappa", "theta", "gamma_exponent", "lambda_rescale",
-    "build_bundle", "unit_ball_volume",
+    "build_bundle", "unit_ball_volume", "vdc",
 ]
 
 
@@ -131,7 +132,8 @@ def lambda_rescale(u_sup: float, f_sup: float, sigma_val: float, p: float) -> fl
 # --------------------------------------------------------------------------
 # Probe sets in B_{3/4}.
 
-def _vdc(k: int, base: int = 2) -> float:
+def vdc(k: int, base: int = 2) -> float:
+    """The k-th point of the van der Corput sequence in ``base``, in [0, 1)."""
     v, denom = 0.0, 1.0
     while k:
         denom *= base
@@ -146,13 +148,13 @@ def probe_points(n: int, count: int = 32) -> np.ndarray:
         pts = [0.0]
         k = 1
         while len(pts) < count + 1:
-            pts.append((2.0 * _vdc(k, 2) - 1.0) * 0.74)
+            pts.append((2.0 * vdc(k, 2) - 1.0) * 0.74)
             k += 1
         return np.asarray(pts)
     pts = [np.zeros(2)]
     k = 1
     while len(pts) < count + 1:
-        cand = np.array([2.0 * _vdc(k, 2) - 1.0, 2.0 * _vdc(k, 3) - 1.0]) * 0.74
+        cand = np.array([2.0 * vdc(k, 2) - 1.0, 2.0 * vdc(k, 3) - 1.0]) * 0.74
         k += 1
         if np.linalg.norm(cand) < 0.74:
             pts.append(cand)
@@ -185,7 +187,7 @@ def _term_Ip_signed(x: float, P: ProblemParams, tol: float) -> float:
     def paired(yv):
         yv = np.asarray(yv, dtype=float)
         ksp = P.Ksp.eval(x, yv)
-        return (_phi(_beta_diff(x, yv), e.p) + _phi(_beta_diff(x, -yv), e.p)) * ksp
+        return (phi(_beta_diff(x, yv), e.p) + phi(_beta_diff(x, -yv), e.p)) * ksp
 
     worst = min(e.p, 2.0 * (e.p - 1.0)) - e.sp - 1.0
     val, _ = near_singular_quad(paired, min(r0, 0.25), worst, tol=tol)
@@ -199,7 +201,7 @@ def _term_Ip_signed(x: float, P: ProblemParams, tol: float) -> float:
 
         def single(yv):
             yv = np.asarray(yv, dtype=float)
-            return _phi(_beta_diff(x, sgn * yv), e.p) * P.Ksp.eval(x, yv)
+            return phi(_beta_diff(x, sgn * yv), e.p) * P.Ksp.eval(x, yv)
 
         v3, _ = adaptive_quad(single, lo, hi, tol=tol, initial_edges=[lo, 0.5 * (lo + hi), hi])
         val += v3
@@ -228,13 +230,6 @@ def _term_I_abs(x: float, P: ProblemParams, r_exp: float, kernel, coeff,
         return v
 
     return one_side(+1.0) + one_side(-1.0)
-
-
-def _phi(v, r):
-    v = np.asarray(v, dtype=float)
-    if r == 2.0:
-        return v
-    return np.sign(v) * np.abs(v) ** (r - 1.0)
 
 
 def _term_II(x: float, P: ProblemParams, kappa: float, eta: float,

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DivergenceDetected
 from .params import (BARRIER_C1, BARRIER_C2, CoefficientField, ProblemParams,
                      barrier_eval)
+from .operator import phi
 from .quadrature import adaptive_quad, near_singular_quad
 
 __all__ = [
@@ -24,14 +25,6 @@ __all__ = [
     "check_C2_bounds", "check_local_integrability",
     "fuzz_revL1", "fuzz_superlinear", "fuzz_singular", "fuzz_C2_bounds",
 ]
-
-
-def _phi(v, r):
-    v = np.asarray(v, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if r.ndim == 0 and float(r) == 2.0:
-        return v.copy()
-    return np.sign(v) * np.abs(v) ** (r - 1.0)
 
 
 @dataclass
@@ -57,7 +50,7 @@ def check_revL1(a, b, r):
         raise ValueError("the difference bound needs r >= 2")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    lhs = np.abs(_phi(a + b, r) - _phi(a, r))
+    lhs = np.abs(phi(a + b, r) - phi(a, r))
     rhs = (r - 1.0) * np.abs(b) * (np.abs(a) + np.abs(b)) ** (r - 2.0)
     return rhs - lhs
 
@@ -73,8 +66,8 @@ def check_superlinear(a, b, r, q):
     b = np.asarray(b, dtype=float)
     if np.any(a + b < 0):
         raise ValueError("needs a + b >= 0")
-    lhs = _phi(a + b, r)
-    rhs = 2.0 ** (q - 2.0) * (_phi(a, r) + _phi(b, r))
+    lhs = phi(a + b, r)
+    rhs = 2.0 ** (q - 2.0) * (phi(a, r) + phi(b, r))
     return rhs - lhs
 
 
@@ -89,7 +82,7 @@ def check_singular(a, b, r, q):
         raise ValueError("needs q >= r")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    lhs = np.abs(_phi(a + b, r) - _phi(a, r))
+    lhs = np.abs(phi(a + b, r) - phi(a, r))
     rhs = (3.0 ** (q - 1.0) + 2.0 ** (q - 1.0)) * np.abs(b) ** (r - 1.0)
     return rhs - lhs
 
@@ -99,7 +92,7 @@ def check_singular(a, b, r, q):
 
 def _pair(phi_fn, x, y, r):
     px = np.asarray(phi_fn(x), dtype=float)
-    return _phi(px - phi_fn(x + y), r) + _phi(px - phi_fn(x - y), r)
+    return phi(px - phi_fn(x + y), r) + phi(px - phi_fn(x - y), r)
 
 
 def check_C2_bounds(phi_fn, x, y, mode: str, r: float,
@@ -132,8 +125,8 @@ def check_C2_bounds(phi_fn, x, y, mode: str, r: float,
         if coeff is None:
             raise ValueError("coefficient modes need a coefficient field")
         px = np.asarray(phi_fn(x), dtype=float)
-        lhs = np.abs(coeff.eval(x, y) * _phi(px - phi_fn(x + y), r)
-                     + coeff.eval(x, -y) * _phi(px - phi_fn(x - y), r))
+        lhs = np.abs(coeff.eval(x, y) * phi(px - phi_fn(x + y), r)
+                     + coeff.eval(x, -y) * phi(px - phi_fn(x - y), r))
         rhs = 2.0 * coeff.bound * c1 ** (r - 1.0) * ay ** (r - 1.0)
     elif mode == "coeff-symmetric":
         if coeff is None:
@@ -220,8 +213,8 @@ def check_local_integrability(phi_fn, P: ProblemParams, mode: str,
             dplus = dplus.copy(); dminus = dminus.copy()
             dplus[tiny] = -(bloc * yt + cloc * yt * yt)
             dminus[tiny] = bloc * yt - cloc * yt * yt
-        dp = _phi(dplus, r)
-        dm = _phi(dminus, r)
+        dp = phi(dplus, r)
+        dm = phi(dminus, r)
         if coeff is not None and mode in ("q-bounded", "rev6", "q-holder",
                                           "rev8", "q-symmetric", "rev31"):
             core = np.abs(coeff.eval(x, yv) * dp + coeff.eval(x, -yv) * dm)
@@ -356,7 +349,7 @@ def _singular_chunk(count, seed):
     r = rng.uniform(1.0 + 1e-6, 2.0, size=count)
     q = r + rng.uniform(0.0, 3.0, size=count)
     slack = check_singular(a, b, r, q)
-    lhs = np.abs(_phi(a + b, r) - _phi(a, r))
+    lhs = np.abs(phi(a + b, r) - phi(a, r))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(np.abs(b) > 0, lhs / np.abs(b) ** (r - 1.0), 0.0)
     tight = float(np.nanmax(ratio / (3.0 ** (q - 1.0) + 2.0 ** (q - 1.0))))

@@ -30,9 +30,9 @@ from .errors import (DivergenceDetected, NldpError, NonIntegrableNearField,
                      TailDivergence, TouchViolation)
 from .grid import GridFunction
 from .params import CoefficientField, ProblemParams
-from .quadrature import (QuadratureSpec, PanelRule, adaptive_quad, gk_panel,
-                         near_singular_quad, panel_nodes_weights, _XK, _WK,
-                         _WG, _G_IDX)
+from .quadrature import (QuadratureSpec, PanelRule, adaptive_quad,
+                         geometric_tail_quad, near_singular_quad,
+                         panel_nodes_weights, _XK, _WK, _WG, _G_IDX)
 
 __all__ = [
     "QuadratureSpec", "PanelRule", "delta", "evaluate", "evaluate_truncated",
@@ -41,9 +41,12 @@ __all__ = [
 
 
 def phi(v, r: float):
-    """The monotone map |v|^(r-2) v, extended by 0 at v = 0."""
+    """The monotone map |v|^(r-2) v, extended by 0 at v = 0.
+
+    ``r`` may be an array of exponents broadcasting against ``v``.
+    """
     v = np.asarray(v, dtype=float)
-    if r == 2.0:
+    if np.ndim(r) == 0 and r == 2.0:
         return v
     return np.sign(v) * np.abs(v) ** (r - 1.0)
 
@@ -283,15 +286,19 @@ def _layout_1d(h: float, R: float, rho_near: float, r_far: float,
                      near_count=len(y_near), r_end=float(edges[-1]))
 
 
-def _integrand_rows(dplus, dminus, x, Y, P: ProblemParams):
-    """Paired integrand G[i, j] for nodes x_i (axis 0) and offsets Y_j."""
+def _paired(P: ProblemParams, x, y, dplus, dminus):
+    """The paired integrand at offsets +y and -y of the points x:
+
+        (phi_p(d+) + phi_p(d-)) K_sp
+            + c_hat (a(x, y) phi_q(d+) + a(x, -y) phi_q(d-)) K_tq
+
+    with d+- = u(x) - u(x +- y); x, y and the differences broadcast.
+    """
     e = P.exponents
-    Xc = x[:, None]
-    Yr = Y[None, :]
-    ksp = P.Ksp.eval(Xc, Yr)
-    ktq = P.Ktq.eval(Xc, Yr)
-    ap = P.a.eval(Xc, Yr)
-    am = P.a.eval(Xc, -Yr)
+    ksp = P.Ksp.eval(x, y)
+    ktq = P.Ktq.eval(x, y)
+    ap = P.a.eval(x, y)
+    am = P.a.eval(x, -y)
     g = (phi(dplus, e.p) + phi(dminus, e.p)) * ksp
     g += P.c_hat * (ap * phi(dplus, e.q) + am * phi(dminus, e.q)) * ktq
     return g
@@ -316,14 +323,17 @@ def _tail_rows(u_vals, x, r_end, P: ProblemParams, u):
 
 def apply_grid(u: GridFunction, P: ProblemParams, Q: QuadratureSpec,
                with_error: bool = False):
-    """Evaluate the operator at every grid node (1-D batched path).
+    """Evaluate the operator at every grid node (batched fixed layout).
 
-    Returns ``values`` or ``(values, errors)``.  The boundary pair of nodes
-    sees the glue seam inside its near field and is only reliable at the
-    level of the seam-correction pass; the solver keeps those nodes frozen.
+    Returns ``values`` or, in 1-D only, ``(values, errors)``.  The boundary
+    pair of nodes sees the glue seam inside its near field and is only
+    reliable at the level of the seam-correction pass; the solver keeps
+    those nodes frozen.
     """
     if u.n == 2:
-        return _apply_grid_2d(u, P, Q, with_error=with_error)
+        if with_error:
+            raise NldpError("apply_grid error estimates are 1-D only")
+        return _apply_grid_2d(u, P, Q)
     worst = near_field_exponent(P, u.interp)
     m_sub = int(np.clip(math.ceil(3.0 / (1.0 + worst)), 4, 48))
     lay = _layout_1d(u.h, u.R, Q.near_radius(u.h), Q.far_radius(u.R), m_sub)
@@ -337,7 +347,7 @@ def apply_grid(u: GridFunction, P: ProblemParams, Q: QuadratureSpec,
     dplus[:, nc:] = v[:, None] - u(Zp)
     dminus[:, nc:] = v[:, None] - u(Zm)
     dplus[:, :nc], dminus[:, :nc] = _near_deltas_nodes(u, lay.Y[:nc])
-    G = _integrand_rows(dplus, dminus, x, lay.Y, P)
+    G = _paired(P, x[:, None], lay.Y[None, :], dplus, dminus)
     vals = G @ lay.W
     vals = vals + _tail_rows(v, x, lay.r_end, P, u)
     vals += _seam_correction(u, P, lay, G)
@@ -392,15 +402,7 @@ def _seam_correction(u: GridFunction, P: ProblemParams, lay: _Layout1D, G):
             wts = half[:, None] * _WK[None, :]
             xi = x[nodes_i][:, None]
             vi = v[nodes_i][:, None]
-            Up = u(xi + pts)
-            Um = u(xi - pts)
-            e = P.exponents
-            ksp = P.Ksp.eval(xi, pts)
-            ktq = P.Ktq.eval(xi, pts)
-            ap = P.a.eval(xi, pts)
-            am = P.a.eval(xi, -pts)
-            gg = (phi(vi - Up, e.p) + phi(vi - Um, e.p)) * ksp
-            gg += P.c_hat * (ap * phi(vi - Up, e.q) + am * phi(vi - Um, e.q)) * ktq
+            gg = _paired(P, xi, pts, vi - u(xi + pts), vi - u(xi - pts))
             new += np.sum(gg * wts, axis=1)
         corr[nodes_i] += new - old
     return corr
@@ -470,13 +472,7 @@ def evaluate(u, x, P: ProblemParams, Q: QuadratureSpec | None = None,
             dminus = dminus.copy()
             dplus[tiny] = -(bloc * yt + cloc * yt * yt)
             dminus[tiny] = bloc * yt - cloc * yt * yt
-        ksp = P.Ksp.eval(x, yv)
-        ktq = P.Ktq.eval(x, yv)
-        ap = P.a.eval(x, yv)
-        am = P.a.eval(x, -yv)
-        g = (phi(dplus, e.p) + phi(dminus, e.p)) * ksp
-        g += P.c_hat * (ap * phi(dplus, e.q) + am * phi(dminus, e.q)) * ktq
-        return g
+        return _paired(P, x, yv, dplus, dminus)
 
     val_near, err_near = near_singular_quad(paired, rho_near, worst,
                                             tol=Q.tol * 1e-2, rule=Q.rule)
@@ -489,22 +485,10 @@ def evaluate(u, x, P: ProblemParams, Q: QuadratureSpec | None = None,
                       if rho_near * 2.0 ** j < r_far})
     val_mid, err_mid = adaptive_quad(paired, rho_near, r_far, tol=Q.tol,
                                      rule=Q.rule, initial_edges=edges)
-    growth = _exterior_growth(u)
-    dp, dq = _tail_decays(P, growth)
-    # Tail: continue geometric panels, then the analytic remainder.
-    val_tail, err_tail = 0.0, 0.0
-    lo = r_far
-    for _ in range(200):
-        hi = lo * 2.0
-        vseg, eseg = gk_panel(paired, lo, hi)
-        val_tail += vseg
-        err_tail += eseg
-        lo = hi
-        rem = float(paired(np.array([lo]))[0]) * lo / min(dp, dq)
-        if abs(rem) <= 0.1 * Q.tol * max(1.0, abs(val_near + val_mid + val_tail)):
-            break
-    val_tail += rem
-    err_tail += abs(rem)
+    dp, dq = _tail_decays(P, _exterior_growth(u))
+    val_tail, err_tail = geometric_tail_quad(
+        paired, r_far, min(dp, dq),
+        tol=0.1 * Q.tol * max(1.0, abs(val_near + val_mid)))
     return val_near + val_mid + val_tail, err_near + err_mid + err_tail
 
 
@@ -572,32 +556,22 @@ def pv_eval_oneside(u, x, P: ProblemParams, eps: float,
         return phi(d, e.p) * ksp + P.c_hat * a * phi(d, e.q) * ktq
 
     r_far = Q.far_radius(u.R)
+    sides = [lambda yv, s=sgn: raw(s * np.asarray(yv)) for sgn in (+1.0, -1.0)]
+    edges = sorted({eps, u.R - x, u.R + x, r_far} | {eps * 2.0 ** j for j in range(1, 40)})
+    edges = [t for t in edges if eps <= t <= r_far]
     total, err = 0.0, 0.0
-    for sgn in (+1.0, -1.0):
-        def side(yv, s=sgn):
-            return raw(s * np.asarray(yv))
-        edges = sorted({eps, u.R - x, u.R + x, r_far} | {eps * 2.0 ** j for j in range(1, 40)})
-        edges = [t for t in edges if eps <= t <= r_far]
+    for side in sides:
         v, er = adaptive_quad(side, eps, r_far, tol=Q.tol, rule=Q.rule,
                               initial_edges=edges)
         total += v
         err += er
-    growth = _exterior_growth(u)
-    dp, dq = _tail_decays(P, growth)
-    lo = r_far
-    for sgn in (+1.0, -1.0):
-        for _ in range(120):
-            hi = lo * 2.0
-            v, er = gk_panel(lambda t, s=sgn: raw(s * np.asarray(t)), lo, hi)
-            total += v
-            err += er
-            lo = hi
-            rem = float(raw(sgn * np.array([lo]))[0]) * lo / min(dp, dq)
-            if abs(rem) < 0.1 * Q.tol * max(1.0, abs(total)):
-                break
-        total += rem
-        err += abs(rem)
-        lo = r_far
+    dp, dq = _tail_decays(P, _exterior_growth(u))
+    for side in sides:
+        v, er = geometric_tail_quad(side, r_far, min(dp, dq),
+                                    tol=0.1 * Q.tol * max(1.0, abs(total)),
+                                    max_panels=120)
+        total += v
+        err += er
     return total, err
 
 
@@ -734,13 +708,7 @@ def _evaluate_2d(u, x, P, Q, extra_kinks=(), D: int = 24):
                 dminus = dminus.copy()
                 dplus[tiny] = -(bdir * rt + cdir * rt * rt)
                 dminus[tiny] = bdir * rt - cdir * rt * rt
-            ksp = P.Ksp.eval(x[None, :], offs)
-            ktq = P.Ktq.eval(x[None, :], offs)
-            ap = P.a.eval(x[None, :], offs)
-            am = P.a.eval(x[None, :], -offs)
-            g = (phi(dplus, e.p) + phi(dminus, e.p)) * ksp
-            g += P.c_hat * (ap * phi(dplus, e.q) + am * phi(dminus, e.q)) * ktq
-            return g * rv  # polar measure
+            return _paired(P, x[None, :], offs, dplus, dminus) * rv  # polar measure
 
         vn, en = near_singular_quad(paired, rho_near, worst,
                                     tol=Q.tol * 0.1, rule=Q.rule)
@@ -749,25 +717,15 @@ def _evaluate_2d(u, x, P, Q, extra_kinks=(), D: int = 24):
                        | {float(k) for k in extra_kinks if rho_near < float(k) < r_far})
         vm, em = adaptive_quad(paired, rho_near, r_far, tol=Q.tol * 10,
                                rule=PanelRule(max_depth=24), initial_edges=edges)
-        lo = r_far
-        vt = 0.0
-        for _ in range(80):
-            hi = lo * 2.0
-            vseg, eseg = gk_panel(paired, lo, hi)
-            vt += vseg
-            em += eseg
-            lo = hi
-            rem = float(paired(np.array([lo]))[0]) * lo / min(dp, dq)
-            if abs(rem) < Q.tol * max(1.0, abs(total + vt)):
-                break
-        vt += rem
-        em += abs(rem)
+        vt, et = geometric_tail_quad(paired, r_far, min(dp, dq),
+                                     tol=Q.tol * max(1.0, abs(total)),
+                                     max_panels=80)
         total += wd * (vn + vm + vt)
-        err += wd * (en + em)
+        err += wd * (en + em + et)
     return total, err
 
 
-def _apply_grid_2d(u, P, Q, with_error=False, D: int = 12):
+def _apply_grid_2d(u, P, Q, D: int = 12):
     xs = u.nodes
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
@@ -807,10 +765,6 @@ def _apply_grid_2d(u, P, Q, with_error=False, D: int = 12):
         Zm = pts[:, None, :] - offs[None, :, :]
         Up = u(Zp)
         Um = u(Zm)
-        ksp = P.Ksp.eval(pts[:, None, :], offs[None, :, :])
-        ktq = P.Ktq.eval(pts[:, None, :], offs[None, :, :])
-        ap = P.a.eval(pts[:, None, :], offs[None, :, :])
-        am = P.a.eval(pts[:, None, :], -offs[None, :, :])
         dpl = vals[:, None] - Up
         dmi = vals[:, None] - Um
         if np.any(tiny):
@@ -819,8 +773,7 @@ def _apply_grid_2d(u, P, Q, with_error=False, D: int = 12):
             rt = rr[tiny][None, :]
             dpl[:, tiny] = -(bdir[:, None] * rt + cdir[:, None] * rt * rt)
             dmi[:, tiny] = bdir[:, None] * rt - cdir[:, None] * rt * rt
-        rows = (phi(dpl, e.p) + phi(dmi, e.p)) * ksp
-        rows += P.c_hat * (ap * phi(dpl, e.q) + am * phi(dmi, e.q)) * ktq
+        rows = _paired(P, pts[:, None, :], offs[None, :, :], dpl, dmi)
         out += wd * ((rows * rr[None, :]) @ ww)
         # analytic remainder along this direction
         zend_p = pts + r_end * d[None, :]
@@ -833,7 +786,4 @@ def _apply_grid_2d(u, P, Q, with_error=False, D: int = 12):
         rem = (phi(vals - ue_p, e.p) + phi(vals - ue_m, e.p)) * kspe * r_end ** 2 / dp
         rem += P.c_hat * ae * (phi(vals - ue_p, e.q) + phi(vals - ue_m, e.q)) * ktqe * r_end ** 2 / dq
         out += wd * rem
-    out = out.reshape(u.values.shape)
-    if with_error:
-        return out, np.full_like(out, np.nan)  # 2-D error tracking: not needed by tests
-    return out
+    return out.reshape(u.values.shape)

@@ -13,6 +13,11 @@ of the assembled kernel-mass matrix of the p-phase (the exact linear part
 when p = 2), which cuts desk-scale solves to a few dozen sweeps.  The
 update rule, backtracking, stopping tests, and report contract are the
 same in both modes.
+
+Both dimensions run the same sweep.  The kernel-mass matrix is 1-D only,
+so 2-D solves always use scalar damping, started from the step 1/diag
+given by the diagonal kernel mass.  Continuation stages apply in both
+dimensions.
 """
 
 from __future__ import annotations
@@ -143,30 +148,35 @@ def kernel_mass_matrix(P: ProblemParams, R: float, N: int,
     return A
 
 
-def _initial_values(cfg: SolveConfig, xs: np.ndarray) -> np.ndarray:
+def _node_points(n: int, R: float, N: int) -> np.ndarray:
+    """Grid node coordinates: the (N,) nodes in 1-D, the (N, N, 2) stack in 2-D."""
+    xs = np.linspace(-R, R, N)
+    if n == 1:
+        return xs
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    return np.stack([gx, gy], axis=-1)
+
+
+def _initial_values(cfg: SolveConfig, pts: np.ndarray, n: int) -> np.ndarray:
     try:
-        vals = np.asarray(cfg.exterior(xs, 1), dtype=float)
-        if vals.shape != xs.shape or not np.all(np.isfinite(vals)):
+        vals = np.asarray(cfg.exterior(pts, n), dtype=float)
+        if vals.shape != pts.shape[:n] or not np.all(np.isfinite(vals)):
             raise ValueError
         return vals
     except Exception:
-        return np.zeros_like(xs)
+        return np.zeros(pts.shape[:n])
 
 
 def residual(u: GridFunction, P: ProblemParams,
              Q: QuadratureSpec | None = None) -> float:
     """Max-norm of L u - f over interior nodes."""
-    Q = Q or QuadratureSpec()
-    vals = apply_grid(u, P, Q)
-    xs = u.nodes
-    fv = np.asarray(P.f(xs), dtype=float)
-    r = vals - fv
-    return float(np.max(np.abs(r[1:-1]))) if u.n == 1 else float(np.max(np.abs(r[1:-1, 1:-1])))
+    r = _residual_vec(u, P, Q or QuadratureSpec())
+    return float(np.max(np.abs(r[(slice(1, u.N - 1),) * u.n])))
 
 
 def _residual_vec(u: GridFunction, P: ProblemParams, Q: QuadratureSpec):
     vals = apply_grid(u, P, Q)
-    fv = np.asarray(P.f(u.nodes), dtype=float)
+    fv = np.asarray(P.f(_node_points(u.n, u.R, u.N)), dtype=float)
     return vals - fv
 
 
@@ -180,13 +190,11 @@ def solve(P: ProblemParams, cfg: SolveConfig):
     bad = P.validation_report()
     if bad:
         raise ConfigError("exponent assumptions violated: " + "; ".join(bad))
-    if P.n != 1:
-        return _solve_2d(P, cfg)
     stages = list(cfg.continuation) if cfg.continuation else []
     stages.append((P.exponents.p, P.exponents.q))
-    xs = np.linspace(-cfg.R, cfg.R, cfg.N)
-    values = _initial_values(cfg, xs)
-    u = GridFunction(n=1, R=cfg.R, values=values, exterior=cfg.exterior)
+    pts = _node_points(P.n, cfg.R, cfg.N)
+    u = GridFunction(n=P.n, R=cfg.R, values=_initial_values(cfg, pts, P.n),
+                     exterior=cfg.exterior)
     report = None
     for (p_stage, q_stage) in stages:
         e = replace(P.exponents, p=float(p_stage), q=float(q_stage))
@@ -202,7 +210,8 @@ def solve(P: ProblemParams, cfg: SolveConfig):
 def _solve_stage(P: ProblemParams, cfg: SolveConfig, u: GridFunction,
                  tol: float):
     Q = cfg.quadrature
-    interior = slice(1, u.N - 1)
+    inner = slice(1, u.N - 1)
+    interior = (inner,) * u.n
     r = _residual_vec(u, P, Q)
     rnorm = float(np.max(np.abs(r[interior])))
     history = [rnorm]
@@ -210,16 +219,25 @@ def _solve_stage(P: ProblemParams, cfg: SolveConfig, u: GridFunction,
         return u, SolveReport(iterations=0, final_residual=rnorm,
                               residual_history=history, flags="converged")
 
-    use_matrix = cfg.precondition == "linear" or (
-        cfg.precondition == "auto" and P.exponents.p == 2.0)
+    use_matrix = u.n == 1 and (cfg.precondition == "linear" or (
+        cfg.precondition == "auto" and P.exponents.p == 2.0))
     lu = None
+    tau = cfg.tau0
     tau_max = math.inf
     rebuild_every = 60
     if use_matrix:
         A = kernel_mass_matrix(P, cfg.R, cfg.N, values=u.values)
-        lu = sla.lu_factor(A[interior, interior])
+        lu = sla.lu_factor(A[inner, inner])
         tau_max = 1.0
-    tau = min(cfg.tau0, tau_max)
+        tau = min(tau, tau_max)
+    elif u.n == 2:
+        # Scalar stiffness bound: the diagonal kernel mass.
+        e = P.exponents
+        xs = u.nodes
+        h = xs[1] - xs[0]
+        diag = 4.0 * (h / 2.0) ** (-e.sp) / e.sp + \
+            4.0 * P.c_hat * P.a.bound * (h / 2.0) ** (-e.tq) / e.tq
+        tau = min(tau, 1.0 / diag)
     # Backtracking monitors the l2 residual (the max norm is not monotone
     # under the sweep: single near-seam components rise transiently while
     # the energy norm contracts); the stopping test stays in the max norm.
@@ -233,7 +251,7 @@ def _solve_stage(P: ProblemParams, cfg: SolveConfig, u: GridFunction,
         if lu is not None:
             if iters % rebuild_every == 0 and P.exponents.q != 2.0:
                 A = kernel_mass_matrix(P, cfg.R, cfg.N, values=values)
-                lu = sla.lu_factor(A[interior, interior])
+                lu = sla.lu_factor(A[inner, inner])
             direction = sla.lu_solve(lu, r[interior])
         else:
             direction = r[interior]
@@ -265,59 +283,3 @@ def _solve_stage(P: ProblemParams, cfg: SolveConfig, u: GridFunction,
                                   residual_history=history, flags="diverged")
     return u, SolveReport(iterations=iters, final_residual=rnorm,
                           residual_history=history, flags="max_iters")
-
-
-def _solve_2d(P: ProblemParams, cfg: SolveConfig):
-    # Small-grid scalar iteration; desk scale only.
-    xs = np.linspace(-cfg.R, cfg.R, cfg.N)
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    pts = np.stack([gx, gy], axis=-1)
-    try:
-        values = np.asarray(cfg.exterior(pts, 2), dtype=float)
-    except Exception:
-        values = np.zeros((cfg.N, cfg.N))
-    u = GridFunction(n=2, R=cfg.R, values=values, exterior=cfg.exterior)
-    Q = cfg.quadrature
-    inner = (slice(1, cfg.N - 1), slice(1, cfg.N - 1))
-
-    def resid(uu):
-        vals = apply_grid(uu, P, Q)
-        fv = np.asarray(P.f(pts), dtype=float)
-        return vals - fv
-
-    r = resid(u)
-    rnorm = float(np.max(np.abs(r[inner])))
-    rnorm2 = float(np.linalg.norm(r[inner]))
-    history = [rnorm]
-    if rnorm <= cfg.residual_tol:
-        return u, SolveReport(0, rnorm, history, "converged")
-    # scalar stiffness bound: diagonal kernel mass
-    e = P.exponents
-    h = xs[1] - xs[0]
-    diag = 4.0 * (h / 2.0) ** (-e.sp) / e.sp + \
-        4.0 * P.c_hat * P.a.bound * (h / 2.0) ** (-e.tq) / e.tq
-    tau = min(cfg.tau0, 1.0 / diag)
-    values = u.values.copy()
-    halvings = 0
-    for iters in range(1, cfg.max_iters + 1):
-        trial = values.copy()
-        trial[inner] = values[inner] - tau * r[inner]
-        u_trial = u.with_values(trial)
-        r_trial = resid(u_trial)
-        rn2 = float(np.linalg.norm(r_trial[inner]))
-        if rn2 > rnorm2 * (1.0 + 1e-12):
-            tau *= 0.5
-            halvings += 1
-            if halvings >= 200:
-                return u, SolveReport(iters, rnorm, history, "stalled")
-            continue
-        halvings = 0
-        values, u, r, rnorm2 = trial, u_trial, r_trial, rn2
-        rnorm = float(np.max(np.abs(r[inner])))
-        history.append(rnorm)
-        tau *= 1.1
-        if rnorm <= cfg.residual_tol:
-            return u, SolveReport(iters, rnorm, history, "converged")
-        if rnorm > 1e6 * max(history[0], 1e-30):
-            return u, SolveReport(iters, rnorm, history, "diverged")
-    return u, SolveReport(cfg.max_iters, rnorm, history, "max_iters")

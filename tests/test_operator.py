@@ -4,7 +4,8 @@ import pytest
 from oracles import (energy_beta_oracle, operator_beta_p2_oracle,
                      truncated_touch_oracle)
 
-from nldp.errors import NonIntegrableNearField, TailDivergence, TouchViolation
+from nldp.errors import (NldpError, NonIntegrableNearField, TailDivergence,
+                         TouchViolation)
 from nldp.grid import (GridFunction, callable_exterior, constant_exterior,
                        growth_exterior, sample)
 from nldp.operator import (QuadratureSpec, apply_grid, delta, energy,
@@ -223,6 +224,12 @@ class TestBatchedApply:
         vals = apply_grid(u, P, Q)
         v, err = evaluate(u, np.zeros(2), P, Q)
         assert vals[16, 16] == pytest.approx(v, rel=2e-3)
+
+    def test_2d_error_estimate_rejected(self):
+        P = model_params(n=2, s=0.6, t=0.5, p=2.0, q=2.2)
+        u = GridFunction(n=2, R=1.0, values=np.zeros((9, 9)))
+        with pytest.raises(NldpError, match="1-D only"):
+            apply_grid(u, P, Q, with_error=True)
 
 
 class TestTruncatedEvaluate:

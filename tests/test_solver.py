@@ -6,7 +6,8 @@ from nldp.grid import GridFunction, constant_exterior, growth_exterior, sample
 from nldp.operator import QuadratureSpec, apply_grid
 from nldp.params import (constant_coefficient, constant_source,
                          gaussian_source, halfspace_coefficient, model_params)
-from nldp.solver import SolveConfig, residual, solve
+import nldp.solver
+from nldp.solver import SolveConfig, SolveReport, residual, solve
 
 Q = QuadratureSpec()
 
@@ -93,6 +94,23 @@ class TestSolve:
         assert rep.converged
         assert u.values[6, 6] > 0.0
 
+    def test_2d_runs_continuation_stages(self, monkeypatch):
+        seen = []
+
+        def stage(P, cfg, u, tol):
+            seen.append((P.exponents.p, P.exponents.q, tol))
+            return u, SolveReport(iterations=0, final_residual=0.0,
+                                  residual_history=[0.0], flags="converged")
+
+        monkeypatch.setattr(nldp.solver, "_solve_stage", stage)
+        P = model_params(n=2, s=0.6, t=0.5, p=2.0, q=2.2,
+                         f=constant_source(0.5))
+        cfg = SolveConfig(R=1.0, N=9, exterior=constant_exterior(0.0),
+                          residual_tol=3e-4, max_iters=1,
+                          continuation=((2.0, 2.1),))
+        solve(P, cfg)
+        assert seen == [(2.0, 2.1, 3e-4), (2.0, 2.2, 3e-4)]
+
 
 class TestResidual:
     def test_zero_for_exact_constant(self):
@@ -111,6 +129,19 @@ class TestResidual:
         bumped = u.values.copy()
         bumped[64] += 0.1
         assert residual(u.with_values(bumped), P, Q) > base + 1e-3
+
+    def test_2d_source_taken_at_node_points(self):
+        # A non-constant source must be evaluated on the (N, N, 2) node
+        # stack, not on the 1-D node vector broadcast across the grid.  The
+        # exterior makes L u vary over the grid, so the two maxima differ.
+        P = model_params(n=2, s=0.6, t=0.5, p=2.0, q=2.2,
+                         f=gaussian_source(0.5, 0.5))
+        u = GridFunction(n=2, R=1.0, values=np.zeros((9, 9)),
+                         exterior=constant_exterior(1.0))
+        gx, gy = np.meshgrid(u.nodes, u.nodes, indexing="ij")
+        fv = P.f(np.stack([gx, gy], axis=-1))
+        expected = np.max(np.abs(apply_grid(u, P, Q) - fv)[1:-1, 1:-1])
+        assert residual(u, P, Q) == expected
 
 
 class TestComparisonAndBounds:
