@@ -5,7 +5,7 @@ solve, holder, pipeline.  Artifacts are written atomically into the output
 directory, every one stamped with the toolkit version and the hash of the
 effective config; identical config + seed reproduce bit-identical JSON.
 
-Exit codes: 0 success, 1 config/precondition error, 2 numerical failure
+Exit codes: 0 success, 1 config/assumption error, 2 numerical failure
 (divergence, failed selection).  A machine-readable error.json is written
 in every failure case.
 """
@@ -17,19 +17,17 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from ._jsonfmt import dumps_fixed
 from .config import (build_problem, build_quadrature, build_solve_config,
                      config_hash, load_config)
-from .constants import build_bundle, sigma as sigma_fn
+from .constants import build_bundle
 from .errors import ConfigError, NldpError, SelectionFailed
 from .grid import _atomic_write
 from .inequalities import (check_local_integrability, fuzz_C2_bounds,
                            fuzz_revL1, fuzz_singular, fuzz_superlinear)
 from .operator import evaluate
-from .params import barrier_eval, constant_coefficient
+from .params import barrier_eval
 from .reglab import holder_fit, oscillation, run_pipeline
 from .scaling import ScalingContext, scaling_identity_check
 from .solver import solve

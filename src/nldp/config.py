@@ -18,7 +18,7 @@ The schema (all floats IEEE doubles):
   "solve": {"R": 2.0, "N": 257,
             "exterior": {"tag": "constant", "value": 0.0},
             "tau0": 0.5, "residual_tol": 1e-8, "max_iters": 50000,
-            "precondition": "auto", "continuation": null},
+            "continuation": null},
   "constants": {"epsilon": null},
   "reglab": {"center": 0.0, "levels": 5},
   "eval": {"points": [0.0]},
@@ -33,7 +33,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import math
 
 import numpy as np
 
@@ -64,7 +63,7 @@ _DEFAULTS = {
     "solve": {"R": 2.0, "N": 257,
               "exterior": {"tag": "constant", "value": 0.0},
               "tau0": 0.5, "residual_tol": 1e-8, "max_iters": 50_000,
-              "precondition": "auto", "continuation": None},
+              "continuation": None},
     "constants": {"epsilon": None},
     "reglab": {"center": 0.0, "levels": 5},
     "eval": {"points": [0.0]},
@@ -235,5 +234,4 @@ def build_solve_config(cfg: dict) -> SolveConfig:
         exterior=build_exterior(sc["exterior"]),
         tau0=float(sc["tau0"]), residual_tol=float(sc["residual_tol"]),
         max_iters=int(sc["max_iters"]), continuation=cont,
-        precondition=str(sc["precondition"]),
         quadrature=build_quadrature(cfg))

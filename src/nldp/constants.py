@@ -26,14 +26,14 @@ import json
 import logging
 import math
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .errors import DegenerateScaling, DivergentSigma, SelectionFailed
 from .operator import phi
 from .params import (OMEGA_N, ProblemParams, barrier_eval)
-from .quadrature import adaptive_quad, geometric_tail_quad, PanelRule, near_singular_quad
+from .quadrature import adaptive_quad, geometric_tail_quad, near_singular_quad
 
 logger = logging.getLogger(__name__)
 
@@ -142,23 +142,14 @@ def vdc(k: int, base: int = 2) -> float:
     return v
 
 
-def probe_points(n: int, count: int = 32) -> np.ndarray:
-    """Low-discrepancy probes in B_{3/4} plus the origin (first entry)."""
-    if n == 1:
-        pts = [0.0]
-        k = 1
-        while len(pts) < count + 1:
-            pts.append((2.0 * vdc(k, 2) - 1.0) * 0.74)
-            k += 1
-        return np.asarray(pts)
-    pts = [np.zeros(2)]
+def probe_points(count: int = 32) -> np.ndarray:
+    """Low-discrepancy 1-D probes in B_{3/4} plus the origin (first entry)."""
+    pts = [0.0]
     k = 1
     while len(pts) < count + 1:
-        cand = np.array([2.0 * vdc(k, 2) - 1.0, 2.0 * vdc(k, 3) - 1.0]) * 0.74
+        pts.append((2.0 * vdc(k, 2) - 1.0) * 0.74)
         k += 1
-        if np.linalg.norm(cand) < 0.74:
-            pts.append(cand)
-    return np.stack(pts)
+    return np.asarray(pts)
 
 
 # --------------------------------------------------------------------------
@@ -432,7 +423,7 @@ def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
     regimes = applicable_regimes(P)
     if not regimes:
         raise SelectionFailed("no regime matches these exponents")
-    xs = probe_points(P.n, probes)
+    xs = probe_points(probes)
     base_cache: dict = {}
     eta_sel: dict = {}
     kappa_sel: dict = {}

@@ -10,7 +10,6 @@ primitive).
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 from dataclasses import dataclass, field, replace
@@ -55,12 +54,6 @@ class Exterior:
         if self.tag == "callable":
             return np.asarray(self.fn(x), dtype=float)
         raise NldpError(f"unknown exterior tag {self.tag!r}")
-
-    def growth_exponent(self) -> float:
-        """Exponent of the growth envelope; 0 for bounded exteriors."""
-        if self.tag == "growth":
-            return self.eta
-        return 0.0
 
     def sup_bound(self, n: int, r_lo: float, r_hi: float) -> float:
         """Upper bound for |exterior| on the shell r_lo <= |x| <= r_hi."""
@@ -203,19 +196,15 @@ class GridFunction:
             return float(out[0])
         return out.reshape(x.shape if self.n == 1 else x.shape[:-1])
 
-    def interior_mask(self, margin: float = 0.0) -> np.ndarray:
-        xs = self.nodes
-        if self.n == 1:
-            return np.abs(xs) < self.R - margin
-        gx, gy = np.meshgrid(xs, xs, indexing="ij")
-        return np.maximum(np.abs(gx), np.abs(gy)) < self.R - margin
-
     def with_values(self, values: np.ndarray) -> "GridFunction":
         return replace(self, values=np.asarray(values, dtype=float))
 
     # -- io ------------------------------------------------------------
     def save(self, path_prefix: str, extra_meta: dict | None = None):
         """Write <prefix>.csv (coordinates + values) and <prefix>.json sidecar."""
+        ext = self.exterior
+        if ext.tag == "callable":
+            raise NldpError("callable exteriors cannot be serialised")
         xs = self.nodes
         csv_path = path_prefix + ".csv"
         if self.n == 1:
@@ -226,7 +215,6 @@ class GridFunction:
             table = np.column_stack([gx.ravel(), gy.ravel(), self.values.ravel()])
             header = "x,y,value"
         _atomic_write(csv_path, _csv_text(table, header))
-        ext = self.exterior
         meta = {
             "schema": "nldp-gridfunction-1",
             "n": self.n,
@@ -243,8 +231,6 @@ class GridFunction:
         }
         if extra_meta:
             meta.update(extra_meta)
-        if ext.tag == "callable":
-            raise NldpError("callable exteriors cannot be serialised")
         _atomic_write(path_prefix + ".json", json.dumps(meta, indent=2) + "\n")
 
     @staticmethod

@@ -164,30 +164,30 @@ def check_local_integrability(phi_fn, P: ProblemParams, mode: str,
     raise DivergenceDetected.
     """
     e = P.exponents
-    if mode in ("p-second", "rev5"):
+    if mode == "p-second":
         r, kern = e.p, P.Ksp
         if not _skip_condition_check and e.p < 2.0:
             raise ValueError("p-second mode needs p >= 2")
         worst = min(e.p, 2.0 * (e.p - 1.0)) - e.sp - 1.0
-    elif mode in ("p-first", "rev9"):
+    elif mode == "p-first":
         r, kern = e.p, P.Ksp
         if not _skip_condition_check and not (1.0 / (1.0 - e.s) < e.p < 2.0):
             raise ValueError("p-first mode needs 1/(1-s) < p < 2")
         worst = 2.0 * (e.p - 1.0) - e.sp - 1.0
-    elif mode in ("q-bounded", "rev6", "q-holder", "rev8", "q-symmetric", "rev31"):
+    elif mode in ("q-bounded", "q-holder", "q-symmetric"):
         r, kern = e.q, P.Ktq
         if coeff is None:
             raise ValueError("q modes need a coefficient field")
-        if mode in ("q-holder", "rev8") and not _skip_condition_check:
+        if mode == "q-holder" and not _skip_condition_check:
             if alpha is None:
                 raise ValueError("q-holder mode needs the Holder exponent alpha")
             if e.q < 2.0 or e.q <= (1.0 - alpha) / (1.0 - e.t):
                 raise ValueError("q-holder mode needs q >= 2 and q > (1-alpha)/(1-t)")
-        if mode in ("q-symmetric", "rev31") and not _skip_condition_check:
+        if mode == "q-symmetric" and not _skip_condition_check:
             if e.q < 2.0 or coeff.depends_on_offset:
                 raise ValueError("q-symmetric mode needs q >= 2 and a symmetric coefficient")
         worst = (e.q - 1.0) - e.tq - 1.0
-        if mode in ("q-symmetric", "rev31"):
+        if mode == "q-symmetric":
             worst = min(e.q, 2.0 * (e.q - 1.0)) - e.tq - 1.0
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -215,8 +215,8 @@ def check_local_integrability(phi_fn, P: ProblemParams, mode: str,
             dminus[tiny] = bloc * yt - cloc * yt * yt
         dp = phi(dplus, r)
         dm = phi(dminus, r)
-        if coeff is not None and mode in ("q-bounded", "rev6", "q-holder",
-                                          "rev8", "q-symmetric", "rev31"):
+        if coeff is not None and mode in ("q-bounded", "q-holder",
+                                          "q-symmetric"):
             core = np.abs(coeff.eval(x, yv) * dp + coeff.eval(x, -yv) * dm)
         else:
             core = np.abs(dp + dm)

@@ -26,8 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (DivergenceDetected, NldpError, NonIntegrableNearField,
-                     TailDivergence, TouchViolation)
+from .errors import (NldpError, NonIntegrableNearField, TailDivergence,
+                     TouchViolation)
 from .grid import GridFunction
 from .params import CoefficientField, ProblemParams
 from .quadrature import (QuadratureSpec, PanelRule, adaptive_quad,

@@ -15,7 +15,7 @@ and is never folded into the coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 

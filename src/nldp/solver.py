@@ -5,18 +5,15 @@ operator: u <- u - tau * B(L u - f) at interior nodes with the exterior
 (and the boundary pair of nodes) frozen, tau adapted by residual
 backtracking (halve on increase, grow 1.1x on decrease).
 
-B is the identity in the spec-literal scalar mode.  The fractional
-stiffness of the operator scales like h^-sp, so plain scalar damping needs
-O(h^-sp log 1/tol) sweeps and becomes impractical at fine grids; the
-default "auto" mode therefore preconditions the residual with the inverse
-of the assembled kernel-mass matrix of the p-phase (the exact linear part
-when p = 2), which cuts desk-scale solves to a few dozen sweeps.  The
-update rule, backtracking, stopping tests, and report contract are the
-same in both modes.
-
-Both dimensions run the same sweep.  The kernel-mass matrix is 1-D only,
-so 2-D solves always use scalar damping, started from the step 1/diag
-given by the diagonal kernel mass.  Continuation stages apply in both
+The fractional stiffness of the operator scales like h^-sp, so plain
+scalar damping (B the identity) needs O(h^-sp log 1/tol) sweeps and
+becomes impractical at fine grids.  In 1-D at p = 2, where the p-phase is
+linear, B is therefore the inverse of the assembled kernel-mass matrix
+(the p-phase mass plus the secant-linearised q-phase mass), which cuts
+desk-scale solves to a few dozen sweeps.  Every other case uses scalar
+damping; in 2-D it starts from the step 1/diag given by the diagonal
+kernel mass.  The update rule, backtracking, stopping tests, and report
+contract are the same either way, and continuation stages apply in both
 dimensions.
 """
 
@@ -24,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
@@ -47,14 +43,11 @@ class SolveConfig:
     residual_tol: float = 1e-8
     max_iters: int = 50_000
     continuation: tuple[tuple[float, float], ...] | None = None
-    precondition: str = "auto"   # "auto" | "linear" | "none"
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
         if self.residual_tol <= 0 or self.tau0 <= 0:
             raise ValueError("residual_tol and tau0 must be positive")
-        if self.precondition not in ("auto", "linear", "none"):
-            raise ValueError("precondition must be auto, linear, or none")
 
 
 @dataclass
@@ -70,14 +63,14 @@ class SolveReport:
 
 
 def kernel_mass_matrix(P: ProblemParams, R: float, N: int,
-                       values: np.ndarray | None = None) -> np.ndarray:
-    """Interior-block matrix of the linearised kernel mass of the operator.
+                       values: np.ndarray) -> np.ndarray:
+    """Matrix of the linearised kernel mass of the operator on the N nodes.
 
-    Exact for the p = 2 phase up to quadrature-layout differences (cell
+    The solver factors its interior block.  Exact for the p = 2 phase up to quadrature-layout differences (cell
     integrals of the kernel plus the near-field second-difference weight).
-    The q phase enters exactly when q = 2; for q > 2 a secant
-    linearisation |du|^(q-2) around the supplied iterate is used, which is
-    what makes the preconditioned sweep contract at O(1) data amplitudes.
+    The q phase is secant-linearised around the iterate ``values``: its
+    weights carry (q-1) |du|^(q-2), which is exactly 1 at q = 2 and is what
+    makes the preconditioned sweep contract at O(1) data amplitudes.
     Positive-definite M-matrix; used as the preconditioner only, never as
     the residual's definition.
     """
@@ -89,62 +82,43 @@ def kernel_mass_matrix(P: ProblemParams, R: float, N: int,
     A = np.zeros((N, N))
     kk = np.arange(1, N)
     mid = kk * h
+    diag = np.arange(N)
+    rows = diag[:, None]
+    inner = diag[1:-1]
+    # Per side: the offsets y = +-mid broadcast against the nodes, |du|
+    # across them (offsets past the box read the boundary node), and the
+    # in-box entries with the matrix cells they land on.
+    sides = []
+    for sign in (1, -1):
+        x, y = np.broadcast_arrays(xs[:, None], sign * mid)
+        cols = rows + sign * kk
+        dv = np.abs(values[:, None] - values[np.clip(cols, 0, N - 1)])
+        ok = (cols >= 0) & (cols < N)
+        sides.append((x, y, dv, ok, (np.nonzero(ok)[0], cols[ok])))
 
-    def secant_weights(i: int, sign: int, q: float) -> np.ndarray:
-        if values is None:
-            return np.ones(N - 1)
-        cols = np.clip(i + sign * kk, 0, N - 1)
-        dv = np.abs(values[i] - values[cols])
-        return (dv + 1e-6) ** (q - 2.0)
-
-    def add_phase(kexp: float, kernel, coeff_fn, scale: float,
-                  q_exp: float | None):
+    def add_phase(kexp: float, kernel, coeff, scale: float, q: float):
         lo = (kk - 0.5) * h
         hi = (kk + 0.5) * h
         cell = (lo ** (-kexp) - hi ** (-kexp)) / kexp
-        for i in range(N):
-            ratio_p = kernel.eval(xs[i], mid) * mid ** (1.0 + kexp)
-            ratio_m = kernel.eval(xs[i], -mid) * mid ** (1.0 + kexp)
-            wp = scale * coeff_fn(xs[i], mid) * ratio_p * cell
-            wm = scale * coeff_fn(xs[i], -mid) * ratio_m * cell
-            if q_exp is not None:
-                wp = wp * (q_exp - 1.0) * secant_weights(i, +1, q_exp)
-                wm = wm * (q_exp - 1.0) * secant_weights(i, -1, q_exp)
-            A[i, i] += np.sum(wp) + np.sum(wm)
-            cols = i + kk
-            ok = cols < N
-            A[i, cols[ok]] -= wp[ok]
-            cols = i - kk
-            ok = cols >= 0
-            A[i, cols[ok]] -= wm[ok]
+        ws = [scale * coeff(x, y) * (kernel.eval(x, y) * mid ** (1.0 + kexp))
+              * cell * (q - 1.0) * (dv + 1e-6) ** (q - 2.0)
+              for x, y, dv, _, _ in sides]
+        A[diag, diag] += np.sum(ws[0], axis=1) + np.sum(ws[1], axis=1)
+        for w, (_, _, _, ok, cells) in zip(ws, sides):
+            A[cells] -= w[ok]
         # near field (0, h/2): pair ~ -u'' y^2 maps onto a second difference
         w0 = (h / 2.0) ** (2.0 - kexp) / (2.0 - kexp) / (h * h)
-        for i in range(1, N - 1):
-            r0 = float(kernel.eval(xs[i], np.asarray([h / 4.0]))[0]) \
-                * (h / 4.0) ** (1.0 + kexp)
-            ws = scale * coeff_fn(xs[i], h / 4.0) * r0 * w0
-            A[i, i] += 2.0 * ws
-            A[i, i - 1] -= ws
-            A[i, i + 1] -= ws
+        x0 = xs[inner]
+        w = scale * coeff(x0, h / 4.0) * (kernel.eval(x0, np.asarray([h / 4.0]))
+                                          * (h / 4.0) ** (1.0 + kexp)) * w0
+        A[inner, inner] += 2.0 * w
+        A[inner, inner - 1] -= w
+        A[inner, inner + 1] -= w
 
-    def a_at(x, y):
-        return float(np.asarray(P.a.eval(np.asarray(x), np.asarray(y))).ravel()[0])
-
-    def a_row(x, y):
-        return np.asarray(P.a.eval(np.full_like(np.asarray(y), x), np.asarray(y)),
-                          dtype=float)
-
-    add_phase(e.sp, P.Ksp, lambda x, y: np.ones_like(np.asarray(y, dtype=float))
-              if np.ndim(y) else 1.0, 1.0, None)
-    if P.a.bound > 0:
-        if e.q == 2.0:
-            add_phase(e.tq, P.Ktq,
-                      lambda x, y: a_row(x, y) if np.ndim(y) else a_at(x, y),
-                      P.c_hat, None)
-        elif values is not None and e.q > 2.0:
-            add_phase(e.tq, P.Ktq,
-                      lambda x, y: a_row(x, y) if np.ndim(y) else a_at(x, y),
-                      P.c_hat, e.q)
+    # The p-phase enters at secant exponent 2, i.e. linearly: exact at p = 2,
+    # the only case the solver builds this matrix for.
+    add_phase(e.sp, P.Ksp, lambda x, y: 1.0, 1.0, 2.0)
+    add_phase(e.tq, P.Ktq, P.a.eval, P.c_hat, e.q)
     return A
 
 
@@ -219,8 +193,7 @@ def _solve_stage(P: ProblemParams, cfg: SolveConfig, u: GridFunction,
         return u, SolveReport(iterations=0, final_residual=rnorm,
                               residual_history=history, flags="converged")
 
-    use_matrix = u.n == 1 and (cfg.precondition == "linear" or (
-        cfg.precondition == "auto" and P.exponents.p == 2.0))
+    use_matrix = u.n == 1 and P.exponents.p == 2.0
     lu = None
     tau = cfg.tau0
     tau_max = math.inf

@@ -317,3 +317,12 @@ class TestGridFunctionIO:
         assert np.array_equal(u.values, v.values)
         assert v.R == u.R and v.exterior.tag == "growth"
         assert float(v(2.5)) == pytest.approx(float(u(2.5)))
+
+    def test_callable_exterior_rejected_before_any_write(self, tmp_path):
+        u = sample(barrier_eval, 1, 1.5, 65,
+                   exterior=callable_exterior(lambda x: np.zeros(np.shape(x))))
+        prefix = tmp_path / "u"
+        with pytest.raises(NldpError, match="callable"):
+            u.save(str(prefix))
+        assert not (tmp_path / "u.csv").exists()
+        assert not (tmp_path / "u.json").exists()

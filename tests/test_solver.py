@@ -7,7 +7,8 @@ from nldp.operator import QuadratureSpec, apply_grid
 from nldp.params import (constant_coefficient, constant_source,
                          gaussian_source, halfspace_coefficient, model_params)
 import nldp.solver
-from nldp.solver import SolveConfig, SolveReport, residual, solve
+from nldp.solver import (SolveConfig, SolveReport, kernel_mass_matrix,
+                         residual, solve)
 
 Q = QuadratureSpec()
 
@@ -110,6 +111,28 @@ class TestSolve:
                           continuation=((2.0, 2.1),))
         solve(P, cfg)
         assert seen == [(2.0, 2.1, 3e-4), (2.0, 2.2, 3e-4)]
+
+
+class TestKernelMassMatrix:
+    def test_m_matrix_sign_pattern(self, desk_params):
+        N = 65
+        values = 0.1 * np.random.default_rng(3).standard_normal(N)
+        A = kernel_mass_matrix(desk_params, 2.0, N, values)
+        off = A[~np.eye(N, dtype=bool)]
+        assert np.all(off <= 0.0)
+        assert np.all(np.diag(A) > 0.0)
+        # Row sums are the kernel mass that leaves the box: the exterior.
+        assert np.all(A.sum(axis=1) > 0.0)
+
+    def test_symmetric_for_translation_invariant_linear_problem(self):
+        N = 65
+        P = model_params(n=1, s=0.6, t=0.5, p=2.0, q=2.0, M=1.0)
+        values = 0.1 * np.random.default_rng(5).standard_normal(N)
+        A = kernel_mass_matrix(P, 2.0, N, values)
+        # The interior block is what the solver factors; the boundary rows
+        # carry no near-field second difference.
+        inner = A[1:-1, 1:-1]
+        assert np.array_equal(inner, inner.T)
 
 
 class TestResidual:
