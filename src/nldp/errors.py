@@ -6,8 +6,7 @@ class NldpError(Exception):
 
 
 class NonIntegrableNearField(NldpError):
-    """Near-field integrand is not integrable for the given exponents and
-    interpolation order (sub-C2 interpolant with p <= 1/(1-s))."""
+    """Near-field integrand is not integrable for the given exponents."""
 
 
 class TailDivergence(NldpError):

@@ -106,17 +106,15 @@ def _radius(x, n: int):
 class GridFunction:
     """Values on [-R, R]^n at spacing h, glued to an exterior on the rest.
 
-    ``interp`` is "cubic" (C^2 inside the box, the default) or "linear"
-    (opt-in fast path; only admissible when p > 1/(1-s), which the operator
-    layer enforces).  ``sup_bound`` is the declared global bound when the
-    bounded-solution flag is set.
+    Inside the box the values are interpolated by a C^2 cubic spline.
+    ``sup_bound`` is the declared global bound when the bounded-solution
+    flag is set.
     """
 
     n: int
     R: float
     values: np.ndarray
     exterior: Exterior = field(default_factory=constant_exterior)
-    interp: str = "cubic"
     sup_bound: float | None = None
 
     def __post_init__(self):
@@ -128,8 +126,6 @@ class GridFunction:
             raise NldpError("1-D grid functions need a 1-D value array")
         if self.n == 2 and (vals.ndim != 2 or vals.shape[0] != vals.shape[1]):
             raise NldpError("2-D grid functions need a square value array")
-        if self.interp not in ("cubic", "linear"):
-            raise NldpError("interp must be 'cubic' or 'linear'")
         if self.sup_bound is not None:
             if float(np.max(np.abs(vals))) > self.sup_bound * (1 + 1e-12):
                 raise NldpError("node values exceed the declared sup bound")
@@ -161,13 +157,9 @@ class GridFunction:
         if "spline" not in cache:
             xs = self.nodes
             if self.n == 1:
-                if self.interp == "cubic":
-                    cache["spline"] = CubicSpline(xs, self.values, bc_type="not-a-knot")
-                else:
-                    cache["spline"] = lambda z: np.interp(z, xs, self.values)
+                cache["spline"] = CubicSpline(xs, self.values, bc_type="not-a-knot")
             else:
-                k = 3 if self.interp == "cubic" else 1
-                spl = RectBivariateSpline(xs, xs, self.values, kx=k, ky=k)
+                spl = RectBivariateSpline(xs, xs, self.values, kx=3, ky=3)
                 cache["spline_obj"] = spl
                 cache["spline"] = lambda z: spl.ev(z[..., 0], z[..., 1])
         return cache["spline"]
@@ -181,15 +173,18 @@ class GridFunction:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0 if self.n == 1 else x.ndim == 1
         pts = np.atleast_1d(x).ravel() if self.n == 1 else x.reshape(-1, 2)
-        if self.n == 1:
-            inside = np.abs(pts) <= self.R
-        else:
-            inside = np.all(np.abs(pts) <= self.R, axis=-1)
-        out = np.empty(len(pts), dtype=float)
         spl = self._interpolant()
-        if np.any(inside):
-            out[inside] = np.asarray(spl(pts[inside]), dtype=float).ravel()
-        if np.any(~inside):
+        # Every point in the box: the spline reads them in place, no mask.
+        if len(pts) == 0 or (pts.min() >= -self.R and pts.max() <= self.R):
+            out = np.asarray(spl(pts), dtype=float).ravel()
+        else:
+            if self.n == 1:
+                inside = np.abs(pts) <= self.R
+            else:
+                inside = np.all(np.abs(pts) <= self.R, axis=-1)
+            out = np.empty(len(pts), dtype=float)
+            if np.any(inside):
+                out[inside] = np.asarray(spl(pts[inside]), dtype=float).ravel()
             out[~inside] = np.asarray(self.exterior(pts[~inside], self.n),
                                       dtype=float).ravel()
         if scalar:
@@ -221,7 +216,7 @@ class GridFunction:
             "R": self.R,
             "h": self.h,
             "N": self.N,
-            "interp": self.interp,
+            "interp": "cubic",
             "sup_bound": self.sup_bound,
             "exterior": {
                 "tag": ext.tag, "value": ext.value, "eta": ext.eta,
@@ -237,6 +232,9 @@ class GridFunction:
     def load(path_prefix: str) -> "GridFunction":
         with open(path_prefix + ".json") as fh:
             meta = json.load(fh)
+        if meta.get("interp") != "cubic":
+            raise NldpError(f"unsupported interpolation {meta.get('interp')!r}: "
+                            "grid functions are cubic")
         raw = np.loadtxt(path_prefix + ".csv", delimiter=",", skiprows=1)
         n = int(meta["n"])
         if n == 1:
@@ -248,11 +246,11 @@ class GridFunction:
         ext = Exterior(tag=e["tag"], value=e["value"], eta=e["eta"], amp=e["amp"],
                        scale=e["scale"], offset=e["offset"], shells=tuple(e["shells"]))
         return GridFunction(n=n, R=float(meta["R"]), values=values, exterior=ext,
-                            interp=meta["interp"], sup_bound=meta["sup_bound"])
+                            sup_bound=meta["sup_bound"])
 
 
 def sample(fn, n: int, R: float, N: int, exterior: Exterior | None = None,
-           interp: str = "cubic", sup_bound: float | None = None) -> GridFunction:
+           sup_bound: float | None = None) -> GridFunction:
     """Sample a callable onto a grid function."""
     xs = np.linspace(-R, R, N)
     if n == 1:
@@ -262,7 +260,7 @@ def sample(fn, n: int, R: float, N: int, exterior: Exterior | None = None,
         pts = np.stack([gx, gy], axis=-1)
         vals = np.asarray(fn(pts), dtype=float)
     ext = exterior if exterior is not None else constant_exterior(0.0)
-    return GridFunction(n=n, R=R, values=vals, exterior=ext, interp=interp,
+    return GridFunction(n=n, R=R, values=vals, exterior=ext,
                         sup_bound=sup_bound)
 
 

@@ -20,7 +20,9 @@ by the exterior.  ``evaluate`` is the adaptive single-point entry;
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,6 +40,8 @@ __all__ = [
     "QuadratureSpec", "PanelRule", "delta", "evaluate", "evaluate_truncated",
     "apply_grid", "energy", "pv_eval_oneside", "near_field_exponent",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 def phi(v, r: float):
@@ -79,24 +83,16 @@ def _neg(y):
 # --------------------------------------------------------------------------
 # Near-field integrability bookkeeping.
 
-def near_field_exponent(P: ProblemParams, interp: str = "cubic") -> float:
+def near_field_exponent(P: ProblemParams) -> float:
     """Worst radial exponent of the paired near-field integrand (n folded in).
 
     The paired p-integrand decays like |y|^alpha with alpha = min(p, 2(p-1))
     for a C^2 interpolant; a merely bounded offset-dependent coefficient
-    caps the q-phase at alpha = q - 1.  Linear interpolants only give the
-    one-sided Lagrange rate r - 1.
+    caps the q-phase at alpha = q - 1.
     """
     e = P.exponents
-    if interp == "cubic":
-        alpha_p = min(e.p, 2.0 * (e.p - 1.0))
-        alpha_q = (e.q - 1.0) if P.a.depends_on_offset else min(e.q, 2.0 * (e.q - 1.0))
-    else:
-        if e.p <= 1.0 / (1.0 - e.s):
-            raise NonIntegrableNearField(
-                f"linear interpolation requires p > 1/(1-s) = {1.0 / (1.0 - e.s):.6g}")
-        alpha_p = e.p - 1.0
-        alpha_q = e.q - 1.0
+    alpha_p = min(e.p, 2.0 * (e.p - 1.0))
+    alpha_q = (e.q - 1.0) if P.a.depends_on_offset else min(e.q, 2.0 * (e.q - 1.0))
     worst = min(alpha_p - e.sp, alpha_q - e.tq) - 1.0
     if worst <= -1.0:
         raise NonIntegrableNearField(
@@ -115,18 +111,14 @@ def _tail_decays(P: ProblemParams, growth_exp: float) -> tuple[float, float]:
     return dp, dq
 
 
-def _exterior_growth(u) -> float:
-    ext = getattr(u, "exterior", None)
-    if ext is None:
-        return 0.0
+def _exterior_growth(ext, R: float, n: int) -> float:
     if ext.tag in ("constant", "dyadic"):
         return 0.0
     if ext.tag == "growth":
         return ext.eta
     # Opaque callable: probe dyadic radii and fit the observed growth.
-    R = getattr(u, "R", 1.0)
     rr = R * 2.0 ** np.arange(2, 22)
-    if u.n == 1:
+    if n == 1:
         vals = np.maximum(np.abs(ext(rr, 1)), 1e-300)
     else:
         vals = np.maximum(np.abs(ext(np.stack([rr, np.zeros_like(rr)], -1), 2)), 1e-300)
@@ -156,20 +148,6 @@ def _node_poly_coeffs(u: GridFunction):
     v_i - (Delta+)(y) with Delta+ = -(b y + c y^2 + d+ y^3), and
     Delta- = b y - c y^2 + d- y^3 (exact for |y| <= h by C^2 matching)."""
     N = u.N
-    if u.interp == "linear":
-        v = u.values
-        h = u.h
-        slope_r = np.empty(N)
-        slope_l = np.empty(N)
-        slope_r[:-1] = (v[1:] - v[:-1]) / h
-        slope_r[-1] = slope_r[-2]
-        slope_l[1:] = (v[1:] - v[:-1]) / h
-        slope_l[0] = slope_l[1]
-        # Delta+ = -slope_r * y ; Delta- = slope_l * y.  Encode as b with an
-        # asymmetry channel through c = 0, d tracking the slope gap.
-        b = 0.5 * (slope_r + slope_l)
-        gap = 0.5 * (slope_r - slope_l)
-        return b, np.zeros(N), np.full(N, np.nan), np.full(N, np.nan), gap
     spl = u._interpolant()
     cc = spl.c  # shape (4, N-1): cubic coefficients per cell
     b = np.empty(N)
@@ -185,17 +163,13 @@ def _node_poly_coeffs(u: GridFunction):
     dp[-1] = cc[0, -1]
     dm[1:] = cc[0]
     dm[0] = cc[0, 0]
-    return b, c2, dp, dm, None
+    return b, c2, dp, dm
 
 
 def _near_deltas_nodes(u: GridFunction, y: np.ndarray):
     """(Delta+, Delta-)[i, j] on the near block, exactly from cell coeffs."""
-    b, c2, dp, dm, gap = _node_poly_coeffs(u)
+    b, c2, dp, dm = _node_poly_coeffs(u)
     Y = y[None, :]
-    if gap is not None:  # linear interpolant
-        base = b[:, None] * Y
-        asym = gap[:, None] * Y
-        return -(base + asym), base - asym
     dplus = -(b[:, None] * Y + c2[:, None] * Y ** 2 + dp[:, None] * Y ** 3)
     dminus = b[:, None] * Y - c2[:, None] * Y ** 2 + dm[:, None] * Y ** 3
     return dplus, dminus
@@ -203,7 +177,7 @@ def _near_deltas_nodes(u: GridFunction, y: np.ndarray):
 
 def _local_model(u, x: float):
     """(b, c) with u(x + y) ~ u(x) + b y + c y^2 near a single point."""
-    if isinstance(u, GridFunction) and u.n == 1 and u.interp == "cubic":
+    if isinstance(u, GridFunction) and u.n == 1:
         spl = u._interpolant()
         return float(spl(x, 1)), 0.5 * float(spl(x, 2))
     e = 1e-4
@@ -306,7 +280,7 @@ def _paired(P: ProblemParams, x, y, dplus, dminus):
 
 def _tail_rows(u_vals, x, r_end, P: ProblemParams, u):
     """Analytic power-law remainder beyond the last panel, per node/side."""
-    growth = _exterior_growth(u)
+    growth = _exterior_growth(u.exterior, u.R, u.n)
     dp, dq = _tail_decays(P, growth)
     out = np.zeros_like(u_vals)
     for sign in (+1.0, -1.0):
@@ -334,7 +308,7 @@ def apply_grid(u: GridFunction, P: ProblemParams, Q: QuadratureSpec,
         if with_error:
             raise NldpError("apply_grid error estimates are 1-D only")
         return _apply_grid_2d(u, P, Q)
-    worst = near_field_exponent(P, u.interp)
+    worst = near_field_exponent(P)
     m_sub = int(np.clip(math.ceil(3.0 / (1.0 + worst)), 4, 48))
     lay = _layout_1d(u.h, u.R, Q.near_radius(u.h), Q.far_radius(u.R), m_sub)
     x = u.nodes
@@ -422,7 +396,6 @@ class _GluedField:
         self.n = u.n
         self.R = u.R
         self.h = u.h
-        self.interp = "cubic"
         self.exterior = u.exterior
 
     def __call__(self, z):
@@ -455,7 +428,7 @@ def evaluate(u, x, P: ProblemParams, Q: QuadratureSpec | None = None,
     if abs(x) > u.R - rho_near:
         raise ValueError(
             f"evaluation point {x} violates the interior margin {rho_near:.3g}")
-    worst = near_field_exponent(P, u.interp)
+    worst = near_field_exponent(P)
     e = P.exponents
     ux = float(u(x))
     bloc, cloc = _local_model(u, x)
@@ -485,7 +458,7 @@ def evaluate(u, x, P: ProblemParams, Q: QuadratureSpec | None = None,
                       if rho_near * 2.0 ** j < r_far})
     val_mid, err_mid = adaptive_quad(paired, rho_near, r_far, tol=Q.tol,
                                      rule=Q.rule, initial_edges=edges)
-    dp, dq = _tail_decays(P, _exterior_growth(u))
+    dp, dq = _tail_decays(P, _exterior_growth(u.exterior, u.R, u.n))
     val_tail, err_tail = geometric_tail_quad(
         paired, r_far, min(dp, dq),
         tol=0.1 * Q.tol * max(1.0, abs(val_near + val_mid)))
@@ -565,7 +538,7 @@ def pv_eval_oneside(u, x, P: ProblemParams, eps: float,
                               initial_edges=edges)
         total += v
         err += er
-    dp, dq = _tail_decays(P, _exterior_growth(u))
+    dp, dq = _tail_decays(P, _exterior_growth(u.exterior, u.R, u.n))
     for side in sides:
         v, er = geometric_tail_quad(side, r_far, min(dp, dq),
                                     tol=0.1 * Q.tol * max(1.0, abs(total)),
@@ -684,10 +657,10 @@ def _evaluate_2d(u, x, P, Q, extra_kinks=(), D: int = 24):
         raise ValueError("evaluation point violates the interior margin")
     # The polar r dr measure is folded into the integrand, so the radial
     # exponent matches the 1-D bookkeeping exactly.
-    worst = near_field_exponent(P, u.interp)
+    worst = near_field_exponent(P)
     dirs, dw = _polar_dirs(D)
     e = P.exponents
-    growth = _exterior_growth(u)
+    growth = _exterior_growth(u.exterior, u.R, u.n)
     dp, dq = _tail_decays(P, growth)
     r_far = Q.far_radius(u.R)
     total, err = 0.0, 0.0
@@ -725,19 +698,60 @@ def _evaluate_2d(u, x, P, Q, extra_kinks=(), D: int = 24):
     return total, err
 
 
-def _apply_grid_2d(u, P, Q, D: int = 12):
-    xs = u.nodes
+@dataclass(frozen=True)
+class _Plan2D:
+    """The iterate-independent part of the 2-D grid apply.
+
+    In-box entries are the offsets whose points the interpolant covers;
+    each sweep evaluates it there.  Exterior entries (out-of-box offsets and
+    both ends of the analytic remainder) see fixed data, so they are summed
+    per (node, exterior value).  The tiny-offset block keeps the
+    directional Taylor model of the interpolant at the nodes.
+    """
+
+    pts: np.ndarray        # (nodes, 2) node coordinates
+    node: np.ndarray       # (M,) int32 node of each in-box entry
+    Z: np.ndarray          # (M, 2) in-box evaluation points
+    wp: np.ndarray         # (M,) p-weights wd rr ww K_sp
+    wq: np.ndarray         # (M,) q-weights wd rr ww c_hat a K_tq
+    ext_node: np.ndarray   # (G,) int32 node of each exterior group
+    ext_val: np.ndarray    # (G,) exterior value of the group
+    ext_wp: np.ndarray     # (G,) summed p-weights
+    ext_wq: np.ndarray     # (G,) summed q-weights
+    dirs: np.ndarray       # (D, 2) polar directions
+    tiny_r: np.ndarray     # (T,) radii below the Taylor switch
+    tiny_wp: np.ndarray    # (nodes, D, T) p-weights, shared by both signs
+    tiny_wq: np.ndarray    # (2, nodes, D, T) q-weights at +r d and -r d
+
+
+def _group_exterior(node, val, wp, wq):
+    """Sum the weights of the entries that share (node, exterior value)."""
+    order = np.lexsort((val, node))
+    node, val = node[order], val[order]
+    new = np.ones(len(node), dtype=bool)
+    new[1:] = (node[1:] != node[:-1]) | (val[1:] != val[:-1])
+    starts = np.flatnonzero(new)
+    return (node[starts], val[starts], np.add.reduceat(wp[order], starts),
+            np.add.reduceat(wq[order], starts))
+
+
+@lru_cache(maxsize=4)
+def _plan_2d(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
+             exterior, D: int = 12) -> _Plan2D:
+    """The plan of the 2-D apply on the N x N grid of [-R, R]^2 with this
+    exterior; cached, because nothing in it depends on the iterate."""
+    t0 = time.perf_counter()
+    xs = np.linspace(-R, R, N)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    vals = u.values.ravel()
     e = P.exponents
-    worst = near_field_exponent(P, u.interp)
+    worst = near_field_exponent(P)
     m_sub = int(np.clip(math.ceil(3.0 / (1.0 + worst)), 4, 48))
-    h = u.h
+    h = 2.0 * R / (N - 1)
     t_pts, t_wts = panel_nodes_weights(np.array([0.0, 0.5, 1.0]))
     r_near = h * t_pts ** m_sub
     w_near = t_wts * h * m_sub * t_pts ** (m_sub - 1)
-    r_far = Q.far_radius(u.R)
+    r_far = Q.far_radius(R)
     edges = [h]
     while edges[-1] < 8 * h:
         edges.append(edges[-1] + h)
@@ -747,43 +761,100 @@ def _apply_grid_2d(u, P, Q, D: int = 12):
     rr = np.concatenate([r_near, r_mid])
     ww = np.concatenate([w_near, w_mid])
     dirs, dw = _polar_dirs(D)
-    growth = _exterior_growth(u)
-    dp, dq = _tail_decays(P, growth)
-    out = np.zeros(len(pts))
+    dp, dq = _tail_decays(P, _exterior_growth(exterior, R, 2))
     r_end = edges[-1]
-    y_poly = _poly_switch_radius(h, Q.tol, max(e.sp, e.tq))
+    tiny = rr < _poly_switch_radius(h, Q.tol, max(e.sp, e.tq))
+    # Radii past the Taylor switch, then the remainder end; the remainder
+    # weighs each phase by its own decay.
+    rad = np.append(rr[~tiny], r_end)
+    fp = np.append(rr[~tiny] * ww[~tiny], r_end ** 2 / dp)
+    fq = np.append(rr[~tiny] * ww[~tiny], r_end ** 2 / dq)
+    X = pts[:, None, :]
+    ids = np.broadcast_to(np.arange(len(pts), dtype=np.int32)[:, None],
+                          (len(pts), len(rad)))
+    offsets = [rad[:, None] * d[None, :] for d in dirs]
+    signs = (1.0, -1.0)
+    # Size the in-box arrays first (GridFunction's glue rule), so they are
+    # filled in place; the points are column-major, so the spline reads
+    # each coordinate without a copy.
+    M = sum(int(np.count_nonzero(np.all(np.abs(X + sign * offs) <= R, axis=-1)))
+            for offs in offsets for sign in signs)
+    node = np.empty(M, dtype=np.int32)
+    Z = np.empty((M, 2), order="F")
+    wp = np.empty(M)
+    wq = np.empty(M)
+    groups = []
+    at = 0
+    for offs, wd in zip(offsets, dw):
+        ktq = P.Ktq.eval(X, offs)
+        cp = np.broadcast_to(wd * fp * P.Ksp.eval(X, offs), ids.shape)
+        for sign in signs:
+            y = sign * offs
+            cq = np.broadcast_to(wd * P.c_hat * fq * P.a.eval(X, y) * ktq,
+                                 ids.shape)
+            Zc = X + y
+            inside = np.all(np.abs(Zc) <= R, axis=-1)
+            k = at + int(np.count_nonzero(inside))
+            node[at:k], Z[at:k], wp[at:k], wq[at:k] = (
+                ids[inside], Zc[inside], cp[inside], cq[inside])
+            at = k
+            out = ~inside
+            groups.append(_group_exterior(ids[out], exterior(Zc[out], 2),
+                                          cp[out], cq[out]))
+    n_ext = ids.size * 2 * D - M
+    ext = _group_exterior(*(np.concatenate(c) for c in zip(*groups)))
+    rt = rr[tiny]
+    offs = rt[None, :, None] * dirs[:, None, :]
+    Xt = pts[:, None, None, :]
+    wt = dw[:, None] * rt * ww[tiny]
+    ktq = P.Ktq.eval(Xt, offs)
+    shape = (len(pts), D, len(rt))
+    tiny_wp = np.broadcast_to(wt * P.Ksp.eval(Xt, offs), shape)
+    tiny_wq = np.stack([np.broadcast_to(wt * P.c_hat * P.a.eval(Xt, sign * offs)
+                                        * ktq, shape) for sign in signs])
+    plan = _Plan2D(pts=pts, node=node, Z=Z, wp=wp, wq=wq, ext_node=ext[0],
+                   ext_val=ext[1], ext_wp=ext[2], ext_wq=ext[3], dirs=dirs,
+                   tiny_r=rt, tiny_wp=tiny_wp, tiny_wq=tiny_wq)
+    logger.debug("2-D plan: N=%d, %d directions, %d in-box entries, "
+                 "%d exterior entries -> %d groups, %d bytes, %.3f s",
+                 N, D, len(node), n_ext, len(ext[0]),
+                 sum(a.nbytes for a in vars(plan).values()),
+                 time.perf_counter() - t0)
+    return plan
+
+
+def _apply_grid_2d(u, P, Q):
+    plan = _plan_2d(P, Q, u.R, u.N, u.exterior)
+    e = P.exponents
+    v = u.values.ravel()
+    # The in-box arrays are the size of the plan: work in place and drop
+    # each one before the next, so a sweep adds little to peak memory.
+    d = u(plan.Z)
+    np.subtract(v[plan.node], d, out=d)
+    g = phi(d, e.q)
+    g *= plan.wq
+    g += phi(d, e.p) * plan.wp
+    del d
+    out = np.bincount(plan.node, g, minlength=v.size)
+    del g
+    d = v[plan.ext_node] - plan.ext_val
+    out += np.bincount(plan.ext_node,
+                       phi(d, e.p) * plan.ext_wp + phi(d, e.q) * plan.ext_wq,
+                       minlength=v.size)
     spl = u._spline2d()
-    gx1 = spl.ev(pts[:, 0], pts[:, 1], dx=1)
-    gy1 = spl.ev(pts[:, 0], pts[:, 1], dy=1)
-    hxx = spl.ev(pts[:, 0], pts[:, 1], dx=2)
-    hyy = spl.ev(pts[:, 0], pts[:, 1], dy=2)
-    hxy = spl.ev(pts[:, 0], pts[:, 1], dx=1, dy=1)
-    tiny = rr < y_poly
-    for d, wd in zip(dirs, dw):
-        offs = rr[:, None] * d[None, :]
-        Zp = pts[:, None, :] + offs[None, :, :]
-        Zm = pts[:, None, :] - offs[None, :, :]
-        Up = u(Zp)
-        Um = u(Zm)
-        dpl = vals[:, None] - Up
-        dmi = vals[:, None] - Um
-        if np.any(tiny):
-            bdir = gx1 * d[0] + gy1 * d[1]
-            cdir = 0.5 * (hxx * d[0] ** 2 + 2 * hxy * d[0] * d[1] + hyy * d[1] ** 2)
-            rt = rr[tiny][None, :]
-            dpl[:, tiny] = -(bdir[:, None] * rt + cdir[:, None] * rt * rt)
-            dmi[:, tiny] = bdir[:, None] * rt - cdir[:, None] * rt * rt
-        rows = _paired(P, pts[:, None, :], offs[None, :, :], dpl, dmi)
-        out += wd * ((rows * rr[None, :]) @ ww)
-        # analytic remainder along this direction
-        zend_p = pts + r_end * d[None, :]
-        zend_m = pts - r_end * d[None, :]
-        ue_p = u(zend_p)
-        ue_m = u(zend_m)
-        kspe = P.Ksp.eval(pts, r_end * d[None, :])
-        ktqe = P.Ktq.eval(pts, r_end * d[None, :])
-        ae = P.a.eval(pts, r_end * d[None, :])
-        rem = (phi(vals - ue_p, e.p) + phi(vals - ue_m, e.p)) * kspe * r_end ** 2 / dp
-        rem += P.c_hat * ae * (phi(vals - ue_p, e.q) + phi(vals - ue_m, e.q)) * ktqe * r_end ** 2 / dq
-        out += wd * rem
+    px, py = plan.pts[:, 0], plan.pts[:, 1]
+    d0, d1 = plan.dirs[:, 0], plan.dirs[:, 1]
+    gx1 = spl.ev(px, py, dx=1)[:, None]
+    gy1 = spl.ev(px, py, dy=1)[:, None]
+    hxx = spl.ev(px, py, dx=2)[:, None]
+    hyy = spl.ev(px, py, dy=2)[:, None]
+    hxy = spl.ev(px, py, dx=1, dy=1)[:, None]
+    bdir = (gx1 * d0 + gy1 * d1)[:, :, None]
+    cdir = (0.5 * (hxx * d0 ** 2 + 2 * hxy * d0 * d1 + hyy * d1 ** 2))[:, :, None]
+    rt = plan.tiny_r
+    dpl = -(bdir * rt + cdir * rt * rt)
+    dmi = bdir * rt - cdir * rt * rt
+    g = (phi(dpl, e.p) + phi(dmi, e.p)) * plan.tiny_wp
+    g += phi(dpl, e.q) * plan.tiny_wq[0] + phi(dmi, e.q) * plan.tiny_wq[1]
+    out += np.sum(g, axis=(1, 2))
     return out.reshape(u.values.shape)

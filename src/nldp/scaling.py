@@ -118,8 +118,7 @@ def rescale_gridfunction(u: GridFunction, ctx: ScalingContext,
     if exterior is None:
         exterior = callable_exterior(
             lambda z: ctx.lam * (np.asarray(u(_sh(z, ctx.mu, ctx.x0)), dtype=float) - shift))
-    return GridFunction(n=u.n, R=R_new, values=vals, exterior=exterior,
-                        interp=u.interp)
+    return GridFunction(n=u.n, R=R_new, values=vals, exterior=exterior)
 
 
 def scaling_identity_check(u: GridFunction, P: ProblemParams,
@@ -209,8 +208,7 @@ def blowup_step(u_tilde: GridFunction, j: int, gamma: float, m: float,
     R_bar = 1.0
     xs = np.linspace(-R_bar, R_bar, N)
     vals = sign * lam_j * (u_tilde(mu_j * xs + x0) - m)
-    u_bar = GridFunction(n=1, R=R_bar, values=vals, exterior=ext,
-                         interp=u_tilde.interp)
+    u_bar = GridFunction(n=1, R=R_bar, values=vals, exterior=ext)
     P_bar = rescale_problem(P_tilde, ScalingContext(lam=lam_j, mu=mu_j, x0=x0))
 
     failures = []

@@ -1,12 +1,20 @@
 """Independent brute-force oracles for the test suite.
 
-All oracles integrate closed-form integrands with QUADPACK (scipy.quad),
-never the production panel machinery, so each DERIVED expectation is
-checked through two unrelated quadrature paths.
+The analytic oracles integrate closed-form integrands with QUADPACK
+(scipy.quad), never the production panel machinery, so each DERIVED
+expectation is checked through two unrelated quadrature paths.  The one
+exception is ``apply_grid_2d_direct``: the direct per-direction sum that the
+planned 2-D ``apply_grid`` regroups, kept to check that regrouping.
 """
+
+import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from nldp.operator import (_exterior_growth, _paired, _polar_dirs,
+                           _poly_switch_radius, _tail_decays,
+                           near_field_exponent, panel_nodes_weights, phi)
 
 
 def beta(x):
@@ -96,3 +104,70 @@ def truncated_touch_oracle(s: float) -> float:
     B_1/2: the glued function is the barrier itself, so the value is the
     p=2 operator at the origin."""
     return operator_beta_p2_oracle(0.0, s)
+
+
+def apply_grid_2d_direct(u, P, Q, D: int = 12):
+    """The 2-D grid apply as a direct sum: per direction, u at every offset
+    point of every node, the paired integrand, and the analytic remainder
+    at both ends (with the coefficient a(x, +r_end d) on both)."""
+    xs = u.nodes
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
+    vals = u.values.ravel()
+    e = P.exponents
+    worst = near_field_exponent(P)
+    m_sub = int(np.clip(math.ceil(3.0 / (1.0 + worst)), 4, 48))
+    h = u.h
+    t_pts, t_wts = panel_nodes_weights(np.array([0.0, 0.5, 1.0]))
+    r_near = h * t_pts ** m_sub
+    w_near = t_wts * h * m_sub * t_pts ** (m_sub - 1)
+    r_far = Q.far_radius(u.R)
+    edges = [h]
+    while edges[-1] < 8 * h:
+        edges.append(edges[-1] + h)
+    while edges[-1] < r_far * 2 ** 8 and len(edges) < 140:
+        edges.append(edges[-1] * 1.5)
+    r_mid, w_mid = panel_nodes_weights(np.asarray(edges))
+    rr = np.concatenate([r_near, r_mid])
+    ww = np.concatenate([w_near, w_mid])
+    dirs, dw = _polar_dirs(D)
+    growth = _exterior_growth(u.exterior, u.R, u.n)
+    dp, dq = _tail_decays(P, growth)
+    out = np.zeros(len(pts))
+    r_end = edges[-1]
+    y_poly = _poly_switch_radius(h, Q.tol, max(e.sp, e.tq))
+    spl = u._spline2d()
+    gx1 = spl.ev(pts[:, 0], pts[:, 1], dx=1)
+    gy1 = spl.ev(pts[:, 0], pts[:, 1], dy=1)
+    hxx = spl.ev(pts[:, 0], pts[:, 1], dx=2)
+    hyy = spl.ev(pts[:, 0], pts[:, 1], dy=2)
+    hxy = spl.ev(pts[:, 0], pts[:, 1], dx=1, dy=1)
+    tiny = rr < y_poly
+    for d, wd in zip(dirs, dw):
+        offs = rr[:, None] * d[None, :]
+        Zp = pts[:, None, :] + offs[None, :, :]
+        Zm = pts[:, None, :] - offs[None, :, :]
+        Up = u(Zp)
+        Um = u(Zm)
+        dpl = vals[:, None] - Up
+        dmi = vals[:, None] - Um
+        if np.any(tiny):
+            bdir = gx1 * d[0] + gy1 * d[1]
+            cdir = 0.5 * (hxx * d[0] ** 2 + 2 * hxy * d[0] * d[1] + hyy * d[1] ** 2)
+            rt = rr[tiny][None, :]
+            dpl[:, tiny] = -(bdir[:, None] * rt + cdir[:, None] * rt * rt)
+            dmi[:, tiny] = bdir[:, None] * rt - cdir[:, None] * rt * rt
+        rows = _paired(P, pts[:, None, :], offs[None, :, :], dpl, dmi)
+        out += wd * ((rows * rr[None, :]) @ ww)
+        # analytic remainder along this direction
+        zend_p = pts + r_end * d[None, :]
+        zend_m = pts - r_end * d[None, :]
+        ue_p = u(zend_p)
+        ue_m = u(zend_m)
+        kspe = P.Ksp.eval(pts, r_end * d[None, :])
+        ktqe = P.Ktq.eval(pts, r_end * d[None, :])
+        ae = P.a.eval(pts, r_end * d[None, :])
+        rem = (phi(vals - ue_p, e.p) + phi(vals - ue_m, e.p)) * kspe * r_end ** 2 / dp
+        rem += P.c_hat * ae * (phi(vals - ue_p, e.q) + phi(vals - ue_m, e.q)) * ktqe * r_end ** 2 / dq
+        out += wd * rem
+    return out.reshape(u.values.shape)

@@ -1,17 +1,20 @@
+import json
+import logging
+
 import numpy as np
 import pytest
 
-from oracles import (energy_beta_oracle, operator_beta_p2_oracle,
-                     truncated_touch_oracle)
+from oracles import (apply_grid_2d_direct, energy_beta_oracle,
+                     operator_beta_p2_oracle, truncated_touch_oracle)
 
-from nldp.errors import (NldpError, NonIntegrableNearField, TailDivergence,
-                         TouchViolation)
+from nldp.errors import NldpError, TailDivergence, TouchViolation
 from nldp.grid import (GridFunction, callable_exterior, constant_exterior,
-                       growth_exterior, sample)
+                       dyadic_exterior, growth_exterior, sample)
 from nldp.operator import (QuadratureSpec, apply_grid, delta, energy,
                            evaluate, evaluate_truncated, pv_eval_oneside)
-from nldp.params import (barrier_eval, constant_coefficient,
-                         halfspace_coefficient, model_params)
+from nldp.params import (barrier_eval, checkerboard_coefficient,
+                         constant_coefficient, halfspace_coefficient,
+                         holder_coefficient, model_params)
 
 Q = QuadratureSpec()
 
@@ -127,18 +130,6 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(u, 1.999, pure_p_params(), Q)
 
-    def test_linear_interp_gate(self):
-        # cubic required when p <= 1/(1-s)
-        u = sample(barrier_eval, 1, 2.0, 257,
-                   exterior=constant_exterior(0.0), interp="linear")
-        P = model_params(n=1, s=0.6, t=0.5, p=2.0, q=2.2)  # 1/(1-s) = 2.5 > p
-        with pytest.raises(NonIntegrableNearField):
-            evaluate(u, 0.0, P, Q)
-        # and admissible when p > 1/(1-s)
-        P_ok = model_params(n=1, s=0.3, t=0.25, p=2.0, q=2.2)
-        v, _ = evaluate(u, 0.0, P_ok, Q)
-        assert np.isfinite(v)
-
     def test_tail_divergence_guard(self):
         P = pure_p_params()  # threshold sp/(p-1) = 1.2
         u = sample(barrier_eval, 1, 2.0, 257, exterior=growth_exterior(1.3))
@@ -232,6 +223,54 @@ class TestBatchedApply:
             apply_grid(u, P, Q, with_error=True)
 
 
+EXTERIORS_2D = {
+    "constant-0": constant_exterior(0.0),
+    "constant-1": constant_exterior(1.0),
+    "growth": growth_exterior(0.1),
+    "dyadic": dyadic_exterior([0.2, -0.1, 0.3, 0.05]),
+    "callable": callable_exterior(
+        lambda z: 0.5 * np.tanh(np.asarray(z, dtype=float)[..., 0])),
+}
+COEFFICIENTS_2D = {
+    "constant": constant_coefficient(2, 1.0),
+    "halfspace": halfspace_coefficient(2, 1.0),
+    "checkerboard": checkerboard_coefficient(2, 1.0),
+    "holder": holder_coefficient(2, 1.0, 0.5),
+}
+
+
+class TestPlannedApply2D:
+    """The 2-D apply regroups the direct per-direction sum through a plan
+    built once per (P, Q, R, N, exterior)."""
+
+    @pytest.mark.parametrize("ext", sorted(EXTERIORS_2D))
+    @pytest.mark.parametrize("pq", [(2.0, 2.2), (2.5, 2.8)],
+                             ids=["p2-q2.2", "p2.5-q2.8"])
+    @pytest.mark.parametrize("coef", sorted(COEFFICIENTS_2D))
+    def test_matches_direct_sum(self, ext, pq, coef):
+        P = model_params(n=2, s=0.6, t=0.5, p=pq[0], q=pq[1],
+                         coefficient=COEFFICIENTS_2D[coef])
+        vals = np.random.default_rng(11).uniform(-0.5, 0.5, (9, 9))
+        u = GridFunction(n=2, R=1.0, values=vals, exterior=EXTERIORS_2D[ext])
+        ref = apply_grid_2d_direct(u, P, Q)
+        got = apply_grid(u, P, Q)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_plan_build_logged_once(self, caplog):
+        P = model_params(n=2, s=0.6, t=0.5, p=2.0, q=2.2)
+        u = GridFunction(n=2, R=1.0, values=np.zeros((9, 9)))
+        with caplog.at_level(logging.DEBUG, logger="nldp.operator"):
+            apply_grid(u, P, Q)
+            apply_grid(u.with_values(np.ones((9, 9))), P, Q)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "nldp.operator"]
+        assert len(lines) == 1
+        # a constant exterior leaves one exterior group per node
+        for part in ("N=9", "12 directions", "in-box entries",
+                     "exterior entries -> 81 groups", "bytes"):
+            assert part in lines[0]
+
+
 class TestTruncatedEvaluate:
     def test_identity_glue(self):
         P = pure_p_params()
@@ -317,6 +356,19 @@ class TestGridFunctionIO:
         assert np.array_equal(u.values, v.values)
         assert v.R == u.R and v.exterior.tag == "growth"
         assert float(v(2.5)) == pytest.approx(float(u(2.5)))
+
+    def test_linear_sidecar_rejected_on_load(self, tmp_path):
+        u = sample(barrier_eval, 1, 1.5, 65)
+        prefix = str(tmp_path / "u")
+        u.save(prefix)
+        with open(prefix + ".json") as fh:
+            meta = json.load(fh)
+        assert meta["interp"] == "cubic"
+        meta["interp"] = "linear"
+        with open(prefix + ".json", "w") as fh:
+            json.dump(meta, fh)
+        with pytest.raises(NldpError, match="'linear'"):
+            GridFunction.load(prefix)
 
     def test_callable_exterior_rejected_before_any_write(self, tmp_path):
         u = sample(barrier_eval, 1, 1.5, 65,

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from nldp.grid import GridFunction, constant_exterior, growth_exterior, sample
 from nldp.operator import QuadratureSpec, apply_grid
 from nldp.params import (constant_coefficient, constant_source,
                          gaussian_source, halfspace_coefficient, model_params)
+import nldp.operator
 import nldp.solver
 from nldp.solver import (SolveConfig, SolveReport, kernel_mass_matrix,
                          residual, solve)
@@ -111,6 +114,28 @@ class TestSolve:
                           continuation=((2.0, 2.1),))
         solve(P, cfg)
         assert seen == [(2.0, 2.1, 3e-4), (2.0, 2.2, 3e-4)]
+
+    def test_2d_plan_built_once_per_stage(self, monkeypatch):
+        # Count the builds of the 2-D operator plan through a fresh cache
+        # around the undecorated builder.
+        builds = []
+        raw = nldp.operator._plan_2d.__wrapped__
+
+        def counted(*args):
+            builds.append(args[0].exponents)
+            return raw(*args)
+
+        monkeypatch.setattr(nldp.operator, "_plan_2d",
+                            functools.lru_cache(maxsize=4)(counted))
+        P = model_params(n=2, s=0.6, t=0.5, p=2.0, q=2.2,
+                         f=constant_source(0.5))
+        cfg = SolveConfig(R=1.0, N=9, exterior=constant_exterior(0.0),
+                          residual_tol=1e-2, max_iters=200,
+                          continuation=((2.0, 2.1),))
+        u, _ = solve(P, cfg)
+        assert [(e.p, e.q) for e in builds] == [(2.0, 2.1), (2.0, 2.2)]
+        residual(u, P, cfg.quadrature)
+        assert len(builds) == 2
 
 
 class TestKernelMassMatrix:
