@@ -14,8 +14,9 @@ standing exponent assumptions.
 Quadrature is split into a substituted near field (0, rho_near), panel
 mid field out to the far radius, and an analytic power-law remainder fed
 by the exterior.  ``evaluate`` is the adaptive single-point entry;
-``apply_grid`` is the batched fixed-layout evaluator the solver iterates
-(same panel family, validated against ``evaluate`` in the test suite).
+``apply_grid`` is the batched evaluator the solver iterates: it runs from a
+plan of fixed panels built once per geometry, in 1-D and 2-D alike
+(validated against ``evaluate`` in the test suite).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .grid import GridFunction
 from .params import CoefficientField, ProblemParams
 from .quadrature import (QuadratureSpec, PanelRule, adaptive_quad,
                          geometric_tail_quad, near_singular_quad,
-                         panel_nodes_weights, _XK, _WK, _WG, _G_IDX)
+                         panel_nodes_weights)
 
 __all__ = [
     "QuadratureSpec", "PanelRule", "delta", "evaluate", "evaluate_truncated",
@@ -47,7 +48,9 @@ logger = logging.getLogger(__name__)
 def phi(v, r: float):
     """The monotone map |v|^(r-2) v, extended by 0 at v = 0.
 
-    ``r`` may be an array of exponents broadcasting against ``v``.
+    ``r`` may be an array of exponents broadcasting against ``v``.  At
+    r = 2 the map is the identity and returns ``v`` itself, not a copy, so
+    a caller must not write into the result while it still needs ``v``.
     """
     v = np.asarray(v, dtype=float)
     if np.ndim(r) == 0 and r == 2.0:
@@ -166,13 +169,31 @@ def _node_poly_coeffs(u: GridFunction):
     return b, c2, dp, dm
 
 
-def _near_deltas_nodes(u: GridFunction, y: np.ndarray):
-    """(Delta+, Delta-)[i, j] on the near block, exactly from cell coeffs."""
-    b, c2, dp, dm = _node_poly_coeffs(u)
-    Y = y[None, :]
-    dplus = -(b[:, None] * Y + c2[:, None] * Y ** 2 + dp[:, None] * Y ** 3)
-    dminus = b[:, None] * Y - c2[:, None] * Y ** 2 + dm[:, None] * Y ** 3
+def _near_cubic(u: GridFunction, plan):
+    """(Delta+, Delta-) on the 1-D near block, exactly from cell coeffs."""
+    b, c2, dp, dm = (c[:, None, None] for c in _node_poly_coeffs(u))
+    Y = plan.near_r
+    dplus = -(b * Y + c2 * Y ** 2 + dp * Y ** 3)
+    dminus = b * Y - c2 * Y ** 2 + dm * Y ** 3
     return dplus, dminus
+
+
+def _near_taylor(u: GridFunction, plan):
+    """(Delta+, Delta-) on the 2-D near block, from the directional Taylor
+    model of the spline at the nodes."""
+    spl = u._spline2d()
+    gx, gy = np.meshgrid(u.nodes, u.nodes, indexing="ij")
+    px, py = gx.ravel(), gy.ravel()
+    d0, d1 = plan.dirs[:, 0], plan.dirs[:, 1]
+    gx1 = spl.ev(px, py, dx=1)[:, None]
+    gy1 = spl.ev(px, py, dy=1)[:, None]
+    hxx = spl.ev(px, py, dx=2)[:, None]
+    hyy = spl.ev(px, py, dy=2)[:, None]
+    hxy = spl.ev(px, py, dx=1, dy=1)[:, None]
+    bdir = (gx1 * d0 + gy1 * d1)[:, :, None]
+    cdir = (0.5 * (hxx * d0 ** 2 + 2 * hxy * d0 * d1 + hyy * d1 ** 2))[:, :, None]
+    rt = plan.near_r
+    return -(bdir * rt + cdir * rt * rt), bdir * rt - cdir * rt * rt
 
 
 def _local_model(u, x: float):
@@ -199,66 +220,7 @@ def _directional_model(u, x, d):
 
 
 # --------------------------------------------------------------------------
-# Shared 1-D offset layout for the batched grid apply.
-
-@dataclass(frozen=True)
-class _Layout1D:
-    Y: np.ndarray          # positive offsets, contiguous GK15 blocks
-    W: np.ndarray          # Kronrod dy weights (kernel applied separately)
-    Wg: np.ndarray         # embedded Gauss-7 weights (0 at Kronrod-only pts)
-    edges: np.ndarray      # panel edges (near block excluded)
-    near_count: int        # number of leading substituted near-field points
-    r_end: float           # where the analytic remainder takes over
-
-
-def _gauss_weights_like(w_kron: np.ndarray) -> np.ndarray:
-    # Map per-panel Kronrod weights to their embedded Gauss-7 companions.
-    blocks = w_kron.reshape(-1, 15)
-    out = np.zeros_like(blocks)
-    out[:, _G_IDX] = blocks[:, _G_IDX] / _WK[_G_IDX] * _WG
-    return out.ravel()
-
-
-@lru_cache(maxsize=32)
-def _layout_1d(h: float, R: float, rho_near: float, r_far: float,
-               m_sub: int, max_panels: int = 300) -> _Layout1D:
-    # Near field (0, h): power-substituted GK panels, then whole cells to
-    # rho_near, knot-aligned geometric panels across the box span, smooth
-    # geometric panels far out.  All offsets are shared across nodes.
-    t_edges = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    t_pts, t_wts = panel_nodes_weights(t_edges)
-    y_near = h * t_pts ** m_sub
-    w_near = t_wts * h * m_sub * t_pts ** (m_sub - 1)
-
-    edges = [h]
-    k = 1
-    while edges[-1] < rho_near - 1e-12 * h:
-        k += 1
-        edges.append(k * h)
-    # Unit cells to 32h keep panels inside single spline pieces.
-    while k < 32 and k * h < 2.0 * R:
-        k += 1
-        edges.append(k * h)
-    # Knot-aligned geometric panels across the remaining box span.
-    step = max(1, k)
-    while edges[-1] < 2.0 * R + 2.0 * h:
-        step = max(step + 1, int(math.ceil(step * 1.3)))
-        nxt = edges[-1] + step * h
-        edges.append(nxt)
-    # Smooth exterior region: plain geometric growth out to the far radius
-    # and beyond (the analytic remainder covers the rest).
-    while edges[-1] < r_far and len(edges) < max_panels:
-        edges.append(edges[-1] * 1.6)
-    while edges[-1] < r_far * 2.0 ** 12 and len(edges) < max_panels:
-        edges.append(edges[-1] * 2.0)
-    edges = np.asarray(edges)
-    y_mid, w_mid = panel_nodes_weights(edges)
-    Y = np.concatenate([y_near, y_mid])
-    W = np.concatenate([w_near, w_mid])
-    Wg = _gauss_weights_like(W)
-    return _Layout1D(Y=Y, W=W, Wg=Wg, edges=edges,
-                     near_count=len(y_near), r_end=float(edges[-1]))
-
+# The paired integrand.
 
 def _paired(P: ProblemParams, x, y, dplus, dminus):
     """The paired integrand at offsets +y and -y of the points x:
@@ -277,109 +239,6 @@ def _paired(P: ProblemParams, x, y, dplus, dminus):
     g += P.c_hat * (ap * phi(dplus, e.q) + am * phi(dminus, e.q)) * ktq
     return g
 
-
-def _tail_rows(u_vals, x, r_end, P: ProblemParams, u):
-    """Analytic power-law remainder beyond the last panel, per node/side."""
-    growth = _exterior_growth(u.exterior, u.R, u.n)
-    dp, dq = _tail_decays(P, growth)
-    out = np.zeros_like(u_vals)
-    for sign in (+1.0, -1.0):
-        z = x + sign * r_end
-        ue = u.exterior(z, u.n)
-        d = u_vals - ue
-        ksp = P.Ksp.eval(x, sign * np.full_like(x, r_end))
-        ktq = P.Ktq.eval(x, sign * np.full_like(x, r_end))
-        a = P.a.eval(x, sign * np.full_like(x, r_end))
-        out += (phi(d, P.exponents.p) * ksp * r_end / dp
-                + P.c_hat * a * phi(d, P.exponents.q) * ktq * r_end / dq)
-    return out
-
-
-def apply_grid(u: GridFunction, P: ProblemParams, Q: QuadratureSpec,
-               with_error: bool = False):
-    """Evaluate the operator at every grid node (batched fixed layout).
-
-    Returns ``values`` or, in 1-D only, ``(values, errors)``.  The boundary
-    pair of nodes sees the glue seam inside its near field and is only
-    reliable at the level of the seam-correction pass; the solver keeps
-    those nodes frozen.
-    """
-    if u.n == 2:
-        if with_error:
-            raise NldpError("apply_grid error estimates are 1-D only")
-        return _apply_grid_2d(u, P, Q)
-    worst = near_field_exponent(P)
-    m_sub = int(np.clip(math.ceil(3.0 / (1.0 + worst)), 4, 48))
-    lay = _layout_1d(u.h, u.R, Q.near_radius(u.h), Q.far_radius(u.R), m_sub)
-    x = u.nodes
-    v = u.values
-    nc = lay.near_count
-    Zp = x[:, None] + lay.Y[None, nc:]
-    Zm = x[:, None] - lay.Y[None, nc:]
-    dplus = np.empty((u.N, len(lay.Y)))
-    dminus = np.empty_like(dplus)
-    dplus[:, nc:] = v[:, None] - u(Zp)
-    dminus[:, nc:] = v[:, None] - u(Zm)
-    dplus[:, :nc], dminus[:, :nc] = _near_deltas_nodes(u, lay.Y[:nc])
-    G = _paired(P, x[:, None], lay.Y[None, :], dplus, dminus)
-    vals = G @ lay.W
-    vals = vals + _tail_rows(v, x, lay.r_end, P, u)
-    vals += _seam_correction(u, P, lay, G)
-    if not with_error:
-        return vals
-    errs = _panel_errors(G, lay)
-    return vals, errs
-
-
-def _panel_errors(G, lay: _Layout1D):
-    # Kronrod-vs-Gauss discrepancy per 15-point block, summed over panels.
-    blocks = G.reshape(G.shape[0], -1, 15)
-    wk = lay.W.reshape(-1, 15)
-    wg = lay.Wg.reshape(-1, 15)
-    kron = np.einsum("ipk,pk->ip", blocks, wk)
-    gauss = np.einsum("ipk,pk->ip", blocks, wg)
-    return np.sum(np.abs(kron - gauss), axis=1)
-
-
-def _seam_correction(u: GridFunction, P: ProblemParams, lay: _Layout1D, G):
-    """Re-integrate the panel that straddles the box/exterior seam.
-
-    For node x_i the glued function has a kink at offsets R - x_i (plus
-    side) and R + x_i (minus side); the shared layout cannot align panels
-    with it, so those two panels are redone as split sub-panels and the
-    difference is added back.
-    """
-    x = u.nodes
-    v = u.values
-    corr = np.zeros_like(v)
-    for sign in (+1.0, -1.0):
-        seam = u.R - sign * x  # offset at which x + sign*y hits the seam
-        idx = np.searchsorted(lay.edges, seam) - 1
-        ok = (idx >= 0) & (idx < len(lay.edges) - 1)
-        if not np.any(ok):
-            continue
-        nodes_i = np.nonzero(ok)[0]
-        lo = lay.edges[idx[ok]]
-        hi = lay.edges[idx[ok] + 1]
-        sm = seam[ok]
-        # Remove the shared-panel contribution of the straddled panel.
-        start = lay.near_count + idx[ok] * 15
-        cols = start[:, None] + np.arange(15)[None, :]
-        old = np.sum(G[nodes_i[:, None], cols] * lay.W[cols], axis=1)
-        # The straddled panel carries BOTH signs' integrand; only rebuild the
-        # full pairing on the split edges.
-        new = np.zeros(len(nodes_i))
-        for (a_, b_) in ((lo, sm), (sm, hi)):
-            midp = 0.5 * (a_ + b_)
-            half = 0.5 * (b_ - a_)
-            pts = midp[:, None] + half[:, None] * _XK[None, :]
-            wts = half[:, None] * _WK[None, :]
-            xi = x[nodes_i][:, None]
-            vi = v[nodes_i][:, None]
-            gg = _paired(P, xi, pts, vi - u(xi + pts), vi - u(xi - pts))
-            new += np.sum(gg * wts, axis=1)
-        corr[nodes_i] += new - old
-    return corr
 
 
 # --------------------------------------------------------------------------
@@ -698,30 +557,146 @@ def _evaluate_2d(u, x, P, Q, extra_kinks=(), D: int = 24):
     return total, err
 
 
+# --------------------------------------------------------------------------
+# The grid apply: one plan of everything that does not depend on the iterate.
+
 @dataclass(frozen=True)
-class _Plan2D:
-    """The iterate-independent part of the 2-D grid apply.
+class _Plan:
+    """The iterate-independent part of the grid apply, in 1-D and 2-D.
 
     In-box entries are the offsets whose points the interpolant covers;
     each sweep evaluates it there.  Exterior entries (out-of-box offsets and
     both ends of the analytic remainder) see fixed data, so they are summed
-    per (node, exterior value).  The tiny-offset block keeps the
-    directional Taylor model of the interpolant at the nodes.
+    per (node, exterior value).  The near block keeps a model of the
+    interpolant at the nodes: the exact cell cubic in 1-D, the directional
+    Taylor model in 2-D.
     """
 
-    pts: np.ndarray        # (nodes, 2) node coordinates
     node: np.ndarray       # (M,) int32 node of each in-box entry
-    Z: np.ndarray          # (M, 2) in-box evaluation points
-    wp: np.ndarray         # (M,) p-weights wd rr ww K_sp
-    wq: np.ndarray         # (M,) q-weights wd rr ww c_hat a K_tq
+    Z: np.ndarray          # (M,) or (M, 2) in-box evaluation points
+    wp: np.ndarray         # (M,) p-weights w K_sp
+    wq: np.ndarray         # (M,) q-weights w c_hat a K_tq
     ext_node: np.ndarray   # (G,) int32 node of each exterior group
     ext_val: np.ndarray    # (G,) exterior value of the group
     ext_wp: np.ndarray     # (G,) summed p-weights
     ext_wq: np.ndarray     # (G,) summed q-weights
-    dirs: np.ndarray       # (D, 2) polar directions
-    tiny_r: np.ndarray     # (T,) radii below the Taylor switch
-    tiny_wp: np.ndarray    # (nodes, D, T) p-weights, shared by both signs
-    tiny_wq: np.ndarray    # (2, nodes, D, T) q-weights at +r d and -r d
+    dirs: np.ndarray       # (D, n) directions of the near block
+    near_r: np.ndarray     # (T,) radii of the near block
+    near_wp: np.ndarray    # (nodes, D, T) p-weights, shared by both signs
+    near_wq: np.ndarray    # (2, nodes, D, T) q-weights at +r d and -r d
+
+
+def _substitution_power(P: ProblemParams) -> int:
+    # Power of the y = h t^m substitution that smooths the near field.
+    return int(np.clip(math.ceil(3.0 / (1.0 + near_field_exponent(P))), 4, 48))
+
+
+def _near_rule(h: float, m_sub: int, t_edges):
+    """Offsets h t^m and weights on GK15 panels of t over ``t_edges``."""
+    t_pts, t_wts = panel_nodes_weights(np.asarray(t_edges, dtype=float))
+    return h * t_pts ** m_sub, t_wts * h * m_sub * t_pts ** (m_sub - 1)
+
+
+def _edges_1d(h: float, R: float, rho_near: float, r_far: float,
+              max_panels: int = 300) -> np.ndarray:
+    # Whole cells from h to rho_near, knot-aligned geometric panels across
+    # the box span, smooth geometric panels far out.
+    edges = [h]
+    k = 1
+    while edges[-1] < rho_near - 1e-12 * h:
+        k += 1
+        edges.append(k * h)
+    # Unit cells to 32h keep panels inside single spline pieces.
+    while k < 32 and k * h < 2.0 * R:
+        k += 1
+        edges.append(k * h)
+    # Knot-aligned geometric panels across the remaining box span.
+    step = max(1, k)
+    while edges[-1] < 2.0 * R + 2.0 * h:
+        step = max(step + 1, int(math.ceil(step * 1.3)))
+        edges.append(edges[-1] + step * h)
+    # Smooth exterior region: plain geometric growth out to the far radius
+    # and beyond (the analytic remainder covers the rest).
+    while edges[-1] < r_far and len(edges) < max_panels:
+        edges.append(edges[-1] * 1.6)
+    while edges[-1] < r_far * 2.0 ** 12 and len(edges) < max_panels:
+        edges.append(edges[-1] * 2.0)
+    return np.asarray(edges)
+
+
+def _geometry_1d(P, Q, R, N, dp, dq, chunk: int = 16):
+    """Offsets of the 1-D apply: the shared panels, cut per node at its two
+    seam offsets R -+ x (where x +- y crosses the box edge), so the glued
+    function is smooth on every panel; then the remainder end."""
+    xs = np.linspace(-R, R, N)
+    h = 2.0 * R / (N - 1)
+    edges = _edges_1d(h, R, Q.near_radius(h), Q.far_radius(R))
+    r_end = edges[-1]
+
+    def blocks():
+        for lo in range(0, N, chunk):
+            ids = np.arange(lo, min(lo + chunk, N))
+            x = xs[ids]
+            seams = np.stack([R - x, R + x], axis=-1)
+            # A seam on a panel edge (to rounding) or outside the panels cuts
+            # nothing: it moves onto the first edge, an empty sub-panel.
+            j = np.clip(np.searchsorted(edges, seams), 1, len(edges) - 1)
+            cuts = ((seams - edges[j - 1] > 1e-6 * h)
+                    & (edges[j] - seams > 1e-6 * h))
+            seams = np.where(cuts, seams, edges[0])
+            E = np.sort(np.concatenate(
+                [np.broadcast_to(edges, (len(ids), len(edges))), seams], axis=1),
+                axis=1)
+            y, w = panel_nodes_weights(E)
+            end = np.full((len(ids), 1), r_end)
+            yield (ids, np.concatenate([y, end], axis=1),
+                   np.concatenate([w, end / dp], axis=1),
+                   np.concatenate([w, end / dq], axis=1))
+
+    y_near, w_near = _near_rule(h, _substitution_power(P),
+                                [0.0, 0.25, 0.5, 0.75, 1.0])
+    return xs, blocks, (np.ones((1, 1)), y_near, y_near[None, :],
+                        w_near[None, :])
+
+
+def _geometry_2d(P, Q, R, N, dp, dq, D: int = 12):
+    """Offsets of the 2-D apply: polar radii along D directions, the radii
+    below the Taylor switch set apart as the near block."""
+    xs = np.linspace(-R, R, N)
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
+    e = P.exponents
+    h = 2.0 * R / (N - 1)
+    r_near, w_near = _near_rule(h, _substitution_power(P), [0.0, 0.5, 1.0])
+    r_far = Q.far_radius(R)
+    edges = [h]
+    while edges[-1] < 8 * h:
+        edges.append(edges[-1] + h)
+    while edges[-1] < r_far * 2 ** 8 and len(edges) < 140:
+        edges.append(edges[-1] * 1.5)
+    r_mid, w_mid = panel_nodes_weights(np.asarray(edges))
+    rr = np.concatenate([r_near, r_mid])
+    ww = np.concatenate([w_near, w_mid])
+    dirs, dw = _polar_dirs(D)
+    r_end = edges[-1]
+    tiny = rr < _poly_switch_radius(h, Q.tol, max(e.sp, e.tq))
+    # Radii past the Taylor switch, then the remainder end; the remainder
+    # weighs each phase by its own decay.
+    rad = np.append(rr[~tiny], r_end)
+    fp = np.append(rr[~tiny] * ww[~tiny], r_end ** 2 / dp)
+    fq = np.append(rr[~tiny] * ww[~tiny], r_end ** 2 / dq)
+    ids = np.arange(len(pts))
+    blocks = [(ids, rad[:, None] * d[None, :], wd * fp, wd * fq)
+              for d, wd in zip(dirs, dw)]
+    rt = rr[tiny]
+    return pts, lambda: blocks, (dirs, rt, rt[None, :, None] * dirs[:, None, :],
+                                 dw[:, None] * rt * ww[tiny])
+
+
+def _in_box(Z, R: float, n: int):
+    # GridFunction's glue rule: the interpolant covers |z|_inf <= R.
+    inside = np.abs(Z) <= R
+    return inside if n == 1 else np.all(inside, axis=-1)
 
 
 def _group_exterior(node, val, wp, wq):
@@ -735,105 +710,97 @@ def _group_exterior(node, val, wp, wq):
             np.add.reduceat(wq[order], starts))
 
 
-@lru_cache(maxsize=4)
-def _plan_2d(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
-             exterior, D: int = 12) -> _Plan2D:
-    """The plan of the 2-D apply on the N x N grid of [-R, R]^2 with this
-    exterior; cached, because nothing in it depends on the iterate."""
+@lru_cache(maxsize=1)
+def _plan(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
+          exterior) -> _Plan:
+    """The plan of the grid apply on the N^n grid of [-R, R]^n with this
+    exterior; cached, because nothing in it depends on the iterate.  The
+    cache holds the last plan only: a solve's sweeps and its residual checks
+    share it, and it is dropped once another geometry is asked for (plans
+    are megabytes, and a problem built anew, with new kernel functions,
+    never hits).
+
+    A geometry yields blocks ``(ids, Y, cp, cq)``: nodes, their offsets and
+    the radial quadrature factors of the two phases.  Every block is split
+    at the box for both signs of the offset; entries of zero weight (the
+    empty sub-panels of the 1-D seam cut) are dropped.
+    """
     t0 = time.perf_counter()
-    xs = np.linspace(-R, R, N)
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    e = P.exponents
-    worst = near_field_exponent(P)
-    m_sub = int(np.clip(math.ceil(3.0 / (1.0 + worst)), 4, 48))
-    h = 2.0 * R / (N - 1)
-    t_pts, t_wts = panel_nodes_weights(np.array([0.0, 0.5, 1.0]))
-    r_near = h * t_pts ** m_sub
-    w_near = t_wts * h * m_sub * t_pts ** (m_sub - 1)
-    r_far = Q.far_radius(R)
-    edges = [h]
-    while edges[-1] < 8 * h:
-        edges.append(edges[-1] + h)
-    while edges[-1] < r_far * 2 ** 8 and len(edges) < 140:
-        edges.append(edges[-1] * 1.5)
-    r_mid, w_mid = panel_nodes_weights(np.asarray(edges))
-    rr = np.concatenate([r_near, r_mid])
-    ww = np.concatenate([w_near, w_mid])
-    dirs, dw = _polar_dirs(D)
-    dp, dq = _tail_decays(P, _exterior_growth(exterior, R, 2))
-    r_end = edges[-1]
-    tiny = rr < _poly_switch_radius(h, Q.tol, max(e.sp, e.tq))
-    # Radii past the Taylor switch, then the remainder end; the remainder
-    # weighs each phase by its own decay.
-    rad = np.append(rr[~tiny], r_end)
-    fp = np.append(rr[~tiny] * ww[~tiny], r_end ** 2 / dp)
-    fq = np.append(rr[~tiny] * ww[~tiny], r_end ** 2 / dq)
-    X = pts[:, None, :]
-    ids = np.broadcast_to(np.arange(len(pts), dtype=np.int32)[:, None],
-                          (len(pts), len(rad)))
-    offsets = [rad[:, None] * d[None, :] for d in dirs]
+    n = P.n
+    dp, dq = _tail_decays(P, _exterior_growth(exterior, R, n))
+    geometry = _geometry_1d if n == 1 else _geometry_2d
+    X, blocks, (dirs, near_r, near_offs, near_w) = geometry(P, Q, R, N, dp, dq)
     signs = (1.0, -1.0)
-    # Size the in-box arrays first (GridFunction's glue rule), so they are
-    # filled in place; the points are column-major, so the spline reads
-    # each coordinate without a copy.
-    M = sum(int(np.count_nonzero(np.all(np.abs(X + sign * offs) <= R, axis=-1)))
-            for offs in offsets for sign in signs)
+    # Size the in-box arrays first, so they are filled in place; the 2-D
+    # points are column-major, so the spline reads each coordinate without
+    # a copy.
+    M = sum(int(np.count_nonzero(_in_box(X[ids][:, None] + sign * Y, R, n)
+                                 & (cp > 0)))
+            for ids, Y, cp, _ in blocks() for sign in signs)
     node = np.empty(M, dtype=np.int32)
-    Z = np.empty((M, 2), order="F")
+    Z = np.empty((M,) + X.shape[1:], order="F")
     wp = np.empty(M)
     wq = np.empty(M)
     groups = []
-    at = 0
-    for offs, wd in zip(offsets, dw):
-        ktq = P.Ktq.eval(X, offs)
-        cp = np.broadcast_to(wd * fp * P.Ksp.eval(X, offs), ids.shape)
+    at = n_ext = 0
+    for ids, Y, cp, cq in blocks():
+        Xb = X[ids][:, None]
+        shape = (len(ids), cp.shape[-1])
+        idb = np.broadcast_to(ids.astype(np.int32)[:, None], shape)
+        keep = cp > 0
+        ktq = P.Ktq.eval(Xb, Y)
+        bp = np.broadcast_to(cp * P.Ksp.eval(Xb, Y), shape)
         for sign in signs:
-            y = sign * offs
-            cq = np.broadcast_to(wd * P.c_hat * fq * P.a.eval(X, y) * ktq,
-                                 ids.shape)
-            Zc = X + y
-            inside = np.all(np.abs(Zc) <= R, axis=-1)
+            y = sign * Y
+            bq = np.broadcast_to(cq * P.c_hat * P.a.eval(Xb, y) * ktq, shape)
+            Zc = Xb + y
+            inside = _in_box(Zc, R, n)
+            out = ~inside & keep
+            inside &= keep
             k = at + int(np.count_nonzero(inside))
             node[at:k], Z[at:k], wp[at:k], wq[at:k] = (
-                ids[inside], Zc[inside], cp[inside], cq[inside])
+                idb[inside], Zc[inside], bp[inside], bq[inside])
             at = k
-            out = ~inside
-            groups.append(_group_exterior(ids[out], exterior(Zc[out], 2),
-                                          cp[out], cq[out]))
-    n_ext = ids.size * 2 * D - M
+            n_ext += int(np.count_nonzero(out))
+            groups.append(_group_exterior(idb[out], exterior(Zc[out], n),
+                                          bp[out], bq[out]))
     ext = _group_exterior(*(np.concatenate(c) for c in zip(*groups)))
-    rt = rr[tiny]
-    offs = rt[None, :, None] * dirs[:, None, :]
-    Xt = pts[:, None, None, :]
-    wt = dw[:, None] * rt * ww[tiny]
-    ktq = P.Ktq.eval(Xt, offs)
-    shape = (len(pts), D, len(rt))
-    tiny_wp = np.broadcast_to(wt * P.Ksp.eval(Xt, offs), shape)
-    tiny_wq = np.stack([np.broadcast_to(wt * P.c_hat * P.a.eval(Xt, sign * offs)
-                                        * ktq, shape) for sign in signs])
-    plan = _Plan2D(pts=pts, node=node, Z=Z, wp=wp, wq=wq, ext_node=ext[0],
-                   ext_val=ext[1], ext_wp=ext[2], ext_wq=ext[3], dirs=dirs,
-                   tiny_r=rt, tiny_wp=tiny_wp, tiny_wq=tiny_wq)
-    logger.debug("2-D plan: N=%d, %d directions, %d in-box entries, "
-                 "%d exterior entries -> %d groups, %d bytes, %.3f s",
-                 N, D, len(node), n_ext, len(ext[0]),
+    Xn = X[:, None, None]
+    ktq = P.Ktq.eval(Xn, near_offs)
+    shape = (len(X),) + near_w.shape
+    near_wp = np.broadcast_to(near_w * P.Ksp.eval(Xn, near_offs), shape)
+    near_wq = np.stack([np.broadcast_to(near_w * P.c_hat
+                                        * P.a.eval(Xn, sign * near_offs) * ktq,
+                                        shape) for sign in signs])
+    plan = _Plan(node=node, Z=Z, wp=wp, wq=wq, ext_node=ext[0], ext_val=ext[1],
+                 ext_wp=ext[2], ext_wq=ext[3], dirs=dirs, near_r=near_r,
+                 near_wp=near_wp, near_wq=near_wq)
+    logger.debug("%d-D plan: N=%d, %d in-box entries, %d exterior entries "
+                 "-> %d groups, %d bytes, %.3f s", n, N, M, n_ext, len(ext[0]),
                  sum(a.nbytes for a in vars(plan).values()),
                  time.perf_counter() - t0)
     return plan
 
 
-def _apply_grid_2d(u, P, Q):
-    plan = _plan_2d(P, Q, u.R, u.N, u.exterior)
+def apply_grid(u: GridFunction, P: ProblemParams, Q: QuadratureSpec):
+    """Evaluate the operator at every grid node, from the plan of (P, Q, box,
+    grid, exterior).
+
+    A sweep evaluates the interpolant once at the plan's in-box points,
+    applies ``phi`` and reduces per node.  The boundary nodes see the glue
+    seam inside their near field and are only approximate; the solver keeps
+    them frozen.
+    """
+    plan = _plan(P, Q, u.R, u.N, u.exterior)
     e = P.exponents
     v = u.values.ravel()
     # The in-box arrays are the size of the plan: work in place and drop
     # each one before the next, so a sweep adds little to peak memory.
+    # phi may return its argument, so each phase is formed into a new array.
     d = u(plan.Z)
     np.subtract(v[plan.node], d, out=d)
-    g = phi(d, e.q)
-    g *= plan.wq
-    g += phi(d, e.p) * plan.wp
+    g = phi(d, e.p) * plan.wp
+    g += phi(d, e.q) * plan.wq
     del d
     out = np.bincount(plan.node, g, minlength=v.size)
     del g
@@ -841,20 +808,9 @@ def _apply_grid_2d(u, P, Q):
     out += np.bincount(plan.ext_node,
                        phi(d, e.p) * plan.ext_wp + phi(d, e.q) * plan.ext_wq,
                        minlength=v.size)
-    spl = u._spline2d()
-    px, py = plan.pts[:, 0], plan.pts[:, 1]
-    d0, d1 = plan.dirs[:, 0], plan.dirs[:, 1]
-    gx1 = spl.ev(px, py, dx=1)[:, None]
-    gy1 = spl.ev(px, py, dy=1)[:, None]
-    hxx = spl.ev(px, py, dx=2)[:, None]
-    hyy = spl.ev(px, py, dy=2)[:, None]
-    hxy = spl.ev(px, py, dx=1, dy=1)[:, None]
-    bdir = (gx1 * d0 + gy1 * d1)[:, :, None]
-    cdir = (0.5 * (hxx * d0 ** 2 + 2 * hxy * d0 * d1 + hyy * d1 ** 2))[:, :, None]
-    rt = plan.tiny_r
-    dpl = -(bdir * rt + cdir * rt * rt)
-    dmi = bdir * rt - cdir * rt * rt
-    g = (phi(dpl, e.p) + phi(dmi, e.p)) * plan.tiny_wp
-    g += phi(dpl, e.q) * plan.tiny_wq[0] + phi(dmi, e.q) * plan.tiny_wq[1]
+    near = _near_cubic if u.n == 1 else _near_taylor
+    dpl, dmi = near(u, plan)
+    g = (phi(dpl, e.p) + phi(dmi, e.p)) * plan.near_wp
+    g += phi(dpl, e.q) * plan.near_wq[0] + phi(dmi, e.q) * plan.near_wq[1]
     out += np.sum(g, axis=(1, 2))
     return out.reshape(u.values.shape)

@@ -199,10 +199,15 @@ def geometric_tail_quad(f, a: float, decay: float, tol: float = 1e-11,
 
 
 def panel_nodes_weights(edges: np.ndarray):
-    """Concatenated GK15 abscissae/weights for a batch of panels."""
+    """Concatenated GK15 abscissae/weights for a batch of panels.
+
+    ``edges`` may carry leading axes: each row of edges along the last axis
+    gives its own row of abscissae/weights.
+    """
     edges = np.asarray(edges, dtype=float)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    pts = (mids[:, None] + halves[:, None] * _XK[None, :]).ravel()
-    wts = (halves[:, None] * _WK[None, :]).ravel()
+    mids = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    halves = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    shape = edges.shape[:-1] + (-1,)
+    pts = (mids[..., None] + halves[..., None] * _XK).reshape(shape)
+    wts = (halves[..., None] * _WK).reshape(shape)
     return pts, wts

@@ -2,9 +2,10 @@
 
 The analytic oracles integrate closed-form integrands with QUADPACK
 (scipy.quad), never the production panel machinery, so each DERIVED
-expectation is checked through two unrelated quadrature paths.  The one
-exception is ``apply_grid_2d_direct``: the direct per-direction sum that the
-planned 2-D ``apply_grid`` regroups, kept to check that regrouping.
+expectation is checked through two unrelated quadrature paths.  The two
+exceptions are ``apply_grid_1d_direct`` and ``apply_grid_2d_direct``: the
+direct sums that the planned ``apply_grid`` regroups, kept to check that
+regrouping.
 """
 
 import math
@@ -104,6 +105,66 @@ def truncated_touch_oracle(s: float) -> float:
     B_1/2: the glued function is the barrier itself, so the value is the
     p=2 operator at the origin."""
     return operator_beta_p2_oracle(0.0, s)
+
+
+def apply_grid_1d_direct(u, P, Q):
+    """The 1-D grid apply as a direct sum, node by node: the shared panels
+    with each panel that straddles a seam offset R -+ x split once there,
+    u at x +- y, the paired integrand, the cell-cubic near block on (0, h)
+    and the analytic remainder at both ends."""
+    x, v, h, R = u.nodes, u.values, u.h, u.R
+    worst = near_field_exponent(P)
+    m_sub = int(np.clip(math.ceil(3.0 / (1.0 + worst)), 4, 48))
+    t_pts, t_wts = panel_nodes_weights(np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
+    y_near = h * t_pts ** m_sub
+    w_near = t_wts * h * m_sub * t_pts ** (m_sub - 1)
+    rho_near, r_far = Q.near_radius(h), Q.far_radius(R)
+    edges = [h]
+    k = 1
+    while edges[-1] < rho_near - 1e-12 * h:
+        k += 1
+        edges.append(k * h)
+    while k < 32 and k * h < 2.0 * R:
+        k += 1
+        edges.append(k * h)
+    step = max(1, k)
+    while edges[-1] < 2.0 * R + 2.0 * h:
+        step = max(step + 1, int(math.ceil(step * 1.3)))
+        edges.append(edges[-1] + step * h)
+    while edges[-1] < r_far and len(edges) < 300:
+        edges.append(edges[-1] * 1.6)
+    while edges[-1] < r_far * 2.0 ** 12 and len(edges) < 300:
+        edges.append(edges[-1] * 2.0)
+    r_end = edges[-1]
+    panels = list(zip(edges[:-1], edges[1:]))
+    dp, dq = _tail_decays(P, _exterior_growth(u.exterior, R, 1))
+    e = P.exponents
+    cc = u._interpolant().c
+    out = np.empty(len(x))
+    for i, (xi, vi) in enumerate(zip(x, v)):
+        # the cubic of the cell right of x_i for +y, left of it for -y
+        right = cc[:, min(i, len(x) - 2)]
+        left = cc[:, max(i - 1, 0)]
+        if i == len(x) - 1:  # the last cell's cubic re-expanded at x_i
+            b = 3.0 * right[0] * h * h + 2.0 * right[1] * h + right[2]
+            c = 3.0 * right[0] * h + right[1]
+        else:
+            b, c = right[2], right[1]
+        dpl = -(b * y_near + c * y_near ** 2 + right[0] * y_near ** 3)
+        dmi = b * y_near - c * y_near ** 2 + left[0] * y_near ** 3
+        total = _paired(P, xi, y_near, dpl, dmi) @ w_near
+        cuts = {s for s in (R - xi, R + xi)
+                for lo, hi in panels if lo + 1e-6 * h < s < hi - 1e-6 * h}
+        y, w = panel_nodes_weights(np.array(sorted(set(edges) | cuts)))
+        total += _paired(P, xi, y, vi - u(xi + y), vi - u(xi - y)) @ w
+        for sign in (1.0, -1.0):
+            d = vi - u.exterior(np.array([xi + sign * r_end]), 1)[0]
+            y_end = sign * r_end
+            total += (phi(d, e.p) * P.Ksp.eval(xi, y_end) * r_end / dp
+                      + P.c_hat * P.a.eval(xi, y_end) * phi(d, e.q)
+                      * P.Ktq.eval(xi, y_end) * r_end / dq)
+        out[i] = total
+    return out
 
 
 def apply_grid_2d_direct(u, P, Q, D: int = 12):

@@ -2,7 +2,9 @@
 
 Every name a module imports must be used in its body or re-exported
 through its ``__all__``; ``__init__.py`` is skipped, since its imports are
-the package's re-exports.
+the package's re-exports.  Every module-level private (``_name``) function
+or class must be referenced somewhere in the package outside its own
+definition.
 """
 
 import ast
@@ -43,3 +45,49 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _references(path: Path) -> dict[str, set[str]]:
+    """Per top-level statement, keyed by its name ("" for statements that
+    define no name), the names and attributes referenced inside it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    refs: dict[str, set[str]] = {}
+    for stmt in tree.body:
+        own = getattr(stmt, "name", "")
+        seen = refs.setdefault(own, set())
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                seen.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                seen.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                seen.update(alias.name for alias in node.names)
+    return refs
+
+
+def _orphan_private_defs(path: Path, refs) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    orphans = []
+    for stmt in tree.body:
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        name = stmt.name
+        if not name.startswith("_") or name.startswith("__"):
+            continue
+        used = any(name in names
+                   for p, by_stmt in refs.items()
+                   for own, names in by_stmt.items()
+                   if not (p == path and own == name))
+        if not used:
+            orphans.append(f"{path.name}:{stmt.lineno} {name}")
+    return orphans
+
+
+@pytest.fixture(scope="module")
+def package_refs():
+    return {p: _references(p) for p in SRC.glob("*.py")}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_orphan_private_helpers(path, package_refs):
+    assert _orphan_private_defs(path, package_refs) == []

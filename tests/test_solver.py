@@ -115,27 +115,36 @@ class TestSolve:
         solve(P, cfg)
         assert seen == [(2.0, 2.1, 3e-4), (2.0, 2.2, 3e-4)]
 
-    def test_2d_plan_built_once_per_stage(self, monkeypatch):
-        # Count the builds of the 2-D operator plan through a fresh cache
-        # around the undecorated builder.
+    @staticmethod
+    def _count_plan_builds(monkeypatch, n, N):
+        # Count the builds of the operator plan through a fresh cache of the
+        # same size around the undecorated builder: a solve with one
+        # continuation stage builds one plan per stage, and a following
+        # residual builds none.
         builds = []
-        raw = nldp.operator._plan_2d.__wrapped__
+        raw = nldp.operator._plan.__wrapped__
 
         def counted(*args):
             builds.append(args[0].exponents)
             return raw(*args)
 
-        monkeypatch.setattr(nldp.operator, "_plan_2d",
-                            functools.lru_cache(maxsize=4)(counted))
-        P = model_params(n=2, s=0.6, t=0.5, p=2.0, q=2.2,
+        monkeypatch.setattr(nldp.operator, "_plan",
+                            functools.lru_cache(maxsize=1)(counted))
+        P = model_params(n=n, s=0.6, t=0.5, p=2.0, q=2.2,
                          f=constant_source(0.5))
-        cfg = SolveConfig(R=1.0, N=9, exterior=constant_exterior(0.0),
+        cfg = SolveConfig(R=1.0, N=N, exterior=constant_exterior(0.0),
                           residual_tol=1e-2, max_iters=200,
                           continuation=((2.0, 2.1),))
         u, _ = solve(P, cfg)
         assert [(e.p, e.q) for e in builds] == [(2.0, 2.1), (2.0, 2.2)]
         residual(u, P, cfg.quadrature)
         assert len(builds) == 2
+
+    def test_2d_plan_built_once_per_stage(self, monkeypatch):
+        self._count_plan_builds(monkeypatch, 2, 9)
+
+    def test_1d_plan_built_once_per_stage(self, monkeypatch):
+        self._count_plan_builds(monkeypatch, 1, 65)
 
 
 class TestKernelMassMatrix:
