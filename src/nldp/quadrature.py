@@ -1,17 +1,22 @@
 """Adaptive panel quadrature built on nested Gauss-Kronrod 7/15 rules.
 
 All integrands are expected to be vectorised over numpy arrays of
-abscissae.  Every routine returns ``(value, error_estimate)`` so callers
-can propagate quadrature error budgets; the estimates are the usual
-Kronrod-minus-Gauss heuristics summed over panels plus any analytic
-remainder attached to unbounded domains.
+abscissae: one integrand call covers many panels (every active panel of a
+bisection pass, or a chunk of geometric tail panels).  Every routine
+returns ``(value, error_estimate)`` so callers can propagate quadrature
+error budgets; the estimates are the usual Kronrod-minus-Gauss heuristics
+summed over panels plus any analytic remainder attached to unbounded
+domains.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+
+logger = logging.getLogger(__name__)
 
 # Gauss-Kronrod 7/15 abscissae and weights on [-1, 1].
 _XK = np.array([
@@ -37,6 +42,8 @@ _WG = np.array([
     0.381830050505119, 0.279705391489277, 0.129484966168870,
 ])
 _G_IDX = np.arange(1, 15, 2)
+# Geometric tail panels evaluated per integrand call.
+_TAIL_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -80,45 +87,43 @@ class QuadratureSpec:
         return max(8.0 * box_radius, 64.0)
 
 
-def gk_panel(f, a: float, b: float):
-    """One GK15 panel on [a, b]; returns (value, error_estimate)."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fx = np.asarray(f(mid + half * _XK), dtype=float)
-    kron = half * float(fx @ _WK)
-    gauss = half * float(fx[_G_IDX] @ _WG)
-    err = (200.0 * abs(kron - gauss)) ** 1.5 if kron != gauss else 0.0
-    # Classic QUADPACK-style sharpening, floored by the raw difference.
-    return kron, max(min(err, abs(kron - gauss) * 200.0), abs(kron - gauss))
+def gk_panels(f, lo, hi, extra=()):
+    """GK15 on every panel [lo[i], hi[i]] with one call of ``f``.
 
-
-def gk_panels(f, edges: np.ndarray):
-    """GK15 on every [edges[i], edges[i+1]] panel at once (vectorised).
-
-    Returns per-panel values and error estimates as arrays.
+    Returns per-panel values and error estimates as arrays (the QUADPACK
+    sharpening of the Kronrod-minus-Gauss difference, floored by the raw
+    difference), and the values of ``f`` at the ``extra`` points, which
+    ride along in the same call.
     """
-    edges = np.asarray(edges, dtype=float)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    pts = mids[:, None] + halves[:, None] * _XK[None, :]
-    fx = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+    mids = 0.5 * (lo + hi)
+    halves = 0.5 * (hi - lo)
+    pts = mids[:, None] + halves[:, None] * _XK
+    fx = np.asarray(f(np.concatenate([pts.ravel(), extra])), dtype=float)
+    fe = fx[pts.size:]
+    fx = fx[:pts.size].reshape(pts.shape)
     kron = halves * (fx @ _WK)
     gauss = halves * (fx[:, _G_IDX] @ _WG)
     diff = np.abs(kron - gauss)
     err = np.minimum((200.0 * diff) ** 1.5, 200.0 * diff)
-    return kron, np.maximum(err, diff)
+    return kron, np.maximum(err, diff), fe
 
 
 def adaptive_quad(f, a: float, b: float, tol: float = 1e-10,
                   rule: PanelRule = PanelRule(),
                   initial_edges=None, max_total_panels: int = 4000):
-    """Adaptive bisection GK15 over a finite interval.
+    """Adaptive bisection GK15 over a finite interval, breadth first.
 
     ``initial_edges`` seeds the panel decomposition (useful to align panels
-    with known kinks of the integrand); the list is refined until the summed
-    error estimate meets ``tol`` (absolute + relative mix), the depth cap,
-    or a hard total-panel budget (roughness floors, e.g. rounding noise,
-    must not stall the evaluation).
+    with known kinks of the integrand).  Each pass evaluates every active
+    panel with one call of ``f`` and accepts a panel when its error
+    estimate meets its share of ``tol`` (absolute + relative mix, by
+    width), at the depth cap, or when it is too narrow to bisect; the rest
+    are bisected.  These are per-panel rules, so the accepted panels are
+    those of one-panel-at-a-time bisection.  A panel is bisected only if
+    both halves fit in what is left of ``max_total_panels`` (roughness
+    floors, e.g. rounding noise, must not stall the evaluation), so a call
+    never evaluates more panels than that; a call that runs out keeps the
+    estimates of its unsplit panels and logs one WARNING.
     """
     if initial_edges is None:
         edges = np.array([a, b], dtype=float)
@@ -128,23 +133,37 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10,
             edges = np.insert(edges, 0, a)
         if edges[-1] < b:
             edges = np.append(edges, b)
-    panels = [(edges[i], edges[i + 1], 0) for i in range(len(edges) - 1)]
-    done = []
-    spent = 0
-    while panels:
-        lo, hi, depth = panels.pop()
-        v, e = gk_panel(f, lo, hi)
-        spent += 1
-        budget = tol * max(1.0, abs(v)) * (hi - lo) / max(b - a, 1e-300)
-        if (e <= budget or depth >= rule.max_depth or spent >= max_total_panels
-                or (hi - lo) < 1e-15 * max(abs(lo), abs(hi), 1.0)):
-            done.append((v, e))
-        else:
-            mid = 0.5 * (lo + hi)
-            panels.append((lo, mid, depth + 1))
-            panels.append((mid, hi, depth + 1))
-    total = sum(v for v, _ in done)
-    err = sum(e for _, e in done)
+    lo, hi = edges[:-1], edges[1:]
+    if lo.size > max_total_panels:
+        raise ValueError(f"{lo.size} initial panels exceed the budget "
+                         f"max_total_panels={max_total_panels}")
+    span = max(b - a, 1e-300)
+    vals, errs = [], []
+    spent, depth, starved = 0, 0, False
+    while lo.size:
+        v, e, _ = gk_panels(f, lo, hi)
+        spent += lo.size
+        width = hi - lo
+        split = ~((e <= tol * np.maximum(1.0, np.abs(v)) * width / span)
+                  | (width < 1e-15 * np.maximum(np.maximum(np.abs(lo),
+                                                           np.abs(hi)), 1.0)))
+        if depth >= rule.max_depth:
+            split[:] = False
+        fits = 2 * np.cumsum(split) <= max_total_panels - spent
+        starved |= bool(np.any(split & ~fits))
+        split &= fits
+        vals.append(v[~split])
+        errs.append(e[~split])
+        lo, hi = lo[split], hi[split]
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        depth += 1
+    total = float(np.sum(np.concatenate(vals)))
+    err = float(np.sum(np.concatenate(errs)))
+    if starved:
+        logger.warning("adaptive_quad on [%.6g, %.6g] ran out of its panel "
+                       "budget: %d of %d panels, err %.3g against tol %.3g",
+                       a, b, spent, max_total_panels, err, tol)
     return total, err
 
 
@@ -178,24 +197,32 @@ def geometric_tail_quad(f, a: float, decay: float, tol: float = 1e-11,
     """Integrate f over (a, inf) with f ~ c * r**(-1-decay), decay > 0.
 
     Geometric panels until the analytic remainder estimate
-    f(r) * r / decay drops below tolerance; the remainder is added to the
-    value and doubled into the error budget.
+    f(r) * r / decay at the right end r of the last panel drops below
+    tol * max(1, |sum so far|); the remainder is added to the value and
+    into the error budget (doubled if ``max_panels`` run out first).
+    ``_TAIL_CHUNK`` panels and their right ends share one call of ``f``;
+    edges and running sums accumulate sequentially, in the order of a
+    panel-by-panel loop, so the call stops at the same panel.
     """
     if decay <= 0:
         raise ValueError("tail decay exponent must be positive")
-    total = 0.0
-    err = 0.0
+    total = err = 0.0
     lo = a
-    for _ in range(max_panels):
-        hi = lo * growth
-        v, e = gk_panel(f, lo, hi)
-        total += v
-        err += e
-        lo = hi
-        tail_val = float(f(np.array([lo]))[0]) * lo / decay
-        if abs(tail_val) <= tol * max(1.0, abs(total)):
-            return total + tail_val, err + abs(tail_val)
-    return total + tail_val, err + 2.0 * abs(tail_val)
+    done = 0
+    while done < max_panels:
+        n = min(_TAIL_CHUNK, max_panels - done)
+        edges = np.cumprod(np.r_[lo, np.full(n, growth)])
+        v, e, f_hi = gk_panels(f, edges[:-1], edges[1:], extra=edges[1:])
+        totals = np.cumsum(np.r_[total, v])[1:]
+        errs = np.cumsum(np.r_[err, e])[1:]
+        tails = f_hi * edges[1:] / decay
+        stop = np.abs(tails) <= tol * np.maximum(1.0, np.abs(totals))
+        if stop.any():
+            k = int(np.argmax(stop))
+            return float(totals[k] + tails[k]), float(errs[k] + abs(tails[k]))
+        total, err, tail_val, lo = totals[-1], errs[-1], tails[-1], edges[-1]
+        done += n
+    return float(total + tail_val), float(err + 2.0 * abs(tail_val))
 
 
 def panel_nodes_weights(edges: np.ndarray):

@@ -2,10 +2,12 @@
 
 The analytic oracles integrate closed-form integrands with QUADPACK
 (scipy.quad), never the production panel machinery, so each DERIVED
-expectation is checked through two unrelated quadrature paths.  The two
-exceptions are ``apply_grid_1d_direct`` and ``apply_grid_2d_direct``: the
+expectation is checked through two unrelated quadrature paths.  The
+exceptions are ``apply_grid_1d_direct`` and ``apply_grid_2d_direct``, the
 direct sums that the planned ``apply_grid`` regroups, kept to check that
-regrouping.
+regrouping, and ``adaptive_quad_depth_first`` and
+``geometric_tail_quad_sequential``, the one-panel-per-call loops that the
+batched quadrature engine replaced, kept to check that batching.
 """
 
 import math
@@ -16,6 +18,7 @@ from scipy.integrate import quad
 from nldp.operator import (_exterior_growth, _paired, _polar_dirs,
                            _poly_switch_radius, _tail_decays,
                            near_field_exponent, panel_nodes_weights, phi)
+from nldp.quadrature import _G_IDX, _WG, _WK, _XK, PanelRule
 
 
 def beta(x):
@@ -232,3 +235,69 @@ def apply_grid_2d_direct(u, P, Q, D: int = 12):
         rem += P.c_hat * ae * (phi(vals - ue_p, e.q) + phi(vals - ue_m, e.q)) * ktqe * r_end ** 2 / dq
         out += wd * rem
     return out.reshape(u.values.shape)
+
+
+def adaptive_quad_depth_first(f, a: float, b: float, tol: float = 1e-10,
+                              rule: PanelRule = PanelRule(),
+                              initial_edges=None, max_total_panels: int = 4000):
+    """The one-panel-per-call, depth-first ``adaptive_quad`` that the
+    breadth-first engine replaced, with its ``gk_panel`` inlined."""
+    if initial_edges is None:
+        edges = np.array([a, b], dtype=float)
+    else:
+        edges = np.unique(np.clip(np.asarray(initial_edges, dtype=float), a, b))
+        if edges[0] > a:
+            edges = np.insert(edges, 0, a)
+        if edges[-1] < b:
+            edges = np.append(edges, b)
+    panels = [(edges[i], edges[i + 1], 0) for i in range(len(edges) - 1)]
+    done = []
+    spent = 0
+    while panels:
+        lo, hi, depth = panels.pop()
+        v, e = _gk_panel(f, lo, hi)
+        spent += 1
+        budget = tol * max(1.0, abs(v)) * (hi - lo) / max(b - a, 1e-300)
+        if (e <= budget or depth >= rule.max_depth or spent >= max_total_panels
+                or (hi - lo) < 1e-15 * max(abs(lo), abs(hi), 1.0)):
+            done.append((v, e))
+        else:
+            mid = 0.5 * (lo + hi)
+            panels.append((lo, mid, depth + 1))
+            panels.append((mid, hi, depth + 1))
+    total = sum(v for v, _ in done)
+    err = sum(e for _, e in done)
+    return total, err
+
+
+def geometric_tail_quad_sequential(f, a: float, decay: float, tol: float = 1e-11,
+                                   growth: float = 2.0, max_panels: int = 200):
+    """The panel-by-panel ``geometric_tail_quad`` that the chunked engine
+    replaced, with its ``gk_panel`` inlined."""
+    if decay <= 0:
+        raise ValueError("tail decay exponent must be positive")
+    total = 0.0
+    err = 0.0
+    lo = a
+    for _ in range(max_panels):
+        hi = lo * growth
+        v, e = _gk_panel(f, lo, hi)
+        total += v
+        err += e
+        lo = hi
+        tail_val = float(f(np.array([lo]))[0]) * lo / decay
+        if abs(tail_val) <= tol * max(1.0, abs(total)):
+            return total + tail_val, err + abs(tail_val)
+    return total + tail_val, err + 2.0 * abs(tail_val)
+
+
+def _gk_panel(f, a: float, b: float):
+    """One GK15 panel on [a, b]; returns (value, error_estimate)."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    fx = np.asarray(f(mid + half * _XK), dtype=float)
+    kron = half * float(fx @ _WK)
+    gauss = half * float(fx[_G_IDX] @ _WG)
+    err = (200.0 * abs(kron - gauss)) ** 1.5 if kron != gauss else 0.0
+    # Classic QUADPACK-style sharpening, floored by the raw difference.
+    return kron, max(min(err, abs(kron - gauss) * 200.0), abs(kron - gauss))
