@@ -17,7 +17,7 @@ from .params import (Exponents, KernelField, CoefficientField, ProblemParams,
                      barrier_eval, barrier_grad, barrier_hess, model_params)
 from .grid import (GridFunction, Exterior, constant_exterior, growth_exterior,
                    dyadic_exterior, callable_exterior, sample)
-from .quadrature import QuadratureSpec, PanelRule
+from .quadrature import QuadratureSpec
 from .operator import (delta, evaluate, evaluate_truncated, apply_grid,
                        energy, pv_eval_oneside)
 from .constants import (ConstantsBundle, SelectionCertificate, sigma,

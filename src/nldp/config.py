@@ -13,8 +13,7 @@ The schema (all floats IEEE doubles):
         # | indicator-of-halfspace | checkerboard | holder | custom-table
     "f": {"type": "constant", "value": 0.0}     # | gaussian
   },
-  "quadrature": {"rho_near": null, "R_far": null, "tol": 1e-8,
-                 "max_depth": 48},
+  "quadrature": {"rho_near": null, "R_far": null, "tol": 1e-8},
   "solve": {"R": 2.0, "N": 257,
             "exterior": {"tag": "constant", "value": 0.0},
             "tau0": 0.5, "residual_tol": 1e-8, "max_iters": 50000,
@@ -43,7 +42,7 @@ from .params import (CoefficientField, Exponents, ProblemParams, SourceTerm,
                      constant_source, gagliardo_kernel, gaussian_source,
                      halfspace_coefficient, holder_coefficient, scaled_kernel,
                      table_kernel)
-from .quadrature import PanelRule, QuadratureSpec
+from .quadrature import QuadratureSpec
 from .solver import SolveConfig
 
 SCHEMA_VERSION = 1
@@ -58,8 +57,7 @@ _DEFAULTS = {
         "coefficient": {"type": "constant", "M": 1.0},
         "f": {"type": "constant", "value": 0.0},
     },
-    "quadrature": {"rho_near": None, "R_far": None, "tol": 1e-8,
-                   "max_depth": 48},
+    "quadrature": {"rho_near": None, "R_far": None, "tol": 1e-8},
     "solve": {"R": 2.0, "N": 257,
               "exterior": {"tag": "constant", "value": 0.0},
               "tau0": 0.5, "residual_tol": 1e-8, "max_iters": 50_000,
@@ -208,8 +206,7 @@ def build_quadrature(cfg: dict) -> QuadratureSpec:
     return QuadratureSpec(
         rho_near=None if qc["rho_near"] is None else float(qc["rho_near"]),
         R_far=None if qc["R_far"] is None else float(qc["R_far"]),
-        tol=float(qc["tol"]),
-        rule=PanelRule(max_depth=int(qc["max_depth"])))
+        tol=float(qc["tol"]))
 
 
 def build_exterior(spec: dict) -> Exterior:

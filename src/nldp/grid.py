@@ -55,6 +55,14 @@ class Exterior:
             return np.asarray(self.fn(x), dtype=float)
         raise NldpError(f"unknown exterior tag {self.tag!r}")
 
+    @property
+    def jump_radii(self) -> tuple[float, ...]:
+        """Radii |x| where the exterior jumps: the shell edges 2^l, l >= 1,
+        of a dyadic envelope; none for the other tags."""
+        if self.tag != "dyadic":
+            return ()
+        return tuple(2.0 ** l for l in range(1, len(self.shells)))
+
     def sup_bound(self, n: int, r_lo: float, r_hi: float) -> float:
         """Upper bound for |exterior| on the shell r_lo <= |x| <= r_hi."""
         if self.tag == "constant":

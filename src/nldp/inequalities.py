@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DivergenceDetected
 from .params import (BARRIER_C1, BARRIER_C2, CoefficientField, ProblemParams,
                      barrier_eval)
-from .operator import phi
+from .operator import _differences, _directional_model, phi
 from .quadrature import adaptive_quad, near_singular_quad
 
 __all__ = [
@@ -192,27 +192,15 @@ def check_local_integrability(phi_fn, P: ProblemParams, mode: str,
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    # Local 2nd-order model keeps deep-shell differences out of rounding
-    # noise (direct subtraction is garbage below ~1e-8 and the kernel
-    # amplifies it).
+    # Below 1e-5 the differences come from the local 2nd-order model, out
+    # of rounding noise (direct subtraction is garbage below ~1e-8 and the
+    # kernel amplifies it).
     px = float(np.asarray(phi_fn(np.asarray(x)), dtype=float))
-    e_fd = 1e-4
-    f_p = float(np.asarray(phi_fn(np.asarray(x + e_fd)), dtype=float))
-    f_m = float(np.asarray(phi_fn(np.asarray(x - e_fd)), dtype=float))
-    bloc = (f_p - f_m) / (2.0 * e_fd)
-    cloc = (f_p - 2.0 * px + f_m) / (2.0 * e_fd * e_fd)
-    y_poly = 1e-5
+    model = _directional_model(phi_fn, x, 1.0)
 
     def integrand(yv):
         yv = np.asarray(yv, dtype=float)
-        dplus = px - np.asarray(phi_fn(x + yv), dtype=float)
-        dminus = px - np.asarray(phi_fn(x - yv), dtype=float)
-        tiny = yv < y_poly
-        if np.any(tiny):
-            yt = yv[tiny]
-            dplus = dplus.copy(); dminus = dminus.copy()
-            dplus[tiny] = -(bloc * yt + cloc * yt * yt)
-            dminus[tiny] = bloc * yt - cloc * yt * yt
+        _, dplus, dminus = _differences(phi_fn, x, px, 1.0, yv, model, 1e-5)
         dp = phi(dplus, r)
         dm = phi(dminus, r)
         if coeff is not None and mode in ("q-bounded", "q-holder",

@@ -33,12 +33,12 @@ from .errors import (NldpError, NonIntegrableNearField, TailDivergence,
                      TouchViolation)
 from .grid import GridFunction
 from .params import CoefficientField, ProblemParams
-from .quadrature import (QuadratureSpec, PanelRule, adaptive_quad,
-                         geometric_tail_quad, near_singular_quad,
-                         panel_nodes_weights)
+from .quadrature import (QuadratureSpec, adaptive_quad, geometric_tail_quad,
+                         near_singular_quad, panel_nodes_weights,
+                         substitution_power)
 
 __all__ = [
-    "QuadratureSpec", "PanelRule", "delta", "evaluate", "evaluate_truncated",
+    "QuadratureSpec", "delta", "evaluate", "evaluate_truncated",
     "apply_grid", "energy", "pv_eval_oneside", "near_field_exponent",
 ]
 
@@ -196,27 +196,35 @@ def _near_taylor(u: GridFunction, plan):
     return -(bdir * rt + cdir * rt * rt), bdir * rt - cdir * rt * rt
 
 
-def _local_model(u, x: float):
-    """(b, c) with u(x + y) ~ u(x) + b y + c y^2 near a single point."""
+def _directional_model(u, x, d):
+    """(b, c) with u(x + r d) ~ u(x) + b r + c r^2 near a single point x:
+    exact from the spline for a 1-D grid function, central differences
+    otherwise."""
     if isinstance(u, GridFunction) and u.n == 1:
         spl = u._interpolant()
-        return float(spl(x, 1)), 0.5 * float(spl(x, 2))
+        return float(spl(x, 1)) * d, 0.5 * float(spl(x, 2)) * d * d
     e = 1e-4
-    f0 = float(u(np.asarray(x)))
-    fp = float(u(np.asarray(x + e)))
-    fm = float(u(np.asarray(x - e)))
+    x = np.asarray(x, dtype=float)
+    f0 = float(u(x))
+    fp = float(u(x + e * d))
+    fm = float(u(x - e * d))
     return (fp - fm) / (2 * e), (fp - 2 * f0 + fm) / (2 * e * e)
 
 
-def _directional_model(u, x, d):
-    """(b, c) along direction d at a 2-D point: u(x + r d) ~ u + b r + c r^2."""
-    e = 1e-4
-    xp = np.asarray(x, dtype=float) + e * d
-    xm = np.asarray(x, dtype=float) - e * d
-    f0 = float(u(np.asarray(x, dtype=float)))
-    fp = float(u(xp))
-    fm = float(u(xm))
-    return (fp - fm) / (2 * e), (fp - 2 * f0 + fm) / (2 * e * e)
+def _differences(u, x, ux: float, d, r, model, r_switch: float):
+    """Offsets r d and the differences u(x) - u(x +- r d) at the radii r:
+    formed directly from ``r_switch`` on, from the local model (b, c) of
+    ``_directional_model`` below it."""
+    offs = np.multiply.outer(r, d)
+    dplus = ux - np.asarray(u(x + offs), dtype=float)
+    dminus = ux - np.asarray(u(x - offs), dtype=float)
+    tiny = r < r_switch
+    if np.any(tiny):
+        b, c = model
+        rt = r[tiny]
+        dplus[tiny] = -(b * rt + c * rt * rt)
+        dminus[tiny] = b * rt - c * rt * rt
+    return offs, dplus, dminus
 
 
 # --------------------------------------------------------------------------
@@ -269,59 +277,100 @@ class _GluedField:
         return out
 
 
+# Directions of the pointwise integral in 2-D: Gauss-Legendre angles on a
+# half turn.
+_POLAR_DIRECTIONS = 24
+
+
+def _polar_dirs(D: int):
+    # Gauss-Legendre on [0, pi): the delta pairing covers the other half.
+    t, w = np.polynomial.legendre.leggauss(D)
+    ang = 0.5 * math.pi * (t + 1.0)
+    wts = 0.5 * math.pi * w
+    return np.stack([np.cos(ang), np.sin(ang)], axis=-1), wts
+
+
+def _box_seams(x, d, R: float):
+    """Offsets r > 0 where x + r d and x - r d leave the box [-R, R]^n."""
+    x, d = np.atleast_1d(x), np.atleast_1d(d)
+    with np.errstate(divide="ignore"):
+        return [float(np.min((R - np.sign(s * d) * x) / np.abs(d)))
+                for s in (1.0, -1.0)]
+
+
+def _sphere_crossings(x, d, radii):
+    """Offsets r > 0 where |x + r d| or |x - r d| (d a unit direction)
+    meets one of the radii; a line that misses a sphere adds none."""
+    b = float(np.dot(x, d))
+    c = float(np.dot(x, x))
+    out = []
+    for rad in radii:
+        disc = b * b - c + rad * rad
+        if disc >= 0.0:
+            root = math.sqrt(disc)
+            out += [r for r in (root - b, -root - b, root + b, b - root)
+                    if r > 0.0]
+    return out
+
+
 def evaluate(u, x, P: ProblemParams, Q: QuadratureSpec | None = None,
              extra_kinks=()):
     """Operator value at a single interior point, with an error estimate.
 
-    Near field by adaptive quadrature of the symmetrised integrand on the
-    C^2 interpolant, mid field by adaptive panels, tail by the analytic
-    power-law remainder of the exterior against the kernel envelope.
+    The integral runs along directions d through x, the paired integrand
+    at x +- r d times the polar measure r^(n-1): the axis in 1-D,
+    ``_POLAR_DIRECTIONS`` Gauss-Legendre angles in 2-D.  Along each one,
+    a substituted near field (0, rho_near) at 0.1 tol, adaptive mid-field
+    panels out to the far radius at tol, and the geometric tail against the
+    kernel envelope at 0.1 tol max(1, |near + mid|).  The breaks of the
+    integrand are panel edges: the Taylor switch of the differences, the
+    box seams, the jumps of the exterior and ``extra_kinks``.
     Returns ``(value, error_estimate)``.
     """
     Q = Q or QuadratureSpec()
-    if u.n == 2:
-        return _evaluate_2d(u, x, P, Q, extra_kinks=extra_kinks)
-    x = float(x)
-    h = u.h
+    n = u.n
+    x = float(x) if n == 1 else np.asarray(x, dtype=float)
+    h, R = u.h, u.R
     rho_near = Q.near_radius(h)
-    if abs(x) > u.R - rho_near:
+    if np.max(np.abs(x)) > R - rho_near:
         raise ValueError(
             f"evaluation point {x} violates the interior margin {rho_near:.3g}")
     worst = near_field_exponent(P)
     e = P.exponents
+    dp, dq = _tail_decays(P, _exterior_growth(u.exterior, R, n))
+    r_far = Q.far_radius(R)
     ux = float(u(x))
-    bloc, cloc = _local_model(u, x)
-    y_poly = _poly_switch_radius(h, Q.tol, max(1.0 + e.sp, 1.0 + e.tq))
+    # 1-D switches at the kernel exponent 1 + max(sp, tq).  2-D keeps
+    # max(sp, tq): at 1 + max(sp, tq) its switch radius is larger, and the
+    # quadratic model's truncation error moves the value by more than tol.
+    y_poly = _poly_switch_radius(h, Q.tol,
+                                 max(e.sp, e.tq) + (1.0 if n == 1 else 0.0))
+    shared = ({float(k) for k in extra_kinks}
+              | {kh * h for kh in range(int(rho_near / h) + 1, 9)}
+              | {rho_near * 2.0 ** j for j in range(1, 30)})
+    dirs, weights = (np.ones(1), np.ones(1)) if n == 1 \
+        else _polar_dirs(_POLAR_DIRECTIONS)
+    total = err = 0.0
+    for d, wd in zip(dirs, weights):
+        model = _directional_model(u, x, d)
 
-    def paired(yv):
-        yv = np.asarray(yv, dtype=float)
-        dplus = ux - u(x + yv)
-        dminus = ux - u(x - yv)
-        tiny = yv < y_poly
-        if np.any(tiny):
-            yt = yv[tiny]
-            dplus = dplus.copy()
-            dminus = dminus.copy()
-            dplus[tiny] = -(bloc * yt + cloc * yt * yt)
-            dminus[tiny] = bloc * yt - cloc * yt * yt
-        return _paired(P, x, yv, dplus, dminus)
+        def paired(r, d=d, model=model):
+            offs, dplus, dminus = _differences(u, x, ux, d, r, model, y_poly)
+            return _paired(P, x, offs, dplus, dminus) * r ** (n - 1)
 
-    val_near, err_near = near_singular_quad(paired, rho_near, worst,
-                                            tol=Q.tol * 1e-2, rule=Q.rule)
-    r_far = Q.far_radius(u.R)
-    kinks = [u.R - x, u.R + x] + [float(k) for k in extra_kinks]
-    edges = sorted({rho_near, r_far}
-                   | {k for k in kinks if rho_near < k < r_far}
-                   | {kh * h for kh in range(int(rho_near / h) + 1, 9)}
-                   | {rho_near * 2.0 ** j for j in range(1, 30)
-                      if rho_near * 2.0 ** j < r_far})
-    val_mid, err_mid = adaptive_quad(paired, rho_near, r_far, tol=Q.tol,
-                                     rule=Q.rule, initial_edges=edges)
-    dp, dq = _tail_decays(P, _exterior_growth(u.exterior, u.R, u.n))
-    val_tail, err_tail = geometric_tail_quad(
-        paired, r_far, min(dp, dq),
-        tol=0.1 * Q.tol * max(1.0, abs(val_near + val_mid)))
-    return val_near + val_mid + val_tail, err_near + err_mid + err_tail
+        cuts = (shared | set(_box_seams(x, d, R))
+                | set(_sphere_crossings(x, d, u.exterior.jump_radii)))
+        edges = sorted({rho_near, r_far} | {k for k in cuts
+                                            if rho_near < k < r_far})
+        vn, en = near_singular_quad(paired, rho_near, worst,
+                                    tol=0.1 * Q.tol, breaks=(y_poly,))
+        vm, em = adaptive_quad(paired, rho_near, r_far, tol=Q.tol,
+                               initial_edges=edges)
+        vt, et = geometric_tail_quad(paired, r_far, min(dp, dq),
+                                     tol=0.1 * Q.tol * max(1.0, abs(vn + vm)))
+        total += wd * (vn + vm + vt)
+        err += wd * (en + em + et)
+    return float(total), float(err)
 
 
 def evaluate_truncated(u: GridFunction, phi_fn, x0, rho: float,
@@ -393,8 +442,7 @@ def pv_eval_oneside(u, x, P: ProblemParams, eps: float,
     edges = [t for t in edges if eps <= t <= r_far]
     total, err = 0.0, 0.0
     for side in sides:
-        v, er = adaptive_quad(side, eps, r_far, tol=Q.tol, rule=Q.rule,
-                              initial_edges=edges)
+        v, er = adaptive_quad(side, eps, r_far, tol=Q.tol, initial_edges=edges)
         total += v
         err += er
     dp, dq = _tail_decays(P, _exterior_growth(u.exterior, u.R, u.n))
@@ -426,12 +474,9 @@ def energy(u: GridFunction, P: ProblemParams, Q: QuadratureSpec | None = None):
     h = u.h
     xs, xw = panel_nodes_weights(u.nodes)  # panels = grid cells, GK15 each
 
-    def inner_between(y_lo, y_hi, edges=None):
-        """sum_x xw * int_{y_lo<|y|<y_hi} [|du|^p Kg_sp + a |du|^q Kg_tq] dy."""
-        if edges is None:
-            m = int(math.ceil(math.log2(max(y_hi / y_lo, 2.0)))) * 2
-            edges = np.geomspace(y_lo, y_hi, m + 1)
-        pts, wts = panel_nodes_weights(np.asarray(edges))
+    def shell_sum(pts, wts):
+        """sum_x xw * sum_j wts_j [|du|^p Kg_sp + a |du|^q Kg_tq] over the
+        offsets +-pts."""
         acc = 0.0
         for sgn in (+1.0, -1.0):
             Z = xs[:, None] + sgn * pts[None, :]
@@ -442,6 +487,11 @@ def energy(u: GridFunction, P: ProblemParams, Q: QuadratureSpec | None = None):
             rows = du ** e.p * kg_sp[None, :] + a * du ** e.q * kg_tq[None, :]
             acc += float(xw @ (rows @ wts))
         return acc
+
+    def inner_between(y_lo, y_hi):
+        """The shell sum over GK15 panels of y_lo < |y| < y_hi."""
+        m = int(math.ceil(math.log2(max(y_hi / y_lo, 2.0)))) * 2
+        return shell_sum(*panel_nodes_weights(np.geomspace(y_lo, y_hi, m + 1)))
 
     # Near-field partial sums for the Cauchy divergence test.
     scales = []
@@ -467,25 +517,11 @@ def energy(u: GridFunction, P: ProblemParams, Q: QuadratureSpec | None = None):
         return math.inf, math.inf, {"diverged": True, "offending_scale": offending}
 
     worst = min(e.p - e.sp, e.q - e.tq) - 1.0
-    m_sub = int(np.clip(math.ceil(3.0 / (1.0 + worst)), 4, 48))
-    t_pts, t_wts = panel_nodes_weights(np.array([0.0, 0.5, 1.0]))
-    y0 = scales[-1]
-    ynear = y0 * t_pts ** m_sub
-    wnear = t_wts * y0 * m_sub * t_pts ** (m_sub - 1)
-    near_acc = 0.0
-    for sgn in (+1.0, -1.0):
-        Z = xs[:, None] + sgn * ynear[None, :]
-        du = np.abs(u(Z) - u(xs)[:, None])
-        kg_sp = ynear ** (-1.0 - e.sp)
-        kg_tq = ynear ** (-1.0 - e.tq)
-        a = P.a.eval(xs[:, None], sgn * ynear[None, :])
-        rows = du ** e.p * kg_sp[None, :] + a * du ** e.q * kg_tq[None, :]
-        near_acc += float(xw @ (rows @ wnear))
-
+    near_acc = shell_sum(*_near_rule(scales[-1], substitution_power(worst),
+                                     [0.0, 0.5, 1.0]))
     mid = sum(increments)
     r_big = Q.far_radius(u.R) * 2.0 ** 20
-    far = inner_between(scales[0], r_big,
-                        edges=np.geomspace(scales[0], r_big, 96))
+    far = shell_sum(*panel_nodes_weights(np.geomspace(scales[0], r_big, 96)))
     # Declared tail estimate: bounded-exterior remainder beyond r_big.
     sup_out = u.exterior.sup_bound(u.n, r_big, r_big * 1e6)
     sup_u = float(np.max(np.abs(u.values)))
@@ -495,66 +531,6 @@ def energy(u: GridFunction, P: ProblemParams, Q: QuadratureSpec | None = None):
     total = near_acc + mid + far + tail
     err = abs(tail) + 1e-3 * abs(near_acc) + 1e-6 * abs(total)
     return total, err, {"diverged": False, "offending_scale": None}
-
-
-# --------------------------------------------------------------------------
-# 2-D variants (polar quadrature; coarser tolerances, small desk grids).
-
-def _polar_dirs(D: int):
-    # Gauss-Legendre on [0, pi): the delta pairing covers the other half.
-    t, w = np.polynomial.legendre.leggauss(D)
-    ang = 0.5 * math.pi * (t + 1.0)
-    wts = 0.5 * math.pi * w
-    return np.stack([np.cos(ang), np.sin(ang)], axis=-1), wts
-
-
-def _evaluate_2d(u, x, P, Q, extra_kinks=(), D: int = 24):
-    x = np.asarray(x, dtype=float)
-    h = u.h
-    rho_near = Q.near_radius(h)
-    if np.max(np.abs(x)) > u.R - rho_near:
-        raise ValueError("evaluation point violates the interior margin")
-    # The polar r dr measure is folded into the integrand, so the radial
-    # exponent matches the 1-D bookkeeping exactly.
-    worst = near_field_exponent(P)
-    dirs, dw = _polar_dirs(D)
-    e = P.exponents
-    growth = _exterior_growth(u.exterior, u.R, u.n)
-    dp, dq = _tail_decays(P, growth)
-    r_far = Q.far_radius(u.R)
-    total, err = 0.0, 0.0
-    ux = float(u(x))
-    y_poly = _poly_switch_radius(h, Q.tol, max(e.sp, e.tq))
-    for d, wd in zip(dirs, dw):
-        bdir, cdir = _directional_model(u, x, d)
-
-        def paired(rv, d=d, bdir=bdir, cdir=cdir):
-            rv = np.asarray(rv, dtype=float)
-            offs = rv[:, None] * d[None, :]
-            dplus = ux - u(x[None, :] + offs)
-            dminus = ux - u(x[None, :] - offs)
-            tiny = rv < y_poly
-            if np.any(tiny):
-                rt = rv[tiny]
-                dplus = dplus.copy()
-                dminus = dminus.copy()
-                dplus[tiny] = -(bdir * rt + cdir * rt * rt)
-                dminus[tiny] = bdir * rt - cdir * rt * rt
-            return _paired(P, x[None, :], offs, dplus, dminus) * rv  # polar measure
-
-        vn, en = near_singular_quad(paired, rho_near, worst,
-                                    tol=Q.tol * 0.1, rule=Q.rule)
-        edges = sorted({rho_near * 2.0 ** j for j in range(1, 30)
-                        if rho_near * 2.0 ** j < r_far} | {r_far}
-                       | {float(k) for k in extra_kinks if rho_near < float(k) < r_far})
-        vm, em = adaptive_quad(paired, rho_near, r_far, tol=Q.tol * 10,
-                               rule=PanelRule(max_depth=24), initial_edges=edges)
-        vt, et = geometric_tail_quad(paired, r_far, min(dp, dq),
-                                     tol=Q.tol * max(1.0, abs(total)),
-                                     max_panels=80)
-        total += wd * (vn + vm + vt)
-        err += wd * (en + em + et)
-    return total, err
 
 
 # --------------------------------------------------------------------------
@@ -584,11 +560,6 @@ class _Plan:
     near_r: np.ndarray     # (T,) radii of the near block
     near_wp: np.ndarray    # (nodes, D, T) p-weights, shared by both signs
     near_wq: np.ndarray    # (2, nodes, D, T) q-weights at +r d and -r d
-
-
-def _substitution_power(P: ProblemParams) -> int:
-    # Power of the y = h t^m substitution that smooths the near field.
-    return int(np.clip(math.ceil(3.0 / (1.0 + near_field_exponent(P))), 4, 48))
 
 
 def _near_rule(h: float, m_sub: int, t_edges):
@@ -653,7 +624,7 @@ def _geometry_1d(P, Q, R, N, dp, dq, chunk: int = 16):
                    np.concatenate([w, end / dp], axis=1),
                    np.concatenate([w, end / dq], axis=1))
 
-    y_near, w_near = _near_rule(h, _substitution_power(P),
+    y_near, w_near = _near_rule(h, substitution_power(near_field_exponent(P)),
                                 [0.0, 0.25, 0.5, 0.75, 1.0])
     return xs, blocks, (np.ones((1, 1)), y_near, y_near[None, :],
                         w_near[None, :])
@@ -667,7 +638,8 @@ def _geometry_2d(P, Q, R, N, dp, dq, D: int = 12):
     pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
     e = P.exponents
     h = 2.0 * R / (N - 1)
-    r_near, w_near = _near_rule(h, _substitution_power(P), [0.0, 0.5, 1.0])
+    r_near, w_near = _near_rule(h, substitution_power(near_field_exponent(P)),
+                                [0.0, 0.5, 1.0])
     r_far = Q.far_radius(R)
     edges = [h]
     while edges[-1] < 8 * h:

@@ -12,7 +12,8 @@ domains.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,18 +48,6 @@ _TAIL_CHUNK = 16
 
 
 @dataclass(frozen=True)
-class PanelRule:
-    """Adaptive-subdivision parameters: bisection depth cap and panel order."""
-
-    max_depth: int = 48
-    order: int = 15
-
-    def __post_init__(self):
-        if self.order != 15:
-            raise ValueError("only the GK7/15 pair is implemented")
-
-
-@dataclass(frozen=True)
 class QuadratureSpec:
     """Quadrature policy for operator evaluation.
 
@@ -69,7 +58,6 @@ class QuadratureSpec:
     rho_near: float | None = None
     R_far: float | None = None
     tol: float = 1e-8
-    rule: PanelRule = field(default_factory=PanelRule)
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -109,8 +97,8 @@ def gk_panels(f, lo, hi, extra=()):
 
 
 def adaptive_quad(f, a: float, b: float, tol: float = 1e-10,
-                  rule: PanelRule = PanelRule(),
-                  initial_edges=None, max_total_panels: int = 4000):
+                  max_depth: int = 48, initial_edges=None,
+                  max_total_panels: int = 4000):
     """Adaptive bisection GK15 over a finite interval, breadth first.
 
     ``initial_edges`` seeds the panel decomposition (useful to align panels
@@ -147,7 +135,7 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10,
         split = ~((e <= tol * np.maximum(1.0, np.abs(v)) * width / span)
                   | (width < 1e-15 * np.maximum(np.maximum(np.abs(lo),
                                                            np.abs(hi)), 1.0)))
-        if depth >= rule.max_depth:
+        if depth >= max_depth:
             split[:] = False
         fits = 2 * np.cumsum(split) <= max_total_panels - spent
         starved |= bool(np.any(split & ~fits))
@@ -167,17 +155,24 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10,
     return total, err
 
 
+def substitution_power(worst_exponent: float) -> int:
+    """Power m of the substitution y = rho t^m that smooths an integrand
+    f ~ y^e (e > -1) at 0: the transformed integrand vanishes at t = 0."""
+    return int(np.clip(math.ceil(3.0 / (1.0 + worst_exponent)), 4, 48))
+
+
 def near_singular_quad(f, rho: float, worst_exponent: float,
-                       tol: float = 1e-11, rule: PanelRule = PanelRule()):
+                       tol: float = 1e-11, breaks=()):
     """Integrate f over (0, rho) when f ~ y**e near 0 with e > -1.
 
-    Uses the power substitution y = rho * t**m with m chosen so the
-    transformed integrand vanishes at t = 0, then adapts.
+    Uses the power substitution y = rho * t**m of ``substitution_power``,
+    then adapts.  ``breaks`` are offsets in (0, rho) where f changes form;
+    their images in t become panel edges, so bisection need not find them.
     """
     e = worst_exponent
     if e <= -1.0:
         raise ValueError("near-field exponent must exceed -1")
-    m = int(np.clip(np.ceil(3.0 / (1.0 + e)), 4, 48))
+    m = substitution_power(e)
 
     def g(t):
         t = np.asarray(t, dtype=float)
@@ -188,8 +183,9 @@ def near_singular_quad(f, rho: float, worst_exponent: float,
             out[pos] = f(y[pos]) * rho * m * t[pos] ** (m - 1)
         return out
 
-    return adaptive_quad(g, 0.0, 1.0, tol=tol, rule=rule,
-                         initial_edges=[0.25, 0.5, 0.75])
+    t_breaks = [(b / rho) ** (1.0 / m) for b in breaks if 0.0 < b < rho]
+    return adaptive_quad(g, 0.0, 1.0, tol=tol,
+                         initial_edges=[0.25, 0.5, 0.75] + t_breaks)
 
 
 def geometric_tail_quad(f, a: float, decay: float, tol: float = 1e-11,

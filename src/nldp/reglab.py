@@ -177,31 +177,28 @@ def growth_lemma_check(u: GridFunction, bundle: ConstantsBundle,
         "ok": ok1, "worst_value": worst_val, "worst_error": worst_err,
         "worst_x": worst_x, "sigma": sig, "probes": len(xs)}
 
-    sup1, _, _ = oscillation(u, 0.0 if u.n == 1 else np.zeros(2), 1.0)
+    sup1, _, _ = oscillation(u, 0.0, 1.0)
     tol_sup = 1e-9 + 4.0 * np.finfo(float).eps
     hyp["bounded_by_one"] = {"ok": sup1 <= 1.0 + tol_sup, "sup": sup1}
 
     shells = np.concatenate([2.0 ** np.arange(0, 12),
                              1.0 + np.array([vdc(k, 3) for k in range(1, 40)]) * 30.0])
-    if u.n == 1:
-        ext_pts = np.concatenate([shells, -shells])
-    else:
-        ext_pts = np.stack([shells, np.zeros_like(shells)], axis=-1)
-    ext_vals = np.asarray(u.exterior(ext_pts, u.n), dtype=float)
-    rad = np.abs(ext_pts) if u.n == 1 else np.sqrt(np.sum(ext_pts ** 2, -1))
+    ext_pts = np.concatenate([shells, -shells])
+    ext_vals = np.asarray(u.exterior(ext_pts, 1), dtype=float)
+    rad = np.abs(ext_pts)
     env = 2.0 * (2.0 * rad) ** eta - 1.0
     bad = ext_vals > env + 1e-9
     hyp["exterior_growth"] = {
         "ok": not bool(np.any(bad)),
         "witness": float(rad[bad][0]) if np.any(bad) else None}
 
-    meas = sublevel_measure(u, 0.0, 0.0 if u.n == 1 else np.zeros(2), 1.0)
+    meas = sublevel_measure(u, 0.0, 0.0, 1.0)
     hyp["sublevel_measure"] = {"ok": meas >= eps * (1.0 - 1e-12), "measure": meas,
                                "epsilon": eps}
 
     conclusion = {"checked": False, "ok": False, "sup": None, "margin": None}
     if all(h["ok"] for h in hyp.values()):
-        sup_half, _, _ = oscillation(u, 0.0 if u.n == 1 else np.zeros(2), 0.5)
+        sup_half, _, _ = oscillation(u, 0.0, 0.5)
         tol = 1e-8 + 4.0 * np.finfo(float).eps
         conclusion = {"checked": True, "ok": sup_half <= 1.0 - th + tol,
                       "sup": sup_half, "margin": (1.0 - th) - sup_half}
@@ -331,9 +328,8 @@ def _lemma_failure_reason(gl: GrowthLemmaInstance) -> str:
 
 def _exterior_inf(u: GridFunction) -> float:
     rr = np.geomspace(u.R * 1.0001, u.R * 1e6, 256)
-    pts = np.concatenate([rr, -rr]) if u.n == 1 else \
-        np.stack([rr, np.zeros_like(rr)], axis=-1)
-    return float(np.min(np.asarray(u.exterior(pts, u.n), dtype=float)))
+    return float(np.min(np.asarray(u.exterior(np.concatenate([rr, -rr]), 1),
+                                   dtype=float)))
 
 
 # --------------------------------------------------------------------------

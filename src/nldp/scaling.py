@@ -29,20 +29,11 @@ __all__ = ["ScalingContext", "rescale_problem", "rescale_gridfunction",
 
 @dataclass(frozen=True)
 class ScalingContext:
-    """One rescale/blow-up step: amplitude lambda, dilation mu, center x0.
-
-    ``j``, ``gamma`` and ``m`` carry the dyadic-level bookkeeping when the
-    context comes from the oscillation induction (level j uses
-    lambda = 2^(gamma j + 1), mu = 2^-j, and subtracts the midpoint m
-    before scaling).
-    """
+    """One rescale/blow-up step: amplitude lambda, dilation mu, center x0."""
 
     lam: float
     mu: float
     x0: float | np.ndarray = 0.0
-    j: int | None = None
-    gamma: float | None = None
-    m: float | None = None
 
     def __post_init__(self):
         if self.lam <= 0 or self.mu <= 0:
@@ -192,7 +183,6 @@ def blowup_step(u_tilde: GridFunction, j: int, gamma: float, m: float,
     """
     lam_j = 2.0 ** (gamma * j + 1.0)
     mu_j = 2.0 ** (-float(j))
-    ctx = ScalingContext(lam=lam_j, mu=mu_j, x0=x0, j=j, gamma=gamma, m=m)
     # Envelope shells: on 2^l <= |y| < 2^(l+1) the chain value at level
     # i = j - l - 1 bounds u_bar; the last shell covers all i <= 0.
     shells = []

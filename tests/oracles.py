@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from nldp.operator import (_exterior_growth, _paired, _polar_dirs,
                            _poly_switch_radius, _tail_decays,
                            near_field_exponent, panel_nodes_weights, phi)
-from nldp.quadrature import _G_IDX, _WG, _WK, _XK, PanelRule
+from nldp.quadrature import _G_IDX, _WG, _WK, _XK
 
 
 def beta(x):
@@ -238,8 +238,8 @@ def apply_grid_2d_direct(u, P, Q, D: int = 12):
 
 
 def adaptive_quad_depth_first(f, a: float, b: float, tol: float = 1e-10,
-                              rule: PanelRule = PanelRule(),
-                              initial_edges=None, max_total_panels: int = 4000):
+                              max_depth: int = 48, initial_edges=None,
+                              max_total_panels: int = 4000):
     """The one-panel-per-call, depth-first ``adaptive_quad`` that the
     breadth-first engine replaced, with its ``gk_panel`` inlined."""
     if initial_edges is None:
@@ -258,7 +258,7 @@ def adaptive_quad_depth_first(f, a: float, b: float, tol: float = 1e-10,
         v, e = _gk_panel(f, lo, hi)
         spent += 1
         budget = tol * max(1.0, abs(v)) * (hi - lo) / max(b - a, 1e-300)
-        if (e <= budget or depth >= rule.max_depth or spent >= max_total_panels
+        if (e <= budget or depth >= max_depth or spent >= max_total_panels
                 or (hi - lo) < 1e-15 * max(abs(lo), abs(hi), 1.0)):
             done.append((v, e))
         else:

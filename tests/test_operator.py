@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import nldp.operator
+import nldp.quadrature
 from oracles import (apply_grid_1d_direct, apply_grid_2d_direct,
                      energy_beta_oracle, operator_beta_p2_oracle,
                      truncated_touch_oracle)
@@ -144,6 +146,91 @@ class TestEvaluate:
         u = sample(barrier_eval, 1, 2.0, 257, exterior=growth_exterior(0.05))
         v, err = evaluate(u, 0.0, P, Q)
         assert np.isfinite(v) and err < 1e-5
+
+
+class TestExactTorsion:
+    """L u = 1 for the fractional torsion function u = c (1 - |x|^2)_+^s
+    at p = q = 2, a = 0, with c = sin(pi s) / pi^n for the Gagliardo
+    kernel.  The box lies inside the support and the exterior is u itself,
+    so the only error left is the spline's: about 6e-7 in 1-D at N = 65,
+    and 5e-6 in 2-D at N = 33."""
+
+    @pytest.mark.parametrize("n, N, x, band", [
+        (1, 65, 0.0, 2e-6),
+        (2, 33, (0.0, 0.0), 2e-5),
+        (2, 33, (0.2, -0.1), 2e-5),
+    ])
+    def test_evaluate_gives_one(self, n, N, x, band):
+        s = 0.6
+        c = math.sin(math.pi * s) / math.pi ** n
+
+        def torsion(z):
+            z = np.asarray(z, dtype=float)
+            r2 = z * z if n == 1 else np.sum(z * z, axis=-1)
+            return c * np.maximum(1.0 - r2, 0.0) ** s
+
+        P = model_params(n=n, s=s, t=0.5, p=2.0, q=2.0,
+                         coefficient=constant_coefficient(n, 0.0))
+        u = sample(torsion, n, 0.6, N, exterior=callable_exterior(torsion))
+        v, err = evaluate(u, x if n == 1 else np.asarray(x), P,
+                          QuadratureSpec(tol=1e-7))
+        assert abs(v - 1.0) <= band
+        assert err <= 1e-7
+
+
+class TestBreaksAreEdges:
+    """Where the integrand of ``evaluate`` is known to change form, a panel
+    edge sits, so bisection never chases the break to the depth cap."""
+
+    def test_taylor_switch_is_a_near_field_edge(self, desk_params,
+                                                monkeypatch):
+        # With the switch left to bisection, the near field took 49
+        # integrand calls, one per level down to the cap.
+        calls = []
+        near = nldp.operator.near_singular_quad
+
+        def counting(f, *args, **kwargs):
+            def g(y):
+                calls.append(np.size(y))
+                return f(y)
+            return near(g, *args, **kwargs)
+
+        monkeypatch.setattr(nldp.operator, "near_singular_quad", counting)
+        evaluate(beta_grid(513), 0.37, desk_params, Q)
+        assert 0 < len(calls) <= 8
+
+    def test_exterior_jumps_are_mid_field_edges(self, desk_params,
+                                                monkeypatch):
+        # A dyadic exterior jumps at |z| = 2, 4, 8 and 16; chased by
+        # bisection, these took 180 GK15 batches at the three points.
+        assert dyadic_exterior([0.2, -0.1]).jump_radii == (2.0,)
+        assert constant_exterior(1.0).jump_radii == ()
+        ext = dyadic_exterior([0.2, -0.1, 0.3, 0.05, 0.7])
+        assert ext.jump_radii == (2.0, 4.0, 8.0, 16.0)
+        u = sample(lambda x: 0.5 * np.cos(np.asarray(x)), 1, 1.0, 513,
+                   exterior=ext)
+        batches = []
+        gk_panels = nldp.quadrature.gk_panels
+
+        def counting(*args, **kwargs):
+            batches.append(1)
+            return gk_panels(*args, **kwargs)
+
+        monkeypatch.setattr(nldp.quadrature, "gk_panels", counting)
+        for x in (-0.6, 0.3, 0.45):
+            evaluate(u, x, desk_params, Q)
+        assert len(batches) <= 60
+
+    def test_2d_rays_that_miss_a_jump(self, caplog):
+        # At (1.9, 1.9) some lines through x never meet |z| = 2; the box
+        # seams of R = 3 are edges too, so no quadrature runs out.
+        P = model_params(n=2, s=0.6, t=0.5, p=2.0, q=2.2)
+        u = sample(lambda p: np.cos(np.sum(np.asarray(p) ** 2, axis=-1)),
+                   2, 3.0, 33, exterior=dyadic_exterior([0.0, 0.5, -0.5]))
+        with caplog.at_level(logging.WARNING, logger="nldp"):
+            v, err = evaluate(u, np.array([1.9, 1.9]), P, Q)
+        assert np.isfinite(v) and err < 1e-6
+        assert not caplog.records
 
 
 class TestNearFieldSlopes:

@@ -19,8 +19,8 @@ from oracles import adaptive_quad_depth_first, geometric_tail_quad_sequential
 import nldp.constants
 import nldp.quadrature
 from nldp.constants import _term_II
-from nldp.quadrature import (_TAIL_CHUNK, PanelRule, adaptive_quad,
-                             geometric_tail_quad, near_singular_quad)
+from nldp.quadrature import (_TAIL_CHUNK, adaptive_quad, geometric_tail_quad,
+                             near_singular_quad)
 
 DESK_KAPPA = 2.0 ** -12
 DESK_ETA = 0.00010965983072916666
@@ -83,7 +83,7 @@ class TestAdaptiveMatchesDepthFirst:
         # cap, a full binary tree of 2^5 - 1 panels.
         panels = assert_matches_depth_first(
             lambda x: np.abs(x - 1.0 / 3.0) ** 0.2, 0.0, 1.0, tol=1e-15,
-            rule=PanelRule(max_depth=4))
+            max_depth=4)
         assert panels == 31
 
     def test_near_singular_substitution(self, monkeypatch):
