@@ -39,7 +39,8 @@ from .quadrature import (QuadratureSpec, adaptive_quad, geometric_tail_quad,
 
 __all__ = [
     "QuadratureSpec", "delta", "evaluate", "evaluate_truncated",
-    "apply_grid", "energy", "pv_eval_oneside", "near_field_exponent",
+    "apply_grid", "kernel_mass_matrix", "energy", "pv_eval_oneside",
+    "near_field_exponent",
 ]
 
 logger = logging.getLogger(__name__)
@@ -786,3 +787,80 @@ def apply_grid(u: GridFunction, P: ProblemParams, Q: QuadratureSpec):
     g += phi(dpl, e.q) * plan.near_wq[0] + phi(dmi, e.q) * plan.near_wq[1]
     out += np.sum(g, axis=(1, 2))
     return out.reshape(u.values.shape)
+
+
+def _secant(d, r: float):
+    """The secant weight (r-1)(|d| + 1e-6)^(r-2) of phi_r at the difference
+    d (the relaxed Kacanov weight); exactly 1 at r = 2."""
+    return (r - 1.0) * (np.abs(d) + 1e-6) ** (r - 2.0)
+
+
+def _scatter_add(flat, idx, w):
+    """flat[idx] += w with repeated indices summed, over the span of idx."""
+    first = idx.min()
+    b = np.bincount(idx - first, w)
+    flat[first:first + len(b)] += b
+
+
+def kernel_mass_matrix(u: GridFunction, P: ProblemParams,
+                       Q: QuadratureSpec) -> np.ndarray:
+    """The (K, K) kernel-mass matrix of the operator at the iterate u,
+    K = N^n, read off the plan of ``apply_grid``.
+
+    Each plan weight enters with the secant weight of its phase at its
+    difference d: an in-box entry adds c = wp phi'_p(d) + wq phi'_q(d) to its
+    node's diagonal and subtracts c times the hat weights of its point from
+    the nodes of the cell that holds it (linear in 1-D, bilinear in 2-D).
+    An exterior group adds to the diagonal only.  The near block, where the
+    pair of differences is -r^2 d^T H d, enters as a centred second
+    difference along each grid axis.  So at p = q = 2 with an
+    offset-symmetric coefficient, A v is ``apply_grid`` for affine node
+    values v.  Positive diagonal, non-positive off-diagonal, row sums the
+    exterior mass: an M-matrix.  The solver's step, never its residual.
+    """
+    plan = _plan(P, Q, u.R, u.N, u.exterior)
+    e = P.exponents
+    n, N, h = u.n, u.N, u.h
+    v = u.values.ravel()
+    K = v.size
+    A = np.zeros((K, K))
+    flat = A.reshape(-1)
+    strides = N ** np.arange(n - 1, -1, -1)
+    corners = np.indices((2,) * n).reshape(n, -1).T
+    # One spline call; the gather of the node values and the scatter into
+    # A go by chunks, so the build holds one array the size of the plan.
+    d = u(plan.Z)
+    chunk = 1 << 15
+    for lo in range(0, len(d), chunk):
+        part = slice(lo, lo + chunk)
+        node = plan.node[part].astype(np.intp)
+        dc = v[node] - d[part]
+        c = plan.wp[part] * _secant(dc, e.p) + plan.wq[part] * _secant(dc, e.q)
+        s = (plan.Z[part].reshape(len(dc), n) + u.R) / h
+        j = np.clip(np.floor(s), 0, N - 2).astype(np.intp)
+        t = s - j
+        row0 = node * K
+        _scatter_add(flat, row0 + node, c)
+        for k in corners:
+            _scatter_add(flat, row0 + (j + k) @ strides,
+                         -c * np.prod(np.where(k, t, 1.0 - t), axis=1))
+    del d
+    dx = v[plan.ext_node] - plan.ext_val
+    flat[::K + 1] += np.bincount(
+        plan.ext_node,
+        plan.ext_wp * _secant(dx, e.p) + plan.ext_wq * _secant(dx, e.q),
+        minlength=K)
+    dpl, dmi = (_near_cubic if n == 1 else _near_taylor)(u, plan)
+    g = (_secant(dpl, e.p) + _secant(dmi, e.p)) * plan.near_wp
+    g += (_secant(dpl, e.q) * plan.near_wq[0]
+          + _secant(dmi, e.q) * plan.near_wq[1])
+    W = 0.5 * np.einsum("idt,t,dk->ik", g, plan.near_r ** 2,
+                        plan.dirs ** 2) / (h * h)
+    index = np.indices((N,) * n).reshape(n, K)
+    for k in range(n):
+        rows = np.flatnonzero((index[k] > 0) & (index[k] < N - 1))
+        w = W[rows, k]
+        A[rows, rows] += 2.0 * w
+        A[rows, rows - strides[k]] -= w
+        A[rows, rows + strides[k]] -= w
+    return A

@@ -63,7 +63,8 @@ def oscillation(u: GridFunction, center, radius: float):
 def sublevel_measure(u: GridFunction, level: float = 0.0, center=0.0,
                      radius: float = 1.0) -> float:
     """|{u <= level} intersected with the ball|, by node counting with
-    boundary-cell half-weighting."""
+    boundary-cell half-weighting.  In 2-D a scalar ``center`` is taken on
+    both coordinates (0 is the origin)."""
     if u.n == 1:
         xs = u.nodes
         v = u.values
@@ -83,7 +84,8 @@ def sublevel_measure(u: GridFunction, level: float = 0.0, center=0.0,
     xs = u.nodes
     h = u.h
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    inside = (gx - center[0]) ** 2 + (gy - center[1]) ** 2 < radius ** 2
+    cx, cy = np.broadcast_to(np.asarray(center, dtype=float), (2,))
+    inside = (gx - cx) ** 2 + (gy - cy) ** 2 < radius ** 2
     le = u.values <= level
     w = np.where(le, 1.0, 0.0)
     # half-weight cells whose 4-neighbourhood straddles the level set

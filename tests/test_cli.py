@@ -64,6 +64,16 @@ def test_unknown_key_rejected(desk_config):
     assert main(["validate", "--config", path, "--set", "problem.zz=1"]) == 1
 
 
+def test_too_small_grid_rejected(desk_config):
+    # N = 2 leaves no interior node: a config error with error.json, not a
+    # traceback from the operator.
+    path, out = desk_config
+    assert main(["solve", "--config", path, "--set", "solve.N=2"]) == 1
+    with open(os.path.join(out, "error.json")) as fh:
+        err = json.load(fh)
+    assert err["kind"] == "config" and "solve.N" in err["error"]
+
+
 def test_solve_artifacts(desk_config):
     path, out = desk_config
     assert main(["solve", "--config", path]) == 0

@@ -86,6 +86,18 @@ class TestSublevelMeasure:
         assert abs(vals[1] - vals[0]) <= 4.0 * h1 * 2.0
         assert abs(vals[2] - vals[1]) <= 4.0 * h1
 
+    def test_2d_scalar_center(self):
+        # {x <= 0} in the unit disc: half the disc about the origin, the
+        # segment acos(d) - d sqrt(1 - d^2) at distance d = 0.5 from the
+        # centre (0.5, 0.5).  A scalar centre is taken on both coordinates.
+        u = sample(lambda z: z[..., 0], 2, 2.0, 129)
+        assert sublevel_measure(u) == pytest.approx(np.pi / 2, abs=2 * u.h)
+        assert sublevel_measure(u) == sublevel_measure(u, 0.0, (0.0, 0.0))
+        seg = np.arccos(0.5) - 0.5 * np.sqrt(0.75)
+        assert sublevel_measure(u, 0.0, 0.5) == pytest.approx(seg, abs=2 * u.h)
+        assert (sublevel_measure(u, 0.0, 0.5)
+                == sublevel_measure(u, 0.0, (0.5, 0.5)))
+
 
 class TestGrowthLemma:
     def test_zero_function_trivially_passes(self, desk_params):

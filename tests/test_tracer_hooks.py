@@ -1,0 +1,52 @@
+"""The benchmark tracer (perfbench/tracing.py) wraps nldp functions by the
+module attribute their callers look them up by.  Installing it fails when a
+refactor deletes or renames one of those names, and closing it must leave
+every module as it was."""
+
+import importlib.util
+from pathlib import Path
+
+import nldp.cli
+import nldp.constants
+import nldp.grid
+import nldp.operator
+import nldp.quadrature
+import nldp.reglab
+import nldp.scaling
+import nldp.solver
+from nldp.params import constant_source, model_params
+from nldp.solver import SolveConfig
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+OWNERS = (nldp.cli, nldp.constants, nldp.grid, nldp.operator,
+          nldp.quadrature, nldp.reglab, nldp.scaling, nldp.solver,
+          nldp.grid.GridFunction)
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _snapshot():
+    return [dict(vars(owner)) for owner in OWNERS]
+
+
+def test_tracer_installs_counts_and_closes():
+    before = _snapshot()
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install()
+        P = model_params(n=1, s=0.6, t=0.5, p=2.0, q=2.2,
+                         f=constant_source(0.5))
+        _, rep = tracer.run(nldp.solver.solve, P,
+                            SolveConfig(N=33, residual_tol=1e-6))
+    finally:
+        tracer.close()
+    assert rep.converged
+    assert tracer.counts["solver:solve"] == 1
+    assert tracer.counts["solver:kernel_mass_matrix"] == 1
+    assert tracer.counts["operator:apply_grid"] == rep.iterations + 1
+    assert _snapshot() == before
