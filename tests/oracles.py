@@ -5,18 +5,23 @@ The analytic oracles integrate closed-form integrands with QUADPACK
 expectation is checked through two unrelated quadrature paths.  The
 exceptions are ``apply_grid_1d_direct`` and ``apply_grid_2d_direct``, the
 direct sums that the planned ``apply_grid`` regroups, kept to check that
-regrouping, and ``adaptive_quad_depth_first`` and
+regrouping; ``adaptive_quad_depth_first`` and
 ``geometric_tail_quad_sequential``, the one-panel-per-call loops that the
-batched quadrature engine replaced, kept to check that batching.
+batched quadrature engine replaced, kept to check that batching; and
+``pv_eval_oneside``, the unsymmetrised integral with an exclusion ball,
+kept to check the symmetrisation of ``evaluate``.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.interpolate import RectBivariateSpline
 
-from nldp.operator import (_exterior_growth, _paired, _polar_dirs,
-                           _poly_switch_radius, _tail_decays,
+from nldp.errors import NldpError
+from nldp.operator import (QuadratureSpec, _exterior_growth, _paired,
+                           _polar_dirs, _poly_switch_radius, _tail_decays,
+                           adaptive_quad, geometric_tail_quad,
                            near_field_exponent, panel_nodes_weights, phi)
 from nldp.quadrature import _G_IDX, _WG, _WK, _XK
 
@@ -110,6 +115,48 @@ def truncated_touch_oracle(s: float) -> float:
     return operator_beta_p2_oracle(0.0, s)
 
 
+def pv_eval_oneside(u, x, P, eps: float, Q=None):
+    """One-sided PV evaluation with an explicit eps-exclusion ball.
+
+    Integrates the raw (unsymmetrised) integrand over eps < |y| < R_far plus
+    the analytic tail, through the production quadrature engines: the
+    symmetrisation-consistency check compares it with the delta form that
+    ``evaluate`` uses.
+    """
+    Q = Q or QuadratureSpec()
+    if u.n != 1:
+        raise NldpError("one-sided PV check is 1-D only")
+    x = float(x)
+    e = P.exponents
+
+    def raw(yv):
+        yv = np.asarray(yv, dtype=float)
+        ksp = P.Ksp.eval(x, yv)
+        ktq = P.Ktq.eval(x, yv)
+        a = P.a.eval(x, yv)
+        ux = u(x)
+        d = ux - u(x + yv)
+        return phi(d, e.p) * ksp + P.c_hat * a * phi(d, e.q) * ktq
+
+    r_far = Q.far_radius(u.R)
+    sides = [lambda yv, s=sgn: raw(s * np.asarray(yv)) for sgn in (+1.0, -1.0)]
+    edges = sorted({eps, u.R - x, u.R + x, r_far} | {eps * 2.0 ** j for j in range(1, 40)})
+    edges = [t for t in edges if eps <= t <= r_far]
+    total, err = 0.0, 0.0
+    for side in sides:
+        v, er = adaptive_quad(side, eps, r_far, tol=Q.tol, initial_edges=edges)
+        total += v
+        err += er
+    dp, dq = _tail_decays(P, _exterior_growth(u.exterior, u.R, u.n))
+    for side in sides:
+        v, er = geometric_tail_quad(side, r_far, min(dp, dq),
+                                    tol=0.1 * Q.tol * max(1.0, abs(total)),
+                                    max_panels=120)
+        total += v
+        err += er
+    return total, err
+
+
 def apply_grid_1d_direct(u, P, Q):
     """The 1-D grid apply as a direct sum, node by node: the shared panels
     with each panel that straddles a seam offset R -+ x split once there,
@@ -142,7 +189,7 @@ def apply_grid_1d_direct(u, P, Q):
     panels = list(zip(edges[:-1], edges[1:]))
     dp, dq = _tail_decays(P, _exterior_growth(u.exterior, R, 1))
     e = P.exponents
-    cc = u._interpolant().c
+    cc = u.coeffs()
     out = np.empty(len(x))
     for i, (xi, vi) in enumerate(zip(x, v)):
         # the cubic of the cell right of x_i for +y, left of it for -y
@@ -172,8 +219,10 @@ def apply_grid_1d_direct(u, P, Q):
 
 def apply_grid_2d_direct(u, P, Q, D: int = 12):
     """The 2-D grid apply as a direct sum: per direction, u at every offset
-    point of every node, the paired integrand, and the analytic remainder
-    at both ends (with the coefficient a(x, +r_end d) on both)."""
+    point of every node, the paired integrand, the Taylor model of a FITPACK
+    bicubic through the node values below the switch radius, and the
+    analytic remainder at both ends (with the coefficient a(x, +r_end d) on
+    both)."""
     xs = u.nodes
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
@@ -200,7 +249,9 @@ def apply_grid_2d_direct(u, P, Q, D: int = 12):
     out = np.zeros(len(pts))
     r_end = edges[-1]
     y_poly = _poly_switch_radius(h, Q.tol, max(e.sp, e.tq))
-    spl = u._spline2d()
+    # FITPACK's interpolating bicubic, independent of the grid's own
+    # coefficient map.
+    spl = RectBivariateSpline(xs, xs, u.values, kx=3, ky=3)
     gx1 = spl.ev(pts[:, 0], pts[:, 1], dx=1)
     gy1 = spl.ev(pts[:, 0], pts[:, 1], dy=1)
     hxx = spl.ev(pts[:, 0], pts[:, 1], dx=2)

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +73,18 @@ def test_too_small_grid_rejected(desk_config):
     with open(os.path.join(out, "error.json")) as fh:
         err = json.load(fh)
     assert err["kind"] == "config" and "solve.N" in err["error"]
+
+
+def test_2d_solve_on_three_nodes(tmp_path):
+    # N = 3 passes SolveConfig; the axis-by-axis cubic is then a parabola.
+    # FITPACK's bicubic needed four nodes per axis and died with a traceback.
+    desk = Path(__file__).resolve().parents[1] / "demos/configs/desk.json"
+    out = str(tmp_path / "out")
+    assert main(["solve", "--config", str(desk), "--set", "problem.n=2",
+                 "--set", "solve.N=3", "--set", "solve.R=1.0",
+                 "--out", out]) == 0
+    with open(os.path.join(out, "solve_report.json")) as fh:
+        assert json.load(fh)["flags"] == "converged"
 
 
 def test_solve_artifacts(desk_config):

@@ -9,13 +9,13 @@ import nldp.operator
 import nldp.quadrature
 from oracles import (apply_grid_1d_direct, apply_grid_2d_direct,
                      energy_beta_oracle, operator_beta_p2_oracle,
-                     truncated_touch_oracle)
+                     pv_eval_oneside, truncated_touch_oracle)
 
 from nldp.errors import NldpError, TailDivergence, TouchViolation
 from nldp.grid import (GridFunction, callable_exterior, constant_exterior,
                        dyadic_exterior, growth_exterior, sample)
 from nldp.operator import (QuadratureSpec, apply_grid, delta, energy,
-                           evaluate, evaluate_truncated, pv_eval_oneside)
+                           evaluate, evaluate_truncated)
 from nldp.params import (barrier_eval, checkerboard_coefficient,
                          constant_coefficient, halfspace_coefficient,
                          holder_coefficient, model_params)
