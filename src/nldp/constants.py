@@ -33,7 +33,8 @@ import numpy as np
 from .errors import DegenerateScaling, DivergentSigma, SelectionFailed
 from .operator import phi
 from .params import (OMEGA_N, ProblemParams, barrier_eval)
-from .quadrature import adaptive_quad, geometric_tail_quad, near_singular_quad
+from .quadrature import (adaptive_quad, adaptive_quad_rows, geometric_tail_quad,
+                         geometric_tail_quad_rows, near_singular_quad)
 
 logger = logging.getLogger(__name__)
 
@@ -223,36 +224,34 @@ def _term_I_abs(x: float, P: ProblemParams, r_exp: float, kernel, coeff,
     return one_side(+1.0) + one_side(-1.0)
 
 
-def _term_II(x: float, P: ProblemParams, kappa: float, eta: float,
-             r_exp: float, kernel, coeff, tol: float) -> float:
-    """Integral over {x+y not in B1} of w |kappa beta(x) + 2(|2(x+y)|^eta - 1)|^(r-1) K.
+def _term_II(xs, P: ProblemParams, kappa: float, eta: float,
+             r_exp: float, kernel, coeff, tol: float):
+    """Integral over {x+y not in B1} of w |kappa beta(x) + 2(|2(x+y)|^eta - 1)|^(r-1) K
+    at each probe x of ``xs`` (a scalar or an array), one row per side and x.
 
     (beta vanishes outside the unit ball, so only beta(x) survives.)
     """
-    bx = kappa * float(barrier_eval(x))
+    x, sgn = np.tile(np.ravel(xs), 2), np.repeat([1.0, -1.0], np.size(xs))
+    bx = kappa * barrier_eval(x)
     decay = (kernel.exponent - P.n) - eta * (r_exp - 1.0)
+    lo = 1.0 - sgn * x
 
-    def side(sgn):
-        lo = 1.0 - sgn * x
+    def f(yv, row):
+        xr, sy = x[row], sgn[row] * yv
+        z = np.abs(xr + sy)
+        w = coeff(xr, sy) if coeff is not None else 1.0
+        env = np.abs(bx[row] + 2.0 * ((2.0 * z) ** eta - 1.0)) ** (r_exp - 1.0)
+        return w * env * kernel(xr, yv)
 
-        def f(yv):
-            yv = np.asarray(yv, dtype=float)
-            z = np.abs(x + sgn * yv)
-            w = coeff(x, sgn * yv) if coeff is not None else 1.0
-            env = np.abs(bx + 2.0 * ((2.0 * z) ** eta - 1.0)) ** (r_exp - 1.0)
-            return w * env * kernel(x, yv)
-
-        body, _ = adaptive_quad(f, lo, lo + 63.0, tol=tol,
-                                initial_edges=np.geomspace(lo, lo + 63.0, 16))
-        tail, _ = geometric_tail_quad(f, lo + 63.0, decay, tol=tol)
-        return body + tail
-
-    return side(+1.0) + side(-1.0)
+    body, _ = adaptive_quad_rows(f, np.geomspace(lo, lo + 63.0, 16, axis=1),
+                                 tol=tol)
+    tail, _ = geometric_tail_quad_rows(f, lo + 63.0, decay, tol=tol)
+    return np.add(*(body + tail).reshape(2, -1)).reshape(np.shape(xs))[()]
 
 
-def _term_III(x: float, P: ProblemParams, eta: float, regime: int,
-              tol: float) -> float:
-    """The radial tail term over {|y| > 1/4}, with the regime's weights."""
+def _term_III(xs, P: ProblemParams, eta: float, regime: int, tol: float):
+    """The radial tail term over {|y| > 1/4}, with the regime's weights, at
+    every probe x of ``xs`` (a scalar or an array; one row each)."""
     e = P.exponents
     cM = P.c_hat * P.a.bound
     if regime == 1:
@@ -261,26 +260,28 @@ def _term_III(x: float, P: ProblemParams, eta: float, regime: int,
         front = 2.0 ** (e.q - 1.0) * (2.0 ** (e.q - 2.0) + cM)
     else:
         front = 2.0 ** (e.q - 1.0) * (1.0 + cM)
+    x = np.ravel(xs)
 
     def make(r_exp, kernel, wfun):
-        def f(yv):
-            yv = np.asarray(yv, dtype=float)
-            w = wfun(x, yv) + wfun(x, -yv) if wfun is not None else 2.0
+        def f(yv, row):
+            xr = x[row]
+            w = wfun(xr, yv) + wfun(xr, -yv) if wfun is not None else 2.0
             return 0.5 * w * ((8.0 * yv) ** eta - 1.0) ** (r_exp - 1.0) \
-                * (kernel(x, yv) + kernel(x, -yv))
+                * (kernel(xr, yv) + kernel(xr, -yv))
         return f
 
+    edges = np.broadcast_to(np.geomspace(0.25, 64.0, 16), (x.size, 16))
     total = 0.0
     for (r_exp, kern, wsel) in (
             (e.p, P.Ksp, None),
             (e.q, P.Ktq, _q_tail_weight(P, regime))):
         f = make(r_exp, kern, wsel)
         decay = (kern.exponent - P.n) - eta * (r_exp - 1.0)
-        body, _ = adaptive_quad(f, 0.25, 64.0, tol=tol,
-                                initial_edges=np.geomspace(0.25, 64.0, 16))
-        tail, _ = geometric_tail_quad(f, 64.0, decay, tol=tol)
+        body, _ = adaptive_quad_rows(f, edges, tol=tol)
+        tail, _ = geometric_tail_quad_rows(f, np.full(x.size, 64.0), decay,
+                                           tol=tol)
         total += body + tail
-    return front * total
+    return (front * total).reshape(np.shape(xs))[()]
 
 
 def _q_tail_weight(P: ProblemParams, regime: int):
@@ -334,18 +335,22 @@ def applicable_regimes(P: ProblemParams) -> list[int]:
     return out
 
 
-def _bundle_terms(x: float, P: ProblemParams, kappa: float, eta: float,
+def _bundle_terms(xs, P: ProblemParams, kappa: float, eta: float,
                   regime: int, tol: float, base_cache: dict) -> dict:
-    """All five bundle terms at probe x for (kappa, eta) in one regime.
+    """All five bundle terms at the probes ``xs`` (a scalar or an array, and
+    each term in its shape) for (kappa, eta) in one regime.
 
     ``base_cache`` memoises the raw terms across calls by what each one
-    depends on: the I bases on (x, regime) (kappa enters only as a power),
-    the II pair on (x, kappa, eta) (its regime front factor is applied
-    here) and III on (x, eta, regime), so the kappa bisection reuses III.
+    depends on besides the probes: the I bases on the regime (kappa enters
+    only as a power), the II pair on (kappa, eta) (its regime front factor
+    is applied here) and III on (eta, regime), so the kappa bisection
+    reuses III.  Each key also carries the probe set, so one cache may
+    serve several.
     """
     e = P.exponents
     rc = _regime_constants(P, regime)
-    x = float(x)
+    xs = np.asarray(xs, dtype=float)
+    probes = (xs.shape, xs.tobytes())
 
     def cached(key, compute):
         if key not in base_cache:
@@ -355,20 +360,23 @@ def _bundle_terms(x: float, P: ProblemParams, kappa: float, eta: float,
     def coeff_q(xx, yy):
         return P.c_hat * P.a.eval(xx, yy)
 
-    ip_base, iq_base = cached(("I", x, regime), lambda: (
-        _term_Ip_signed(x, P, tol) if rc.signed_Ip
-        else _term_I_abs(x, P, e.p, P.Ksp, None, tol),
-        _term_I_abs(x, P, e.q, P.Ktq, coeff_q, tol)))
-    iip, iiq = cached(("II", x, kappa, eta), lambda: (
-        _term_II(x, P, kappa, eta, e.p, P.Ksp, None, tol),
-        _term_II(x, P, kappa, eta, e.q, P.Ktq, coeff_q, tol)))
+    def per_probe(term):
+        return np.reshape([term(x) for x in xs.ravel().tolist()], xs.shape)[()]
+
+    ip_base, iq_base = cached(("I", probes, regime), lambda: (
+        per_probe(lambda x: _term_Ip_signed(x, P, tol) if rc.signed_Ip
+                  else _term_I_abs(x, P, e.p, P.Ksp, None, tol)),
+        per_probe(lambda x: _term_I_abs(x, P, e.q, P.Ktq, coeff_q, tol))))
+    iip, iiq = cached(("II", probes, kappa, eta), lambda: (
+        _term_II(xs, P, kappa, eta, e.p, P.Ksp, None, tol),
+        _term_II(xs, P, kappa, eta, e.q, P.Ktq, coeff_q, tol)))
     terms = {
         "I_p": rc.front_Ip * kappa ** (e.p - 1.0) * ip_base,
         "I_q": rc.front_Iq * kappa ** (e.q - 1.0) * iq_base,
         "II_p": rc.front_IIp * iip,
         "II_q": rc.front_IIq * iiq,
-        "III": cached(("III", x, eta, regime),
-                      lambda: _term_III(x, P, eta, regime, tol)),
+        "III": cached(("III", probes, eta, regime),
+                      lambda: _term_III(xs, P, eta, regime, tol)),
     }
     terms["total"] = sum(terms.values())
     return terms
@@ -433,9 +441,8 @@ def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
         eta_i = 0.49 * e.eta_threshold()
         ok = False
         for _ in range(max_halvings):
-            worst = max(
-                _bundle_terms(float(x), P, 0.0, eta_i, regime, tol, base_cache)["total"]
-                for x in xs)
+            worst = np.max(_bundle_terms(xs, P, 0.0, eta_i, regime, tol,
+                                         base_cache)["total"])
             if worst <= 0.5 * safety * target:
                 ok = True
                 break
@@ -446,9 +453,8 @@ def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
         kappa_i = 0.5
         ok = False
         for _ in range(max_halvings):
-            worst = max(
-                _bundle_terms(float(x), P, kappa_i, eta_i, regime, tol, base_cache)["total"]
-                for x in xs)
+            worst = np.max(_bundle_terms(xs, P, kappa_i, eta_i, regime, tol,
+                                         base_cache)["total"])
             if worst <= safety * target:
                 ok = True
                 break
@@ -482,15 +488,14 @@ def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
         worst_total = -math.inf
         worst_terms = {}
         for regime in regimes:
-            for x in xs:
-                terms = _bundle_terms(float(x), P, kappa_fin, eta_fin, regime,
-                                      tol, base_cache)
-                for name, val in terms.items():
-                    if name == "total":
-                        continue
-                    if name not in worst_terms or val > worst_terms[name][0]:
-                        worst_terms[name] = (val, float(x))
-                worst_total = max(worst_total, terms["total"])
+            terms = _bundle_terms(xs, P, kappa_fin, eta_fin, regime, tol,
+                                  base_cache)
+            total = terms.pop("total")
+            for name, vals in terms.items():
+                i = int(np.argmax(vals))
+                if name not in worst_terms or vals[i] > worst_terms[name][0]:
+                    worst_terms[name] = (float(vals[i]), float(xs[i]))
+            worst_total = max(worst_total, float(np.max(total)))
         if worst_total <= target:
             break
         kappa_fin *= 0.5
@@ -517,17 +522,14 @@ def _com2_constant(P, xs, kappa, eta, regime, sig, tol, base_cache) -> float:
     e = P.exponents
     if kappa <= 0:
         return 0.0
-    worst = 0.0
-    for x in xs:
-        terms = _bundle_terms(float(x), P, kappa, eta, regime, tol, base_cache)
-        base0 = _bundle_terms(float(x), P, 0.0, eta, regime, tol, base_cache)
-        knum = (terms["I_p"] + terms["I_q"]
-                + max(terms["II_p"] - base0["II_p"], 0.0)
-                + max(terms["II_q"] - base0["II_q"], 0.0))
-        denom = kappa ** (e.p - 1.0) \
-            + sig ** (-(e.q - e.p) / (e.p - 1.0)) * kappa ** (e.q - 1.0)
-        worst = max(worst, knum / denom)
-    return worst
+    terms = _bundle_terms(xs, P, kappa, eta, regime, tol, base_cache)
+    base0 = _bundle_terms(xs, P, 0.0, eta, regime, tol, base_cache)
+    knum = (terms["I_p"] + terms["I_q"]
+            + np.maximum(terms["II_p"] - base0["II_p"], 0.0)
+            + np.maximum(terms["II_q"] - base0["II_q"], 0.0))
+    denom = kappa ** (e.p - 1.0) \
+        + sig ** (-(e.q - e.p) / (e.p - 1.0)) * kappa ** (e.q - 1.0)
+    return max(0.0, float(np.max(knum / denom)))
 
 
 # --------------------------------------------------------------------------

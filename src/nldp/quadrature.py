@@ -75,18 +75,21 @@ class QuadratureSpec:
         return max(8.0 * box_radius, 64.0)
 
 
-def gk_panels(f, lo, hi, extra=()):
-    """GK15 on every panel [lo[i], hi[i]] with one call of ``f``.
-
-    Returns per-panel values and error estimates as arrays (the QUADPACK
-    sharpening of the Kronrod-minus-Gauss difference, floored by the raw
-    difference), and the values of ``f`` at the ``extra`` points, which
+def gk_panels(f, lo, hi, row, ends=False):
+    """GK15 on every panel [lo[i], hi[i]] of row ``row[i]`` with one call
+    ``f(y, rows)``, ``rows`` giving the row of each abscissa.  Returns
+    per-panel values and error estimates as arrays (the QUADPACK sharpening
+    of the Kronrod-minus-Gauss difference, floored by the raw difference),
+    and, with ``ends``, the values of ``f`` at the panels' right ends, which
     ride along in the same call.
     """
     mids = 0.5 * (lo + hi)
     halves = 0.5 * (hi - lo)
     pts = mids[:, None] + halves[:, None] * _XK
-    fx = np.asarray(f(np.concatenate([pts.ravel(), extra])), dtype=float)
+    y, rows = pts.ravel(), np.repeat(row, _XK.size)
+    if ends:
+        y, rows = np.concatenate([y, hi]), np.concatenate([rows, row])
+    fx = np.asarray(f(y, rows), dtype=float)
     fe = fx[pts.size:]
     fx = fx[:pts.size].reshape(pts.shape)
     kron = halves * (fx @ _WK)
@@ -99,60 +102,79 @@ def gk_panels(f, lo, hi, extra=()):
 def adaptive_quad(f, a: float, b: float, tol: float = 1e-10,
                   max_depth: int = 48, initial_edges=None,
                   max_total_panels: int = 4000):
-    """Adaptive bisection GK15 over a finite interval, breadth first.
+    """``adaptive_quad_rows`` of ``f`` over [a, b] as one row; ``initial_edges``
+    seed the panels (useful to align them with known kinks of ``f``)."""
+    edges = np.array([a, b], dtype=float) if initial_edges is None else \
+        np.unique(np.concatenate([[a], np.clip(initial_edges, a, b), [b]]))
+    val, err = adaptive_quad_rows(lambda y, row: f(y), edges[None, :], tol,
+                                  max_depth, max_total_panels)
+    return float(val[0]), float(err[0])
 
-    ``initial_edges`` seeds the panel decomposition (useful to align panels
-    with known kinks of the integrand).  Each pass evaluates every active
-    panel with one call of ``f`` and accepts a panel when its error
-    estimate meets its share of ``tol`` (absolute + relative mix, by
-    width), at the depth cap, or when it is too narrow to bisect; the rest
-    are bisected.  These are per-panel rules, so the accepted panels are
-    those of one-panel-at-a-time bisection.  A panel is bisected only if
-    both halves fit in what is left of ``max_total_panels`` (roughness
-    floors, e.g. rounding noise, must not stall the evaluation), so a call
-    never evaluates more panels than that; a call that runs out keeps the
-    estimates of its unsplit panels and logs one WARNING.
+
+def adaptive_quad_rows(f, edges, tol=1e-10, max_depth: int = 48,
+                       max_total_panels=4000):
+    """Adaptive bisection GK15, breadth first, of ``f(y, i)`` for every row
+    i from the panels between the increasing ``edges[i]``; ``tol`` and
+    ``max_total_panels`` may be per row.  Returns per-row (value, error).
+
+    Each pass evaluates every active panel with one call of ``f`` and
+    accepts a panel when its error estimate meets its share of its row's
+    ``tol`` (absolute + relative mix, by width), at the depth cap, or when
+    it is too narrow to bisect; the rest are bisected.  These are per-panel
+    rules, so each row accepts the panels of one-panel-at-a-time bisection.
+    A panel is bisected only if both halves fit in what is left of its
+    row's ``max_total_panels`` (roughness floors, e.g. rounding noise, must
+    not stall the evaluation); a row that runs out keeps the estimates of
+    its unsplit panels, and the call logs one WARNING.
     """
-    if initial_edges is None:
-        edges = np.array([a, b], dtype=float)
-    else:
-        edges = np.unique(np.clip(np.asarray(initial_edges, dtype=float), a, b))
-        if edges[0] > a:
-            edges = np.insert(edges, 0, a)
-        if edges[-1] < b:
-            edges = np.append(edges, b)
-    lo, hi = edges[:-1], edges[1:]
-    if lo.size > max_total_panels:
-        raise ValueError(f"{lo.size} initial panels exceed the budget "
-                         f"max_total_panels={max_total_panels}")
-    span = max(b - a, 1e-300)
-    vals, errs = [], []
-    spent, depth, starved = 0, 0, False
+    edges = np.asarray(edges, dtype=float)
+    m, k = edges.shape
+    tol, budget = np.zeros(m) + tol, np.zeros(m, dtype=int) + max_total_panels
+    if k - 1 > budget.min():
+        raise ValueError(f"{k - 1} initial panels exceed the budget "
+                         f"max_total_panels={budget.min()}")
+    span = np.maximum(edges[:, -1] - edges[:, 0], 1e-300)
+    # The panels of each row stay in the order of its one-row run.
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    row = np.repeat(np.arange(m), k - 1)
+    done, spent, depth = [], np.zeros(m, dtype=int), 0
+    starved = np.zeros(m, dtype=bool)
     while lo.size:
-        v, e, _ = gk_panels(f, lo, hi)
-        spent += lo.size
+        v, e, _ = gk_panels(f, lo, hi, row)
+        spent += np.bincount(row, minlength=m)
         width = hi - lo
-        split = ~((e <= tol * np.maximum(1.0, np.abs(v)) * width / span)
+        split = ~((e <= tol[row] * np.maximum(1.0, np.abs(v)) * width / span[row])
                   | (width < 1e-15 * np.maximum(np.maximum(np.abs(lo),
                                                            np.abs(hi)), 1.0)))
         if depth >= max_depth:
             split[:] = False
-        fits = 2 * np.cumsum(split) <= max_total_panels - spent
-        starved |= bool(np.any(split & ~fits))
-        split &= fits
-        vals.append(v[~split])
-        errs.append(e[~split])
-        lo, hi = lo[split], hi[split]
+        if np.any(2 * np.bincount(row, split, minlength=m) > budget - spent):
+            # Some row cannot bisect all its panels: it bisects its first
+            # ones that fit, counted in row order.
+            by_row = np.argsort(row, kind="stable")
+            r, s = row[by_row], split[by_row]
+            upto = np.cumsum(s)
+            upto -= (upto - s)[np.searchsorted(r, r)]  # splits so far in the row
+            fits = np.empty_like(split)
+            fits[by_row] = 2 * upto <= (budget - spent)[r]
+            starved[row[split & ~fits]] = True
+            split &= fits
+        keep = ~split
+        done.append((row[keep], v[keep], e[keep]))
+        lo, hi, row = lo[split], hi[split], row[split]
         mid = 0.5 * (lo + hi)
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        lo, hi, row = (np.concatenate(p) for p in ((lo, mid), (mid, hi), (row, row)))
         depth += 1
-    total = float(np.sum(np.concatenate(vals)))
-    err = float(np.sum(np.concatenate(errs)))
-    if starved:
-        logger.warning("adaptive_quad on [%.6g, %.6g] ran out of its panel "
-                       "budget: %d of %d panels, err %.3g against tol %.3g",
-                       a, b, spent, max_total_panels, err, tol)
-    return total, err
+    row, v, e = (np.concatenate(parts) for parts in zip(*done))
+    val = np.bincount(row, weights=v, minlength=m)
+    err = np.bincount(row, weights=e, minlength=m)
+    if starved.any():
+        i = int(np.argmax(starved))
+        logger.warning("adaptive_quad: %d of %d rows ran out of their panel "
+                       "budget; row %d on [%.6g, %.6g]: %d of %d panels, err "
+                       "%.3g against tol %.3g", starved.sum(), m, i, *edges[i, [0, -1]],
+                       spent[i], budget[i], err[i], tol[i])
+    return val, err
 
 
 def substitution_power(worst_exponent: float) -> int:
@@ -190,35 +212,50 @@ def near_singular_quad(f, rho: float, worst_exponent: float,
 
 def geometric_tail_quad(f, a: float, decay: float, tol: float = 1e-11,
                         growth: float = 2.0, max_panels: int = 200):
-    """Integrate f over (a, inf) with f ~ c * r**(-1-decay), decay > 0.
+    """``geometric_tail_quad_rows`` of ``f`` from ``a`` as one row."""
+    val, err = geometric_tail_quad_rows(lambda y, row: f(y), [a], decay, tol,
+                                        growth, max_panels)
+    return float(val[0]), float(err[0])
 
-    Geometric panels until the analytic remainder estimate
-    f(r) * r / decay at the right end r of the last panel drops below
-    tol * max(1, |sum so far|); the remainder is added to the value and
-    into the error budget (doubled if ``max_panels`` run out first).
-    ``_TAIL_CHUNK`` panels and their right ends share one call of ``f``;
-    edges and running sums accumulate sequentially, in the order of a
-    panel-by-panel loop, so the call stops at the same panel.
+
+def geometric_tail_quad_rows(f, a, decay, tol=1e-11, growth: float = 2.0,
+                             max_panels: int = 200):
+    """Integrate ``f(r, i)`` ~ c * r**(-1-decay), decay > 0, over (a[i], inf)
+    for every row i (``decay`` and ``tol`` may be per row).  Geometric
+    panels until the analytic remainder estimate f(r) * r / decay at the
+    right end r of a row's last panel drops below tol * max(1, |sum so
+    far|); the remainder is added to the value and into the error budget
+    (doubled if ``max_panels`` run out first).  ``_TAIL_CHUNK`` panels of
+    every unfinished row and their right ends share one call of ``f``;
+    edges and running sums accumulate in the order of a panel-by-panel
+    loop, so a row stops where it would alone.
     """
-    if decay <= 0:
+    a = np.asarray(a, dtype=float)
+    decay, tol = np.zeros(a.shape) + decay, np.zeros(a.shape) + tol
+    if np.any(decay <= 0):
         raise ValueError("tail decay exponent must be positive")
-    total = err = 0.0
-    lo = a
-    done = 0
-    while done < max_panels:
+    # Per row: sum, error sum, remainder estimate, right end of its panels.
+    state = np.zeros((4, a.size))
+    state[3] = a
+    live, done = np.arange(a.size), 0
+    while done < max_panels and live.size:
         n = min(_TAIL_CHUNK, max_panels - done)
-        edges = np.cumprod(np.r_[lo, np.full(n, growth)])
-        v, e, f_hi = gk_panels(f, edges[:-1], edges[1:], extra=edges[1:])
-        totals = np.cumsum(np.r_[total, v])[1:]
-        errs = np.cumsum(np.r_[err, e])[1:]
-        tails = f_hi * edges[1:] / decay
-        stop = np.abs(tails) <= tol * np.maximum(1.0, np.abs(totals))
-        if stop.any():
-            k = int(np.argmax(stop))
-            return float(totals[k] + tails[k]), float(errs[k] + abs(tails[k]))
-        total, err, tail_val, lo = totals[-1], errs[-1], tails[-1], edges[-1]
+        edges = np.cumprod(np.concatenate(
+            [state[3, live, None], np.full((live.size, n), growth)], 1), axis=1)
+        v, e, f_hi = (x.reshape(live.size, n) for x in gk_panels(
+            f, edges[:, :-1].ravel(), edges[:, 1:].ravel(),
+            np.repeat(live, n), ends=True))
+        sums = np.cumsum(np.concatenate([state[:2, live, None], [v, e]], 2), 2)[..., 1:]
+        tails = f_hi * edges[:, 1:] / decay[live, None]
+        stop = np.abs(tails) <= tol[live, None] * np.maximum(1.0, np.abs(sums[0]))
+        hit = stop.any(axis=1)
+        at = np.arange(live.size), np.where(hit, np.argmax(stop, axis=1), n - 1)
+        state[:, live] = sums[0][at], sums[1][at], tails[at], edges[:, 1:][at]
+        live = live[~hit]
         done += n
-    return float(total + tail_val), float(err + 2.0 * abs(tail_val))
+    rem = np.abs(state[2])
+    rem[live] *= 2.0
+    return state[0] + state[2], state[1] + rem
 
 
 def panel_nodes_weights(edges: np.ndarray):

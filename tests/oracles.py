@@ -7,9 +7,11 @@ exceptions are ``apply_grid_1d_direct`` and ``apply_grid_2d_direct``, the
 direct sums that the planned ``apply_grid`` regroups, kept to check that
 regrouping; ``adaptive_quad_depth_first`` and
 ``geometric_tail_quad_sequential``, the one-panel-per-call loops that the
-batched quadrature engine replaced, kept to check that batching; and
-``pv_eval_oneside``, the unsymmetrised integral with an exclusion ball,
-kept to check the symmetrisation of ``evaluate``.
+batched quadrature engine replaced, kept to check that batching;
+``term_II_per_probe`` and ``term_III_per_probe``, the one-probe-at-a-time
+bundle terms that the row-batched selection terms replaced, kept to check
+that batching; and ``pv_eval_oneside``, the unsymmetrised integral with an
+exclusion ball, kept to check the symmetrisation of ``evaluate``.
 """
 
 import math
@@ -18,11 +20,13 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import RectBivariateSpline
 
+from nldp.constants import _q_tail_weight
 from nldp.errors import NldpError
 from nldp.operator import (QuadratureSpec, _exterior_growth, _paired,
                            _polar_dirs, _poly_switch_radius, _tail_decays,
                            adaptive_quad, geometric_tail_quad,
                            near_field_exponent, panel_nodes_weights, phi)
+from nldp.params import ProblemParams, barrier_eval
 from nldp.quadrature import _G_IDX, _WG, _WK, _XK
 
 
@@ -352,3 +356,63 @@ def _gk_panel(f, a: float, b: float):
     err = (200.0 * abs(kron - gauss)) ** 1.5 if kron != gauss else 0.0
     # Classic QUADPACK-style sharpening, floored by the raw difference.
     return kron, max(min(err, abs(kron - gauss) * 200.0), abs(kron - gauss))
+
+
+def term_II_per_probe(x: float, P: ProblemParams, kappa: float, eta: float,
+                      r_exp: float, kernel, coeff, tol: float) -> float:
+    """Integral over {x+y not in B1} of w |kappa beta(x) + 2(|2(x+y)|^eta - 1)|^(r-1) K.
+
+    (beta vanishes outside the unit ball, so only beta(x) survives.)
+    """
+    bx = kappa * float(barrier_eval(x))
+    decay = (kernel.exponent - P.n) - eta * (r_exp - 1.0)
+
+    def side(sgn):
+        lo = 1.0 - sgn * x
+
+        def f(yv):
+            yv = np.asarray(yv, dtype=float)
+            z = np.abs(x + sgn * yv)
+            w = coeff(x, sgn * yv) if coeff is not None else 1.0
+            env = np.abs(bx + 2.0 * ((2.0 * z) ** eta - 1.0)) ** (r_exp - 1.0)
+            return w * env * kernel(x, yv)
+
+        body, _ = adaptive_quad(f, lo, lo + 63.0, tol=tol,
+                                initial_edges=np.geomspace(lo, lo + 63.0, 16))
+        tail, _ = geometric_tail_quad(f, lo + 63.0, decay, tol=tol)
+        return body + tail
+
+    return side(+1.0) + side(-1.0)
+
+
+def term_III_per_probe(x: float, P: ProblemParams, eta: float, regime: int,
+                       tol: float) -> float:
+    """The radial tail term over {|y| > 1/4}, with the regime's weights."""
+    e = P.exponents
+    cM = P.c_hat * P.a.bound
+    if regime == 1:
+        front = (2.0 + cM) * 2.0 ** (e.q - 1.0)
+    elif regime == 2:
+        front = 2.0 ** (e.q - 1.0) * (2.0 ** (e.q - 2.0) + cM)
+    else:
+        front = 2.0 ** (e.q - 1.0) * (1.0 + cM)
+
+    def make(r_exp, kernel, wfun):
+        def f(yv):
+            yv = np.asarray(yv, dtype=float)
+            w = wfun(x, yv) + wfun(x, -yv) if wfun is not None else 2.0
+            return 0.5 * w * ((8.0 * yv) ** eta - 1.0) ** (r_exp - 1.0) \
+                * (kernel(x, yv) + kernel(x, -yv))
+        return f
+
+    total = 0.0
+    for (r_exp, kern, wsel) in (
+            (e.p, P.Ksp, None),
+            (e.q, P.Ktq, _q_tail_weight(P, regime))):
+        f = make(r_exp, kern, wsel)
+        decay = (kern.exponent - P.n) - eta * (r_exp - 1.0)
+        body, _ = adaptive_quad(f, 0.25, 64.0, tol=tol,
+                                initial_edges=np.geomspace(0.25, 64.0, 16))
+        tail, _ = geometric_tail_quad(f, 64.0, decay, tol=tol)
+        total += body + tail
+    return front * total

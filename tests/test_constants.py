@@ -5,17 +5,18 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import sigma_oracle
+from oracles import sigma_oracle, term_II_per_probe, term_III_per_probe
 
 import nldp.constants
 import nldp.quadrature
 from nldp.constants import (applicable_regimes, choose_eta_kappa,
                             gamma_exponent, lambda_rescale, sigma,
                             sigma_bounds, theta, _beta_diff, _bundle_terms,
-                            _term_I_abs, _term_III, _term_Ip_signed,
+                            _term_I_abs, _term_II, _term_III, _term_Ip_signed,
                             probe_points)
 from nldp.errors import DegenerateScaling, DivergentSigma
-from nldp.params import barrier_eval, barrier_grad, barrier_hess, model_params
+from nldp.params import (barrier_eval, barrier_grad, barrier_hess,
+                         holder_coefficient, model_params)
 
 
 class TestSigma:
@@ -220,6 +221,64 @@ class TestBarrierTerms:
                         lambda xx, yy: P.c_hat * P.a.eval(xx, yy), 1e-9)
             _term_Ip_signed(x, P, 1e-9)
         assert hits == []
+
+
+class TestBatchedTermsMatchPerProbe:
+    """The II and III terms of all probes, integrated as rows of one
+    row-batched call per phase, against the one-probe-at-a-time code."""
+
+    XS = probe_points(32)
+    ETAS = (0.00010965983072916666, 0.01)
+
+    @staticmethod
+    def cases(desk_params):
+        # desk; kernels that depend on x (lam > 1); a coefficient that
+        # depends on the offset.
+        return (desk_params,
+                model_params(n=1, s=0.6, t=0.5, p=2.0, q=2.2, lam=1.5,
+                             coefficient=holder_coefficient(1, 1.0, 0.5)))
+
+    def test_term_II(self, desk_params):
+        for P in self.cases(desk_params):
+            e = P.exponents
+            phases = ((e.p, P.Ksp, None),
+                      (e.q, P.Ktq, lambda x, y: P.c_hat * P.a.eval(x, y)))
+            for eta in self.ETAS:
+                for kappa in (0.0, 2.0 ** -12, 0.5):
+                    for r_exp, kern, coeff in phases:
+                        got = _term_II(self.XS, P, kappa, eta, r_exp, kern,
+                                       coeff, 1e-9)
+                        want = [term_II_per_probe(float(x), P, kappa, eta,
+                                                  r_exp, kern, coeff, 1e-9)
+                                for x in self.XS]
+                        assert got.shape == self.XS.shape
+                        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_term_III_all_regimes(self, desk_params):
+        for P in self.cases(desk_params):
+            for eta in self.ETAS:
+                for regime in (1, 2, 3):
+                    got = _term_III(self.XS, P, eta, regime, 1e-9)
+                    want = [term_III_per_probe(float(x), P, eta, regime, 1e-9)
+                            for x in self.XS]
+                    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_scalar_probe(self, desk_params):
+        P = desk_params
+        got = _term_III(0.37, P, 0.01, 1, 1e-9)
+        assert np.ndim(got) == 0
+        assert got == pytest.approx(term_III_per_probe(0.37, P, 0.01, 1, 1e-9),
+                                    rel=1e-13)
+        cache = {}
+        one = _bundle_terms(0.37, P, 2.0 ** -12, 0.01, 1, 1e-9, cache)
+        # A cache shared across probe sets keeps them apart.
+        other = _bundle_terms(-0.5, P, 2.0 ** -12, 0.01, 1, 1e-9, cache)
+        both = _bundle_terms(np.array([0.37, -0.5]), P, 2.0 ** -12, 0.01, 1,
+                             1e-9, cache)
+        for name in one:
+            assert np.ndim(one[name]) == 0
+            assert [one[name], other[name]] == pytest.approx(
+                list(both[name]), rel=1e-13)
 
 
 class TestSelection:

@@ -1,8 +1,10 @@
 """The batched GK15 engine against the one-panel-per-call loops it replaced.
 
-``adaptive_quad`` refines breadth first and ``geometric_tail_quad`` takes
-its geometric panels a chunk at a time; neither may change which panels
-are accepted or where the tail stops.  The oracles in ``oracles.py`` are
+``adaptive_quad_rows`` refines a stack of rows breadth first and
+``geometric_tail_quad_rows`` takes their geometric panels a chunk at a
+time (``adaptive_quad`` and ``geometric_tail_quad`` are one-row calls);
+neither may change which panels a row accepts or where its tail stops,
+whatever the other rows do.  The oracles in ``oracles.py`` are
 the previous loops, so a panel count here is compared exactly and a value
 to the last few bits (the batched kernel sums each panel's 15 products in
 a different order).
@@ -19,7 +21,8 @@ from oracles import adaptive_quad_depth_first, geometric_tail_quad_sequential
 import nldp.constants
 import nldp.quadrature
 from nldp.constants import _term_II
-from nldp.quadrature import (_TAIL_CHUNK, adaptive_quad, geometric_tail_quad,
+from nldp.quadrature import (_TAIL_CHUNK, adaptive_quad, adaptive_quad_rows,
+                             geometric_tail_quad, geometric_tail_quad_rows,
                              near_singular_quad)
 
 DESK_KAPPA = 2.0 ** -12
@@ -34,6 +37,28 @@ def counted(f):
         return f(x)
     g.panels = 0
     return g
+
+
+def counted_rows(f, m, per_panel=15):
+    """Wrap a row integrand ``f(y, rows)`` to count each row's panels:
+    ``per_panel`` abscissae each (15 GK15 points, 16 with a tail panel's
+    right end)."""
+    def g(y, rows):
+        g.panels += np.bincount(rows, minlength=m) // per_panel
+        return f(y, rows)
+    g.panels = np.zeros(m, dtype=int)
+    return g
+
+
+def stacked(funcs):
+    """One row integrand that evaluates ``funcs[i]`` on the points of row i."""
+    def f(y, rows):
+        out = np.empty_like(y)
+        for i, fi in enumerate(funcs):
+            on = rows == i
+            out[on] = fi(y[on])
+        return out
+    return f
 
 
 def assert_matches_depth_first(f, a, b, **kwargs):
@@ -95,13 +120,126 @@ class TestAdaptiveMatchesDepthFirst:
         assert assert_matches_depth_first(f, a, b, **kwargs) > 4
 
     def test_desk_term_II_integrand(self, desk_params, monkeypatch):
-        calls = recording(monkeypatch, nldp.constants)
+        # _term_II integrates both sides of a probe as two rows of one
+        # row-batched call; each row is replayed alone against the oracle.
+        calls = []
+
+        def rec(f, edges, **kwargs):
+            g = counted_rows(f, len(edges))
+            val, err = adaptive_quad_rows(g, edges, **kwargs)
+            calls.append((f, edges, kwargs, g.panels, val, err))
+            return val, err
+
+        monkeypatch.setattr(nldp.constants, "adaptive_quad_rows", rec)
         P = desk_params
         _term_II(0.37, P, DESK_KAPPA, DESK_ETA, P.exponents.q, P.Ktq,
                  lambda xx, yy: P.c_hat * P.a.eval(xx, yy), 1e-9)
-        assert len(calls) == 2  # one body per side
-        for f, a, b, kwargs in calls:
-            assert assert_matches_depth_first(f, a, b, **kwargs) >= 15
+        assert len(calls) == 1
+        f, edges, kwargs, panels, val, err = calls[0]
+        assert len(edges) == 2  # one body per side
+        for i, row_edges in enumerate(edges):
+            fo = counted(lambda y, i=i: f(y, np.full(np.shape(y), i)))
+            vo, eo = adaptive_quad_depth_first(
+                fo, row_edges[0], row_edges[-1], initial_edges=row_edges,
+                **kwargs)
+            assert panels[i] == fo.panels >= 15
+            assert val[i] == pytest.approx(vo, rel=1e-13, abs=1e-300)
+            assert err[i] == pytest.approx(eo, rel=1e-6, abs=1e-13 * abs(vo))
+
+
+class TestRowsMatchOneRowRuns:
+    """A stack of rows is integrated as each row would be alone: same
+    accepted panels, same tail stop, whatever the other rows do."""
+
+    ROUGH = staticmethod(lambda x: np.abs(x - 1.0 / 3.0) ** 0.2)
+    FUNCS = (lambda x: np.exp(-x) * np.sin(5.0 * x),   # smooth, span 4
+             lambda x: np.abs(x - 0.3) ** 1.5,          # kink at an edge
+             ROUGH,                                     # to the depth cap
+             ROUGH,                                     # budget of 7
+             lambda x: np.cos(40.0 * x))                # span 0.2
+    EDGES = np.array([[0.0, 1.0, 2.0, 4.0],
+                      [0.0, 0.3, 0.6, 1.0],
+                      [0.0, 0.25, 0.5, 1.0],
+                      [0.0, 0.1, 0.5, 1.0],
+                      [1.0, 1.05, 1.1, 1.2]])
+    TOLS = np.array([1e-13, 1e-12, 1e-15, 1e-15, 1e-12])
+    BUDGETS = np.array([4000, 4000, 4000, 7, 4000])
+    DEPTH = 6
+
+    def run_stack(self, caplog):
+        f = counted_rows(stacked(self.FUNCS), len(self.FUNCS))
+        with caplog.at_level(logging.WARNING, logger="nldp.quadrature"):
+            val, err = adaptive_quad_rows(f, self.EDGES, tol=self.TOLS,
+                                          max_depth=self.DEPTH,
+                                          max_total_panels=self.BUDGETS)
+        return val, err, f.panels
+
+    def test_rows_match_depth_first_alone(self, caplog):
+        val, err, panels = self.run_stack(caplog)
+        for i in (0, 1, 2, 4):
+            fo = counted(self.FUNCS[i])
+            edges = self.EDGES[i]
+            vo, eo = adaptive_quad_depth_first(
+                fo, edges[0], edges[-1], tol=self.TOLS[i],
+                max_depth=self.DEPTH, initial_edges=edges)
+            assert panels[i] == fo.panels
+            assert val[i] == pytest.approx(vo, rel=1e-13, abs=1e-300)
+            assert err[i] == pytest.approx(eo, rel=1e-6,
+                                           abs=1e-13 * abs(vo))
+        # The depth-capped row is a full binary tree below each of its
+        # three initial panels.
+        assert panels[2] == 3 * (2 ** (self.DEPTH + 1) - 1)
+
+    def test_row_out_of_budget_is_its_one_row_run(self, caplog):
+        # The depth-first loop spends a budget differently (it evaluates
+        # every panel left on its stack), so the reference of a row that
+        # runs out is the one-row call; the other rows' panels are those
+        # of their runs alone, checked above with this row in the stack.
+        val, err, panels = self.run_stack(caplog)
+        fo = counted(self.ROUGH)
+        with caplog.at_level(logging.WARNING, logger="nldp.quadrature"):
+            vo, eo = adaptive_quad(fo, 0.0, 1.0, tol=1e-15,
+                                   max_depth=self.DEPTH,
+                                   initial_edges=self.EDGES[3],
+                                   max_total_panels=7)
+        assert panels[3] == fo.panels and 6 <= fo.panels <= 7
+        assert val[3] == pytest.approx(vo, rel=1e-13)
+        assert err[3] == pytest.approx(eo, rel=1e-6)
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.name == "nldp.quadrature"
+                    and r.levelno == logging.WARNING]
+        assert len(warnings) == 2  # one for the stack, one for the row alone
+        assert warnings[0].startswith("adaptive_quad: 1 of 5 rows ran out")
+        assert f"row 3 on [0, 1]: {fo.panels} of 7 panels" in warnings[0]
+
+    def test_tail_rows_stop_as_sequential_loops(self):
+        # Rows of TestTailStopsWithSequentialLoop stopping at panels 1, 16
+        # and 17, one that never stops, and a row with another start,
+        # decay and integrand.
+        tail = TestTailStopsWithSequentialLoop
+        funcs = [tail.f] * 4 + [lambda r: np.asarray(r) ** -1.5]
+        starts = np.array([1.0, 1.0, 1.0, 1.0, 3.0])
+        decays = np.array([1.0, 1.0, 1.0, 1.0, 0.5])
+        tols = np.array([tail.tol_stopping_at(1),
+                         tail.tol_stopping_at(_TAIL_CHUNK),
+                         tail.tol_stopping_at(_TAIL_CHUNK + 1), 1e-300, 1e-9])
+        max_panels = _TAIL_CHUNK + 4
+        f = counted_rows(stacked(funcs), len(funcs), per_panel=16)
+        val, err = geometric_tail_quad_rows(f, starts, decays, tol=tols,
+                                            max_panels=max_panels)
+        stops = []
+        for i, fi in enumerate(funcs):
+            fo = counted(fi)
+            vo, eo = geometric_tail_quad_sequential(
+                fo, starts[i], decays[i], tol=tols[i], max_panels=max_panels)
+            stops.append(fo.panels)
+            # The value tells the stop panel apart; a row is evaluated a
+            # chunk at a time up to the chunk holding its stop, no further.
+            chunks = -(-fo.panels // _TAIL_CHUNK)
+            assert f.panels[i] == min(chunks * _TAIL_CHUNK, max_panels)
+            assert val[i] == pytest.approx(vo, rel=1e-13)
+            assert err[i] == pytest.approx(eo, rel=1e-6)
+        assert stops[:4] == [1, _TAIL_CHUNK, _TAIL_CHUNK + 1, max_panels]
 
 
 class TestTailStopsWithSequentialLoop:

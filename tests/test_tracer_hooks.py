@@ -50,3 +50,23 @@ def test_tracer_installs_counts_and_closes():
     assert tracer.counts["solver:kernel_mass_matrix"] == 1
     assert tracer.counts["operator:apply_grid"] == rep.iterations + 1
     assert _snapshot() == before
+
+
+def test_tracer_counts_the_constant_selection(desk_params):
+    # The selection's row-batched II and III terms go through names the
+    # tracer does not wrap; its scalar sigma and I-term quadratures must
+    # still reach the wrapped adaptive_quad with a one-argument integrand.
+    before = _snapshot()
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install()
+        eta, kappa, cert = tracer.run(nldp.constants.choose_eta_kappa, 1.0,
+                                      desk_params, probes=4)
+    finally:
+        tracer.close()
+    assert cert.probes == 5 and eta > 0 and kappa > 0
+    assert tracer.counts["constants:choose_eta_kappa"] == 1
+    assert tracer.counts["quadrature:adaptive_quad"] >= 1
+    assert tracer.counts["constants:sigma"] >= 1
+    assert tracer.counts["quad.panels"] > 0
+    assert _snapshot() == before
