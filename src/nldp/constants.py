@@ -34,7 +34,7 @@ from .errors import DegenerateScaling, DivergentSigma, SelectionFailed
 from .operator import phi
 from .params import (OMEGA_N, ProblemParams, barrier_eval)
 from .quadrature import (adaptive_quad, adaptive_quad_rows, geometric_tail_quad,
-                         geometric_tail_quad_rows, near_singular_quad)
+                         geometric_tail_quad_rows, near_singular_quad_rows)
 
 logger = logging.getLogger(__name__)
 
@@ -154,7 +154,7 @@ def probe_points(count: int = 32) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Bundle terms at a single probe (beta is the closed-form barrier).
+# Bundle terms, one row per probe (beta is the closed-form barrier).
 
 def _beta_diff(x: float, y):
     """beta(x) - beta(x+y) for x in the open unit ball, without cancellation.
@@ -171,57 +171,35 @@ def _beta_diff(x: float, y):
                     (1.0 - x * x) ** 2)
 
 
-def _term_Ip_signed(x: float, P: ProblemParams, tol: float) -> float:
-    """PV integral over {x+y in B1} of phi_p(beta(x)-beta(x+y)) K_sp."""
-    e = P.exponents
-    r0 = 1.0 - abs(x)
+def _term_I(xs, P: ProblemParams, r_exp: float, kernel, coeff, signed: bool,
+            tol: float):
+    """Integral over {x+y in B1} of w(x,y) m(beta(x)-beta(x+y)) K at each
+    probe x of ``xs`` (a scalar or an array; one row each), with m = phi_r
+    (``signed``) or |.|^(r-1).
 
-    def paired(yv):
-        yv = np.asarray(yv, dtype=float)
-        ksp = P.Ksp.eval(x, yv)
-        return (phi(_beta_diff(x, yv), e.p) + phi(_beta_diff(x, -yv), e.p)) * ksp
-
-    worst = min(e.p, 2.0 * (e.p - 1.0)) - e.sp - 1.0
-    val, _ = near_singular_quad(paired, min(r0, 0.25), worst, tol=tol)
-    if r0 > 0.25:
-        v2, _ = adaptive_quad(paired, 0.25, r0, tol=tol)
-        val += v2
-    # Leftover one-sided strip: |y| in (r0, other-side exit).
-    lo, hi = r0, 1.0 + abs(x)
-    if hi > lo + 1e-15:
-        sgn = -1.0 if x >= 0 else 1.0  # the far side of the ball
-
-        def single(yv):
-            yv = np.asarray(yv, dtype=float)
-            return phi(_beta_diff(x, sgn * yv), e.p) * P.Ksp.eval(x, yv)
-
-        v3, _ = adaptive_quad(single, lo, hi, tol=tol, initial_edges=[lo, 0.5 * (lo + hi), hi])
-        val += v3
-    return val
-
-
-def _term_I_abs(x: float, P: ProblemParams, r_exp: float, kernel, coeff,
-                tol: float) -> float:
-    """Integral over {x+y in B1} of w(x,y) |beta(x)-beta(x+y)|^(r-1) K."""
+    A row runs over y in (0, 1+|x|) and sums the offsets y and -y that stay
+    in the ball: both below 1-|x|, where the signed form keeps the
+    cancellation of the pair, and only the far side above it.  That offset
+    is the row's one break.
+    """
+    x = np.ravel(xs)
     frac = kernel.exponent - P.n  # sp or tq
-    near_exp = (r_exp - 1.0) - frac - 1.0
+    worst = (min(r_exp, 2.0 * (r_exp - 1.0)) if signed else r_exp - 1.0) \
+        - frac - 1.0
 
-    def one_side(sgn):
-        hi = 1.0 - sgn * x
+    def f(yv, row):
+        xr = x[row]
+        total = 0.0
+        for sy in (yv, -yv):
+            d = _beta_diff(xr, sy)
+            m = phi(d, r_exp) if signed else np.abs(d) ** (r_exp - 1.0)
+            w = coeff(xr, sy) if coeff is not None else 1.0
+            total = total + np.where(np.abs(xr + sy) < 1.0, w * m, 0.0)
+        return total * kernel(xr, yv)
 
-        def f(yv):
-            yv = np.asarray(yv, dtype=float)
-            w = coeff(x, sgn * yv) if coeff is not None else 1.0
-            return w * np.abs(_beta_diff(x, sgn * yv)) ** (r_exp - 1.0) \
-                * kernel(x, yv)
-
-        v, _ = near_singular_quad(f, min(hi, 0.25), near_exp, tol=tol)
-        if hi > 0.25:
-            v2, _ = adaptive_quad(f, 0.25, hi, tol=tol)
-            v += v2
-        return v
-
-    return one_side(+1.0) + one_side(-1.0)
+    val, _ = near_singular_quad_rows(f, 1.0 + np.abs(x), worst, tol,
+                                     (1.0 - np.abs(x))[:, None])
+    return val.reshape(np.shape(xs))[()]
 
 
 def _term_II(xs, P: ProblemParams, kappa: float, eta: float,
@@ -360,13 +338,9 @@ def _bundle_terms(xs, P: ProblemParams, kappa: float, eta: float,
     def coeff_q(xx, yy):
         return P.c_hat * P.a.eval(xx, yy)
 
-    def per_probe(term):
-        return np.reshape([term(x) for x in xs.ravel().tolist()], xs.shape)[()]
-
     ip_base, iq_base = cached(("I", probes, regime), lambda: (
-        per_probe(lambda x: _term_Ip_signed(x, P, tol) if rc.signed_Ip
-                  else _term_I_abs(x, P, e.p, P.Ksp, None, tol)),
-        per_probe(lambda x: _term_I_abs(x, P, e.q, P.Ktq, coeff_q, tol))))
+        _term_I(xs, P, e.p, P.Ksp, None, rc.signed_Ip, tol),
+        _term_I(xs, P, e.q, P.Ktq, coeff_q, False, tol)))
     iip, iiq = cached(("II", probes, kappa, eta), lambda: (
         _term_II(xs, P, kappa, eta, e.p, P.Ksp, None, tol),
         _term_II(xs, P, kappa, eta, e.q, P.Ktq, coeff_q, tol)))

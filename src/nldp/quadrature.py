@@ -42,7 +42,8 @@ _WG = np.array([
     0.417959183673469,
     0.381830050505119, 0.279705391489277, 0.129484966168870,
 ])
-_G_IDX = np.arange(1, 15, 2)
+# A slice, not an index array: it keeps the Gauss columns a row-major view.
+_G_IDX = slice(1, 15, 2)
 # Geometric tail panels evaluated per integrand call.
 _TAIL_CHUNK = 16
 
@@ -81,7 +82,10 @@ def gk_panels(f, lo, hi, row, ends=False):
     per-panel values and error estimates as arrays (the QUADPACK sharpening
     of the Kronrod-minus-Gauss difference, floored by the raw difference),
     and, with ``ends``, the values of ``f`` at the panels' right ends, which
-    ride along in the same call.
+    ride along in the same call.  Each panel's sums run along its own row
+    of a row-major array, in an order the panel count does not change (a
+    matrix product through BLAS blocks by it), so a row's result does not
+    depend on the rows batched with it.
     """
     mids = 0.5 * (lo + hi)
     halves = 0.5 * (hi - lo)
@@ -92,8 +96,8 @@ def gk_panels(f, lo, hi, row, ends=False):
     fx = np.asarray(f(y, rows), dtype=float)
     fe = fx[pts.size:]
     fx = fx[:pts.size].reshape(pts.shape)
-    kron = halves * (fx @ _WK)
-    gauss = halves * (fx[:, _G_IDX] @ _WG)
+    kron = halves * np.einsum("ij,j->i", fx, _WK)
+    gauss = halves * np.einsum("ij,j->i", fx[:, _G_IDX], _WG)
     diff = np.abs(kron - gauss)
     err = np.minimum((200.0 * diff) ** 1.5, 200.0 * diff)
     return kron, np.maximum(err, diff), fe
@@ -185,29 +189,44 @@ def substitution_power(worst_exponent: float) -> int:
 
 def near_singular_quad(f, rho: float, worst_exponent: float,
                        tol: float = 1e-11, breaks=()):
-    """Integrate f over (0, rho) when f ~ y**e near 0 with e > -1.
+    """``near_singular_quad_rows`` of ``f`` over (0, rho) as one row."""
+    val, err = near_singular_quad_rows(lambda y, row: f(y), [rho],
+                                       worst_exponent, tol, [list(breaks)])
+    return float(val[0]), float(err[0])
 
-    Uses the power substitution y = rho * t**m of ``substitution_power``,
-    then adapts.  ``breaks`` are offsets in (0, rho) where f changes form;
-    their images in t become panel edges, so bisection need not find them.
+
+def near_singular_quad_rows(f, rho, worst_exponent: float, tol=1e-11,
+                            breaks=()):
+    """Integrate ``f(y, i)`` over (0, rho[i]) for every row i when f ~ y**e
+    near 0 with e > -1.  Returns per-row (value, error).
+
+    Uses the power substitution y = rho t**m of ``substitution_power``,
+    then adapts all rows in one ``adaptive_quad_rows`` from the t-edges
+    0, 1/4, 1/2, 3/4, 1.  ``breaks[i]`` are offsets where row i changes
+    form; their images in t become panel edges too, so bisection need not
+    find them (a break outside (0, rho[i]) leaves an empty panel).
     """
     e = worst_exponent
     if e <= -1.0:
         raise ValueError("near-field exponent must exceed -1")
     m = substitution_power(e)
+    rho = np.asarray(rho, dtype=float)
 
-    def g(t):
-        t = np.asarray(t, dtype=float)
-        y = rho * t ** m
+    def g(t, row):
+        y = rho[row] * t ** m
         out = np.zeros_like(t)
-        pos = y > 0
+        pos = y > 0  # t ** m underflows deep in the first panel
         if np.any(pos):
-            out[pos] = f(y[pos]) * rho * m * t[pos] ** (m - 1)
+            y, t = y[pos], t[pos]
+            out[pos] = f(y, row[pos]) * m * y / t  # dy/dt = m y / t
         return out
 
-    t_breaks = [(b / rho) ** (1.0 / m) for b in breaks if 0.0 < b < rho]
-    return adaptive_quad(g, 0.0, 1.0, tol=tol,
-                         initial_edges=[0.25, 0.5, 0.75] + t_breaks)
+    breaks = np.asarray(breaks, dtype=float)
+    edges = np.empty((rho.size, 5 + breaks.shape[-1]))
+    edges[:, :5] = 0.0, 0.25, 0.5, 0.75, 1.0
+    edges[:, 5:] = np.clip(breaks / rho[:, None], 0.0, 1.0) ** (1.0 / m)
+    edges.sort(axis=1)
+    return adaptive_quad_rows(g, edges, tol)
 
 
 def geometric_tail_quad(f, a: float, decay: float, tol: float = 1e-11,

@@ -8,6 +8,7 @@ direct sums that the planned ``apply_grid`` regroups, kept to check that
 regrouping; ``adaptive_quad_depth_first`` and
 ``geometric_tail_quad_sequential``, the one-panel-per-call loops that the
 batched quadrature engine replaced, kept to check that batching;
+``term_Ip_signed_per_probe``, ``term_I_abs_per_probe``,
 ``term_II_per_probe`` and ``term_III_per_probe``, the one-probe-at-a-time
 bundle terms that the row-batched selection terms replaced, kept to check
 that batching; and ``pv_eval_oneside``, the unsymmetrised integral with an
@@ -20,14 +21,14 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import RectBivariateSpline
 
-from nldp.constants import _q_tail_weight
+from nldp.constants import _beta_diff, _q_tail_weight
 from nldp.errors import NldpError
 from nldp.operator import (QuadratureSpec, _exterior_growth, _paired,
                            _polar_dirs, _poly_switch_radius, _tail_decays,
                            adaptive_quad, geometric_tail_quad,
                            near_field_exponent, panel_nodes_weights, phi)
 from nldp.params import ProblemParams, barrier_eval
-from nldp.quadrature import _G_IDX, _WG, _WK, _XK
+from nldp.quadrature import _G_IDX, _WG, _WK, _XK, near_singular_quad
 
 
 def beta(x):
@@ -356,6 +357,59 @@ def _gk_panel(f, a: float, b: float):
     err = (200.0 * abs(kron - gauss)) ** 1.5 if kron != gauss else 0.0
     # Classic QUADPACK-style sharpening, floored by the raw difference.
     return kron, max(min(err, abs(kron - gauss) * 200.0), abs(kron - gauss))
+
+
+def term_Ip_signed_per_probe(x: float, P: ProblemParams, tol: float) -> float:
+    """PV integral over {x+y in B1} of phi_p(beta(x)-beta(x+y)) K_sp."""
+    e = P.exponents
+    r0 = 1.0 - abs(x)
+
+    def paired(yv):
+        yv = np.asarray(yv, dtype=float)
+        ksp = P.Ksp.eval(x, yv)
+        return (phi(_beta_diff(x, yv), e.p) + phi(_beta_diff(x, -yv), e.p)) * ksp
+
+    worst = min(e.p, 2.0 * (e.p - 1.0)) - e.sp - 1.0
+    val, _ = near_singular_quad(paired, min(r0, 0.25), worst, tol=tol)
+    if r0 > 0.25:
+        v2, _ = adaptive_quad(paired, 0.25, r0, tol=tol)
+        val += v2
+    # Leftover one-sided strip: |y| in (r0, other-side exit).
+    lo, hi = r0, 1.0 + abs(x)
+    if hi > lo + 1e-15:
+        sgn = -1.0 if x >= 0 else 1.0  # the far side of the ball
+
+        def single(yv):
+            yv = np.asarray(yv, dtype=float)
+            return phi(_beta_diff(x, sgn * yv), e.p) * P.Ksp.eval(x, yv)
+
+        v3, _ = adaptive_quad(single, lo, hi, tol=tol, initial_edges=[lo, 0.5 * (lo + hi), hi])
+        val += v3
+    return val
+
+
+def term_I_abs_per_probe(x: float, P: ProblemParams, r_exp: float, kernel,
+                         coeff, tol: float) -> float:
+    """Integral over {x+y in B1} of w(x,y) |beta(x)-beta(x+y)|^(r-1) K."""
+    frac = kernel.exponent - P.n  # sp or tq
+    near_exp = (r_exp - 1.0) - frac - 1.0
+
+    def one_side(sgn):
+        hi = 1.0 - sgn * x
+
+        def f(yv):
+            yv = np.asarray(yv, dtype=float)
+            w = coeff(x, sgn * yv) if coeff is not None else 1.0
+            return w * np.abs(_beta_diff(x, sgn * yv)) ** (r_exp - 1.0) \
+                * kernel(x, yv)
+
+        v, _ = near_singular_quad(f, min(hi, 0.25), near_exp, tol=tol)
+        if hi > 0.25:
+            v2, _ = adaptive_quad(f, 0.25, hi, tol=tol)
+            v += v2
+        return v
+
+    return one_side(+1.0) + one_side(-1.0)
 
 
 def term_II_per_probe(x: float, P: ProblemParams, kappa: float, eta: float,

@@ -5,15 +5,15 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import sigma_oracle, term_II_per_probe, term_III_per_probe
+from oracles import (sigma_oracle, term_I_abs_per_probe, term_II_per_probe,
+                     term_III_per_probe, term_Ip_signed_per_probe)
 
 import nldp.constants
 import nldp.quadrature
 from nldp.constants import (applicable_regimes, choose_eta_kappa,
                             gamma_exponent, lambda_rescale, sigma,
                             sigma_bounds, theta, _beta_diff, _bundle_terms,
-                            _term_I_abs, _term_II, _term_III, _term_Ip_signed,
-                            probe_points)
+                            _term_I, _term_II, _term_III, probe_points)
 from nldp.errors import DegenerateScaling, DivergentSigma
 from nldp.params import (barrier_eval, barrier_grad, barrier_hess,
                          holder_coefficient, model_params)
@@ -182,49 +182,52 @@ class TestBarrierTerms:
         # At x = 0 with p = 2 and K = |y|^(-1-sp), sp = 1.2, the paired
         # integrand is 2 (2 y^2 - y^4) y^(-2.2), so the term is
         # 2 int_0^1 (2 y^(-0.2) - y^(1.8)) dy = 2 (2.5 - 1/2.8) = 30/7.
-        val = _term_Ip_signed(0.0, desk_params, 1e-9)
+        P = desk_params
+        val = _term_I(0.0, P, P.exponents.p, P.Ksp, None, True, 1e-9)
+        assert np.ndim(val) == 0
         assert val == pytest.approx(30.0 / 7.0, rel=1e-12)
 
     def test_near_field_terms_within_panel_budget(self, desk_params,
                                                   monkeypatch):
         # Probes where the barrier difference, formed by subtraction, once
         # stalled bisection on rounding noise until the budget ran out.
-        # One integrand call evaluates a whole pass of GK15 panels, so the
-        # panels are counted as 15 points each.  A call that runs out stops
-        # with one or no panel of its budget left unspent.
-        orig = nldp.quadrature.adaptive_quad
+        # Each probe is one row of the row engine, and its panels are
+        # counted from the rows of the abscissae, 15 to a GK15 panel.  A
+        # row that runs out stops with one or no panel of its budget left
+        # unspent.
+        orig = nldp.quadrature.adaptive_quad_rows
         sig = inspect.signature(orig)
-        hits = []
+        runs = []
 
         def counting(*args, **kwargs):
             bound = sig.bind(*args, **kwargs)
             bound.apply_defaults()
             f = bound.arguments["f"]
-            panels = 0
+            panels = np.zeros(len(bound.arguments["edges"]), dtype=int)
 
-            def counted(x):
-                nonlocal panels
-                panels += np.size(x) // 15
-                return f(x)
+            def counted(y, rows):
+                panels[:] += np.bincount(rows, minlength=panels.size) // 15
+                return f(y, rows)
 
             bound.arguments["f"] = counted
             out = orig(*bound.args, **bound.kwargs)
-            if panels >= bound.arguments["max_total_panels"] - 1:
-                hits.append(panels)
+            runs.append((panels, bound.arguments["max_total_panels"]))
             return out
 
-        monkeypatch.setattr(nldp.quadrature, "adaptive_quad", counting)
-        monkeypatch.setattr(nldp.constants, "adaptive_quad", counting)
+        monkeypatch.setattr(nldp.quadrature, "adaptive_quad_rows", counting)
         P = desk_params
-        for x in (0.37, 0.555, -0.6475):
-            _term_I_abs(x, P, P.exponents.q, P.Ktq,
-                        lambda xx, yy: P.c_hat * P.a.eval(xx, yy), 1e-9)
-            _term_Ip_signed(x, P, 1e-9)
-        assert hits == []
+        xs = np.array([0.37, 0.555, -0.6475])
+        _term_I(xs, P, P.exponents.q, P.Ktq,
+                lambda xx, yy: P.c_hat * P.a.eval(xx, yy), False, 1e-9)
+        _term_I(xs, P, P.exponents.p, P.Ksp, None, True, 1e-9)
+        assert len(runs) == 2
+        for panels, budget in runs:
+            assert panels.shape == xs.shape and np.all(panels >= 5)
+            assert np.all(panels < budget - 1)
 
 
 class TestBatchedTermsMatchPerProbe:
-    """The II and III terms of all probes, integrated as rows of one
+    """The bundle terms of all probes, integrated as rows of one
     row-batched call per phase, against the one-probe-at-a-time code."""
 
     XS = probe_points(32)
@@ -237,6 +240,34 @@ class TestBatchedTermsMatchPerProbe:
         return (desk_params,
                 model_params(n=1, s=0.6, t=0.5, p=2.0, q=2.2, lam=1.5,
                              coefficient=holder_coefficient(1, 1.0, 0.5)))
+
+    def test_term_I(self, desk_params):
+        # The signed p form of regime 1 and the absolute q form on desk and
+        # on the x-dependent kernel with a Hoelder coefficient, whose kinks
+        # inside panels leave differences at the scale of tol; the absolute
+        # p and q forms of regimes 2 and 3 on a problem with p > 1/(1-s).
+        desk, holder = self.cases(desk_params)
+        regime2 = model_params(n=1, s=0.4, t=0.3, p=1.8, q=2.2)
+        for P, signed_p, rtol in ((desk, True, 1e-10), (holder, True, 1e-8),
+                                  (regime2, False, 1e-10)):
+            e = P.exponents
+
+            def coeff(x, y, P=P):
+                return P.c_hat * P.a.eval(x, y)
+
+            got = _term_I(self.XS, P, e.q, P.Ktq, coeff, False, 1e-9)
+            want = [term_I_abs_per_probe(float(x), P, e.q, P.Ktq, coeff, 1e-9)
+                    for x in self.XS]
+            assert got.shape == self.XS.shape
+            assert np.allclose(got, want, rtol=rtol, atol=0.0)
+            got = _term_I(self.XS, P, e.p, P.Ksp, None, signed_p, 1e-9)
+            if signed_p:
+                want = [term_Ip_signed_per_probe(float(x), P, 1e-9)
+                        for x in self.XS]
+            else:
+                want = [term_I_abs_per_probe(float(x), P, e.p, P.Ksp, None,
+                                             1e-9) for x in self.XS]
+            assert np.allclose(got, want, rtol=rtol, atol=0.0)
 
     def test_term_II(self, desk_params):
         for P in self.cases(desk_params):
@@ -290,6 +321,16 @@ class TestSelection:
         P3 = model_params(n=1, s=0.42, t=0.39, p=1.8, q=1.9)
         assert P3.validation_report() == []
         assert applicable_regimes(P3) == [3]
+
+    @pytest.mark.parametrize("q, pair", [
+        (2.2, (1.6448974609374998e-05, 2.384185791015625e-07)),    # regime 2
+        (1.95, (1.8416555304276318e-05, 9.5367431640625e-07)),     # regime 3
+    ])
+    def test_singular_regime_selection_pinned(self, q, pair):
+        P = model_params(n=1, s=0.4, t=0.3, p=1.8, q=q)
+        assert applicable_regimes(P) == [2 if q > 2.0 else 3]
+        eta, kappa, _ = choose_eta_kappa(1.0, P)
+        assert (eta, kappa) == pair
 
     def test_tail_term_monotone_in_eta(self, desk_params):
         vals = [_term_III(0.0, desk_params, eta, 1, 1e-9)

@@ -2,10 +2,10 @@
 
 ``adaptive_quad_rows`` refines a stack of rows breadth first and
 ``geometric_tail_quad_rows`` takes their geometric panels a chunk at a
-time (``adaptive_quad`` and ``geometric_tail_quad`` are one-row calls);
-neither may change which panels a row accepts or where its tail stops,
-whatever the other rows do.  The oracles in ``oracles.py`` are
-the previous loops, so a panel count here is compared exactly and a value
+time (``adaptive_quad``, ``near_singular_quad`` and ``geometric_tail_quad``
+are one-row calls); neither may change which panels a row accepts or where
+its tail stops, whatever the other rows do.  The oracles in ``oracles.py``
+are the previous loops, so a panel count here is compared exactly and a value
 to the last few bits (the batched kernel sums each panel's 15 products in
 a different order).
 """
@@ -23,7 +23,8 @@ import nldp.quadrature
 from nldp.constants import _term_II
 from nldp.quadrature import (_TAIL_CHUNK, adaptive_quad, adaptive_quad_rows,
                              geometric_tail_quad, geometric_tail_quad_rows,
-                             near_singular_quad)
+                             gk_panels, near_singular_quad,
+                             near_singular_quad_rows)
 
 DESK_KAPPA = 2.0 ** -12
 DESK_ETA = 0.00010965983072916666
@@ -78,19 +79,6 @@ def assert_matches_depth_first(f, a, b, **kwargs):
     return fe.panels
 
 
-def recording(monkeypatch, module):
-    """Route ``module.adaptive_quad`` through the engine, keeping every
-    call's arguments so they can be replayed against the oracle."""
-    calls = []
-
-    def rec(f, a, b, **kwargs):
-        calls.append((f, a, b, kwargs))
-        return adaptive_quad(f, a, b, **kwargs)
-
-    monkeypatch.setattr(module, "adaptive_quad", rec)
-    return calls
-
-
 class TestAdaptiveMatchesDepthFirst:
     def test_smooth(self):
         panels = assert_matches_depth_first(
@@ -112,12 +100,24 @@ class TestAdaptiveMatchesDepthFirst:
         assert panels == 31
 
     def test_near_singular_substitution(self, monkeypatch):
-        calls = recording(monkeypatch, nldp.quadrature)
+        # near_singular_quad is one row of one row-batched call in the
+        # substituted variable; that row is replayed alone.
+        calls = []
+
+        def rec(f, edges, tol):
+            calls.append((f, edges, tol))
+            return adaptive_quad_rows(f, edges, tol)
+
+        monkeypatch.setattr(nldp.quadrature, "adaptive_quad_rows", rec)
         v, _ = near_singular_quad(lambda y: y ** -0.6, 0.5, -0.6, tol=1e-11)
+        monkeypatch.undo()
         assert v == pytest.approx(0.5 ** 0.4 / 0.4, rel=1e-10)
         assert len(calls) == 1
-        f, a, b, kwargs = calls[0]
-        assert assert_matches_depth_first(f, a, b, **kwargs) > 4
+        f, edges, tol = calls[0]
+        assert len(edges) == 1
+        assert assert_matches_depth_first(
+            lambda t: f(t, np.zeros(np.shape(t), dtype=int)), edges[0][0],
+            edges[0][-1], tol=tol, initial_edges=edges[0]) > 4
 
     def test_desk_term_II_integrand(self, desk_params, monkeypatch):
         # _term_II integrates both sides of a probe as two rows of one
@@ -240,6 +240,58 @@ class TestRowsMatchOneRowRuns:
             assert val[i] == pytest.approx(vo, rel=1e-13)
             assert err[i] == pytest.approx(eo, rel=1e-6)
         assert stops[:4] == [1, _TAIL_CHUNK, _TAIL_CHUNK + 1, max_panels]
+
+
+class TestNearSingularRows:
+    """Rows of ``near_singular_quad_rows`` with their own radius and break
+    return the one-row ``near_singular_quad`` of each, bit for bit."""
+
+    @staticmethod
+    def f(y, rows):
+        # y^-0.6, doubled beyond a jump at c = 0.2 (rows 0, 1) or 0.05
+        # (row 2); row 3 has no jump in its range.
+        c = np.where(rows == 2, 0.05, 0.2)
+        return np.where(y < c, 1.0, 2.0) * y ** -0.6
+
+    RHO = np.array([0.5, 1.7, 0.3, 0.1])
+    BREAKS = np.array([[0.2], [0.2], [0.05], [0.2]])
+
+    def test_rows_equal_one_row_runs(self):
+        val, err = near_singular_quad_rows(self.f, self.RHO, -0.6, 1e-11,
+                                           self.BREAKS)
+        for i, (rho, (b,)) in enumerate(zip(self.RHO, self.BREAKS)):
+            vo, eo = near_singular_quad(
+                lambda y, i=i: self.f(y, np.full(np.shape(y), i)), rho, -0.6,
+                tol=1e-11, breaks=(b,))
+            assert (val[i], err[i]) == (vo, eo)
+
+    def test_break_is_an_edge(self):
+        # Left to bisection, the jump costs panels down to the depth cap.
+        def count(breaks):
+            g = counted_rows(self.f, 1)
+            val, _ = near_singular_quad_rows(g, self.RHO[:1], -0.6, 1e-11,
+                                             breaks)
+            return val[0], g.panels[0]
+        v, panels = count(self.BREAKS[:1])
+        assert 4 * panels < count(())[1]
+        # 0.2^0.4 / 0.4 + 2 (0.5^0.4 - 0.2^0.4) / 0.4
+        exact = (2.0 * 0.5 ** 0.4 - 0.2 ** 0.4) / 0.4
+        assert v == pytest.approx(exact, rel=1e-10)
+
+
+class TestPanelSumsIndependentOfBatch:
+    def test_one_call_equals_one_panel_calls(self):
+        # A row's result must not depend on the rows that share its pass,
+        # so a panel's GK15 sums may not depend on the panels beside it.
+        def f(y, rows):
+            return np.abs(y - 1.0 / 3.0) ** 0.2 * np.exp(-y)
+
+        edges = np.linspace(0.0, 1.0, 41)
+        v, e, _ = gk_panels(f, edges[:-1], edges[1:], np.zeros(40, dtype=int))
+        for i in range(40):
+            vi, ei, _ = gk_panels(f, edges[i:i + 1], edges[i + 1:i + 2],
+                                  np.zeros(1, dtype=int))
+            assert (vi[0], ei[0]) == (v[i], e[i])
 
 
 class TestTailStopsWithSequentialLoop:

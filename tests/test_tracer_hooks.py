@@ -53,9 +53,9 @@ def test_tracer_installs_counts_and_closes():
 
 
 def test_tracer_counts_the_constant_selection(desk_params):
-    # The selection's row-batched II and III terms go through names the
-    # tracer does not wrap; its scalar sigma and I-term quadratures must
-    # still reach the wrapped adaptive_quad with a one-argument integrand.
+    # All five selection terms are row-batched and go through names the
+    # tracer does not wrap; only sigma, a scalar quadrature, still reaches
+    # the wrapped adaptive_quad with a one-argument integrand.
     before = _snapshot()
     tracer = _load_tracing().Tracer()
     try:
