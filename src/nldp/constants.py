@@ -133,24 +133,23 @@ def lambda_rescale(u_sup: float, f_sup: float, sigma_val: float, p: float) -> fl
 # --------------------------------------------------------------------------
 # Probe sets in B_{3/4}.
 
-def vdc(k: int, base: int = 2) -> float:
-    """The k-th point of the van der Corput sequence in ``base``, in [0, 1)."""
-    v, denom = 0.0, 1.0
-    while k:
+def vdc(count: int, base: int = 2) -> np.ndarray:
+    """Points k = 1..count of the van der Corput sequence in ``base``, in
+    [0, 1): the base-``base`` digits of k mirrored about the radix point,
+    added lowest digit first."""
+    k = np.arange(1, count + 1)
+    v = np.zeros(count)
+    denom = 1.0
+    while k.any():
         denom *= base
-        k, rem = divmod(k, base)
+        k, rem = np.divmod(k, base)
         v += rem / denom
     return v
 
 
 def probe_points(count: int = 32) -> np.ndarray:
     """Low-discrepancy 1-D probes in B_{3/4} plus the origin (first entry)."""
-    pts = [0.0]
-    k = 1
-    while len(pts) < count + 1:
-        pts.append((2.0 * vdc(k, 2) - 1.0) * 0.74)
-        k += 1
-    return np.asarray(pts)
+    return np.concatenate([[0.0], (2.0 * vdc(count) - 1.0) * 0.74])
 
 
 # --------------------------------------------------------------------------

@@ -16,13 +16,81 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
 
 from .errors import NldpError
 
-# Points per chunk of the 2-D evaluation.  Its temporaries take about 1.5 MB
-# at this size; chunks of 65,536 points raised a 2-D solve's peak RSS by 18%.
+# Points per chunk of the evaluation.  Its temporaries take about 1.5 MB at
+# this size in 2-D; chunks of 65,536 points raised a 2-D solve's peak RSS by
+# 18%, and one unchunked 1-D pass over the N = 513 plan took twice as long.
 _CHUNK = 8192
+
+
+# The larger root of z^2 - 4 z + 1: the pivots of tridiag(1, 4, 1) tend to it.
+_RHO = 2.0 + np.sqrt(3.0)
+
+
+def _recurrence(a, y):
+    """y[i] += a[i] y[i-1] for i = 1, 2, ... in turn, in place along axis 0:
+    a first-order linear recurrence in log2(len(y)) doubling passes.  a[0]
+    never reaches y."""
+    a = a.copy()
+    k = 1
+    while k < len(y):
+        y[k:] += a[k:] * y[:-k]
+        a[k:] *= a[:-k]
+        k *= 2
+    return y
+
+
+def _solve_141(b):
+    """x with x[i-1] + 4 x[i] + x[i+1] = b[i] along axis 0 (x is 0 past the
+    ends): LU without pivoting, whose pivots u[i] = 4 - 1/u[i-1] have a
+    closed form, and whose two substitutions are recurrences."""
+    k = np.arange(len(b)).reshape((-1,) + (1,) * (b.ndim - 1))
+    q = _RHO ** -2.0
+    w = (1.0 - q ** (k + 1)) / (_RHO * (1.0 - q ** (k + 2)))  # 1 / u[k]
+    # y[i] = b[i] - w[i-1] y[i-1], then x[i] = w[i] (y[i] - x[i+1])
+    y = _recurrence(-np.roll(w, 1, axis=0), b)
+    return _recurrence(-w[::-1], (w * y)[::-1])[::-1]
+
+
+def _curvature(dv: np.ndarray) -> np.ndarray:
+    """h^2 times the second derivatives M at the N nodes of the not-a-knot
+    cubic through values whose first differences along axis 0 are dv.
+
+    With d2 = diff(dv), rows 1..N-2 are the C^2 conditions M[i-1] + 4 M[i]
+    + M[i+1] = 6 d2[i-1].  Not-a-knot, M[0] = 2 M[1] - M[2] and M[-1] =
+    2 M[-2] - M[-3], turns the first and last of them into M[1] = d2[0]
+    and M[-2] = d2[-1], and leaves tridiag(1, 4, 1) between.  At N = 3 the
+    two conditions coincide: the parabola; at N = 2, the line.  Linear in
+    dv, so a constant has exactly zero curvature.
+    """
+    N = len(dv) + 1
+    M = np.zeros((N,) + dv.shape[1:])
+    if N < 3:
+        return M
+    d2 = np.diff(dv, axis=0)
+    M[1], M[-2] = d2[0], d2[-1]
+    if N == 3:
+        M[0] = M[2] = M[1]
+        return M
+    if N > 4:
+        b = 6.0 * d2[1:-1]
+        b[0] -= M[1]
+        b[-1] -= M[-2]
+        M[2:-2] = _solve_141(b)
+    M[0] = 2.0 * M[1] - M[2]
+    M[-1] = 2.0 * M[-2] - M[-3]
+    return M
+
+
+def _axis_coeffs(v: np.ndarray, h: float) -> np.ndarray:
+    """Not-a-knot cubic coefficients along axis 0 of v, highest power first:
+    (4, N-1, ...), v(x) = sum_a c[a, i] (x - x_i)^(3-a) on cell i."""
+    dv = np.diff(v, axis=0)
+    M = _curvature(dv) / (h * h)
+    return np.stack([(M[1:] - M[:-1]) / (6.0 * h), 0.5 * M[:-1],
+                     dv / h - h * (2.0 * M[:-1] + M[1:]) / 6.0, v[:-1]])
 
 
 @dataclass(frozen=True)
@@ -170,15 +238,15 @@ class GridFunction:
         """Per-cell coefficients of the not-a-knot cubic interpolant, highest
         power first.  1-D: (4, N-1), u(x) = sum_a c[a, i] (x - x_i)^(3-a) on
         cell i.  2-D: the same map along each axis, (4, 4, N-1, N-1),
-        u(x, y) = sum_ab c[a, b, i, j] (x - x_i)^(3-a) (y - x_j)^(3-b)."""
+        u(x, y) = sum_ab c[a, b, i, j] (x - x_i)^(3-a) (y - x_j)^(3-b).
+        Along an axis the map is linear in the first differences of the
+        values (``_curvature``), so a constant has exactly zero slope
+        rows."""
         cache = self.__dict__["_cache"]
         if "coeffs" not in cache:
-            xs = self.nodes
-            c = CubicSpline(xs, self.values, bc_type="not-a-knot").c
-            if self.n == 1:
-                cache["ppoly"] = PPoly.construct_fast(c, xs)
-            else:  # c is (4, N-1, N), the x-cells of every column: now along y
-                c = CubicSpline(xs, c, axis=2, bc_type="not-a-knot").c
+            c = _axis_coeffs(self.values, self.h)
+            if self.n == 2:  # c is (4, N-1, N): the x-cells of every column
+                c = _axis_coeffs(np.moveaxis(c, 2, 0), self.h)
                 c = np.ascontiguousarray(c.transpose(2, 0, 3, 1))
             cache["coeffs"] = c
         return cache["coeffs"]
@@ -191,22 +259,24 @@ class GridFunction:
         return j, s - j
 
     def _cubic(self, pts):
-        """The interpolant at points of the box: scipy's PPoly in 1-D, a
-        tensor Horner by chunks of ``_CHUNK`` points in 2-D."""
-        c = self.coeffs()
-        if self.n == 1:  # coeffs() built the compiled PPoly over c
-            return self.__dict__["_cache"]["ppoly"](pts)
-        c = c.reshape(16, -1)
+        """The interpolant at points of the box: a Horner over the cells
+        ``locate`` finds, by chunks of ``_CHUNK`` points; in 2-D along y
+        first, for the four powers of x at once, then along x."""
+        n = self.n
+        c = self.coeffs().reshape(4 ** n, -1)
+        pts = pts.reshape(-1, n)
         out = np.empty(len(pts))
         for lo in range(0, len(pts), _CHUNK):
             j, t = self.locate(pts[lo:lo + _CHUNK])
             t *= self.h
-            g = c.take(j[:, 0] * (self.N - 1) + j[:, 1], axis=1).reshape(4, 4, -1)
-            q = g[:, 0]  # Horner in y, the four powers of x at once
-            for b in (1, 2, 3):
-                q = q * t[:, 1] + g[:, b]
-            tx = t[:, 0]
-            out[lo:lo + _CHUNK] = ((q[0] * tx + q[1]) * tx + q[2]) * tx + q[3]
+            cell = j[:, 0] if n == 1 else j[:, 0] * (self.N - 1) + j[:, 1]
+            g = c.take(cell, axis=1).reshape((4,) * n + (-1,))
+            for k in reversed(range(n)):
+                q = g[..., 0, :]
+                for b in (1, 2, 3):
+                    q = q * t[:, k] + g[..., b, :]
+                g = q
+            out[lo:lo + _CHUNK] = g
         return out
 
     def __call__(self, x):

@@ -34,12 +34,12 @@ def _ball_probe_points(u: GridFunction, center, radius: float,
                        count: int = 1000) -> np.ndarray:
     # Closed ball: include the boundary, where radial extrema often sit.
     if u.n == 1:
-        off = np.array([vdc(k) for k in range(1, count + 1)])
+        off = vdc(count)
         pts = center + (2.0 * off - 1.0) * radius
         nodes = u.nodes
         sel = nodes[np.abs(nodes - center) <= radius * (1.0 + 1e-12)]
         return np.concatenate([pts, sel, [center, center - radius, center + radius]])
-    off = np.array([[vdc(k, 2), vdc(k, 3)] for k in range(1, 2 * count)])
+    off = np.stack([vdc(2 * count - 1, 2), vdc(2 * count - 1, 3)], axis=-1)
     pts = center + (2.0 * off - 1.0) * radius
     keep = np.sqrt(np.sum((pts - center) ** 2, axis=-1)) <= radius
     ang = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
@@ -165,8 +165,7 @@ def growth_lemma_check(u: GridFunction, bundle: ConstantsBundle,
 
     margin = Q.near_radius(u.h) * 1.05 + u.h
     span = 1.0 - margin
-    xs = np.array([(vdc(k) * 2.0 - 1.0) * span for k in range(1, operator_probes)]
-                  + [0.0])
+    xs = np.append((vdc(operator_probes - 1) * 2.0 - 1.0) * span, 0.0)
     worst_val, worst_err, worst_x = -math.inf, 0.0, 0.0
     ok1 = True
     for x in xs:
@@ -184,7 +183,7 @@ def growth_lemma_check(u: GridFunction, bundle: ConstantsBundle,
     hyp["bounded_by_one"] = {"ok": sup1 <= 1.0 + tol_sup, "sup": sup1}
 
     shells = np.concatenate([2.0 ** np.arange(0, 12),
-                             1.0 + np.array([vdc(k, 3) for k in range(1, 40)]) * 30.0])
+                             1.0 + vdc(39, 3) * 30.0])
     ext_pts = np.concatenate([shells, -shells])
     ext_vals = np.asarray(u.exterior(ext_pts, 1), dtype=float)
     rad = np.abs(ext_pts)

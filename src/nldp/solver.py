@@ -9,9 +9,10 @@ The fractional stiffness of the operator scales like h^-sp, so a scalar
 step would need O(h^-sp log 1/tol) sweeps.  A is therefore the
 kernel-mass matrix of the operator (``operator.kernel_mass_matrix``),
 read off the plan of the grid apply with both phases secant-linearised at
-the stage's first iterate, and its interior block is factored once per
-stage.  One step rule serves every n, p and q; continuation stages warm
-start the target exponents from easier ones.
+the stage's first iterate, and its interior block is inverted once per
+stage, so a step is one matrix-vector product.  One step rule serves every
+n, p and q; continuation stages warm start the target exponents from
+easier ones.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ConfigError
 from .grid import Exterior, GridFunction, constant_exterior
@@ -131,10 +131,9 @@ def _solve_stage(P: ProblemParams, cfg: SolveConfig, u: GridFunction,
                               residual_history=history, flags="converged")
 
     # The step: the kernel-mass matrix at this iterate, interior block
-    # factored once for the stage.
+    # inverted once for the stage.
     ids = np.arange(r.size).reshape(r.shape)[interior].ravel()
-    lu = sla.lu_factor(kernel_mass_matrix(u, P, Q)[np.ix_(ids, ids)],
-                       overwrite_a=True)
+    A_inv = np.linalg.inv(kernel_mass_matrix(u, P, Q)[np.ix_(ids, ids)])
     tau = cfg.tau0
     # Backtracking monitors the l2 residual (the max norm is not monotone
     # under the sweep: single near-seam components rise transiently while
@@ -145,7 +144,7 @@ def _solve_stage(P: ProblemParams, cfg: SolveConfig, u: GridFunction,
     iters = 0
     while iters < cfg.max_iters:
         iters += 1
-        direction = sla.lu_solve(lu, r[interior].ravel())
+        direction = A_inv @ r[interior].ravel()
         trial = u.values.copy()
         trial[interior] -= tau * direction.reshape(r[interior].shape)
         u_trial = u.with_values(trial)

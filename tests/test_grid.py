@@ -1,7 +1,7 @@
 """The coefficient map behind ``GridFunction``: one array of per-cell cubic
 coefficients, read by the evaluation in 1-D and 2-D and by the operator's
-near-field models.  FITPACK's interpolating bicubic is the independent
-reference in 2-D."""
+near-field models.  scipy's ``CubicSpline`` (along each axis in 2-D) and
+FITPACK's interpolating bicubic are the independent references."""
 
 import tracemalloc
 
@@ -24,15 +24,55 @@ def _rel(got, ref):
     return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("N", [4, 65])
+def _assert_rows_match(c, ref):
+    """Each coefficient row (power) within 1e-13 of its largest |ref|; a row
+    that is zero in exact arithmetic (the cubic term at N = 3) must be
+    exactly zero, where scipy leaves rounding noise."""
+    rows, refs = c.reshape(len(c), -1), ref.reshape(len(ref), -1)
+    for a, (row, want) in enumerate(zip(rows, refs)):
+        if not row.any():
+            assert np.max(np.abs(want)) <= 1e-14, a
+        else:
+            assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(want)), a
+
+
+@pytest.mark.parametrize("N", [3, 4, 65, 1025])
 def test_1d_coeffs_are_cubic_spline_coeffs(N):
     u = GridFunction(n=1, R=2.0, values=np.random.default_rng(N)
                      .uniform(-0.5, 0.5, N))
     ref = CubicSpline(u.nodes, u.values, bc_type="not-a-knot")
     assert u.coeffs().shape == (4, N - 1)
-    assert np.array_equal(u.coeffs(), ref.c)
+    _assert_rows_match(u.coeffs(), ref.c)
+    assert np.array_equal(u.coeffs()[3], u.values[:-1])
+    if N == 3:  # the two not-a-knot conditions coincide: the parabola
+        assert not u.coeffs()[0].any()
     x = np.linspace(-2.0, 2.0, 1001)
-    assert np.array_equal(u(x), ref(x))
+    assert _rel(u(x), ref(x)) <= 1e-13
+
+
+@pytest.mark.parametrize("N", [3, 4, 13])
+def test_2d_coeffs_are_cubic_spline_coeffs_along_both_axes(N):
+    u = _grid_2d(N)
+    xs = u.nodes
+    along_x = CubicSpline(xs, u.values, bc_type="not-a-knot").c
+    ref = CubicSpline(xs, along_x, axis=2, bc_type="not-a-knot").c
+    ref = ref.transpose(2, 0, 3, 1)
+    assert u.coeffs().shape == (4, 4, N - 1, N - 1)
+    _assert_rows_match(u.coeffs().reshape(16, -1), ref.reshape(16, -1))
+    if N == 3:
+        assert not u.coeffs()[0].any() and not u.coeffs()[:, 0].any()
+
+
+@pytest.mark.parametrize("n, N", [(1, 3), (1, 17), (2, 3), (2, 9)])
+def test_constant_has_exactly_zero_slope_rows(n, N):
+    # The map acts on first differences, so a constant gives no rounding
+    # noise at all: only the constant term survives.
+    u = GridFunction(n=n, R=1.5, values=np.full((N,) * n, 0.3))
+    c = u.coeffs().reshape(4 ** n, -1)
+    assert np.all(c[-1] == 0.3)
+    assert not c[:-1].any()
+    x = np.random.default_rng(n).uniform(-1.5, 1.5, (200, n))
+    assert np.all(u(x[:, 0] if n == 1 else x) == 0.3)
 
 
 @pytest.mark.parametrize("N", [4, 9, 13])

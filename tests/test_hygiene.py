@@ -1,13 +1,16 @@
-"""Static hygiene of the package source, checked with ``ast`` alone.
+"""Hygiene of the package: its source, checked with ``ast``, and its imports.
 
 Every name a module imports must be used in its body or re-exported
 through its ``__all__``; ``__init__.py`` is skipped, since its imports are
 the package's re-exports.  Every module-level private (``_name``) function
 or class must be referenced somewhere in the package outside its own
-definition.
+definition.  Importing the package loads no scipy module.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,3 +94,17 @@ def package_refs():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_orphan_private_helpers(path, package_refs):
     assert _orphan_private_defs(path, package_refs) == []
+
+
+def test_package_imports_no_scipy():
+    # scipy is a test dependency only: the tests use it as an independent
+    # oracle, and importing it would dominate the toolkit's cold start.
+    code = ("import sys, nldp, nldp.cli\n"
+            + "".join(f"import nldp.{p.stem}\n" for p in MODULES)
+            + "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert done.stdout.strip() == "[]", done.stdout
