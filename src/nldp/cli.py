@@ -69,8 +69,6 @@ def main(argv=None) -> int:
         "validate", "eval", "constants", "scaling-test", "check-inequalities",
         "solve", "holder", "pipeline"])
     ap.add_argument("--config", default=None, help="JSON config path")
-    ap.add_argument("--threads", type=int, default=os.cpu_count(),
-                    help="worker-thread cap for parallel probing")
     ap.add_argument("--seed", type=int, default=None, help="override RNG seed")
     ap.add_argument("--out", default=None, help="output directory")
     ap.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -86,7 +84,7 @@ def main(argv=None) -> int:
             cfg["output_dir"] = args.out
         out_dir = cfg["output_dir"]
         os.makedirs(out_dir, exist_ok=True)
-        return _dispatch(args.command, cfg, out_dir, args.threads)
+        return _dispatch(args.command, cfg, out_dir)
     except (ConfigError, ValueError) as ex:
         _emit_error(out_dir, str(ex), kind="config")
         print(f"error: {ex}", file=sys.stderr)
@@ -107,7 +105,7 @@ def _emit_error(out_dir: str, message: str, kind: str):
         pass
 
 
-def _dispatch(command: str, cfg: dict, out_dir: str, threads: int) -> int:
+def _dispatch(command: str, cfg: dict, out_dir: str) -> int:
     P = build_problem(cfg)
     Q = build_quadrature(cfg)
 
@@ -161,10 +159,9 @@ def _dispatch(command: str, cfg: dict, out_dir: str, threads: int) -> int:
     if command == "check-inequalities":
         seed = int(cfg["seed"])
         reports = {
-            "difference_bound": fuzz_revL1(seed=seed, workers=threads),
-            "superlinear_bound": fuzz_superlinear(seed=seed + 1,
-                                                  workers=threads),
-            "singular_bound": fuzz_singular(seed=seed + 2, workers=threads),
+            "difference_bound": fuzz_revL1(seed=seed),
+            "superlinear_bound": fuzz_superlinear(seed=seed + 1),
+            "singular_bound": fuzz_singular(seed=seed + 2),
         }
         c2 = fuzz_C2_bounds(seed=seed + 3, p=max(P.exponents.p, 2.0),
                             q=P.exponents.q)

@@ -15,18 +15,17 @@ underlying proof:
 Each bundle sums five quantities (the barrier terms I_p, I_q inside the
 unit ball, the exterior-envelope terms II_p, II_q outside it, and the
 radial tail III) and must stay below eps / (Lambda 2^(n+sp+q)) for every
-probe x in B_{3/4}; eta is bisected first (it controls II and III), then
-kappa (it controls I), per-regime, and the final pair is the minimum over
-the applicable regimes so all bundles hold simultaneously.
+probe x in B_{3/4}.  Per regime, one halving search picks eta (it controls
+II and III), then kappa (it controls I); the minimum pair over the regimes
+is capped by the competition estimate and halved jointly until all hold.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -230,29 +229,21 @@ def _term_III(xs, P: ProblemParams, eta: float, regime: int, tol: float):
     """The radial tail term over {|y| > 1/4}, with the regime's weights, at
     every probe x of ``xs`` (a scalar or an array; one row each)."""
     e = P.exponents
-    cM = P.c_hat * P.a.bound
-    if regime == 1:
-        front = (2.0 + cM) * 2.0 ** (e.q - 1.0)
-    elif regime == 2:
-        front = 2.0 ** (e.q - 1.0) * (2.0 ** (e.q - 2.0) + cM)
-    else:
-        front = 2.0 ** (e.q - 1.0) * (1.0 + cM)
+    _, front, q_tail, _ = _regime(P, regime)
     x = np.ravel(xs)
 
-    def make(r_exp, kernel, wfun):
+    def make(r_exp, kernel, c):
         def f(yv, row):
             xr = x[row]
-            w = wfun(xr, yv) + wfun(xr, -yv) if wfun is not None else 2.0
+            w = 2.0 if c is None else c * P.a.eval(xr, yv) + c * P.a.eval(xr, -yv)
             return 0.5 * w * ((8.0 * yv) ** eta - 1.0) ** (r_exp - 1.0) \
                 * (kernel(xr, yv) + kernel(xr, -yv))
         return f
 
     edges = np.broadcast_to(np.geomspace(0.25, 64.0, 16), (x.size, 16))
     total = 0.0
-    for (r_exp, kern, wsel) in (
-            (e.p, P.Ksp, None),
-            (e.q, P.Ktq, _q_tail_weight(P, regime))):
-        f = make(r_exp, kern, wsel)
+    for (r_exp, kern, c) in ((e.p, P.Ksp, None), (e.q, P.Ktq, q_tail)):
+        f = make(r_exp, kern, c)
         decay = (kern.exponent - P.n) - eta * (r_exp - 1.0)
         body, _ = adaptive_quad_rows(f, edges, tol=tol)
         tail, _ = geometric_tail_quad_rows(f, np.full(x.size, 64.0), decay,
@@ -261,37 +252,21 @@ def _term_III(xs, P: ProblemParams, eta: float, regime: int, tol: float):
     return (front * total).reshape(np.shape(xs))[()]
 
 
-def _q_tail_weight(P: ProblemParams, regime: int):
-    # Regime 1 weighs the q-tail with the constant 1; regimes 2 and 3 keep
-    # the modulating coefficient inside (regime 3 with the dilation factor).
-    if regime == 1:
-        return None
-    if regime == 2:
-        return lambda x, y: P.a.eval(x, y)
-    return lambda x, y: P.c_hat * P.a.eval(x, y)
-
-
-@dataclass
-class _RegimeConstants:
-    regime: int
-    front_Ip: float
-    front_Iq: float
-    front_IIp: float
-    front_IIq: float
-    signed_Ip: bool
-
-
-def _regime_constants(P: ProblemParams, regime: int) -> _RegimeConstants:
+def _regime(P: ProblemParams, regime: int):
+    """One row of the regime table: the fronts of (I_p, I_q, II_p, II_q),
+    the front of III, the factor on a(x, y) in III's q-tail (None: the
+    constant weight 1) and whether I_p keeps its sign."""
     q = P.exponents.q
-    c_sing = 3.0 ** (q - 1.0) + 2.0 ** (q - 1.0)
-    c_mix = 6.0 ** (q - 1.0) + 2.0 ** (2.0 * q - 3.0)
+    cM = P.c_hat * P.a.bound
+    c_deg = 2.0 ** (q - 2.0)
     if regime == 1:
-        c = 2.0 ** (q - 2.0)
-        return _RegimeConstants(1, c, c, c, c, signed_Ip=True)
+        return (c_deg,) * 4, (2.0 + cM) * 2.0 ** (q - 1.0), None, True
     if regime == 2:
-        return _RegimeConstants(2, c_mix, 2.0 ** (q - 2.0), c_mix,
-                                2.0 ** (q - 2.0), signed_Ip=False)
-    return _RegimeConstants(3, c_sing, c_sing, c_sing, c_sing, signed_Ip=False)
+        c_mix = 6.0 ** (q - 1.0) + 2.0 ** (2.0 * q - 3.0)
+        return ((c_mix, c_deg, c_mix, c_deg),
+                2.0 ** (q - 1.0) * (c_deg + cM), 1.0, False)
+    c_sing = 3.0 ** (q - 1.0) + 2.0 ** (q - 1.0)
+    return (c_sing,) * 4, 2.0 ** (q - 1.0) * (1.0 + cM), P.c_hat, False
 
 
 def applicable_regimes(P: ProblemParams) -> list[int]:
@@ -325,7 +300,7 @@ def _bundle_terms(xs, P: ProblemParams, kappa: float, eta: float,
     serve several.
     """
     e = P.exponents
-    rc = _regime_constants(P, regime)
+    (f_ip, f_iq, f_iip, f_iiq), _, _, signed_ip = _regime(P, regime)
     xs = np.asarray(xs, dtype=float)
     probes = (xs.shape, xs.tobytes())
 
@@ -338,16 +313,16 @@ def _bundle_terms(xs, P: ProblemParams, kappa: float, eta: float,
         return P.c_hat * P.a.eval(xx, yy)
 
     ip_base, iq_base = cached(("I", probes, regime), lambda: (
-        _term_I(xs, P, e.p, P.Ksp, None, rc.signed_Ip, tol),
+        _term_I(xs, P, e.p, P.Ksp, None, signed_ip, tol),
         _term_I(xs, P, e.q, P.Ktq, coeff_q, False, tol)))
     iip, iiq = cached(("II", probes, kappa, eta), lambda: (
         _term_II(xs, P, kappa, eta, e.p, P.Ksp, None, tol),
         _term_II(xs, P, kappa, eta, e.q, P.Ktq, coeff_q, tol)))
     terms = {
-        "I_p": rc.front_Ip * kappa ** (e.p - 1.0) * ip_base,
-        "I_q": rc.front_Iq * kappa ** (e.q - 1.0) * iq_base,
-        "II_p": rc.front_IIp * iip,
-        "II_q": rc.front_IIq * iiq,
+        "I_p": f_ip * kappa ** (e.p - 1.0) * ip_base,
+        "I_q": f_iq * kappa ** (e.q - 1.0) * iq_base,
+        "II_p": f_iip * iip,
+        "II_q": f_iiq * iiq,
         "III": cached(("III", probes, eta, regime),
                       lambda: _term_III(xs, P, eta, regime, tol)),
     }
@@ -374,9 +349,15 @@ class SelectionCertificate:
     sigma_at_eta: float
     probes: int
 
-    def to_json(self) -> str:
-        d = asdict(self)
-        return json.dumps(d, indent=2, default=float)
+
+def _halve(x: float, ok, max_halvings: int, message: str) -> float:
+    """The first of x, x/2, x/4, ... (``max_halvings`` of them) that passes
+    ``ok``; SelectionFailed(message) when none does."""
+    for _ in range(max_halvings):
+        if ok(x):
+            return x
+        x *= 0.5
+    raise SelectionFailed(message)
 
 
 def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
@@ -385,11 +366,11 @@ def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
     """Select (eta, kappa) so every applicable bundle stays below
     eps / (Lambda 2^(n+sp+q)) at all probe x in B_{3/4}.
 
-    eta is bisected first against the kappa-free part of the bundle (II at
-    kappa=0 plus III), then kappa against the full bundle; the returned pair
-    is the minimum over applicable regimes, re-verified.  The certificate
-    records worst probe margins per term and the measured constant of the
-    kappa-term estimate together with the induced cap on kappa.
+    Each step is one halving search: per regime eta against the kappa-free
+    part of the bundle (II at kappa=0 plus III), then kappa against the
+    full one; the competition cap on the minimum pair; and the joint
+    re-verification of all bundles.  The certificate records the worst
+    probe margins per term and the measured competition constant and cap.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -399,110 +380,69 @@ def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
     if bad and not homogeneous:
         raise SelectionFailed("invalid exponents: " + "; ".join(bad))
     e = P.exponents
-    lam = max(P.Ksp.lam, P.Ktq.lam)
-    target = epsilon / (lam * 2.0 ** (P.n + e.sp + e.q))
+    target = epsilon / (max(P.Ksp.lam, P.Ktq.lam) * 2.0 ** (P.n + e.sp + e.q))
     regimes = applicable_regimes(P)
     if not regimes:
         raise SelectionFailed("no regime matches these exponents")
     xs = probe_points(probes)
-    base_cache: dict = {}
-    eta_sel: dict = {}
-    kappa_sel: dict = {}
+    cache: dict = {}
     safety = 0.9
 
-    for regime in regimes:
-        eta_i = 0.49 * e.eta_threshold()
-        ok = False
-        for _ in range(max_halvings):
-            worst = np.max(_bundle_terms(xs, P, 0.0, eta_i, regime, tol,
-                                         base_cache)["total"])
-            if worst <= 0.5 * safety * target:
-                ok = True
-                break
-            eta_i *= 0.5
-        if not ok:
-            raise SelectionFailed(
-                f"eta bisection exhausted {max_halvings} halvings in regime {regime}")
-        kappa_i = 0.5
-        ok = False
-        for _ in range(max_halvings):
-            worst = np.max(_bundle_terms(xs, P, kappa_i, eta_i, regime, tol,
-                                         base_cache)["total"])
-            if worst <= safety * target:
-                ok = True
-                break
-            kappa_i *= 0.5
-        if not ok:
-            raise SelectionFailed(
-                f"kappa bisection exhausted {max_halvings} halvings in regime {regime}")
-        eta_sel[regime] = eta_i
-        kappa_sel[regime] = kappa_i
+    def terms(kappa, eta, regime):
+        return _bundle_terms(xs, P, kappa, eta, regime, tol, cache)
 
-    eta_fin = min(eta_sel.values())
-    kappa_fin = min(kappa_sel.values())
+    def worst(kappa, eta, among):
+        return max(float(np.max(terms(kappa, eta, r)["total"])) for r in among)
 
-    # Competition cap: kappa <= (sigma / 2c)^(1/(p-1)) with the measured
-    # constant of the kappa-driven terms.
+    eta_sel, kappa_sel = {}, {}
+    for r in regimes:
+        msg = f"bisection exhausted {max_halvings} halvings in regime {r}"
+        eta_sel[r] = _halve(0.49 * e.eta_threshold(), lambda eta: worst(
+            0.0, eta, [r]) <= 0.5 * safety * target, max_halvings, "eta " + msg)
+        kappa_sel[r] = _halve(0.5, lambda kappa: worst(
+            kappa, eta_sel[r], [r]) <= safety * target, max_halvings,
+            "kappa " + msg)
+    eta_fin, kappa_fin = min(eta_sel.values()), min(kappa_sel.values())
+
+    def competition(kappa, eta, sig):
+        """The measured constant c with (kappa-terms) <= c (kappa^(p-1) +
+        sigma^(-(q-p)/(p-1)) kappa^(q-1)), the competition-estimate shape,
+        and the cap (sigma / 2c)^(1/(p-1)) it puts on kappa."""
+        full, base0 = terms(kappa, eta, regimes[0]), terms(0.0, eta, regimes[0])
+        knum = (full["I_p"] + full["I_q"]
+                + np.maximum(full["II_p"] - base0["II_p"], 0.0)
+                + np.maximum(full["II_q"] - base0["II_q"], 0.0))
+        denom = kappa ** (e.p - 1.0) \
+            + sig ** (-(e.q - e.p) / (e.p - 1.0)) * kappa ** (e.q - 1.0)
+        c = max(0.0, float(np.max(knum / denom)))
+        return c, (sig / (2.0 * c)) ** (1.0 / (e.p - 1.0)) if c > 0 else 0.5
+
     sig = sigma(eta_fin, P)
-    for _ in range(max_halvings):
-        c_meas = _com2_constant(P, xs, kappa_fin, eta_fin, regimes[0], sig,
-                                tol, base_cache)
-        cap = (sig / (2.0 * c_meas)) ** (1.0 / (e.p - 1.0)) if c_meas > 0 else 0.5
-        if kappa_fin <= cap:
-            break
-        kappa_fin *= 0.5
-    else:
-        raise SelectionFailed("kappa cap bisection exhausted")
-
-    # Re-verify all applicable bundles at the final pair and collect margins.
-    worst_terms: dict = {}
-    worst_total = -math.inf
-    for _ in range(max_halvings):
-        worst_total = -math.inf
-        worst_terms = {}
-        for regime in regimes:
-            terms = _bundle_terms(xs, P, kappa_fin, eta_fin, regime, tol,
-                                  base_cache)
-            total = terms.pop("total")
-            for name, vals in terms.items():
-                i = int(np.argmax(vals))
-                if name not in worst_terms or vals[i] > worst_terms[name][0]:
-                    worst_terms[name] = (float(vals[i]), float(xs[i]))
-            worst_total = max(worst_total, float(np.max(total)))
-        if worst_total <= target:
-            break
-        kappa_fin *= 0.5
-        eta_fin *= 0.5
+    kappa_fin = _halve(
+        kappa_fin, lambda kappa: kappa <= competition(kappa, eta_fin, sig)[1],
+        max_halvings, "kappa cap bisection exhausted")
+    # Re-verify every bundle, halving eta and kappa together by 2^-k.
+    scale = _halve(
+        1.0, lambda f: worst(f * kappa_fin, f * eta_fin, regimes) <= target,
+        max_halvings, "final re-verification could not close")
+    if scale < 1.0:
+        eta_fin, kappa_fin = scale * eta_fin, scale * kappa_fin
         sig = sigma(eta_fin, P)
-    else:
-        raise SelectionFailed("final re-verification could not close")
 
-    c_meas = _com2_constant(P, xs, kappa_fin, eta_fin, regimes[0], sig, tol,
-                            base_cache)
-    cap = (sig / (2.0 * c_meas)) ** (1.0 / (e.p - 1.0)) if c_meas > 0 else 0.5
+    final = [terms(kappa_fin, eta_fin, r) for r in regimes]
+    worst_terms = {}
+    for name in ("I_p", "I_q", "II_p", "II_q", "III"):
+        vals = np.array([t[name] for t in final])   # (regimes, probes)
+        r, i = divmod(int(np.argmax(vals)), xs.size)
+        worst_terms[name] = (float(vals[r, i]), float(xs[i]))
+    c_meas, cap = competition(kappa_fin, eta_fin, sig)
     cert = SelectionCertificate(
         epsilon=epsilon, target=target, regimes=regimes,
         eta_per_regime=eta_sel, kappa_per_regime=kappa_sel,
         eta=eta_fin, kappa=kappa_fin, worst_terms=worst_terms,
-        worst_total=worst_total, com2_constant=c_meas, kappa_cap=cap,
-        sigma_at_eta=sig, probes=len(xs))
+        worst_total=worst(kappa_fin, eta_fin, regimes), com2_constant=c_meas,
+        kappa_cap=cap, sigma_at_eta=sig, probes=len(xs))
     return eta_fin, kappa_fin, cert
-
-
-def _com2_constant(P, xs, kappa, eta, regime, sig, tol, base_cache) -> float:
-    """Measured constant c with (kappa-terms) <= c (kappa^(p-1) +
-    sigma^(-(q-p)/(p-1)) kappa^(q-1)), the competition-estimate shape."""
-    e = P.exponents
-    if kappa <= 0:
-        return 0.0
-    terms = _bundle_terms(xs, P, kappa, eta, regime, tol, base_cache)
-    base0 = _bundle_terms(xs, P, 0.0, eta, regime, tol, base_cache)
-    knum = (terms["I_p"] + terms["I_q"]
-            + np.maximum(terms["II_p"] - base0["II_p"], 0.0)
-            + np.maximum(terms["II_q"] - base0["II_q"], 0.0))
-    denom = kappa ** (e.p - 1.0) \
-        + sig ** (-(e.q - e.p) / (e.p - 1.0)) * kappa ** (e.q - 1.0)
-    return max(0.0, float(np.max(knum / denom)))
 
 
 # --------------------------------------------------------------------------
@@ -540,12 +480,6 @@ class ConstantsBundle:
                 f"[{self.sigma_lo:.6g}, {self.sigma_hi:.6g}] under the "
                 "documented omega_n convention (soft check)", RuntimeWarning)
 
-    def to_json(self) -> str:
-        d = {k: v for k, v in asdict(self).items() if k != "certificate"}
-        if self.certificate is not None:
-            d["certificate"] = json.loads(self.certificate.to_json())
-        return json.dumps(d, indent=2, default=float)
-
 
 def build_bundle(P: ProblemParams, u_sup: float, f_sup: float,
                  epsilon: float | None = None, tol: float = 1e-9,
@@ -554,7 +488,7 @@ def build_bundle(P: ProblemParams, u_sup: float, f_sup: float,
     lambda.  epsilon defaults to |B_1| / 2."""
     eps = epsilon if epsilon is not None else 0.5 * unit_ball_volume(P.n)
     eta, kappa, cert = choose_eta_kappa(eps, P, tol=tol, probes=probes)
-    sig = sigma(eta, P)
+    sig = cert.sigma_at_eta
     lo, hi = sigma_bounds(eta, P)
     th = theta(kappa)
     gam = gamma_exponent(th, eta)

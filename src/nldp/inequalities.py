@@ -8,9 +8,8 @@ nonnegative slack certifies the inequality at that sample.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +34,6 @@ class IneqReport:
     worst_slack: float
     witness: dict
     extras: dict | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, default=float)
 
 
 # --------------------------------------------------------------------------
@@ -267,25 +263,17 @@ def _report(lemma, slack, witness_inputs, extras=None) -> IneqReport:
                       extras=extras)
 
 
-_FUZZ_CHUNKS = 8  # fixed stream layout: results never depend on thread count
+_FUZZ_CHUNKS = 8  # fixed stream layout
 
 
-def _run_chunked(chunk_fn, lemma: str, count: int, seed: int,
-                 workers: int) -> IneqReport:
-    """Run a campaign in a fixed number of seed streams (merge is
-    associative), optionally on a thread pool; the chunk layout is pinned
-    so identical (count, seed) reproduce identical reports at any worker
-    count."""
+def _run_chunked(chunk_fn, lemma: str, count: int, seed: int) -> IneqReport:
+    """Run a campaign in a fixed number of seed streams and merge them (the
+    merge is associative); the chunk layout is pinned so identical
+    (count, seed) reproduce identical reports."""
     base = count // _FUZZ_CHUNKS
     counts = [base] * (_FUZZ_CHUNKS - 1) + [count - base * (_FUZZ_CHUNKS - 1)]
     seeds = [seed + 7919 * i for i in range(_FUZZ_CHUNKS)]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=min(workers, _FUZZ_CHUNKS)) as pool:
-            parts = list(pool.map(lambda i: chunk_fn(counts[i], seeds[i]),
-                                  range(_FUZZ_CHUNKS)))
-    else:
-        parts = [chunk_fn(counts[i], seeds[i]) for i in range(_FUZZ_CHUNKS)]
+    parts = [chunk_fn(counts[i], seeds[i]) for i in range(_FUZZ_CHUNKS)]
     best = min(parts, key=lambda r: r.worst_slack)
     extras = None
     if any(p.extras for p in parts):
@@ -307,9 +295,8 @@ def _revL1_chunk(count, seed):
                    {"a": a, "b": b, "r": r})
 
 
-def fuzz_revL1(count: int = 1_000_000, seed: int = 0,
-               workers: int = 1) -> IneqReport:
-    return _run_chunked(_revL1_chunk, "difference-bound", count, seed, workers)
+def fuzz_revL1(count: int = 1_000_000, seed: int = 0) -> IneqReport:
+    return _run_chunked(_revL1_chunk, "difference-bound", count, seed)
 
 
 def _superlinear_chunk(count, seed):
@@ -324,10 +311,8 @@ def _superlinear_chunk(count, seed):
                    {"a": a, "b": b, "r": r, "q": q})
 
 
-def fuzz_superlinear(count: int = 1_000_000, seed: int = 1,
-                     workers: int = 1) -> IneqReport:
-    return _run_chunked(_superlinear_chunk, "superlinear-bound", count, seed,
-                        workers)
+def fuzz_superlinear(count: int = 1_000_000, seed: int = 1) -> IneqReport:
+    return _run_chunked(_superlinear_chunk, "superlinear-bound", count, seed)
 
 
 def _singular_chunk(count, seed):
@@ -345,10 +330,8 @@ def _singular_chunk(count, seed):
                    extras={"max_lhs_over_envelope": tight})
 
 
-def fuzz_singular(count: int = 1_000_000, seed: int = 2,
-                  workers: int = 1) -> IneqReport:
-    return _run_chunked(_singular_chunk, "singular-bound", count, seed,
-                        workers)
+def fuzz_singular(count: int = 1_000_000, seed: int = 2) -> IneqReport:
+    return _run_chunked(_singular_chunk, "singular-bound", count, seed)
 
 
 def fuzz_C2_bounds(count: int = 10_000, seed: int = 3, p: float = 2.0,

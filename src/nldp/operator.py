@@ -415,16 +415,14 @@ def energy(u: GridFunction, P: ProblemParams, Q: QuadratureSpec | None = None):
     xs, xw = panel_nodes_weights(u.nodes)  # panels = grid cells, GK15 each
 
     def shell_sum(pts, wts):
-        """sum_x xw * sum_j wts_j [|du|^p Kg_sp + a |du|^q Kg_tq] over the
-        offsets +-pts."""
+        """sum_x xw * sum_j wts_j [|du|^p K_sp + a |du|^q K_tq] over the
+        offsets +-pts, with both kernels at (x, +-y)."""
         acc = 0.0
         for sgn in (+1.0, -1.0):
-            Z = xs[:, None] + sgn * pts[None, :]
-            du = np.abs(u(Z) - u(xs)[:, None])
-            kg_sp = pts ** (-1.0 - e.sp)
-            kg_tq = pts ** (-1.0 - e.tq)
-            a = P.a.eval(xs[:, None], sgn * pts[None, :])
-            rows = du ** e.p * kg_sp[None, :] + a * du ** e.q * kg_tq[None, :]
+            x, y = xs[:, None], sgn * pts[None, :]
+            du = np.abs(u(x + y) - u(xs)[:, None])
+            rows = (du ** e.p * P.Ksp(x, y)
+                    + P.a.eval(x, y) * du ** e.q * P.Ktq(x, y))
             acc += float(xw @ (rows @ wts))
         return acc
 

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import RectBivariateSpline
 
-from nldp.constants import _beta_diff, _q_tail_weight
+from nldp.constants import _beta_diff
 from nldp.errors import NldpError
 from nldp.operator import (QuadratureSpec, _exterior_growth, _paired,
                            _polar_dirs, _poly_switch_radius, _tail_decays,
@@ -459,10 +459,18 @@ def term_III_per_probe(x: float, P: ProblemParams, eta: float, regime: int,
                 * (kernel(x, yv) + kernel(x, -yv))
         return f
 
+    # Regime 1 weighs the q-tail with the constant 1; regimes 2 and 3 keep
+    # the modulating coefficient inside (regime 3 with the dilation factor).
+    if regime == 1:
+        q_weight = None
+    elif regime == 2:
+        q_weight = P.a.eval
+    else:
+        def q_weight(xx, yy):
+            return P.c_hat * P.a.eval(xx, yy)
+
     total = 0.0
-    for (r_exp, kern, wsel) in (
-            (e.p, P.Ksp, None),
-            (e.q, P.Ktq, _q_tail_weight(P, regime))):
+    for (r_exp, kern, wsel) in ((e.p, P.Ksp, None), (e.q, P.Ktq, q_weight)):
         f = make(r_exp, kern, wsel)
         decay = (kern.exponent - P.n) - eta * (r_exp - 1.0)
         body, _ = adaptive_quad(f, 0.25, 64.0, tol=tol,

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import warnings
@@ -10,13 +11,95 @@ from oracles import (sigma_oracle, term_I_abs_per_probe, term_II_per_probe,
 
 import nldp.constants
 import nldp.quadrature
-from nldp.constants import (applicable_regimes, choose_eta_kappa,
-                            gamma_exponent, lambda_rescale, sigma,
-                            sigma_bounds, theta, _beta_diff, _bundle_terms,
-                            _term_I, _term_II, _term_III, probe_points)
-from nldp.errors import DegenerateScaling, DivergentSigma
+from nldp.constants import (applicable_regimes, build_bundle,
+                            choose_eta_kappa, gamma_exponent, lambda_rescale,
+                            sigma, sigma_bounds, theta, _beta_diff,
+                            _bundle_terms, _halve, _term_I, _term_II,
+                            _term_III, probe_points)
+from nldp.errors import DegenerateScaling, DivergentSigma, SelectionFailed
 from nldp.params import (barrier_eval, barrier_grad, barrier_hess,
                          holder_coefficient, model_params)
+
+
+# Golden selections, every field bit for bit.  The worst_terms key order is
+# part of the certificate: demo 02 prints the terms in it.
+DESK_BUNDLE = {
+    "epsilon": 1.0, "eta": 0.00010965983072916666, "kappa": 0.000244140625,
+    "sigma": 0.0040014029166936214, "sigma_lo": 0.0015361947330784778,
+    "sigma_hi": 40.427718789521734, "theta": 9.059906005859375e-05,
+    "gamma": 6.535488761199965e-05, "lam": 0.9963638758544732,
+    "omega_n": 2.0}
+DESK_CERTIFICATE = {
+    "epsilon": 1.0, "target": 0.04736614270344992, "regimes": [1],
+    "eta_per_regime": {1: 0.00010965983072916666},
+    "kappa_per_regime": {1: 0.001953125},
+    "eta": 0.00010965983072916666, "kappa": 0.000244140625,
+    "worst_terms": {
+        "I_p": (0.0012019025756804878, 0.0),
+        "I_q": (0.0016447535156298505, 0.5549999999999999),
+        "II_p": (0.0015102872838298636, -0.716875),
+        "II_q": (0.00031072456290397274, 0.69375),
+        "III": (0.012004207962263428, 0.0)},
+    "worst_total": 0.01534873989207744, "com2_constant": 6.427186322081911,
+    "kappa_cap": 0.00031128729712922627,
+    "sigma_at_eta": 0.0040014029166936214, "probes": 33}
+SINGULAR_CERTIFICATES = {
+    2.2: {
+        "epsilon": 1.0, "target": 0.06606362753508625, "regimes": [2],
+        "eta_per_regime": {2: 1.6448974609374998e-05},
+        "kappa_per_regime": {2: 7.62939453125e-06},
+        "eta": 1.6448974609374998e-05, "kappa": 2.384185791015625e-07,
+        "worst_terms": {
+            "I_p": (0.0018887842998496212, -0.5549999999999999),
+            "I_q": (5.448766068359119e-08, -0.5549999999999999),
+            "II_p": (0.01867815650656105, -0.716875),
+            "II_q": (4.662013144056797e-05, -0.716875),
+            "III": (0.00985814580415082, 0.0)},
+        "worst_total": 0.030327612724067213,
+        "com2_constant": 368.2491883466727,
+        "kappa_cap": 3.112146439904764e-07,
+        "sigma_at_eta": 0.0045879620122201885, "probes": 33},
+    1.95: {
+        "epsilon": 1.0, "target": 0.07856333590761427, "regimes": [3],
+        "eta_per_regime": {3: 1.8416555304276318e-05},
+        "kappa_per_regime": {3: 3.0517578125e-05},
+        "eta": 1.8416555304276318e-05, "kappa": 9.5367431640625e-07,
+        "worst_terms": {
+            "I_p": (0.002433928342414673, -0.5549999999999999),
+            "I_q": (5.871732612987295e-05, -0.5549999999999999),
+            "II_p": (0.008710677971531036, -0.716875),
+            "II_q": (0.0026943418144229937, -0.716875),
+            "III": (0.010438097439841292, 0.0)},
+        "worst_total": 0.02414549497343064,
+        "com2_constant": 125.17373400105821,
+        "kappa_cap": 1.4086730300807374e-06,
+        "sigma_at_eta": 0.005219048866349905, "probes": 33},
+}
+# s = 0.4, t = 0.3, p = 2, q = 2.2: regimes 1 and 2 both apply, so eta and
+# the worst terms are taken across two bundles.
+TWO_REGIME_CERTIFICATE = {
+    "epsilon": 1.0, "target": 0.0625, "regimes": [1, 2],
+    "eta_per_regime": {1: 0.00013159179687499998, 2: 6.579589843749999e-05},
+    "kappa_per_regime": {1: 0.00390625, 2: 0.000244140625},
+    "eta": 6.579589843749999e-05, "kappa": 0.000244140625,
+    "worst_terms": {
+        "I_p": (0.03652075130483548, -0.5549999999999999),
+        "I_q": (0.0002231814581599898, -0.5549999999999999),
+        "II_p": (0.014027275782923725, 0.0),
+        "II_q": (0.0004186391942592612, 0.0),
+        "III": (0.008034554344655227, 0.0)},
+    "worst_total": 0.055441677067280974, "com2_constant": 4.48686081950939,
+    "kappa_cap": 0.0002984475265222815,
+    "sigma_at_eta": 0.0026781850268646286, "probes": 33}
+
+
+def _fields(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+def assert_certificate(cert, want):
+    assert _fields(cert) == want
+    assert list(cert.worst_terms) == list(want["worst_terms"])
 
 
 class TestSigma:
@@ -329,8 +412,45 @@ class TestSelection:
     def test_singular_regime_selection_pinned(self, q, pair):
         P = model_params(n=1, s=0.4, t=0.3, p=1.8, q=q)
         assert applicable_regimes(P) == [2 if q > 2.0 else 3]
-        eta, kappa, _ = choose_eta_kappa(1.0, P)
+        eta, kappa, cert = choose_eta_kappa(1.0, P)
         assert (eta, kappa) == pair
+        assert_certificate(cert, SINGULAR_CERTIFICATES[q])
+
+    def test_two_regime_selection_pinned(self):
+        P = model_params(n=1, s=0.4, t=0.3, p=2.0, q=2.2)
+        assert P.validation_report() == []
+        _, _, cert = choose_eta_kappa(1.0, P)
+        assert_certificate(cert, TWO_REGIME_CERTIFICATE)
+
+    def test_desk_bundle_pinned(self, desk_bundle):
+        fields = _fields(desk_bundle)
+        cert = fields.pop("certificate")
+        assert fields == DESK_BUNDLE
+        assert_certificate(cert, DESK_CERTIFICATE)
+
+    def test_one_sigma_per_bundle(self, desk_params, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return sigma(*args, **kwargs)
+
+        monkeypatch.setattr(nldp.constants, "sigma", counting)
+        b = build_bundle(desk_params, u_sup=0.002, f_sup=desk_params.f.sup)
+        assert len(calls) == 1
+        assert b.sigma == b.certificate.sigma_at_eta == DESK_BUNDLE["sigma"]
+
+    def test_halve(self):
+        seen = []
+
+        def ok(x):
+            seen.append(x)
+            return x <= 0.1
+
+        assert _halve(1.0, ok, 60, "unused") == 0.0625
+        assert seen == [1.0, 0.5, 0.25, 0.125, 0.0625]
+        with pytest.raises(SelectionFailed, match="^no luck$"):
+            _halve(1.0, ok, 4, "no luck")
 
     def test_tail_term_monotone_in_eta(self, desk_params):
         vals = [_term_III(0.0, desk_params, eta, 1, 1e-9)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -18,7 +19,7 @@ from nldp.operator import (QuadratureSpec, apply_grid, delta, energy,
                            evaluate, evaluate_truncated)
 from nldp.params import (barrier_eval, checkerboard_coefficient,
                          constant_coefficient, halfspace_coefficient,
-                         holder_coefficient, model_params)
+                         holder_coefficient, model_params, table_kernel)
 
 Q = QuadratureSpec()
 
@@ -492,6 +493,19 @@ class TestEnergy:
         oracle = energy_beta_oracle(0.6, n_outer=516)
         assert not rep["diverged"]
         assert v == pytest.approx(oracle, rel=1e-4)
+
+    def test_energy_reads_the_problem_kernels(self):
+        # Both kernels 1.5 times the Gagliardo model: the energy scales by
+        # 1.5 up to its closed-form tail, which is about 1e-10 of the total.
+        P = pure_p_params()
+        e = P.exponents
+        radii, factors = np.array([1e-300, 1e300]), np.array([1.5, 1.5])
+        scaled = dataclasses.replace(
+            P, Ksp=table_kernel(1, e.s, e.p, 1.5, radii, factors),
+            Ktq=table_kernel(1, e.t, e.q, 1.5, radii, factors))
+        u = beta_grid(129)
+        assert energy(u, scaled, Q)[0] == pytest.approx(
+            1.5 * energy(u, P, Q)[0], rel=1e-8)
 
     def test_jump_flags_divergence(self):
         P = model_params(n=1, s=0.9, t=0.5, p=2.0, q=2.2,
