@@ -16,7 +16,9 @@ mid field out to the far radius, and an analytic power-law remainder fed
 by the exterior.  ``evaluate`` is the adaptive single-point entry;
 ``apply_grid`` is the batched evaluator the solver iterates: it runs from a
 plan of fixed panels built once per geometry, in 1-D and 2-D alike
-(validated against ``evaluate`` in the test suite).
+(validated against ``evaluate`` in the test suite).  ``energy`` is the same
+sweep with |d|^r in place of phi, summed over the nodes on three nested
+grids, whose spread is its error estimate and its divergence test.
 """
 
 from __future__ import annotations
@@ -29,9 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (NldpError, NonIntegrableNearField, TailDivergence,
-                     TouchViolation)
-from .grid import GridFunction, in_box
+from .errors import NonIntegrableNearField, TailDivergence, TouchViolation
+from .grid import GridFunction, in_box, sample
 from .params import CoefficientField, ProblemParams
 from .quadrature import (QuadratureSpec, adaptive_quad, geometric_tail_quad,
                          near_singular_quad, panel_nodes_weights,
@@ -96,14 +97,19 @@ def near_field_exponent(P: ProblemParams) -> float:
     return worst
 
 
-def _tail_decays(P: ProblemParams, growth_exp: float) -> tuple[float, float]:
-    e = P.exponents
-    dp = e.sp - growth_exp * (e.p - 1.0)
-    dq = e.tq - growth_exp * (e.q - 1.0)
+def _tail_decays(P: ProblemParams, growth_exp: float,
+                 lift: float = 0.0) -> tuple[float, float]:
+    """Decays sr - growth_exp (r - 1 + lift) of the two phases' remainders
+    against an exterior growing like |x|^growth_exp: lift 0 for phi_r(d)
+    (the operator), 1 for |d|^r (the energy)."""
+    e, m = P.exponents, 1.0 - lift
+    dp = e.sp - growth_exp * (e.p - m)
+    dq = e.tq - growth_exp * (e.q - m)
     if min(dp, dq) <= 0.0:
+        thr = min(e.sp / (e.p - m), e.tq / (e.q - m))
         raise TailDivergence(
             f"exterior growth exponent {growth_exp:.6g} reaches the convergence "
-            f"threshold min(sp/(p-1), tq/(q-1)) = {e.eta_threshold():.6g}")
+            f"threshold min(sp/(p-{m:g}), tq/(q-{m:g})) = {thr:.6g}")
     return dp, dq
 
 
@@ -396,82 +402,6 @@ def _ball_probes(u: GridFunction, x0, rho):
 
 
 # --------------------------------------------------------------------------
-# Double phase energy.
-
-def energy(u: GridFunction, P: ProblemParams, Q: QuadratureSpec | None = None):
-    """Numerical double phase energy over box x R^n with a tail estimate.
-
-    Returns ``(value, error, report)`` where report carries a divergence
-    flag and the offending scale when the near-field Cauchy test fails
-    (e.g. jump data with sp >= 1): partial sums over |y| > 2^-k must
-    decrease in increments; three successive non-decaying increments above
-    the grid scale flag divergence and the value is +inf.
-    """
-    Q = Q or QuadratureSpec()
-    if u.n != 1:
-        raise NldpError("energy is implemented for n = 1")
-    e = P.exponents
-    h = u.h
-    xs, xw = panel_nodes_weights(u.nodes)  # panels = grid cells, GK15 each
-
-    def shell_sum(pts, wts):
-        """sum_x xw * sum_j wts_j [|du|^p K_sp + a |du|^q K_tq] over the
-        offsets +-pts, with both kernels at (x, +-y)."""
-        acc = 0.0
-        for sgn in (+1.0, -1.0):
-            x, y = xs[:, None], sgn * pts[None, :]
-            du = np.abs(u(x + y) - u(xs)[:, None])
-            rows = (du ** e.p * P.Ksp(x, y)
-                    + P.a.eval(x, y) * du ** e.q * P.Ktq(x, y))
-            acc += float(xw @ (rows @ wts))
-        return acc
-
-    def inner_between(y_lo, y_hi):
-        """The shell sum over GK15 panels of y_lo < |y| < y_hi."""
-        m = int(math.ceil(math.log2(max(y_hi / y_lo, 2.0)))) * 2
-        return shell_sum(*panel_nodes_weights(np.geomspace(y_lo, y_hi, m + 1)))
-
-    # Near-field partial sums for the Cauchy divergence test.
-    scales = []
-    k = 0
-    top = u.R / 2.0
-    while top * 2.0 ** (-k) > 1.9 * h:
-        scales.append(top * 2.0 ** (-k))
-        k += 1
-    increments = []
-    for i in range(len(scales) - 1):
-        increments.append(inner_between(scales[i + 1], scales[i]))
-    bad_run = 0
-    offending = None
-    for i in range(1, len(increments)):
-        if increments[i] >= 0.98 * increments[i - 1] and increments[i] > 1e-14:
-            bad_run += 1
-            if bad_run >= 3:
-                offending = scales[i + 1]
-                break
-        else:
-            bad_run = 0
-    if offending is not None:
-        return math.inf, math.inf, {"diverged": True, "offending_scale": offending}
-
-    worst = min(e.p - e.sp, e.q - e.tq) - 1.0
-    near_acc = shell_sum(*_near_rule(scales[-1], substitution_power(worst),
-                                     [0.0, 0.5, 1.0]))
-    mid = sum(increments)
-    r_big = Q.far_radius(u.R) * 2.0 ** 20
-    far = shell_sum(*panel_nodes_weights(np.geomspace(scales[0], r_big, 96)))
-    # Declared tail estimate: bounded-exterior remainder beyond r_big.
-    sup_out = u.exterior.sup_bound(u.n, r_big, r_big * 1e6)
-    sup_u = float(np.max(np.abs(u.values)))
-    amp = (sup_u + sup_out)
-    tail = 2.0 * (2.0 * u.R) * (amp ** e.p * r_big ** (-e.sp) / e.sp
-                                + P.a.bound * amp ** e.q * r_big ** (-e.tq) / e.tq)
-    total = near_acc + mid + far + tail
-    err = abs(tail) + 1e-3 * abs(near_acc) + 1e-6 * abs(total)
-    return total, err, {"diverged": False, "offending_scale": None}
-
-
-# --------------------------------------------------------------------------
 # The grid apply: one plan of everything that does not depend on the iterate.
 
 @dataclass(frozen=True)
@@ -616,13 +546,14 @@ def _group_exterior(node, val, wp, wq):
 
 @lru_cache(maxsize=1)
 def _plan(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
-          exterior) -> _Plan:
+          exterior, lift: float = 0.0) -> _Plan:
     """The plan of the grid apply on the N^n grid of [-R, R]^n with this
-    exterior; cached, because nothing in it depends on the iterate.  The
-    cache holds the last plan only: a solve's sweeps and its residual checks
-    share it, and it is dropped once another geometry is asked for (plans
-    are megabytes, and a problem built anew, with new kernel functions,
-    never hits).
+    exterior, its remainder weighed by the decays of ``_tail_decays`` at
+    ``lift`` (0 for the operator, 1 for the energy); cached, because nothing
+    in it depends on the iterate.  The cache holds the last plan only: a
+    solve's sweeps and its residual checks share it, and it is dropped once
+    another geometry is asked for (plans are megabytes, and a problem built
+    anew, with new kernel functions, never hits).
 
     A geometry yields blocks ``(ids, Y, cp, cq)``: nodes, their offsets and
     the radial quadrature factors of the two phases.  Every block is split
@@ -631,7 +562,7 @@ def _plan(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
     """
     t0 = time.perf_counter()
     n = P.n
-    dp, dq = _tail_decays(P, _exterior_growth(exterior, R, n))
+    dp, dq = _tail_decays(P, _exterior_growth(exterior, R, n), lift)
     geometry = _geometry_1d if n == 1 else _geometry_2d
     X, blocks, (dirs, near_r, near_offs, near_w) = geometry(P, Q, R, N, dp, dq)
     signs = (1.0, -1.0)
@@ -686,6 +617,33 @@ def _plan(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
     return plan
 
 
+def _sweep(u: GridFunction, plan: _Plan, P: ProblemParams, f):
+    """Per-node sums, shaped like ``u.values``, of f(d, p) w_p + f(d, q) w_q
+    over the plan's in-box entries, exterior groups and near block, d the
+    difference u(x) - u(x + y) of each entry."""
+    e = P.exponents
+    v = u.values.ravel()
+    # The in-box arrays are the size of the plan: work in place and drop
+    # each one before the next, so a sweep adds little to peak memory.
+    # f may return its argument, so each phase is formed into a new array.
+    d = u(plan.Z)
+    np.subtract(v[plan.node], d, out=d)
+    g = f(d, e.p) * plan.wp
+    g += f(d, e.q) * plan.wq
+    del d
+    out = np.bincount(plan.node, g, minlength=v.size)
+    del g
+    d = v[plan.ext_node] - plan.ext_val
+    out += np.bincount(plan.ext_node,
+                       f(d, e.p) * plan.ext_wp + f(d, e.q) * plan.ext_wq,
+                       minlength=v.size)
+    dpl, dmi = _near(u, plan)
+    g = (f(dpl, e.p) + f(dmi, e.p)) * plan.near_wp
+    g += f(dpl, e.q) * plan.near_wq[0] + f(dmi, e.q) * plan.near_wq[1]
+    out += np.sum(g, axis=(1, 2))
+    return out.reshape(u.values.shape)
+
+
 def apply_grid(u: GridFunction, P: ProblemParams, Q: QuadratureSpec):
     """Evaluate the operator at every grid node, from the plan of (P, Q, box,
     grid, exterior).
@@ -695,28 +653,44 @@ def apply_grid(u: GridFunction, P: ProblemParams, Q: QuadratureSpec):
     seam inside their near field and are only approximate; the solver keeps
     them frozen.
     """
-    plan = _plan(P, Q, u.R, u.N, u.exterior)
-    e = P.exponents
-    v = u.values.ravel()
-    # The in-box arrays are the size of the plan: work in place and drop
-    # each one before the next, so a sweep adds little to peak memory.
-    # phi may return its argument, so each phase is formed into a new array.
-    d = u(plan.Z)
-    np.subtract(v[plan.node], d, out=d)
-    g = phi(d, e.p) * plan.wp
-    g += phi(d, e.q) * plan.wq
-    del d
-    out = np.bincount(plan.node, g, minlength=v.size)
-    del g
-    d = v[plan.ext_node] - plan.ext_val
-    out += np.bincount(plan.ext_node,
-                       phi(d, e.p) * plan.ext_wp + phi(d, e.q) * plan.ext_wq,
-                       minlength=v.size)
-    dpl, dmi = _near(u, plan)
-    g = (phi(dpl, e.p) + phi(dmi, e.p)) * plan.near_wp
-    g += phi(dpl, e.q) * plan.near_wq[0] + phi(dmi, e.q) * plan.near_wq[1]
-    out += np.sum(g, axis=(1, 2))
-    return out.reshape(u.values.shape)
+    return _sweep(u, _plan(P, Q, u.R, u.N, u.exterior), P, phi)
+
+
+def energy(u: GridFunction, P: ProblemParams, Q: QuadratureSpec | None = None):
+    """Double phase energy over box x R^n, by grid refinement:
+
+        E(u) = int_box int |d|^p K_sp + c_hat a |d|^q K_tq dy dx,
+
+    d = u(x) - u(x+y): the sweep of ``apply_grid`` with |d|^r for phi (its
+    remainder decaying like |d|^r), summed with trapezoid node weights, on
+    u's grid and on u resampled onto the (N-1)//2+1 and (N-1)//4+1 grids.
+    Returns ``(E_h, err, report)`` with err = |E_h - E_2h|.  When that fine
+    increment is not below 0.98 times the coarse one |E_2h - E_4h| (and not
+    at rounding level), e.g. for jump data with sp >= 1, the value and err
+    are +inf and the report has ``diverged`` set and ``offending_scale`` the
+    grid spacing h.  The grids nest at spacings h, 2h, 4h with 5 nodes or
+    more on the coarsest (on 3, smooth data reads as divergent), so N must
+    be 4k + 1 >= 17, else ValueError; an exterior growing like |x|^eta with
+    eta >= min(sp/p, tq/q) raises TailDivergence.
+    """
+    Q = Q or QuadratureSpec()
+    if u.N < 17 or (u.N - 1) % 4:
+        raise ValueError("energy needs N = 4k + 1 >= 17 nodes per axis for "
+                         f"three nested grids, got {u.N}")
+    E = []
+    for N in (u.N, (u.N - 1) // 2 + 1, (u.N - 1) // 4 + 1):
+        v = u if N == u.N else sample(u, u.n, u.R, N, exterior=u.exterior)
+        t = _sweep(v, _plan(P, Q, u.R, N, u.exterior, 1.0), P,
+                   lambda d, r: np.abs(d) ** r)
+        w = np.full(N, v.h)
+        w[[0, -1]] *= 0.5
+        for _ in range(u.n):  # the trapezoid rule along each axis
+            t = w @ t
+        E.append(float(t))
+    fine, coarse = abs(E[0] - E[1]), abs(E[1] - E[2])
+    if fine >= 0.98 * coarse and fine > 1e-12 * abs(E[0]):
+        return math.inf, math.inf, {"diverged": True, "offending_scale": u.h}
+    return E[0], fine, {"diverged": False, "offending_scale": None}
 
 
 def _secant(d, r: float):

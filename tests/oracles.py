@@ -86,21 +86,29 @@ def sigma_oracle(eta: float, s: float, t: float, p: float, q: float,
     return 2.0 ** (q - 1.0) * omega_n * total
 
 
-def energy_beta_oracle(s: float, n_outer: int = 801, R: float = 2.0) -> float:
-    """Tensor-grid oracle for the (s,2) energy of beta: outer midpoint grid
-    at (at least) 4x production resolution, inner QUADPACK sweeps split at
-    the support kinks."""
+def energy_beta_oracle(s: float, n_outer: int = 801, R: float = 2.0,
+                       exterior=None) -> float:
+    """Tensor-grid oracle for the (s,2) energy of beta on [-R, R] glued to
+    ``exterior`` (0 when None) outside it: outer midpoint grid at (at least)
+    4x production resolution, inner QUADPACK sweeps split at the support
+    kinks and the box seams."""
     xs = (np.arange(n_outer) + 0.5) / n_outer * 2.0 * R - R
     hx = 2.0 * R / n_outer
+
+    def glued(z):
+        if abs(z) <= R or exterior is None:
+            return float(beta(z))
+        return float(exterior(z))
+
     total = 0.0
     for x in xs:
         bx = float(beta(x))
 
         def g(y):
-            d = bx - float(beta(x + y))
+            d = bx - glued(x + y)
             return d * d * abs(y) ** (-1.0 - 2.0 * s)
 
-        kinks = sorted({abs(-1.0 - x), abs(1.0 - x)} - {0.0})
+        kinks = sorted({abs(-1.0 - x), abs(1.0 - x), R - x, R + x} - {0.0})
         acc = 0.0
         for sgn in (1.0, -1.0):
             lo = 0.0

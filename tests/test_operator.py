@@ -28,9 +28,9 @@ def beta_grid(N=1025, R=2.0):
     return sample(barrier_eval, 1, R, N, exterior=constant_exterior(0.0))
 
 
-def pure_p_params(s=0.6, p=2.0):
-    return model_params(n=1, s=s, t=0.5, p=p, q=max(p, 2.0),
-                        coefficient=constant_coefficient(1, 0.0))
+def pure_p_params(s=0.6, p=2.0, n=1):
+    return model_params(n=n, s=s, t=0.5, p=p, q=max(p, 2.0),
+                        coefficient=constant_coefficient(n, 0.0))
 
 
 class TestDelta:
@@ -478,13 +478,14 @@ class TestTruncatedEvaluate:
 
 class TestEnergy:
     def test_constant_has_zero_energy(self):
-        P = pure_p_params()
-        u = sample(lambda x: np.full_like(np.asarray(x, dtype=float), 1.0),
-                   1, 2.0, 129, exterior=constant_exterior(1.0))
-        v, err, rep = energy(u, P, Q)
-        assert not rep["diverged"]
-        # exact zero up to the declared tail estimate of the glued constant
-        assert abs(v) <= max(err, 1e-7)
+        for n, N in ((1, 129), (2, 17)):
+            P = pure_p_params(n=n)
+            u = sample(lambda x: np.ones(np.shape(x)[:np.ndim(x) + 1 - n]),
+                       n, 2.0, N, exterior=constant_exterior(1.0))
+            v, err, rep = energy(u, P, Q)
+            assert not rep["diverged"]
+            # exactly 0.0: every difference of the glued constant is 0
+            assert abs(v) <= max(err, 1e-7)
 
     def test_barrier_energy_matches_tensor_oracle(self):
         P = pure_p_params()
@@ -493,28 +494,78 @@ class TestEnergy:
         oracle = energy_beta_oracle(0.6, n_outer=516)
         assert not rep["diverged"]
         assert v == pytest.approx(oracle, rel=1e-4)
+        assert abs(v - oracle) <= err
 
     def test_energy_reads_the_problem_kernels(self):
         # Both kernels 1.5 times the Gagliardo model: the energy scales by
-        # 1.5 up to its closed-form tail, which is about 1e-10 of the total.
-        P = pure_p_params()
-        e = P.exponents
+        # 1.5 up to rounding, in 1-D and 2-D, down to the smallest grid the
+        # energy accepts (N = 17), where the smooth barrier is not flagged.
         radii, factors = np.array([1e-300, 1e300]), np.array([1.5, 1.5])
-        scaled = dataclasses.replace(
-            P, Ksp=table_kernel(1, e.s, e.p, 1.5, radii, factors),
-            Ktq=table_kernel(1, e.t, e.q, 1.5, radii, factors))
+        for n, N in ((1, 17), (1, 129), (2, 17)):
+            P = pure_p_params(n=n)
+            e = P.exponents
+            scaled = dataclasses.replace(
+                P, Ksp=table_kernel(n, e.s, e.p, 1.5, radii, factors),
+                Ktq=table_kernel(n, e.t, e.q, 1.5, radii, factors))
+            u = sample(barrier_eval, n, 2.0, N,
+                       exterior=constant_exterior(0.0))
+            v, err, rep = energy(u, P, Q)
+            assert not rep["diverged"]
+            assert energy(u, scaled, Q)[0] == pytest.approx(1.5 * v, rel=1e-8)
+
+    def test_energy_weighs_the_q_phase_by_c_hat(self):
+        # p = q, s = t and a = 1: the q-phase equals the p-phase, so the
+        # energy is (1 + c_hat) times the p-phase's.
+        def P(c_hat):
+            return model_params(n=1, s=0.6, t=0.6, p=2.0, q=2.0, c_hat=c_hat,
+                                coefficient=constant_coefficient(1, 1.0))
         u = beta_grid(129)
-        assert energy(u, scaled, Q)[0] == pytest.approx(
-            1.5 * energy(u, P, Q)[0], rel=1e-8)
+        assert energy(u, P(2.0), Q)[0] / energy(u, P(1.0), Q)[0] == \
+            pytest.approx(1.5, rel=1e-12)
+
+    def test_unnested_or_coarse_grids_are_refused(self):
+        # Three grids at spacings h, 2h, 4h need N = 4k + 1, and a 3-node
+        # coarsest grid (N = 9) has not settled: there the smooth barrier's
+        # increments grow (20.4, then 16.1 in 1-D) and would read +inf.
+        for n, N in ((1, 5), (1, 9), (2, 9), (1, 11), (1, 31)):
+            u = sample(barrier_eval, n, 2.0, N,
+                       exterior=constant_exterior(0.0))
+            with pytest.raises(ValueError, match="4k \\+ 1 >= 17"):
+                energy(u, pure_p_params(n=n), Q)
 
     def test_jump_flags_divergence(self):
-        P = model_params(n=1, s=0.9, t=0.5, p=2.0, q=2.2,
-                         coefficient=constant_coefficient(1, 0.0))
-        u = sample(lambda x: np.where(np.asarray(x) > 0.0, 1.0, 0.0),
-                   1, 2.0, 513, exterior=constant_exterior(0.0))
-        v, err, rep = energy(u, P, Q)
-        assert rep["diverged"] and v == np.inf
-        assert rep["offending_scale"] is not None
+        # Jump data with sp >= 1: inside the box at s = 0.9, and at the box
+        # seam (the barrier against the exterior 1) at sp = 1.
+        def step(x):
+            return np.where(np.asarray(x) > 0.0, 1.0, 0.0)
+
+        for s, fn, outside, N in ((0.9, step, 0.0, 513),
+                                  (0.5, barrier_eval, 1.0, 129)):
+            P = model_params(n=1, s=s, t=0.5, p=2.0, q=2.2,
+                             coefficient=constant_coefficient(1, 0.0))
+            u = sample(fn, 1, 2.0, N, exterior=constant_exterior(outside))
+            v, err, rep = energy(u, P, Q)
+            assert rep["diverged"] and v == np.inf
+            assert rep["offending_scale"] is not None
+
+    @pytest.mark.parametrize("eta", [0.1, 0.3])
+    def test_growth_exterior_matches_tensor_oracle(self, eta):
+        # amp |x/2|^eta - 1 is 0 at the seam |x| = 2, like the barrier.
+        ext = growth_exterior(eta, amp=1.0, scale=0.5, offset=-1.0)
+        u = sample(barrier_eval, 1, 2.0, 129, exterior=ext)
+        v, err, rep = energy(u, pure_p_params(), Q)
+        oracle = energy_beta_oracle(0.6, n_outer=516, exterior=ext)
+        assert not rep["diverged"]
+        assert v == pytest.approx(oracle, rel=1e-4)
+
+    def test_growth_past_the_energy_threshold_raises(self):
+        # |d|^r grows one power of the exterior faster than phi_r(d): the
+        # energy's threshold is min(sp/p, tq/q) = 0.5, below the operator's.
+        ext = growth_exterior(0.7, amp=1.0, scale=0.5, offset=-1.0)
+        u = sample(barrier_eval, 1, 2.0, 129, exterior=ext)
+        with pytest.raises(TailDivergence,
+                           match=r"min\(sp/\(p-0\), tq/\(q-0\)\) = 0\.5$"):
+            energy(u, pure_p_params(), Q)
 
 
 class TestGridFunctionIO:
