@@ -13,10 +13,10 @@ The schema (all floats IEEE doubles):
         # | indicator-of-halfspace | checkerboard | holder | custom-table
     "f": {"type": "constant", "value": 0.0}     # | gaussian
   },
-  "quadrature": {"rho_near": null, "R_far": null, "tol": 1e-8},
+  "quadrature": {"tol": 1e-8},
   "solve": {"R": 2.0, "N": 257,
             "exterior": {"tag": "constant", "value": 0.0},
-            "tau0": 0.5, "residual_tol": 1e-8, "max_iters": 50000,
+            "residual_tol": 1e-8, "max_iters": 50000,
             "continuation": null},
   "constants": {"epsilon": null},
   "reglab": {"center": 0.0, "levels": 5},
@@ -57,10 +57,10 @@ _DEFAULTS = {
         "coefficient": {"type": "constant", "M": 1.0},
         "f": {"type": "constant", "value": 0.0},
     },
-    "quadrature": {"rho_near": None, "R_far": None, "tol": 1e-8},
+    "quadrature": {"tol": 1e-8},
     "solve": {"R": 2.0, "N": 257,
               "exterior": {"tag": "constant", "value": 0.0},
-              "tau0": 0.5, "residual_tol": 1e-8, "max_iters": 50_000,
+              "residual_tol": 1e-8, "max_iters": 50_000,
               "continuation": None},
     "constants": {"epsilon": None},
     "reglab": {"center": 0.0, "levels": 5},
@@ -202,11 +202,7 @@ def build_problem(cfg: dict) -> ProblemParams:
 
 
 def build_quadrature(cfg: dict) -> QuadratureSpec:
-    qc = cfg["quadrature"]
-    return QuadratureSpec(
-        rho_near=None if qc["rho_near"] is None else float(qc["rho_near"]),
-        R_far=None if qc["R_far"] is None else float(qc["R_far"]),
-        tol=float(qc["tol"]))
+    return QuadratureSpec(tol=float(cfg["quadrature"]["tol"]))
 
 
 def build_exterior(spec: dict) -> Exterior:
@@ -229,6 +225,6 @@ def build_solve_config(cfg: dict) -> SolveConfig:
     return SolveConfig(
         R=float(sc["R"]), N=int(sc["N"]),
         exterior=build_exterior(sc["exterior"]),
-        tau0=float(sc["tau0"]), residual_tol=float(sc["residual_tol"]),
+        residual_tol=float(sc["residual_tol"]),
         max_iters=int(sc["max_iters"]), continuation=cont,
         quadrature=build_quadrature(cfg))

@@ -111,7 +111,6 @@ class Exterior:
     offset: float = -1.0
     shells: tuple[float, ...] = ()
     fn: Callable[[np.ndarray], np.ndarray] | None = None
-    sup: float | None = None  # declared sup bound over the exterior, if any
 
     def __call__(self, x, n: int = 1):
         x = np.asarray(x, dtype=float)
@@ -136,29 +135,9 @@ class Exterior:
             return ()
         return tuple(2.0 ** l for l in range(1, len(self.shells)))
 
-    def sup_bound(self, n: int, r_lo: float, r_hi: float) -> float:
-        """Upper bound for |exterior| on the shell r_lo <= |x| <= r_hi."""
-        if self.tag == "constant":
-            return abs(self.value)
-        if self.tag == "growth":
-            vals = [abs(self.amp * (self.scale * r) ** self.eta + self.offset)
-                    for r in (r_lo, r_hi)]
-            return max(vals)
-        if self.tag == "dyadic":
-            return max(abs(v) for v in self.shells)
-        if self.sup is not None:
-            return self.sup
-        # Probe fallback for opaque callables.
-        rr = np.geomspace(max(r_lo, 1e-6), min(r_hi, 1e12), 64)
-        if n == 1:
-            cand = np.concatenate([rr, -rr])
-        else:
-            cand = np.stack([rr, np.zeros_like(rr)], axis=-1)
-        return float(np.max(np.abs(self(cand, n))))
-
 
 def constant_exterior(value: float = 0.0) -> Exterior:
-    return Exterior(tag="constant", value=value, sup=abs(value))
+    return Exterior(tag="constant", value=value)
 
 
 def growth_exterior(eta: float, amp: float = 2.0, scale: float = 2.0,
@@ -168,12 +147,20 @@ def growth_exterior(eta: float, amp: float = 2.0, scale: float = 2.0,
 
 
 def dyadic_exterior(shells) -> Exterior:
-    return Exterior(tag="dyadic", shells=tuple(float(v) for v in shells),
-                    sup=max(abs(float(v)) for v in shells))
+    return Exterior(tag="dyadic", shells=tuple(float(v) for v in shells))
 
 
-def callable_exterior(fn, sup: float | None = None) -> Exterior:
-    return Exterior(tag="callable", fn=fn, sup=sup)
+def callable_exterior(fn) -> Exterior:
+    return Exterior(tag="callable", fn=fn)
+
+
+def grid_points(n: int, R: float, N: int) -> np.ndarray:
+    """The nodes of the N^n grid of [-R, R]^n: (N,) in 1-D, the (N, N, 2)
+    stack of coordinates in 2-D."""
+    xs = np.linspace(-R, R, N)
+    if n == 1:
+        return xs
+    return np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
 
 
 def in_box(pts, R: float, n: int):
@@ -189,15 +176,12 @@ class GridFunction:
 
     Inside the box the values are interpolated by the C^2 not-a-knot cubic
     spline, axis by axis in 2-D (``coeffs``).
-    ``sup_bound`` is the declared global bound when the bounded-solution
-    flag is set.
     """
 
     n: int
     R: float
     values: np.ndarray
     exterior: Exterior = field(default_factory=constant_exterior)
-    sup_bound: float | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -208,16 +192,6 @@ class GridFunction:
             raise NldpError("1-D grid functions need a 1-D value array")
         if self.n == 2 and (vals.ndim != 2 or vals.shape[0] != vals.shape[1]):
             raise NldpError("2-D grid functions need a square value array")
-        if self.sup_bound is not None:
-            if float(np.max(np.abs(vals))) > self.sup_bound * (1 + 1e-12):
-                raise NldpError("node values exceed the declared sup bound")
-            probe = np.geomspace(self.R * 1.001, self.R * 1e6, 128)
-            if self.n == 1:
-                pts = np.concatenate([probe, -probe])
-            else:
-                pts = np.stack([probe, np.zeros_like(probe)], axis=-1)
-            if float(np.max(np.abs(self.exterior(pts, self.n)))) > self.sup_bound * (1 + 1e-9):
-                raise NldpError("exterior exceeds the declared sup bound on probes")
         object.__setattr__(self, "_cache", {})
 
     # -- geometry ----------------------------------------------------------
@@ -231,7 +205,7 @@ class GridFunction:
 
     @property
     def nodes(self) -> np.ndarray:
-        return np.linspace(-self.R, self.R, self.N)
+        return grid_points(1, self.R, self.N)
 
     # -- evaluation --------------------------------------------------------
     def coeffs(self) -> np.ndarray:
@@ -305,16 +279,10 @@ class GridFunction:
         ext = self.exterior
         if ext.tag == "callable":
             raise NldpError("callable exteriors cannot be serialised")
-        xs = self.nodes
-        csv_path = path_prefix + ".csv"
-        if self.n == 1:
-            table = np.column_stack([xs, self.values])
-            header = "x,value"
-        else:
-            gx, gy = np.meshgrid(xs, xs, indexing="ij")
-            table = np.column_stack([gx.ravel(), gy.ravel(), self.values.ravel()])
-            header = "x,y,value"
-        _atomic_write(csv_path, _csv_text(table, header))
+        table = np.column_stack([grid_points(self.n, self.R, self.N)
+                                 .reshape(-1, self.n), self.values.ravel()])
+        header = "x,value" if self.n == 1 else "x,y,value"
+        _atomic_write(path_prefix + ".csv", _csv_text(table, header))
         meta = {
             "schema": "nldp-gridfunction-1",
             "n": self.n,
@@ -322,7 +290,6 @@ class GridFunction:
             "h": self.h,
             "N": self.N,
             "interp": "cubic",
-            "sup_bound": self.sup_bound,
             "exterior": {
                 "tag": ext.tag, "value": ext.value, "eta": ext.eta,
                 "amp": ext.amp, "scale": ext.scale, "offset": ext.offset,
@@ -350,23 +317,15 @@ class GridFunction:
         e = meta["exterior"]
         ext = Exterior(tag=e["tag"], value=e["value"], eta=e["eta"], amp=e["amp"],
                        scale=e["scale"], offset=e["offset"], shells=tuple(e["shells"]))
-        return GridFunction(n=n, R=float(meta["R"]), values=values, exterior=ext,
-                            sup_bound=meta["sup_bound"])
+        return GridFunction(n=n, R=float(meta["R"]), values=values, exterior=ext)
 
 
-def sample(fn, n: int, R: float, N: int, exterior: Exterior | None = None,
-           sup_bound: float | None = None) -> GridFunction:
+def sample(fn, n: int, R: float, N: int,
+           exterior: Exterior | None = None) -> GridFunction:
     """Sample a callable onto a grid function."""
-    xs = np.linspace(-R, R, N)
-    if n == 1:
-        vals = np.asarray(fn(xs), dtype=float)
-    else:
-        gx, gy = np.meshgrid(xs, xs, indexing="ij")
-        pts = np.stack([gx, gy], axis=-1)
-        vals = np.asarray(fn(pts), dtype=float)
+    vals = np.asarray(fn(grid_points(n, R, N)), dtype=float)
     ext = exterior if exterior is not None else constant_exterior(0.0)
-    return GridFunction(n=n, R=R, values=vals, exterior=ext,
-                        sup_bound=sup_bound)
+    return GridFunction(n=n, R=R, values=vals, exterior=ext)
 
 
 def _csv_text(table: np.ndarray, header: str) -> str:

@@ -11,7 +11,7 @@ singularity exactly, so no explicit epsilon-exclusion is needed: for a C^2
 interpolant the paired integrand is absolutely integrable under the
 standing exponent assumptions.
 
-Quadrature is split into a substituted near field (0, rho_near), panel
+Quadrature is split into a substituted near field (0, 4h), panel
 mid field out to the far radius, and an analytic power-law remainder fed
 by the exterior.  ``evaluate`` is the adaptive single-point entry;
 ``apply_grid`` is the batched evaluator the solver iterates: it runs from a
@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonIntegrableNearField, TailDivergence, TouchViolation
-from .grid import GridFunction, in_box, sample
+from .grid import GridFunction, grid_points, in_box, sample
 from .params import CoefficientField, ProblemParams
 from .quadrature import (QuadratureSpec, adaptive_quad, geometric_tail_quad,
                          near_singular_quad, panel_nodes_weights,
@@ -308,7 +308,7 @@ def evaluate(u, x, P: ProblemParams, Q: QuadratureSpec | None = None,
     The integral runs along directions d through x, the paired integrand
     at x +- r d times the polar measure r^(n-1): the axis in 1-D,
     ``_POLAR_DIRECTIONS`` Gauss-Legendre angles in 2-D.  Along each one,
-    a substituted near field (0, rho_near) at 0.1 tol, adaptive mid-field
+    a substituted near field (0, 4h) at 0.1 tol, adaptive mid-field
     panels out to the far radius at tol, and the geometric tail against the
     kernel envelope at 0.1 tol max(1, |near + mid|).  The breaks of the
     integrand are panel edges: the Taylor switch of the differences, the
@@ -394,9 +394,7 @@ def _ball_probes(u: GridFunction, x0, rho):
         extra = x0 + rho * (np.arange(1, 64) / 64.0 * 2.0 - 1.0)
         pts = np.concatenate([xs[sel], extra])
         return pts[np.abs(pts - x0) < rho]
-    xs = u.nodes
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
+    pts = grid_points(2, u.R, u.N).reshape(-1, 2)
     d = np.sqrt(np.sum((pts - x0) ** 2, axis=-1))
     return pts[d < rho]
 
@@ -467,7 +465,7 @@ def _geometry_1d(P, Q, R, N, dp, dq, chunk: int = 16):
     """Offsets of the 1-D apply: the shared panels, cut per node at its two
     seam offsets R -+ x (where x +- y crosses the box edge), so the glued
     function is smooth on every panel; then the remainder end."""
-    xs = np.linspace(-R, R, N)
+    xs = grid_points(1, R, N)
     h = 2.0 * R / (N - 1)
     edges = _edges_1d(h, R, Q.near_radius(h), Q.far_radius(R))
     r_end = edges[-1]
@@ -501,9 +499,7 @@ def _geometry_1d(P, Q, R, N, dp, dq, chunk: int = 16):
 def _geometry_2d(P, Q, R, N, dp, dq, D: int = 12):
     """Offsets of the 2-D apply: polar radii along D directions, the radii
     below the Taylor switch set apart as the near block."""
-    xs = np.linspace(-R, R, N)
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
+    pts = grid_points(2, R, N).reshape(-1, 2)
     e = P.exponents
     h = 2.0 * R / (N - 1)
     r_near, w_near = _near_rule(h, substitution_power(near_field_exponent(P)),
@@ -617,30 +613,36 @@ def _plan(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
     return plan
 
 
-def _sweep(u: GridFunction, plan: _Plan, P: ProblemParams, f):
-    """Per-node sums, shaped like ``u.values``, of f(d, p) w_p + f(d, q) w_q
-    over the plan's in-box entries, exterior groups and near block, d the
-    difference u(x) - u(x + y) of each entry."""
+def _pair_weights(u: GridFunction, plan: _Plan, P: ProblemParams, f):
+    """f(d, p) w_p + f(d, q) w_q of the plan's in-box entries, exterior groups
+    and near block, d the difference u(x) - u(x + y) of each entry: the
+    arrays (M,), (G,) and (nodes, D, T), the near block's summed over both
+    signs of the offset."""
     e = P.exponents
     v = u.values.ravel()
     # The in-box arrays are the size of the plan: work in place and drop
-    # each one before the next, so a sweep adds little to peak memory.
+    # each one before the next, so a pass adds little to peak memory.
     # f may return its argument, so each phase is formed into a new array.
     d = u(plan.Z)
     np.subtract(v[plan.node], d, out=d)
     g = f(d, e.p) * plan.wp
     g += f(d, e.q) * plan.wq
     del d
-    out = np.bincount(plan.node, g, minlength=v.size)
-    del g
     d = v[plan.ext_node] - plan.ext_val
-    out += np.bincount(plan.ext_node,
-                       f(d, e.p) * plan.ext_wp + f(d, e.q) * plan.ext_wq,
-                       minlength=v.size)
+    g_ext = f(d, e.p) * plan.ext_wp + f(d, e.q) * plan.ext_wq
     dpl, dmi = _near(u, plan)
-    g = (f(dpl, e.p) + f(dmi, e.p)) * plan.near_wp
-    g += f(dpl, e.q) * plan.near_wq[0] + f(dmi, e.q) * plan.near_wq[1]
-    out += np.sum(g, axis=(1, 2))
+    g_near = (f(dpl, e.p) + f(dmi, e.p)) * plan.near_wp
+    g_near += f(dpl, e.q) * plan.near_wq[0] + f(dmi, e.q) * plan.near_wq[1]
+    return g, g_ext, g_near
+
+
+def _sweep(u: GridFunction, plan: _Plan, P: ProblemParams, f):
+    """Per-node sums of ``_pair_weights``, shaped like ``u.values``."""
+    g, g_ext, g_near = _pair_weights(u, plan, P, f)
+    out = np.bincount(plan.node, g, minlength=u.values.size)
+    del g
+    out += np.bincount(plan.ext_node, g_ext, minlength=u.values.size)
+    out += np.sum(g_near, axis=(1, 2))
     return out.reshape(u.values.shape)
 
 
@@ -671,7 +673,8 @@ def energy(u: GridFunction, P: ProblemParams, Q: QuadratureSpec | None = None):
     grid spacing h.  The grids nest at spacings h, 2h, 4h with 5 nodes or
     more on the coarsest (on 3, smooth data reads as divergent), so N must
     be 4k + 1 >= 17, else ValueError; an exterior growing like |x|^eta with
-    eta >= min(sp/p, tq/q) raises TailDivergence.
+    eta >= min(sp/p, tq/q) raises TailDivergence.  Its plans bypass
+    ``_plan``'s cache, so the plan a solve's sweeps share stays cached.
     """
     Q = Q or QuadratureSpec()
     if u.N < 17 or (u.N - 1) % 4:
@@ -680,7 +683,7 @@ def energy(u: GridFunction, P: ProblemParams, Q: QuadratureSpec | None = None):
     E = []
     for N in (u.N, (u.N - 1) // 2 + 1, (u.N - 1) // 4 + 1):
         v = u if N == u.N else sample(u, u.n, u.R, N, exterior=u.exterior)
-        t = _sweep(v, _plan(P, Q, u.R, N, u.exterior, 1.0), P,
+        t = _sweep(v, _plan.__wrapped__(P, Q, u.R, N, u.exterior, 1.0), P,
                    lambda d, r: np.abs(d) ** r)
         w = np.full(N, v.h)
         w[[0, -1]] *= 0.5
@@ -723,40 +726,27 @@ def kernel_mass_matrix(u: GridFunction, P: ProblemParams,
     exterior mass: an M-matrix.  The solver's step, never its residual.
     """
     plan = _plan(P, Q, u.R, u.N, u.exterior)
-    e = P.exponents
     n, N, h = u.n, u.N, u.h
-    v = u.values.ravel()
-    K = v.size
+    c, c_ext, c_near = _pair_weights(u, plan, P, _secant)
+    K = N ** n
     A = np.zeros((K, K))
     flat = A.reshape(-1)
     strides = N ** np.arange(n - 1, -1, -1)
     corners = np.indices((2,) * n).reshape(n, -1).T
-    # One interpolant call; the gather of the node values and the scatter into
-    # A go by chunks, so the build holds one array the size of the plan.
-    d = u(plan.Z)
+    # The scatter into A goes by chunks, so it adds no array the size of
+    # the plan to the weights.
     chunk = 1 << 15
-    for lo in range(0, len(d), chunk):
+    for lo in range(0, len(c), chunk):
         part = slice(lo, lo + chunk)
         node = plan.node[part].astype(np.intp)
-        dc = v[node] - d[part]
-        c = plan.wp[part] * _secant(dc, e.p) + plan.wq[part] * _secant(dc, e.q)
-        j, t = u.locate(plan.Z[part].reshape(len(dc), n))
+        j, t = u.locate(plan.Z[part].reshape(-1, n))
         row0 = node * K
-        _scatter_add(flat, row0 + node, c)
+        _scatter_add(flat, row0 + node, c[part])
         for k in corners:
             _scatter_add(flat, row0 + (j + k) @ strides,
-                         -c * np.prod(np.where(k, t, 1.0 - t), axis=1))
-    del d
-    dx = v[plan.ext_node] - plan.ext_val
-    flat[::K + 1] += np.bincount(
-        plan.ext_node,
-        plan.ext_wp * _secant(dx, e.p) + plan.ext_wq * _secant(dx, e.q),
-        minlength=K)
-    dpl, dmi = _near(u, plan)
-    g = (_secant(dpl, e.p) + _secant(dmi, e.p)) * plan.near_wp
-    g += (_secant(dpl, e.q) * plan.near_wq[0]
-          + _secant(dmi, e.q) * plan.near_wq[1])
-    W = 0.5 * np.einsum("idt,t,dk->ik", g, plan.near_r ** 2,
+                         -c[part] * np.prod(np.where(k, t, 1.0 - t), axis=1))
+    flat[::K + 1] += np.bincount(plan.ext_node, c_ext, minlength=K)
+    W = 0.5 * np.einsum("idt,t,dk->ik", c_near, plan.near_r ** 2,
                         plan.dirs ** 2) / (h * h)
     index = np.indices((N,) * n).reshape(n, K)
     for k in range(n):

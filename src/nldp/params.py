@@ -164,14 +164,13 @@ def gagliardo_kernel(n: int, s: float, p: float) -> KernelField:
     return KernelField(n=n, order=(s, p), lam=1.0, eval=ev, tag="gagliardo")
 
 
-def scaled_kernel(n: int, s: float, p: float, lam: float,
-                  wobble: float | None = None) -> KernelField:
+def scaled_kernel(n: int, s: float, p: float, lam: float) -> KernelField:
     """Gagliardo kernel modulated by a smooth x-dependent factor in the
     Lambda-band.  Artifact plumbing: the source text fixes no non-model
     kernel, so this provides a concrete in-band example."""
     if lam < 1.0:
         raise ValueError("lam must be >= 1")
-    amp = math.log(lam) if wobble is None else min(wobble, math.log(lam) if lam > 1 else 0.0)
+    amp = math.log(lam)
     expo = n + s * p
 
     def ev(x, y):

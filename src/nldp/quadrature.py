@@ -50,29 +50,22 @@ _TAIL_CHUNK = 16
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Quadrature policy for operator evaluation.
+    """Quadrature policy for operator evaluation: the tolerance ``tol``.
 
-    ``rho_near`` and ``R_far`` default to the grid-aware values 4h and
-    max(8R, 64); ``None`` means "derive from the grid at hand".
+    The near radius is 4h on a grid of spacing h, the far radius
+    max(8R, 64) for the box [-R, R]^n.
     """
 
-    rho_near: float | None = None
-    R_far: float | None = None
     tol: float = 1e-8
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.rho_near is not None and self.R_far is not None:
-            if not 0 < self.rho_near < self.R_far:
-                raise ValueError("need 0 < rho_near < R_far")
 
     def near_radius(self, h: float) -> float:
-        return self.rho_near if self.rho_near is not None else 4.0 * h
+        return 4.0 * h
 
     def far_radius(self, box_radius: float) -> float:
-        if self.R_far is not None:
-            return self.R_far
         return max(8.0 * box_radius, 64.0)
 
 
@@ -230,24 +223,23 @@ def near_singular_quad_rows(f, rho, worst_exponent: float, tol=1e-11,
 
 
 def geometric_tail_quad(f, a: float, decay: float, tol: float = 1e-11,
-                        growth: float = 2.0, max_panels: int = 200):
+                        max_panels: int = 200):
     """``geometric_tail_quad_rows`` of ``f`` from ``a`` as one row."""
     val, err = geometric_tail_quad_rows(lambda y, row: f(y), [a], decay, tol,
-                                        growth, max_panels)
+                                        max_panels)
     return float(val[0]), float(err[0])
 
 
-def geometric_tail_quad_rows(f, a, decay, tol=1e-11, growth: float = 2.0,
-                             max_panels: int = 200):
+def geometric_tail_quad_rows(f, a, decay, tol=1e-11, max_panels: int = 200):
     """Integrate ``f(r, i)`` ~ c * r**(-1-decay), decay > 0, over (a[i], inf)
     for every row i (``decay`` and ``tol`` may be per row).  Geometric
-    panels until the analytic remainder estimate f(r) * r / decay at the
-    right end r of a row's last panel drops below tol * max(1, |sum so
-    far|); the remainder is added to the value and into the error budget
-    (doubled if ``max_panels`` run out first).  ``_TAIL_CHUNK`` panels of
-    every unfinished row and their right ends share one call of ``f``;
-    edges and running sums accumulate in the order of a panel-by-panel
-    loop, so a row stops where it would alone.
+    panels, each twice as long as the last, until the analytic remainder
+    estimate f(r) * r / decay at the right end r of a row's last panel
+    drops below tol * max(1, |sum so far|); the remainder is added to the
+    value and into the error budget (doubled if ``max_panels`` run out
+    first).  ``_TAIL_CHUNK`` panels of every unfinished row and their right
+    ends share one call of ``f``; edges and running sums accumulate in the
+    order of a panel-by-panel loop, so a row stops where it would alone.
     """
     a = np.asarray(a, dtype=float)
     decay, tol = np.zeros(a.shape) + decay, np.zeros(a.shape) + tol
@@ -260,7 +252,7 @@ def geometric_tail_quad_rows(f, a, decay, tol=1e-11, growth: float = 2.0,
     while done < max_panels and live.size:
         n = min(_TAIL_CHUNK, max_panels - done)
         edges = np.cumprod(np.concatenate(
-            [state[3, live, None], np.full((live.size, n), growth)], 1), axis=1)
+            [state[3, live, None], np.full((live.size, n), 2.0)], 1), axis=1)
         v, e, f_hi = (x.reshape(live.size, n) for x in gk_panels(
             f, edges[:, :-1].ravel(), edges[:, 1:].ravel(),
             np.repeat(live, n), ends=True))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .constants import ConstantsBundle, build_bundle, vdc
 from .errors import DegenerateFit, NldpError
-from .grid import GridFunction
+from .grid import GridFunction, grid_points
 from .operator import QuadratureSpec, evaluate
 from .params import ProblemParams
 from .scaling import ScalingContext, blowup_step, rescale_problem
@@ -81,11 +81,9 @@ def sublevel_measure(u: GridFunction, level: float = 0.0, center=0.0,
             elif any(le):
                 meas += 0.5 * ov
         return meas
-    xs = u.nodes
     h = u.h
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    cx, cy = np.broadcast_to(np.asarray(center, dtype=float), (2,))
-    inside = (gx - cx) ** 2 + (gy - cy) ** 2 < radius ** 2
+    c = np.broadcast_to(np.asarray(center, dtype=float), (2,))
+    inside = np.sum((grid_points(2, u.R, u.N) - c) ** 2, axis=-1) < radius ** 2
     le = u.values <= level
     w = np.where(le, 1.0, 0.0)
     # half-weight cells whose 4-neighbourhood straddles the level set
@@ -148,8 +146,8 @@ class GrowthLemmaInstance:
 
 
 def growth_lemma_check(u: GridFunction, bundle: ConstantsBundle,
-                       P: ProblemParams, Q: QuadratureSpec | None = None,
-                       operator_probes: int = 12) -> GrowthLemmaInstance:
+                       P: ProblemParams,
+                       Q: QuadratureSpec | None = None) -> GrowthLemmaInstance:
     """Verify the growth-lemma hypotheses on u and, if they hold, assert
     the drop u <= 1 - theta on the half ball.
 
@@ -165,7 +163,8 @@ def growth_lemma_check(u: GridFunction, bundle: ConstantsBundle,
 
     margin = Q.near_radius(u.h) * 1.05 + u.h
     span = 1.0 - margin
-    xs = np.append((vdc(operator_probes - 1) * 2.0 - 1.0) * span, 0.0)
+    # Twelve operator probes: eleven van der Corput points and the centre.
+    xs = np.append((vdc(11) * 2.0 - 1.0) * span, 0.0)
     worst_val, worst_err, worst_x = -math.inf, 0.0, 0.0
     ok1 = True
     for x in xs:

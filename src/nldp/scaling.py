@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, dyadic_exterior
+from .grid import GridFunction, callable_exterior, dyadic_exterior, sample
 from .params import (CoefficientField, KernelField, ProblemParams, SourceTerm)
 from .operator import evaluate, QuadratureSpec
 
@@ -96,20 +96,12 @@ def rescale_gridfunction(u: GridFunction, ctx: ScalingContext,
     By default the exterior wraps u's own glued evaluator so the transform
     is exact (lazily composed) outside the new box.
     """
-    from .grid import callable_exterior
-    R_new = u.R / ctx.mu
-    N_new = N if N is not None else u.N
-    xs = np.linspace(-R_new, R_new, N_new)
-    if u.n == 1:
-        vals = ctx.lam * (u(_sh(xs, ctx.mu, ctx.x0)) - shift)
-    else:
-        gx, gy = np.meshgrid(xs, xs, indexing="ij")
-        pts = np.stack([gx, gy], axis=-1)
-        vals = ctx.lam * (u(_sh(pts, ctx.mu, ctx.x0)) - shift)
-    if exterior is None:
-        exterior = callable_exterior(
-            lambda z: ctx.lam * (np.asarray(u(_sh(z, ctx.mu, ctx.x0)), dtype=float) - shift))
-    return GridFunction(n=u.n, R=R_new, values=vals, exterior=exterior)
+    def rescaled(z):
+        return ctx.lam * (np.asarray(u(_sh(z, ctx.mu, ctx.x0)), dtype=float)
+                          - shift)
+
+    return sample(rescaled, u.n, u.R / ctx.mu, N if N is not None else u.N,
+                  callable_exterior(rescaled) if exterior is None else exterior)
 
 
 def scaling_identity_check(u: GridFunction, P: ProblemParams,

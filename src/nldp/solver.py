@@ -3,7 +3,7 @@
 The scheme is damped pseudo-time fixed-point iteration on the discretised
 operator: u <- u - tau * A^-1 (L u - f) at interior nodes with the exterior
 (and the boundary pair of nodes) frozen, tau adapted by residual
-backtracking (halve on increase, grow 1.1x on decrease).
+backtracking (start at 0.5, halve on increase, grow 1.1x on decrease).
 
 The fractional stiffness of the operator scales like h^-sp, so a scalar
 step would need O(h^-sp log 1/tol) sweeps.  A is therefore the
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Exterior, GridFunction, constant_exterior
+from .grid import Exterior, GridFunction, constant_exterior, grid_points
 from .operator import QuadratureSpec, apply_grid, kernel_mass_matrix
 from .params import ProblemParams
 
@@ -35,15 +35,14 @@ class SolveConfig:
     R: float = 2.0
     N: int = 257
     exterior: Exterior = field(default_factory=constant_exterior)
-    tau0: float = 0.5
     residual_tol: float = 1e-8
     max_iters: int = 50_000
     continuation: tuple[tuple[float, float], ...] | None = None
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
-        if self.residual_tol <= 0 or self.tau0 <= 0:
-            raise ValueError("residual_tol and tau0 must be positive")
+        if self.residual_tol <= 0:
+            raise ValueError("residual_tol must be positive")
         if self.N < 3:
             raise ValueError(f"solve.N = {self.N}: need 3 or more nodes")
 
@@ -58,15 +57,6 @@ class SolveReport:
     @property
     def converged(self) -> bool:
         return self.flags == "converged"
-
-
-def _node_points(n: int, R: float, N: int) -> np.ndarray:
-    """Grid node coordinates: the (N,) nodes in 1-D, the (N, N, 2) stack in 2-D."""
-    xs = np.linspace(-R, R, N)
-    if n == 1:
-        return xs
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    return np.stack([gx, gy], axis=-1)
 
 
 def _initial_values(cfg: SolveConfig, pts: np.ndarray, n: int) -> np.ndarray:
@@ -88,7 +78,7 @@ def residual(u: GridFunction, P: ProblemParams,
 
 def _residual_vec(u: GridFunction, P: ProblemParams, Q: QuadratureSpec):
     vals = apply_grid(u, P, Q)
-    fv = np.asarray(P.f(_node_points(u.n, u.R, u.N)), dtype=float)
+    fv = np.asarray(P.f(grid_points(u.n, u.R, u.N)), dtype=float)
     return vals - fv
 
 
@@ -104,7 +94,7 @@ def solve(P: ProblemParams, cfg: SolveConfig):
         raise ConfigError("exponent assumptions violated: " + "; ".join(bad))
     stages = list(cfg.continuation) if cfg.continuation else []
     stages.append((P.exponents.p, P.exponents.q))
-    pts = _node_points(P.n, cfg.R, cfg.N)
+    pts = grid_points(P.n, cfg.R, cfg.N)
     u = GridFunction(n=P.n, R=cfg.R, values=_initial_values(cfg, pts, P.n),
                      exterior=cfg.exterior)
     report = None
@@ -134,7 +124,7 @@ def _solve_stage(P: ProblemParams, cfg: SolveConfig, u: GridFunction,
     # inverted once for the stage.
     ids = np.arange(r.size).reshape(r.shape)[interior].ravel()
     A_inv = np.linalg.inv(kernel_mass_matrix(u, P, Q)[np.ix_(ids, ids)])
-    tau = cfg.tau0
+    tau = 0.5
     # Backtracking monitors the l2 residual (the max norm is not monotone
     # under the sweep: single near-seam components rise transiently while
     # the energy norm contracts); the stopping test stays in the max norm.

@@ -335,7 +335,7 @@ def adaptive_quad_depth_first(f, a: float, b: float, tol: float = 1e-10,
 
 
 def geometric_tail_quad_sequential(f, a: float, decay: float, tol: float = 1e-11,
-                                   growth: float = 2.0, max_panels: int = 200):
+                                   max_panels: int = 200):
     """The panel-by-panel ``geometric_tail_quad`` that the chunked engine
     replaced, with its ``gk_panel`` inlined."""
     if decay <= 0:
@@ -344,7 +344,7 @@ def geometric_tail_quad_sequential(f, a: float, decay: float, tol: float = 1e-11
     err = 0.0
     lo = a
     for _ in range(max_panels):
-        hi = lo * growth
+        hi = 2.0 * lo
         v, e = _gk_panel(f, lo, hi)
         total += v
         err += e

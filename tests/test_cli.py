@@ -60,9 +60,16 @@ def test_config_error_exit_code(tmp_path):
     assert main(["validate", "--config", str(bad)]) == 1
 
 
-def test_unknown_key_rejected(desk_config):
+def test_unknown_key_rejected(desk_config, tmp_path):
+    # quadrature.rho_near, quadrature.R_far and solve.tau0 are not
+    # options: set from --set or from a file, they fail like a typo.
     path, _ = desk_config
-    assert main(["validate", "--config", path, "--set", "problem.zz=1"]) == 1
+    for item in ("problem.zz=1", "quadrature.rho_near=0.1",
+                 "quadrature.R_far=100", "solve.tau0=0.5"):
+        assert main(["validate", "--config", path, "--set", item]) == 1
+    old = tmp_path / "old.json"
+    old.write_text('{"quadrature": {"rho_near": null, "tol": 1e-8}}')
+    assert main(["validate", "--config", str(old)]) == 1
 
 
 def test_too_small_grid_rejected(desk_config):

@@ -4,10 +4,12 @@ Every name a module imports must be used in its body or re-exported
 through its ``__all__``; ``__init__.py`` is skipped, since its imports are
 the package's re-exports.  Every module-level private (``_name``) function
 or class must be referenced somewhere in the package outside its own
-definition.  Importing the package loads no scipy module.
+definition.  Importing the package loads no scipy module.  The config
+defaults list exactly the fields of the objects they build.
 """
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -108,3 +110,16 @@ def test_package_imports_no_scipy():
                           capture_output=True, text=True, timeout=120,
                           check=True)
     assert done.stdout.strip() == "[]", done.stdout
+
+
+def test_config_sections_match_their_dataclasses():
+    # Each option has one list: a config key per field, and no other.
+    from nldp.config import _DEFAULTS
+    from nldp.quadrature import QuadratureSpec
+    from nldp.solver import SolveConfig
+
+    def names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert set(_DEFAULTS["quadrature"]) == names(QuadratureSpec)
+    assert set(_DEFAULTS["solve"]) == names(SolveConfig) - {"quadrature"}

@@ -87,8 +87,7 @@ class TestEvaluate:
             assert val == pytest.approx(oracle, rel=1e-6)
 
     def test_odd_function_cancels_at_origin(self):
-        u = sample(np.tanh, 1, 2.0, 257,
-                   exterior=callable_exterior(np.tanh, sup=1.0))
+        u = sample(np.tanh, 1, 2.0, 257, exterior=callable_exterior(np.tanh))
         v, err = evaluate(u, 0.0, pure_p_params(), Q)
         assert abs(v) <= max(10 * err, 1e-9)
 
@@ -487,6 +486,16 @@ class TestEnergy:
             # exactly 0.0: every difference of the glued constant is 0
             assert abs(v) <= max(err, 1e-7)
 
+    def test_energy_keeps_the_cached_plan(self):
+        # energy's three plans bypass the one-slot plan cache, so the plan
+        # of the grid apply around it is built once.
+        P, u = pure_p_params(), beta_grid(129)
+        nldp.operator._plan.cache_clear()
+        for step in (apply_grid, apply_grid, energy, apply_grid):
+            step(u, P, Q)
+        info = nldp.operator._plan.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
     def test_barrier_energy_matches_tensor_oracle(self):
         P = pure_p_params()
         u = beta_grid(129)
@@ -577,6 +586,12 @@ class TestGridFunctionIO:
         assert np.array_equal(u.values, v.values)
         assert v.R == u.R and v.exterior.tag == "growth"
         assert float(v(2.5)) == pytest.approx(float(u(2.5)))
+        # Older sidecars carry a sup_bound key, which load ignores.
+        with open(prefix + ".json") as fh:
+            meta = json.load(fh)
+        with open(prefix + ".json", "w") as fh:
+            json.dump({**meta, "sup_bound": None}, fh)
+        assert np.array_equal(GridFunction.load(prefix).values, u.values)
 
     def test_linear_sidecar_rejected_on_load(self, tmp_path):
         u = sample(barrier_eval, 1, 1.5, 65)
