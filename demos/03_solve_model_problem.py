@@ -1,9 +1,9 @@
 """Solving L u = f on a box with frozen exterior data.
 
-Damped pseudo-time iteration on the discretised operator, preconditioned
-by the kernel-mass matrix.  Solves the desk-scale double phase instance,
-cross-checks the p = q = 2 case against a dense linear solve, and
-demonstrates the comparison behaviour of the converged solutions.
+Damped Newton steps on the Jacobian of the discretised operator.  Solves
+the desk-scale double phase instance, cross-checks the p = q = 2 case
+against a dense linear solve, and demonstrates the comparison behaviour of
+the converged solutions.
 """
 
 import numpy as np

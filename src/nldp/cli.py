@@ -75,7 +75,7 @@ def main(argv=None) -> int:
                     help="config override (repeatable, dotted keys)")
     args = ap.parse_args(argv)
 
-    out_dir = "out"
+    out_dir = args.out or "out"
     try:
         cfg = load_config(args.config, args.set)
         if args.seed is not None:
@@ -190,7 +190,8 @@ def _dispatch(command: str, cfg: dict, out_dir: str) -> int:
                            "config_sha256": config_hash(cfg)})
         _write_json(out_dir, "solve_report.json", cfg, {
             "iterations": rep.iterations, "final_residual": rep.final_residual,
-            "flags": rep.flags})
+            "flags": rep.flags, "jacobians": rep.jacobians,
+            "halvings": rep.halvings, "algebraic_error": rep.algebraic_error})
         _write_csv(out_dir, "residual_history.csv", "iteration,residual",
                    [(i, float(r)) for i, r in enumerate(rep.residual_history)],
                    cfg)

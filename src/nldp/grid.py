@@ -84,6 +84,33 @@ def _curvature(dv: np.ndarray) -> np.ndarray:
     return M
 
 
+def _curvature_T(gM: np.ndarray) -> np.ndarray:
+    """The transpose of ``_curvature``: (N, ...) -> (N-1, ...), its steps
+    taken backwards (tridiag(1, 4, 1) is symmetric)."""
+    N = len(gM)
+    gd2 = np.zeros((max(N - 2, 0),) + gM.shape[1:])
+    if N == 3:
+        gd2[0] = gM.sum(axis=0)
+    elif N > 3:
+        g = gM.copy()
+        g[[1, 2]] += [2.0 * g[0], -g[0]]
+        g[[-2, -3]] += [2.0 * g[-1], -g[-1]]
+        if N > 4:
+            gb = _solve_141(g[2:-2].copy())
+            g[1] -= gb[0]
+            g[-2] -= gb[-1]
+            gd2[1:-1] = 6.0 * gb
+        gd2[0] += g[1]
+        gd2[-1] += g[-2]
+    return _diff_T(gd2)
+
+
+def _diff_T(g: np.ndarray) -> np.ndarray:
+    """The transpose of ``np.diff`` along axis 0."""
+    z = np.zeros((1,) + g.shape[1:])
+    return np.concatenate([z, g]) - np.concatenate([g, z])
+
+
 def _axis_coeffs(v: np.ndarray, h: float) -> np.ndarray:
     """Not-a-knot cubic coefficients along axis 0 of v, highest power first:
     (4, N-1, ...), v(x) = sum_a c[a, i] (x - x_i)^(3-a) on cell i."""
@@ -91,6 +118,27 @@ def _axis_coeffs(v: np.ndarray, h: float) -> np.ndarray:
     M = _curvature(dv) / (h * h)
     return np.stack([(M[1:] - M[:-1]) / (6.0 * h), 0.5 * M[:-1],
                      dv / h - h * (2.0 * M[:-1] + M[1:]) / 6.0, v[:-1]])
+
+
+def _axis_coeffs_T(g: np.ndarray, h: float) -> np.ndarray:
+    """The transpose of ``_axis_coeffs``: (4, N-1, ...) -> (N, ...)."""
+    z = np.zeros((1,) + g.shape[2:])
+    gM = (_diff_T(g[0]) / (6.0 * h) + np.concatenate([0.5 * g[1], z])
+          - h / 6.0 * (np.concatenate([2.0 * g[2], z])
+                       + np.concatenate([z, g[2]])))
+    gv = _diff_T(g[2] / h + _curvature_T(gM) / (h * h))
+    return gv + np.concatenate([g[3], z])
+
+
+def coeffs_T(g: np.ndarray, n: int, h: float) -> np.ndarray:
+    """The transpose of the linear map from node values to ``coeffs()``:
+    (4,)*n + (N-1,)*n + (...) -> (N,)*n + (...), axis by axis."""
+    if n == 1:
+        return _axis_coeffs_T(g, h)
+    # coeffs() runs [x, y] -> [a, x-cell, y] -> [b, y-cell, a, x-cell]
+    # -> [a, b, x-cell, y-cell]; back the same way.
+    g = _axis_coeffs_T(np.moveaxis(g, (1, 3), (0, 1)), h)   # [y, a, x-cell]
+    return _axis_coeffs_T(np.moveaxis(g, 0, 2), h)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonIntegrableNearField, TailDivergence, TouchViolation
-from .grid import GridFunction, grid_points, in_box, sample
+from .grid import GridFunction, coeffs_T, grid_points, in_box, sample
 from .params import CoefficientField, ProblemParams
 from .quadrature import (QuadratureSpec, adaptive_quad, geometric_tail_quad,
                          near_singular_quad, panel_nodes_weights,
@@ -616,8 +616,8 @@ def _plan(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
 def _pair_weights(u: GridFunction, plan: _Plan, P: ProblemParams, f):
     """f(d, p) w_p + f(d, q) w_q of the plan's in-box entries, exterior groups
     and near block, d the difference u(x) - u(x + y) of each entry: the
-    arrays (M,), (G,) and (nodes, D, T), the near block's summed over both
-    signs of the offset."""
+    arrays (M,), (G,) and (2, nodes, D, T), the near block's per sign of the
+    offset."""
     e = P.exponents
     v = u.values.ravel()
     # The in-box arrays are the size of the plan: work in place and drop
@@ -630,9 +630,8 @@ def _pair_weights(u: GridFunction, plan: _Plan, P: ProblemParams, f):
     del d
     d = v[plan.ext_node] - plan.ext_val
     g_ext = f(d, e.p) * plan.ext_wp + f(d, e.q) * plan.ext_wq
-    dpl, dmi = _near(u, plan)
-    g_near = (f(dpl, e.p) + f(dmi, e.p)) * plan.near_wp
-    g_near += f(dpl, e.q) * plan.near_wq[0] + f(dmi, e.q) * plan.near_wq[1]
+    g_near = np.stack([f(d, e.p) * plan.near_wp + f(d, e.q) * wq
+                       for d, wq in zip(_near(u, plan), plan.near_wq)])
     return g, g_ext, g_near
 
 
@@ -642,7 +641,7 @@ def _sweep(u: GridFunction, plan: _Plan, P: ProblemParams, f):
     out = np.bincount(plan.node, g, minlength=u.values.size)
     del g
     out += np.bincount(plan.ext_node, g_ext, minlength=u.values.size)
-    out += np.sum(g_near, axis=(1, 2))
+    out += np.sum(g_near[0] + g_near[1], axis=(1, 2))
     return out.reshape(u.values.shape)
 
 
@@ -697,62 +696,74 @@ def energy(u: GridFunction, P: ProblemParams, Q: QuadratureSpec | None = None):
 
 
 def _secant(d, r: float):
-    """The secant weight (r-1)(|d| + 1e-6)^(r-2) of phi_r at the difference
-    d (the relaxed Kacanov weight); exactly 1 at r = 2."""
+    """phi'_r at the difference d, regularised at d = 0: (r-1)(|d| + 1e-6)^
+    (r-2), the relaxed Kacanov weight; exactly 1 at r = 2."""
     return (r - 1.0) * (np.abs(d) + 1e-6) ** (r - 2.0)
 
 
-def _scatter_add(flat, idx, w):
-    """flat[idx] += w with repeated indices summed, over the span of idx."""
-    first = idx.min()
-    b = np.bincount(idx - first, w)
-    flat[first:first + len(b)] += b
+def _near_rows(u: GridFunction, plan: _Plan, c_near):
+    """The near block's rows in coefficient space: the gradient of its sum of
+    c+- d+- with respect to the cell coefficients of ``_taylor`` at each node,
+    (nodes, 4^n), and (nodes,) to the cubic one of the 1-D cell on its left."""
+    n, N = u.n, u.N
+    S = c_near @ plan.near_r[:, None] ** np.arange(1, 4)   # (2, nodes, D, 3)
+    Bb, Bc = _line(np.eye(4 ** n).reshape((4,) * n + (-1,)), plan.dirs)
+    g = (S[1, ..., 0] - S[0, ..., 0]) @ Bb.T - (S[0, ..., 1] + S[1, ..., 1]) @ Bc.T
+    if n == 1:
+        g[:, 0] -= S[0, :, 0, 2]
+    # Back through the re-expansion about the last node of an axis.
+    g = g.T.reshape((4,) * n + (-1,))
+    for k, tk in enumerate(u.h * (np.indices((N,) * n).reshape(n, -1) == N - 1)):
+        a, b, c, d = np.moveaxis(g, k, 0)
+        g = np.moveaxis(np.stack([a + tk * (3.0 * b + tk * (3.0 * c + tk * d)),
+                                  b + tk * (2.0 * c + tk * d), c + tk * d, d]),
+                        0, k)
+    return g.reshape(4 ** n, -1).T, S[1, :, 0, 2]
 
 
 def kernel_mass_matrix(u: GridFunction, P: ProblemParams,
                        Q: QuadratureSpec) -> np.ndarray:
-    """The (K, K) kernel-mass matrix of the operator at the iterate u,
-    K = N^n, read off the plan of ``apply_grid``.
+    """The (K, K) Jacobian of ``apply_grid`` at the iterate u, K = N^n.
 
-    Each plan weight enters with the secant weight of its phase at its
-    difference d: an in-box entry adds c = wp phi'_p(d) + wq phi'_q(d) to its
-    node's diagonal and subtracts c times the hat weights of its point from
-    the nodes of the cell that holds it (linear in 1-D, bilinear in 2-D).
-    An exterior group adds to the diagonal only.  The near block, where the
-    pair of differences is -r^2 d^T H d, enters as a centred second
-    difference along each grid axis.  So at p = q = 2 with an
-    offset-symmetric coefficient, A v is ``apply_grid`` for affine node
-    values v.  Positive diagonal, non-positive off-diagonal, row sums the
-    exterior mass: an M-matrix.  The solver's step, never its residual.
+    Each difference of the sweep is linear in the node values v through the
+    cell coefficients C v of ``u.coeffs()``: an in-box entry's is v_i - B C v,
+    B the monomials of its cell at its point, and the near block's b, c and
+    d+- are entries of C v.  With c = wp phi'_p(d) + wq phi'_q(d) per entry
+    (``_secant``), J = diag(in-box and exterior c) + H C, H holding -c B per
+    (node, monomial, cell) and the near rows.  H is built by node chunks and
+    contracted with C transposed (``grid.coeffs_T``); neither H for all nodes
+    nor C is held.  Not an M-matrix: cubic cardinal functions have negative
+    lobes.
     """
     plan = _plan(P, Q, u.R, u.N, u.exterior)
     n, N, h = u.n, u.N, u.h
+    K, cells, m4 = N ** n, (N - 1) ** n, 4 ** n
     c, c_ext, c_near = _pair_weights(u, plan, P, _secant)
-    K = N ** n
-    A = np.zeros((K, K))
-    flat = A.reshape(-1)
-    strides = N ** np.arange(n - 1, -1, -1)
-    corners = np.indices((2,) * n).reshape(n, -1).T
-    # The scatter into A goes by chunks, so it adds no array the size of
-    # the plan to the weights.
-    chunk = 1 << 15
-    for lo in range(0, len(c), chunk):
-        part = slice(lo, lo + chunk)
-        node = plan.node[part].astype(np.intp)
-        j, t = u.locate(plan.Z[part].reshape(-1, n))
-        row0 = node * K
-        _scatter_add(flat, row0 + node, c[part])
-        for k in corners:
-            _scatter_add(flat, row0 + (j + k) @ strides,
-                         -c[part] * np.prod(np.where(k, t, 1.0 - t), axis=1))
-    flat[::K + 1] += np.bincount(plan.ext_node, c_ext, minlength=K)
-    W = 0.5 * np.einsum("idt,t,dk->ik", c_near, plan.near_r ** 2,
-                        plan.dirs ** 2) / (h * h)
-    index = np.indices((N,) * n).reshape(n, K)
-    for k in range(n):
-        rows = np.flatnonzero((index[k] > 0) & (index[k] < N - 1))
-        w = W[rows, k]
-        A[rows, rows] += 2.0 * w
-        A[rows, rows - strides[k]] -= w
-        A[rows, rows + strides[k]] -= w
-    return A
+    J = np.diag(np.bincount(plan.node, c, minlength=K)
+                + np.bincount(plan.ext_node, c_ext, minlength=K))
+    g_near, g_left = _near_rows(u, plan, c_near)
+    own = np.ravel_multi_index(np.minimum(np.indices((N,) * n), N - 2),
+                               (N - 1,) * n).ravel()
+    step = max(1, (1 << 17) // (m4 * cells))
+    for lo in range(0, K, step):
+        nb = min(step, K - lo)
+        H = np.zeros((m4, cells * nb))   # (monomial, cell, node - lo)
+        sel = np.flatnonzero((plan.node >= lo) & (plan.node < lo + nb))
+        for part in np.split(sel, range(1 << 13, len(sel), 1 << 13)):
+            j, t = u.locate(plan.Z[part].reshape(-1, n))
+            idx = (np.ravel_multi_index(j.T, (N - 1,) * n) * nb
+                   + plan.node[part] - lo)
+            w = [-c[part]]   # -c times the monomials, highest power first
+            for x in (t * h).T:
+                x2 = x * x
+                w = [v for wk in w for v in (wk * x2 * x, wk * x2, wk * x, wk)]
+            for m, wm in enumerate(w):
+                H[m] += np.bincount(idx, wm, minlength=cells * nb)
+        H = H.reshape(m4, cells, nb)
+        rows = np.arange(nb)
+        H[:, own[lo:lo + nb], rows] += g_near[lo:lo + nb].T
+        if n == 1:
+            H[0, np.maximum(rows + lo - 1, 0), rows] += g_left[lo:lo + nb]
+        J[lo:lo + nb] += coeffs_T(H.reshape((4,) * n + (N - 1,) * n + (nb,)),
+                                  n, h).reshape(K, nb).T
+    return J

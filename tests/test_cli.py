@@ -72,6 +72,16 @@ def test_unknown_key_rejected(desk_config, tmp_path):
     assert main(["validate", "--config", str(old)]) == 1
 
 
+def test_config_error_goes_to_out(tmp_path, monkeypatch):
+    # A config that fails to load writes its error.json into --out, not
+    # into ./out of the working directory.
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "elsewhere"
+    assert main(["validate", "--set", "problem.zz=1", "--out", str(out)]) == 1
+    assert json.loads((out / "error.json").read_text())["kind"] == "config"
+    assert not (tmp_path / "out").exists()
+
+
 def test_too_small_grid_rejected(desk_config):
     # N = 2 leaves no interior node: a config error with error.json, not a
     # traceback from the operator.
@@ -103,6 +113,8 @@ def test_solve_artifacts(desk_config):
     with open(os.path.join(out, "solve_report.json")) as fh:
         rep = json.load(fh)
     assert rep["flags"] == "converged"
+    assert 1 <= rep["jacobians"] <= rep["iterations"]
+    assert rep["halvings"] >= 0 and 0.0 < rep["algebraic_error"] < 1e-6
 
 
 def test_check_inequalities_artifact(desk_config, tmp_path):

@@ -47,7 +47,7 @@ def test_tracer_installs_counts_and_closes():
         tracer.close()
     assert rep.converged
     assert tracer.counts["solver:solve"] == 1
-    assert tracer.counts["solver:kernel_mass_matrix"] == 1
+    assert tracer.counts["solver:kernel_mass_matrix"] == rep.jacobians
     assert tracer.counts["operator:apply_grid"] == rep.iterations + 1
     assert _snapshot() == before
 
