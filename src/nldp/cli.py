@@ -17,6 +17,8 @@ import logging
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from ._jsonfmt import dumps_fixed
 from .config import (build_problem, build_quadrature, build_solve_config,
@@ -120,18 +122,21 @@ def _dispatch(command: str, cfg: dict, out_dir: str) -> int:
         return 0
 
     if command == "eval":
-        sc = build_solve_config(cfg)
-        u, rep = solve(P, sc)
+        points = cfg["eval"]["points"]
+        if not isinstance(points, list):
+            raise ConfigError(f"eval.points {points!r}: need a list")
+        xs = [_eval_point(x, P.n) for x in points]
+        u, rep = solve(P, build_solve_config(cfg))
         if not rep.converged:
             raise NldpError(f"solve did not converge: {rep.flags}")
-        pts = [float(x) for x in cfg["eval"]["points"]]
         rows = []
-        for x in pts:
-            val, err = evaluate(u, x, P, Q)  # raises ValueError off-margin
+        for x, xa in zip(points, xs):
+            val, err = evaluate(u, xa, P, Q)  # raises ValueError off-margin
             rows.append({"x": x, "value": val, "error": err})
         _write_json(out_dir, "eval.json", cfg, {"points": rows})
-        for r in rows:
-            print(f"L u({r['x']:+.6g}) = {r['value']:.12g} +- {r['error']:.3g}")
+        for xa, r in zip(xs, rows):
+            where = ", ".join(f"{v:+.6g}" for v in np.atleast_1d(xa))
+            print(f"L u({where}) = {r['value']:.12g} +- {r['error']:.3g}")
         return 0
 
     if command == "constants":
@@ -188,10 +193,7 @@ def _dispatch(command: str, cfg: dict, out_dir: str) -> int:
         u.save(os.path.join(out_dir, "solution"),
                extra_meta={"toolkit_version": __version__,
                            "config_sha256": config_hash(cfg)})
-        _write_json(out_dir, "solve_report.json", cfg, {
-            "iterations": rep.iterations, "final_residual": rep.final_residual,
-            "flags": rep.flags, "jacobians": rep.jacobians,
-            "halvings": rep.halvings, "algebraic_error": rep.algebraic_error})
+        _write_json(out_dir, "solve_report.json", cfg, _report_dict(rep))
         _write_csv(out_dir, "residual_history.csv", "iteration,residual",
                    [(i, float(r)) for i, r in enumerate(rep.residual_history)],
                    cfg)
@@ -237,9 +239,7 @@ def _dispatch(command: str, cfg: dict, out_dir: str) -> int:
                    [(i, r, s, m, o, b, int(h))
                     for (i, r, s, m, o, b, h) in tr.rows()], cfg)
         _write_json(out_dir, "summary.json", cfg, {
-            "solve": {"iterations": out["solve_report"].iterations,
-                      "final_residual": out["solve_report"].final_residual,
-                      "flags": out["solve_report"].flags},
+            "solve": _report_dict(out["solve_report"]),
             "levels_passed": len(out["level_reports"]),
             "breakdown_level": tr.breakdown_level,
             "breakdown_reason": tr.breakdown_reason,
@@ -255,6 +255,25 @@ def _dispatch(command: str, cfg: dict, out_dir: str) -> int:
         return 0 if tr.breakdown_level is None else 2
 
     raise ConfigError(f"unknown command {command!r}")
+
+
+def _eval_point(x, n: int):
+    """A scalar in 1-D, an [x, y] pair in 2-D, as the evaluation point."""
+    try:
+        xa = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        xa = None
+    if xa is None or xa.shape != ((n,) if n > 1 else ()) \
+            or not np.all(np.isfinite(xa)):
+        kind = "a number" if n == 1 else f"a list of {n} numbers"
+        raise ConfigError(f"eval point {x!r}: need {kind} in {n}-D")
+    return float(xa) if n == 1 else xa
+
+
+def _report_dict(rep) -> dict:
+    return {"iterations": rep.iterations, "final_residual": rep.final_residual,
+            "flags": rep.flags, "jacobians": rep.jacobians,
+            "halvings": rep.halvings, "algebraic_error": rep.algebraic_error}
 
 
 def _bundle_dict(bundle) -> dict:

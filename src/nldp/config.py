@@ -16,8 +16,7 @@ The schema (all floats IEEE doubles):
   "quadrature": {"tol": 1e-8},
   "solve": {"R": 2.0, "N": 257,
             "exterior": {"tag": "constant", "value": 0.0},
-            "residual_tol": 1e-8, "max_iters": 50000,
-            "continuation": null},
+            "residual_tol": 1e-8, "max_iters": 50000},
   "constants": {"epsilon": null},
   "reglab": {"center": 0.0, "levels": 5},
   "eval": {"points": [0.0]},
@@ -60,8 +59,7 @@ _DEFAULTS = {
     "quadrature": {"tol": 1e-8},
     "solve": {"R": 2.0, "N": 257,
               "exterior": {"tag": "constant", "value": 0.0},
-              "residual_tol": 1e-8, "max_iters": 50_000,
-              "continuation": None},
+              "residual_tol": 1e-8, "max_iters": 50_000},
     "constants": {"epsilon": None},
     "reglab": {"center": 0.0, "levels": 5},
     "eval": {"points": [0.0]},
@@ -219,12 +217,9 @@ def build_exterior(spec: dict) -> Exterior:
 
 def build_solve_config(cfg: dict) -> SolveConfig:
     sc = cfg["solve"]
-    cont = sc["continuation"]
-    if cont is not None:
-        cont = tuple((float(p), float(q)) for p, q in cont)
     return SolveConfig(
         R=float(sc["R"]), N=int(sc["N"]),
         exterior=build_exterior(sc["exterior"]),
         residual_tol=float(sc["residual_tol"]),
-        max_iters=int(sc["max_iters"]), continuation=cont,
+        max_iters=int(sc["max_iters"]),
         quadrature=build_quadrature(cfg))

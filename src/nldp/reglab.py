@@ -66,21 +66,12 @@ def sublevel_measure(u: GridFunction, level: float = 0.0, center=0.0,
     boundary-cell half-weighting.  In 2-D a scalar ``center`` is taken on
     both coordinates (0 is the origin)."""
     if u.n == 1:
-        xs = u.nodes
-        v = u.values
-        lo, hi = center - radius, center + radius
-        meas = 0.0
-        for i in range(u.N - 1):
-            a, b = xs[i], xs[i + 1]
-            ov = min(b, hi) - max(a, lo)
-            if ov <= 0:
-                continue
-            le = (v[i] <= level, v[i + 1] <= level)
-            if all(le):
-                meas += ov
-            elif any(le):
-                meas += 0.5 * ov
-        return meas
+        xs, le = u.nodes, (u.values <= level).astype(float)
+        ov = np.minimum(xs[1:], center + radius) \
+            - np.maximum(xs[:-1], center - radius)
+        # cumsum keeps the left-to-right order of a running sum
+        return float(np.cumsum(np.maximum(ov, 0.0)
+                               * ((le[:-1] + le[1:]) / 2))[-1])
     h = u.h
     c = np.broadcast_to(np.asarray(center, dtype=float), (2,))
     inside = np.sum((grid_points(2, u.R, u.N) - c) ** 2, axis=-1) < radius ** 2

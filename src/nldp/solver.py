@@ -9,13 +9,13 @@ for Nonlinear Problems*, 2004).  The factorisation is kept after a full step
 that cut the l2 residual fourfold, and rebuilt at the new iterate otherwise.
 On flat data J at p > 2 is only its regularisation, so there the halving
 takes the residual ratio to the power 1/(p-1) when that is smaller.  One
-step rule serves every n, p and q; continuation stages warm start the
-target exponents from easier ones.
+step rule serves every n, p and q, and every solve is one Newton loop from
+the exterior data at the target exponents.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class SolveConfig:
     exterior: Exterior = field(default_factory=constant_exterior)
     residual_tol: float = 1e-8
     max_iters: int = 50_000
-    continuation: tuple[tuple[float, float], ...] | None = None
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
@@ -85,29 +84,20 @@ def solve(P: ProblemParams, cfg: SolveConfig):
     """Solve L u = f; returns (GridFunction, SolveReport).
 
     Exterior data stays frozen (including the boundary node pair, which
-    pins the glue seam).  Optional continuation warm-starts the target
-    exponents from easier ones.
+    pins the glue seam).  Newton starts from the exterior data, or from
+    zero where that is undefined, and runs at the exponents of P to
+    ``cfg.residual_tol``.
     """
     bad = P.validation_report()
     if bad:
         raise ConfigError("exponent assumptions violated: " + "; ".join(bad))
-    stages = list(cfg.continuation) if cfg.continuation else []
-    stages.append((P.exponents.p, P.exponents.q))
     pts = grid_points(P.n, cfg.R, cfg.N)
     u = GridFunction(n=P.n, R=cfg.R, values=_initial_values(cfg, pts, P.n),
                      exterior=cfg.exterior)
-    report = None
-    for (p_stage, q_stage) in stages:
-        e = replace(P.exponents, p=float(p_stage), q=float(q_stage))
-        P_stage = replace(P, exponents=e)
-        loose = (p_stage, q_stage) != stages[-1]
-        tol = max(cfg.residual_tol, 1e-4) if loose else cfg.residual_tol
-        u, report = _solve_stage(P_stage, cfg, u, tol)
-    return u, report
+    return _solve_stage(P, cfg, u)
 
 
-def _solve_stage(P: ProblemParams, cfg: SolveConfig, u: GridFunction,
-                 tol: float):
+def _solve_stage(P: ProblemParams, cfg: SolveConfig, u: GridFunction):
     Q = cfg.quadrature
     interior = (slice(1, u.N - 1),) * u.n
     ids = np.arange(u.values.size).reshape(u.values.shape)[interior].ravel()
@@ -116,7 +106,7 @@ def _solve_stage(P: ProblemParams, cfg: SolveConfig, u: GridFunction,
     rep = SolveReport(iterations=0, final_residual=rnorm,
                       residual_history=[rnorm], flags="converged")
     J_inv, rebuild = None, True
-    while rep.final_residual > tol and rep.flags == "converged":
+    while rep.final_residual > cfg.residual_tol and rep.flags == "converged":
         if rebuild:
             J_inv = np.linalg.inv(kernel_mass_matrix(u, P, Q)[np.ix_(ids, ids)])
             rep.jacobians += 1

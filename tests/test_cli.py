@@ -54,22 +54,66 @@ def test_eval_inside_and_outside_margin(desk_config):
     assert err["kind"] == "config"
 
 
+def test_eval_2d_points(desk_config):
+    # In 2-D a point is an [x, y] pair, written to eval.json as given.  At
+    # N = 9, L u(0, 0) is 0.4998 against f = 0.5.
+    path, out = desk_config
+    two_d = ["--set", "problem.n=2", "--set", "solve.N=9",
+             "--set", "solve.R=1", "--set", "problem.f.type=constant",
+             "--set", "problem.f.value=0.5"]
+    assert main(["eval", "--config", path, *two_d,
+                 "--set", "eval.points=[[0.0,0.0]]"]) == 0
+    with open(os.path.join(out, "eval.json")) as fh:
+        (row,) = json.load(fh)["points"]
+    assert row["x"] == [0.0, 0.0]
+    assert abs(row["value"] - 0.5) < 1e-3
+
+
+@pytest.mark.parametrize("dims, points", [
+    (["--set", "problem.n=2"], "[0.0]"),
+    (["--set", "problem.n=2"], "[[0.0]]"),
+    ([], "[[0.0,0.0]]"),
+    ([], "[NaN]"),
+    ([], "0.0")],
+    ids=["2d-scalar", "2d-short", "1d-pair", "1d-nan", "not-a-list"])
+def test_eval_point_shape_rejected(desk_config, dims, points):
+    # A point of the wrong shape for the dimension, or not finite, is a
+    # config error.
+    path, out = desk_config
+    assert main(["eval", "--config", path, *dims,
+                 "--set", f"eval.points={points}"]) == 1
+    with open(os.path.join(out, "error.json")) as fh:
+        assert json.load(fh)["kind"] == "config"
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
-    assert main(["validate", "--config", str(bad)]) == 1
+    assert main(["validate", "--config", str(bad),
+                 "--out", str(tmp_path / "out")]) == 1
 
 
 def test_unknown_key_rejected(desk_config, tmp_path):
-    # quadrature.rho_near, quadrature.R_far and solve.tau0 are not
-    # options: set from --set or from a file, they fail like a typo.
-    path, _ = desk_config
+    # quadrature.rho_near, quadrature.R_far, solve.tau0 and
+    # solve.continuation are not options: set from --set or from a file,
+    # they fail like a typo.
+    path, out = desk_config
+    err = Path(out) / "error.json"
+
+    def rejected(*args):
+        err.unlink(missing_ok=True)
+        return (main(["validate", *args, "--out", out]) == 1
+                and json.loads(err.read_text())["kind"] == "config")
+
     for item in ("problem.zz=1", "quadrature.rho_near=0.1",
-                 "quadrature.R_far=100", "solve.tau0=0.5"):
-        assert main(["validate", "--config", path, "--set", item]) == 1
+                 "quadrature.R_far=100", "solve.tau0=0.5",
+                 "solve.continuation=[[2.0,2.1]]"):
+        assert rejected("--config", path, "--set", item)
     old = tmp_path / "old.json"
-    old.write_text('{"quadrature": {"rho_near": null, "tol": 1e-8}}')
-    assert main(["validate", "--config", str(old)]) == 1
+    for text in ('{"quadrature": {"rho_near": null, "tol": 1e-8}}',
+                 '{"solve": {"continuation": null}}'):
+        old.write_text(text)
+        assert rejected("--config", str(old))
 
 
 def test_config_error_goes_to_out(tmp_path, monkeypatch):
@@ -115,6 +159,25 @@ def test_solve_artifacts(desk_config):
     assert rep["flags"] == "converged"
     assert 1 <= rep["jacobians"] <= rep["iterations"]
     assert rep["halvings"] >= 0 and 0.0 < rep["algebraic_error"] < 1e-6
+
+
+def test_pipeline_summary_carries_solve_report(desk_config, tmp_path):
+    # The solve block of summary.json is the solve report, the six fields
+    # of solve_report.json, from the same solve.
+    path, out = desk_config
+    two = ["--config", path, "--set", "reglab.levels=2"]
+    assert main(["pipeline", *two]) == 0
+    with open(os.path.join(out, "summary.json")) as fh:
+        summary = json.load(fh)
+    assert summary["levels_passed"] == 2
+    solo = str(tmp_path / "solo")
+    assert main(["solve", *two, "--out", solo]) == 0
+    with open(os.path.join(solo, "solve_report.json")) as fh:
+        rep = json.load(fh)
+    fields = {"iterations", "final_residual", "flags", "jacobians",
+              "halvings", "algebraic_error"}
+    assert set(summary["solve"]) == fields
+    assert summary["solve"] == {k: rep[k] for k in fields}
 
 
 def test_check_inequalities_artifact(desk_config, tmp_path):

@@ -86,6 +86,22 @@ class TestSublevelMeasure:
         assert abs(vals[1] - vals[0]) <= 4.0 * h1 * 2.0
         assert abs(vals[2] - vals[1]) <= 4.0 * h1
 
+    def test_matches_running_cell_sum(self):
+        # Each cell adds its overlap with the ball times the share of its
+        # two nodes at or below the level, summed left to right.
+        rng = np.random.default_rng(3)
+        for N in (33, 130, 1025):
+            u = sample(lambda x: np.sin(5.0 * np.asarray(x, dtype=float)),
+                       1, 2.0, N, exterior=constant_exterior(0.0))
+            for level, c, r in rng.uniform((-1, -2, 0.01), (1, 2, 3), (8, 3)):
+                le = u.values <= level
+                meas = 0.0
+                for i in range(N - 1):
+                    ov = min(u.nodes[i + 1], c + r) - max(u.nodes[i], c - r)
+                    if ov > 0:
+                        meas += ov * (int(le[i]) + int(le[i + 1])) / 2
+                assert sublevel_measure(u, level, c, r) == meas
+
     def test_2d_scalar_center(self):
         # {x <= 0} in the unit disc: half the disc about the origin, the
         # segment acos(d) - d sqrt(1 - d^2) at distance d = 0.5 from the

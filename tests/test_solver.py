@@ -82,15 +82,17 @@ class TestSolve:
             solve(P, SolveConfig(N=65))
 
     def test_singular_p_via_homotopy(self):
+        # Newton reaches the singular phase p < 2 from zero data, with no
+        # easier (p, q) stage first: 7 trials measured.
         P = model_params(n=1, s=0.45, t=0.4, p=1.9, q=2.1,
                          coefficient=halfspace_coefficient(1, 1.0),
                          f=constant_source(0.5))
         cfg = SolveConfig(R=2.0, N=65, exterior=constant_exterior(0.0),
-                          residual_tol=1e-6, max_iters=20_000,
-                          continuation=((2.0, 2.1),))
+                          residual_tol=1e-6, max_iters=20_000)
         u, rep = solve(P, cfg)
-        assert rep.converged
+        assert rep.converged and rep.iterations <= 10
         assert rep.final_residual <= 1e-6
+        assert residual(u, P, cfg.quadrature) <= 1e-6
 
     def test_2d_small_solve(self):
         P = model_params(n=2, s=0.6, t=0.5, p=2.0, q=2.2,
@@ -102,10 +104,12 @@ class TestSolve:
         assert u.values[6, 6] > 0.0
 
     def test_2d_runs_continuation_stages(self, monkeypatch):
+        # A solve is one Newton loop at the target exponents and tolerance;
+        # there is no continuation option to ask for more stages.
         seen = []
 
-        def stage(P, cfg, u, tol):
-            seen.append((P.exponents.p, P.exponents.q, tol))
+        def stage(P, cfg, u):
+            seen.append((P.exponents.p, P.exponents.q, cfg.residual_tol))
             return u, SolveReport(iterations=0, final_residual=0.0,
                                   residual_history=[0.0], flags="converged")
 
@@ -113,17 +117,17 @@ class TestSolve:
         P = model_params(n=2, s=0.6, t=0.5, p=2.0, q=2.2,
                          f=constant_source(0.5))
         cfg = SolveConfig(R=1.0, N=9, exterior=constant_exterior(0.0),
-                          residual_tol=3e-4, max_iters=1,
-                          continuation=((2.0, 2.1),))
+                          residual_tol=3e-4, max_iters=1)
         solve(P, cfg)
-        assert seen == [(2.0, 2.1, 3e-4), (2.0, 2.2, 3e-4)]
+        assert seen == [(2.0, 2.2, 3e-4)]
+        with pytest.raises(TypeError):
+            SolveConfig(N=9, continuation=((2.0, 2.1),))
 
     @staticmethod
     def _count_plan_builds(monkeypatch, n, N):
         # Count the builds of the operator plan through a fresh cache of the
-        # same size around the undecorated builder: a solve with one
-        # continuation stage builds one plan per stage, and a following
-        # residual builds none.
+        # same size around the undecorated builder: a solve builds one plan,
+        # at its target exponents, and a following residual builds none.
         builds = []
         raw = nldp.operator._plan.__wrapped__
 
@@ -136,12 +140,11 @@ class TestSolve:
         P = model_params(n=n, s=0.6, t=0.5, p=2.0, q=2.2,
                          f=constant_source(0.5))
         cfg = SolveConfig(R=1.0, N=N, exterior=constant_exterior(0.0),
-                          residual_tol=1e-2, max_iters=200,
-                          continuation=((2.0, 2.1),))
+                          residual_tol=1e-2, max_iters=200)
         u, _ = solve(P, cfg)
-        assert [(e.p, e.q) for e in builds] == [(2.0, 2.1), (2.0, 2.2)]
+        assert [(e.p, e.q) for e in builds] == [(2.0, 2.2)]
         residual(u, P, cfg.quadrature)
-        assert len(builds) == 2
+        assert len(builds) == 1
 
     def test_2d_plan_built_once_per_stage(self, monkeypatch):
         self._count_plan_builds(monkeypatch, 2, 9)
