@@ -192,7 +192,8 @@ def _dispatch(command: str, cfg: dict, out_dir: str) -> int:
         u, rep = solve(P, sc)
         u.save(os.path.join(out_dir, "solution"),
                extra_meta={"toolkit_version": __version__,
-                           "config_sha256": config_hash(cfg)})
+                           "config_sha256": config_hash(cfg),
+                           "algebraic_error": rep.algebraic_error})
         _write_json(out_dir, "solve_report.json", cfg, _report_dict(rep))
         _write_csv(out_dir, "residual_history.csv", "iteration,residual",
                    [(i, float(r)) for i, r in enumerate(rep.residual_history)],
@@ -230,7 +231,9 @@ def _dispatch(command: str, cfg: dict, out_dir: str) -> int:
                            epsilon=cfg["constants"]["epsilon"])
         out["u"].save(os.path.join(out_dir, "solution"),
                       extra_meta={"toolkit_version": __version__,
-                                  "config_sha256": config_hash(cfg)})
+                                  "config_sha256": config_hash(cfg),
+                                  "algebraic_error":
+                                      out["solve_report"].algebraic_error})
         _write_json(out_dir, "constants.json", cfg,
                     {"bundle": _bundle_dict(out["bundle"])})
         tr = out["trace"]

@@ -218,6 +218,197 @@ def in_box(pts, R: float, n: int):
     return inside if n == 1 else np.all(inside, axis=-1)
 
 
+def _locate(pts, R: float, N: int):
+    """The cell of each coordinate of points of the box of the N^n grid of
+    [-R, R]^n and the offset into it in units of h: pts = -R + (j + t) h,
+    0 <= j <= N - 2."""
+    s = (pts + R) / (2.0 * R / (N - 1))
+    j = np.minimum(s.astype(np.intp), N - 2)
+    return j, s - j
+
+
+# In-cell offsets t whose integer keys rint(t 2^_KEY_BITS) form a run of
+# steps <= 1 are one offset, at the t of its middle key.  Reached from
+# different nodes, one offset lands at t values a few units of 2^-49 apart
+# at N <= 17 (rounding; at 2-D N = 13 the exact values make 17 times the
+# positions).  At N = 513 such values are ulps of s = (z + R) / h apart,
+# 2^-45 or 2^-44, and stay apart: a point keeps its own t there.
+_KEY_BITS = 49
+# A key finds its run in a table of the 2^_BINS + 1 bins of its top bits
+# where every key of a bin is in one run; searchsorted over the keys, for
+# the others, takes about 40 ns a point.
+_BINS = 16
+
+
+@dataclass(frozen=True, eq=False)
+class LocatedPoints:
+    """Points of the box of the N^n grid of [-R, R]^n, located once: each
+    is a cell and an in-cell position, shared by the points that differ by
+    whole cells.  ``GridFunction.__call__`` evaluates any grid function on
+    that grid here as one (cells, positions) table product and one gather
+    per point; ``scatter`` is the transpose."""
+
+    n: int
+    R: float
+    N: int
+    index: np.ndarray   # (M,) int32 cell * positions + position
+    mono: np.ndarray    # (4^n, positions) monomials, in coeffs()'s order
+
+    @property
+    def size(self) -> int:
+        """The coordinates of the points, as ``np.size`` of an (M, n) array
+        of them would count."""
+        return self.index.size * self.n
+
+    @property
+    def nbytes(self) -> int:
+        return self.index.nbytes + self.mono.nbytes
+
+    def values(self, c: np.ndarray) -> np.ndarray:
+        """The interpolant with coefficients c (``coeffs()``) at the points:
+        its table over cells and positions, gathered by chunks of
+        8 ``_CHUNK`` indices (``take`` copies each chunk's to intp)."""
+        table = (c.reshape(len(self.mono), -1).T @ self.mono).ravel()
+        out = np.empty(len(self.index))
+        for lo in range(0, len(out), 8 * _CHUNK):
+            table.take(self.index[lo:lo + 8 * _CHUNK],
+                       out=out[lo:lo + 8 * _CHUNK])
+        return out
+
+    def scatter(self, w, entries: slice, rows, nrows: int) -> np.ndarray:
+        """The transpose of ``values`` on a slice of the points, per row:
+        sum_e w_e mono[:, position_e] over the points e of each (cell, row),
+        w and rows[e] in [0, nrows) given per point of the slice; (4,)*n +
+        (N-1,)*n + (nrows,), the layout of ``coeffs_T``'s argument.  By
+        chunks of ``_CHUNK`` points, so the temporaries stay small."""
+        size = (self.N - 1) ** self.n * nrows
+        out = np.zeros((len(self.mono), size))
+        for lo in range(0, entries.stop - entries.start, _CHUNK):
+            part = slice(lo, lo + _CHUNK)
+            cell, pos = np.divmod(self.index[entries][part],
+                                  self.mono.shape[1])
+            pos = pos.astype(np.intp)   # take would convert it per monomial
+            idx = cell * nrows + rows[part]
+            for m, mono in enumerate(self.mono):
+                out[m] += np.bincount(idx, w[part] * mono.take(pos),
+                                      minlength=size)
+        return out.reshape((4,) * self.n + (self.N - 1,) * self.n + (nrows,))
+
+
+def _sorted_unique(a):
+    """np.unique of an int64 array by a sort (np.unique hashes them, which is
+    several times slower at the sizes of a plan block)."""
+    a = np.sort(a)
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
+class Locator:
+    """Builds ``LocatedPoints`` from blocks of points of the box in two
+    passes over the same blocks: ``observe`` each, then ``codes`` of each,
+    then ``located`` of the codes (concatenated or permuted at will).
+
+    Per axis, the keys of the first pass form runs (see ``_KEY_BITS``), and
+    a position is a pair of runs that occurs, numbered as ``codes`` first
+    meets it.  A point moves by a few units of 2^-49 of a cell at most."""
+
+    def __init__(self, n: int, R: float, N: int):
+        self.n, self.R, self.N = n, R, N
+        self._seen = [[] for _ in range(n)]
+        self._pairs = np.empty(0, dtype=np.int64)   # sorted pairs of runs
+        self._ids = np.empty(0, dtype=np.int64)     # their position numbers
+
+    def _keys(self, pts):
+        j, t = _locate(np.reshape(pts, (-1, self.n)), self.R, self.N)
+        return j, np.rint(t * 2.0 ** _KEY_BITS).astype(np.int64)
+
+    def observe(self, pts):
+        k = self._keys(pts)[1]
+        for a, seen in enumerate(self._seen):
+            seen.append(_sorted_unique(k[:, a]))
+
+    def _runs(self):
+        """Per axis: the sorted keys, the run of each, the t of each run and
+        the run of each bin of keys (-1 where two runs share it)."""
+        if self._seen is not None:
+            self._axes = []
+            for seen in self._seen:
+                keys = _sorted_unique(np.concatenate(seen))
+                new = np.ones(len(keys), dtype=bool)
+                new[1:] = np.diff(keys) > 1
+                run = np.cumsum(new) - 1
+                starts = np.flatnonzero(new)
+                mid = (starts + np.append(starts[1:], len(keys)) - 1) // 2
+                bins, first = np.unique(keys >> (_KEY_BITS - _BINS),
+                                        return_index=True)
+                last = np.append(first[1:], len(keys)) - 1
+                table = np.full(2 ** _BINS + 1, -1)
+                one = run[first] == run[last]
+                table[bins[one]] = run[first[one]]
+                self._axes.append((keys, run, keys[mid] * 2.0 ** -_KEY_BITS,
+                                   table))
+            self._seen = None
+        return self._axes
+
+    def _positions(self, pairs):
+        """The position numbers of sorted pairs of runs."""
+        at = np.searchsorted(self._pairs, pairs)
+        seen = np.zeros(len(pairs), dtype=bool)
+        if len(self._pairs):
+            seen = self._pairs[np.minimum(at, len(self._pairs) - 1)] == pairs
+        fresh = pairs[~seen]
+        if len(fresh):
+            known = len(self._ids)
+            order = np.argsort(np.concatenate([self._pairs, fresh]))
+            self._pairs = np.concatenate([self._pairs, fresh])[order]
+            self._ids = np.concatenate(
+                [self._ids, np.arange(known, known + len(fresh))])[order]
+            at = np.searchsorted(self._pairs, pairs)
+        return self._ids[at]
+
+    def codes(self, pts) -> np.ndarray:
+        """cell * 2^32 + position of each point, int64.  In 1-D the runs are
+        the positions; in 2-D a pair of runs is numbered as first met."""
+        j, k = self._keys(pts)
+        pos = 0
+        for (keys, run, t, table), ka in zip(self._runs(), k.T):
+            r = table[ka >> (_KEY_BITS - _BINS)]
+            shared = r < 0
+            r[shared] = run[np.searchsorted(keys, ka[shared])]
+            pos = pos * len(t) + r
+        if self.n > 1:
+            pairs, inv = np.unique(pos, return_inverse=True)
+            pos = self._positions(pairs)[inv]
+        cell = np.ravel_multi_index(tuple(j.T), (self.N - 1,) * self.n)
+        return (cell.astype(np.int64) << 32) | pos
+
+    def located(self, codes: np.ndarray) -> LocatedPoints:
+        runs = self._runs()
+        if self.n == 1:
+            pairs = np.arange(len(runs[0][2]))
+        else:
+            pairs = np.empty(len(self._ids), dtype=np.int64)
+            pairs[self._ids] = self._pairs
+        P = len(pairs)
+        if (self.N - 1) ** self.n * P >= 2 ** 31:
+            raise NldpError(f"{P} in-cell positions of the N = {self.N} "
+                            "grid overflow an int32 table index")
+        index = np.empty(len(codes), dtype=np.int32)
+        for lo in range(0, len(codes), 8 * _CHUNK):
+            c = codes[lo:lo + 8 * _CHUNK]
+            index[lo:lo + 8 * _CHUNK] = (c >> 32) * P + (c & 0xFFFFFFFF)
+        h = 2.0 * self.R / (self.N - 1)
+        mono = np.ones((1, P))
+        which = np.unravel_index(pairs, [len(t) for _, _, t, _ in runs])
+        for (_, _, t, _), r in zip(runs, which):   # axis 0 outermost
+            x = t[r] * h
+            x2 = x * x
+            mono = (mono[:, None] * np.stack([x2 * x, x2, x, np.ones_like(x)])
+                    ).reshape(-1, P)
+        return LocatedPoints(self.n, self.R, self.N, index, mono)
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Values on [-R, R]^n at spacing h, glued to an exterior on the rest.
@@ -276,9 +467,7 @@ class GridFunction:
     def locate(self, pts):
         """The cell of each coordinate of points of the box and the offset
         into it in units of h: pts = -R + (j + t) h, 0 <= j <= N - 2."""
-        s = (pts + self.R) / self.h
-        j = np.minimum(s.astype(np.intp), self.N - 2)
-        return j, s - j
+        return _locate(pts, self.R, self.N)
 
     def _cubic(self, pts):
         """The interpolant at points of the box: a Horner over the cells
@@ -302,7 +491,13 @@ class GridFunction:
         return out
 
     def __call__(self, x):
-        """Evaluate the glued function anywhere in R^n (vectorised)."""
+        """Evaluate the glued function anywhere in R^n (vectorised), or at
+        ``LocatedPoints`` of its grid."""
+        if isinstance(x, LocatedPoints):
+            if (x.n, x.R, x.N) != (self.n, self.R, self.N):
+                raise NldpError(f"points located on the {x.n}-D N = {x.N} "
+                                f"grid of radius {x.R}, not on this one")
+            return x.values(self.coeffs())
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0 if self.n == 1 else x.ndim == 1
         pts = np.atleast_1d(x).ravel() if self.n == 1 else x.reshape(-1, 2)

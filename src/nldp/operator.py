@@ -16,7 +16,11 @@ mid field out to the far radius, and an analytic power-law remainder fed
 by the exterior.  ``evaluate`` is the adaptive single-point entry;
 ``apply_grid`` is the batched evaluator the solver iterates: it runs from a
 plan of fixed panels built once per geometry, in 1-D and 2-D alike
-(validated against ``evaluate`` in the test suite).  ``energy`` is the same
+(validated against ``evaluate`` in the test suite).  The plan's in-box
+points are located once, as a cell and an in-cell position each
+(``grid.LocatedPoints``), so a sweep reads the interpolant from one
+(cells, positions) table product and one gather per entry, and the
+Jacobian scatters onto the same cells and monomials.  ``energy`` is the same
 sweep with |d|^r in place of phi, summed over the nodes on three nested
 grids, whose spread is its error estimate and its divergence test.
 """
@@ -32,7 +36,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonIntegrableNearField, TailDivergence, TouchViolation
-from .grid import GridFunction, coeffs_T, grid_points, in_box, sample
+from .grid import (GridFunction, LocatedPoints, Locator, coeffs_T, grid_points,
+                   in_box, sample)
 from .params import CoefficientField, ProblemParams
 from .quadrature import (QuadratureSpec, adaptive_quad, geometric_tail_quad,
                          near_singular_quad, panel_nodes_weights,
@@ -406,16 +411,18 @@ def _ball_probes(u: GridFunction, x0, rho):
 class _Plan:
     """The iterate-independent part of the grid apply, in 1-D and 2-D.
 
-    In-box entries are the offsets whose points the interpolant covers;
-    each sweep evaluates it there.  Exterior entries (out-of-box offsets and
-    both ends of the analytic remainder) see fixed data, so they are summed
-    per (node, exterior value).  The near block keeps a model of the
-    interpolant at the nodes: the exact cell cubic in 1-D, the directional
-    Taylor model in 2-D.
+    In-box entries are the offsets whose points the interpolant covers,
+    stably sorted by node; the points are located once
+    (``grid.LocatedPoints``), so each sweep evaluates the interpolant there
+    as one table product and one gather per entry.  Exterior entries
+    (out-of-box offsets and both ends of the analytic remainder) see fixed
+    data, so they are summed per (node, exterior value).  The near block
+    keeps a model of the interpolant at the nodes: the exact cell cubic in
+    1-D, the directional Taylor model in 2-D.
     """
 
-    node: np.ndarray       # (M,) int32 node of each in-box entry
-    Z: np.ndarray          # (M,) or (M, 2) in-box evaluation points
+    node: np.ndarray       # (M,) int32 node of each in-box entry, sorted
+    points: LocatedPoints  # the M in-box points: cell and in-cell position
     wp: np.ndarray         # (M,) p-weights w K_sp
     wq: np.ndarray         # (M,) q-weights w c_hat a K_tq
     ext_node: np.ndarray   # (G,) int32 node of each exterior group
@@ -562,18 +569,24 @@ def _plan(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
     geometry = _geometry_1d if n == 1 else _geometry_2d
     X, blocks, (dirs, near_r, near_offs, near_w) = geometry(P, Q, R, N, dp, dq)
     signs = (1.0, -1.0)
-    # Size the in-box arrays first, so they are filled in place.  The 2-D
-    # points are column-major: the interpolant reads each coordinate of a
-    # chunk in one run, about 5% faster than row-major at N = 9 to 17.
-    M = sum(int(np.count_nonzero(in_box(X[ids][:, None] + sign * Y, R, n)
-                                 & (cp > 0)))
-            for ids, Y, cp, _ in blocks() for sign in signs)
-    node = np.empty(M, dtype=np.int32)
-    Z = np.empty((M,) + X.shape[1:], order="F")
+    # A first pass counts each node's in-box entries and shows the locator
+    # every in-box point; the second fills the arrays in place, each node's
+    # entries in one run in the order the blocks yield them.
+    locator = Locator(n, R, N)
+    count = np.zeros(len(X), dtype=np.int64)
+    for ids, Y, cp, _ in blocks():
+        for sign in signs:
+            Zc = X[ids][:, None] + sign * Y
+            inside = in_box(Zc, R, n) & (cp > 0)
+            count[ids] += np.count_nonzero(inside, axis=1)
+            locator.observe(Zc[inside])
+    M = int(count.sum())
+    fill = np.cumsum(count) - count       # the next free slot of each node
+    codes = np.empty(M, dtype=np.int64)
     wp = np.empty(M)
     wq = np.empty(M)
     groups = []
-    at = n_ext = 0
+    n_ext = 0
     for ids, Y, cp, cq in blocks():
         Xb = X[ids][:, None]
         shape = (len(ids), cp.shape[-1])
@@ -588,13 +601,17 @@ def _plan(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
             inside = in_box(Zc, R, n)
             out = ~inside & keep
             inside &= keep
-            k = at + int(np.count_nonzero(inside))
-            node[at:k], Z[at:k], wp[at:k], wq[at:k] = (
-                idb[inside], Zc[inside], bp[inside], bq[inside])
-            at = k
+            per = np.count_nonzero(inside, axis=1)
+            to = (np.repeat(fill[ids] - (np.cumsum(per) - per), per)
+                  + np.arange(per.sum()))
+            fill[ids] += per
+            codes[to] = locator.codes(Zc[inside])
+            wp[to], wq[to] = bp[inside], bq[inside]
             n_ext += int(np.count_nonzero(out))
             groups.append(_group_exterior(idb[out], exterior(Zc[out], n),
                                           bp[out], bq[out]))
+    points = locator.located(codes)
+    del codes
     ext = _group_exterior(*(np.concatenate(c) for c in zip(*groups)))
     Xn = X[:, None, None]
     ktq = P.Ktq.eval(Xn, near_offs)
@@ -603,11 +620,13 @@ def _plan(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
     near_wq = np.stack([np.broadcast_to(near_w * P.c_hat
                                         * P.a.eval(Xn, sign * near_offs) * ktq,
                                         shape) for sign in signs])
-    plan = _Plan(node=node, Z=Z, wp=wp, wq=wq, ext_node=ext[0], ext_val=ext[1],
-                 ext_wp=ext[2], ext_wq=ext[3], dirs=dirs, near_r=near_r,
-                 near_wp=near_wp, near_wq=near_wq)
-    logger.debug("%d-D plan: N=%d, %d in-box entries, %d exterior entries "
-                 "-> %d groups, %d bytes, %.3f s", n, N, M, n_ext, len(ext[0]),
+    node = np.repeat(np.arange(len(X), dtype=np.int32), count)
+    plan = _Plan(node=node, points=points, wp=wp, wq=wq, ext_node=ext[0],
+                 ext_val=ext[1], ext_wp=ext[2], ext_wq=ext[3], dirs=dirs,
+                 near_r=near_r, near_wp=near_wp, near_wq=near_wq)
+    logger.debug("%d-D plan: N=%d, %d in-box entries at %d in-cell positions, "
+                 "%d exterior entries -> %d groups, %d bytes, %.3f s", n, N, M,
+                 points.mono.shape[1], n_ext, len(ext[0]),
                  sum(a.nbytes for a in vars(plan).values()),
                  time.perf_counter() - t0)
     return plan
@@ -623,7 +642,7 @@ def _pair_weights(u: GridFunction, plan: _Plan, P: ProblemParams, f):
     # The in-box arrays are the size of the plan: work in place and drop
     # each one before the next, so a pass adds little to peak memory.
     # f may return its argument, so each phase is formed into a new array.
-    d = u(plan.Z)
+    d = u(plan.points)
     np.subtract(v[plan.node], d, out=d)
     g = f(d, e.p) * plan.wp
     g += f(d, e.q) * plan.wq
@@ -747,19 +766,9 @@ def kernel_mass_matrix(u: GridFunction, P: ProblemParams,
     step = max(1, (1 << 17) // (m4 * cells))
     for lo in range(0, K, step):
         nb = min(step, K - lo)
-        H = np.zeros((m4, cells * nb))   # (monomial, cell, node - lo)
-        sel = np.flatnonzero((plan.node >= lo) & (plan.node < lo + nb))
-        for part in np.split(sel, range(1 << 13, len(sel), 1 << 13)):
-            j, t = u.locate(plan.Z[part].reshape(-1, n))
-            idx = (np.ravel_multi_index(j.T, (N - 1,) * n) * nb
-                   + plan.node[part] - lo)
-            w = [-c[part]]   # -c times the monomials, highest power first
-            for x in (t * h).T:
-                x2 = x * x
-                w = [v for wk in w for v in (wk * x2 * x, wk * x2, wk * x, wk)]
-            for m, wm in enumerate(w):
-                H[m] += np.bincount(idx, wm, minlength=cells * nb)
-        H = H.reshape(m4, cells, nb)
+        a, b = np.searchsorted(plan.node, (lo, lo + nb))
+        H = plan.points.scatter(-c[a:b], slice(a, b), plan.node[a:b] - lo,
+                                nb).reshape(m4, cells, nb)
         rows = np.arange(nb)
         H[:, own[lo:lo + nb], rows] += g_near[lo:lo + nb].T
         if n == 1:

@@ -159,6 +159,9 @@ def test_solve_artifacts(desk_config):
     assert rep["flags"] == "converged"
     assert 1 <= rep["jacobians"] <= rep["iterations"]
     assert rep["halvings"] >= 0 and 0.0 < rep["algebraic_error"] < 1e-6
+    # the grid file's sidecar carries the same algebraic error
+    with open(os.path.join(out, "solution.json")) as fh:
+        assert json.load(fh)["algebraic_error"] == rep["algebraic_error"]
 
 
 def test_pipeline_summary_carries_solve_report(desk_config, tmp_path):
@@ -178,6 +181,9 @@ def test_pipeline_summary_carries_solve_report(desk_config, tmp_path):
               "halvings", "algebraic_error"}
     assert set(summary["solve"]) == fields
     assert summary["solve"] == {k: rep[k] for k in fields}
+    with open(os.path.join(out, "solution.json")) as fh:
+        assert (json.load(fh)["algebraic_error"]
+                == summary["solve"]["algebraic_error"])
 
 
 def test_check_inequalities_artifact(desk_config, tmp_path):

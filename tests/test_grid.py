@@ -1,7 +1,9 @@
 """The coefficient map behind ``GridFunction``: one array of per-cell cubic
 coefficients, read by the evaluation in 1-D and 2-D and by the operator's
 near-field models.  scipy's ``CubicSpline`` (along each axis in 2-D) and
-FITPACK's interpolating bicubic are the independent references."""
+FITPACK's interpolating bicubic are the independent references.  Points
+located once (``LocatedPoints``, the grid apply's in-box points) are checked
+against the evaluation at the points themselves."""
 
 import tracemalloc
 
@@ -10,8 +12,10 @@ import pytest
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 import nldp.grid
-from nldp.grid import GridFunction
-from nldp.operator import QuadratureSpec, _directional_model, _plan, _taylor
+from nldp.grid import GridFunction, Locator, constant_exterior, in_box
+from nldp.operator import (QuadratureSpec, _directional_model, _exterior_growth,
+                           _geometry_1d, _geometry_2d, _plan, _tail_decays,
+                           _taylor)
 from nldp.params import model_params
 
 
@@ -22,6 +26,33 @@ def _grid_2d(N, seed=3):
 
 def _rel(got, ref):
     return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+def _plan_and_points(n, R, N):
+    """The grid apply's plan (desk exponents, default quadrature, exterior 0)
+    and its in-box points in its entry order, rebuilt from the same geometry:
+    per block and sign, the points x + y in the box, stably sorted by node."""
+    P = model_params(n=n, s=0.6, t=0.5, p=2.0, q=2.2)
+    Q, ext = QuadratureSpec(), constant_exterior(0.0)
+    dp, dq = _tail_decays(P, _exterior_growth(ext, R, n))
+    X, blocks, _ = (_geometry_1d if n == 1 else _geometry_2d)(P, Q, R, N,
+                                                               dp, dq)
+    Z, node = [], []
+    for ids, Y, cp, _ in blocks():
+        for sign in (1.0, -1.0):
+            Zc = X[ids][:, None] + sign * Y
+            inside = in_box(Zc, R, n) & (cp > 0)
+            Z.append(Zc[inside])
+            node.append(np.broadcast_to(ids[:, None], inside.shape)[inside])
+    order = np.argsort(np.concatenate(node), kind="stable")
+    return _plan(P, Q, R, N, ext), np.concatenate(Z)[order]
+
+
+def _smooth(n, R, N):
+    """A smooth, non-polynomial grid function on [-R, R]^n."""
+    x = np.stack(np.meshgrid(*[np.linspace(-R, R, N)] * n, indexing="ij"), -1)
+    return GridFunction(n=n, R=R, values=np.exp(-np.sum((x - 0.3) ** 2, -1))
+                        + 0.3 * np.sin(2.0 * x[..., 0] - x[..., -1]))
 
 
 def _assert_rows_match(c, ref):
@@ -145,14 +176,66 @@ def test_2d_chunks_join():
 
 def test_2d_evaluation_memory():
     # One evaluation over the 329,276 in-box points of the N = 13 plan
-    # holds its output and chunk-sized temporaries, never plan-sized ones.
-    P = model_params(n=2, s=0.6, t=0.5, p=2.0, q=2.2)
+    # holds its output and chunk-sized temporaries, never plan-sized ones;
+    # at the located points, its output and the (cells, positions) table.
     u = _grid_2d(13)
-    Z = _plan(P, QuadratureSpec(), u.R, u.N, u.exterior).Z
-    tracemalloc.start()
-    try:
-        out = u(Z)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= out.nbytes + 4 * 2 ** 20, (peak, out.nbytes)
+    plan, Z = _plan_and_points(2, u.R, u.N)
+    table = plan.points.index.max() + 1
+    for pts, extra in ((Z, 0), (plan.points, 8 * table)):
+        tracemalloc.start()
+        try:
+            out = u(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + extra + 4 * 2 ** 20, (peak, out.nbytes)
+
+
+@pytest.mark.parametrize("n, R, N", [(1, 2.0, 513), (2, 1.0, 13)])
+def test_located_points_match_direct_evaluation(n, R, N):
+    # The grid apply's in-box points (desk grid in 1-D, N = 13 in 2-D),
+    # located once and grouped by in-cell position, against the evaluation
+    # at the points themselves; then with the box's right edge (t = 1) and
+    # the cells at the box edges, where the 1-D seam sub-panels lie, added.
+    # In 1-D every position keeps its exact t, so random node values, whose
+    # cubic moves by max|u| across a cell, agree to rounding.  In 2-D a
+    # position merges t values a few units of 2^-49 apart, and random
+    # values agree to about 1e-14 (as u(Z) agrees with the exact point);
+    # smooth values, as an iterate has, see the grouping at 1e-15 there.
+    u = (GridFunction(n=1, R=R, values=np.random.default_rng(N).uniform(
+        -0.5, 0.5, N)) if n == 1 else _smooth(n, R, N))
+    plan, Z = _plan_and_points(n, R, N)
+    assert plan.points.size == Z.size
+    assert _rel(u(plan.points), u(Z)) <= 1e-14
+    rng = np.random.default_rng(N)
+    edge = R - u.h * np.concatenate([[0.0], rng.uniform(0.0, 1.0, 200)])
+    if n == 1:
+        extra = np.concatenate([edge, -edge])
+    else:
+        free = rng.uniform(-R, R, len(edge))
+        extra = np.concatenate([np.stack(c, -1) for c in
+                                ((edge, free), (free, edge), (edge, edge),
+                                 (-edge, free), (free, -edge))])
+    pts = np.concatenate([Z, extra])
+    loc = Locator(n, R, N)
+    loc.observe(pts)
+    assert _rel(u(loc.located(loc.codes(pts))), u(pts)) <= 1e-14
+    # the right edge is cell N - 2 at t = 1, where its table column is read
+    j, t = u.locate(np.full((1, n), R))
+    assert np.all(j == N - 2) and np.all(t == 1.0)
+
+
+def test_2d_plan_bytes_per_entry():
+    # Per in-box entry the plan keeps its node, its table index and its two
+    # weights: 24 bytes, where the points themselves took 16 more.
+    plan, Z = _plan_and_points(2, 1.0, 13)
+    M = len(Z)
+    per_entry = (plan.node, plan.points.index, plan.wp, plan.wq)
+    assert all(len(a) == M for a in per_entry)
+    assert sum(a.nbytes for a in per_entry) <= 24 * M
+    # nothing else grows with the entries: the monomials are per position
+    # (3,540 of them, 1.4 bytes per entry)
+    others = [a for a in vars(plan).values() if isinstance(a, np.ndarray)
+              and a is not plan.node and a is not plan.wp and a is not plan.wq]
+    assert all(len(a) < M / 10 for a in others)
+    assert plan.points.mono.nbytes <= 2 * M

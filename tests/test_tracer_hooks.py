@@ -14,6 +14,7 @@ import nldp.quadrature
 import nldp.reglab
 import nldp.scaling
 import nldp.solver
+from nldp.grid import constant_exterior
 from nldp.params import constant_source, model_params
 from nldp.solver import SolveConfig
 
@@ -49,6 +50,31 @@ def test_tracer_installs_counts_and_closes():
     assert tracer.counts["solver:solve"] == 1
     assert tracer.counts["solver:kernel_mass_matrix"] == rep.jacobians
     assert tracer.counts["operator:apply_grid"] == rep.iterations + 1
+    # every sweep reads the interpolant through GridFunction.__call__, the
+    # grid layer's only span in a solve
+    assert tracer.counts["grid:call"] >= 1
+    assert _snapshot() == before
+
+
+def test_tracer_sees_the_grid_in_a_2d_solve():
+    # The 2-D N = 9 solve of the benchmark's solve-2d: its --trace 1
+    # self-check needs the grid span, and the point count sees the plan's
+    # located points (their size) at every sweep.
+    before = _snapshot()
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install()
+        P = model_params(n=2, s=0.6, t=0.5, p=2.0, q=2.2,
+                         f=constant_source(0.5))
+        _, rep = tracer.run(nldp.solver.solve, P, SolveConfig(
+            R=1.0, N=9, exterior=constant_exterior(0.0), residual_tol=1e-6))
+    finally:
+        tracer.close()
+    assert rep.converged
+    assert tracer.counts["grid:call"] >= 1
+    plan = nldp.operator._plan(P, nldp.operator.QuadratureSpec(), 1.0, 9,
+                               constant_exterior(0.0))
+    assert tracer.counts["grid.points"] >= rep.iterations * len(plan.wp)
     assert _snapshot() == before
 
 
