@@ -350,10 +350,14 @@ class SelectionCertificate:
     probes: int
 
 
-def _halve(x: float, ok, max_halvings: int, message: str) -> float:
-    """The first of x, x/2, x/4, ... (``max_halvings`` of them) that passes
+# Halvings each search of ``choose_eta_kappa`` may take.
+_MAX_HALVINGS = 60
+
+
+def _halve(x: float, ok, message: str) -> float:
+    """The first of x, x/2, x/4, ... (``_MAX_HALVINGS`` of them) that passes
     ``ok``; SelectionFailed(message) when none does."""
-    for _ in range(max_halvings):
+    for _ in range(_MAX_HALVINGS):
         if ok(x):
             return x
         x *= 0.5
@@ -361,8 +365,8 @@ def _halve(x: float, ok, max_halvings: int, message: str) -> float:
 
 
 def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
-                     max_halvings: int = 60, probes: int = 32,
-                     homogeneous: bool = False) -> tuple[float, float, SelectionCertificate]:
+                     probes: int = 32, homogeneous: bool = False
+                     ) -> tuple[float, float, SelectionCertificate]:
     """Select (eta, kappa) so every applicable bundle stays below
     eps / (Lambda 2^(n+sp+q)) at all probe x in B_{3/4}.
 
@@ -396,12 +400,11 @@ def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
 
     eta_sel, kappa_sel = {}, {}
     for r in regimes:
-        msg = f"bisection exhausted {max_halvings} halvings in regime {r}"
+        msg = f"bisection exhausted {_MAX_HALVINGS} halvings in regime {r}"
         eta_sel[r] = _halve(0.49 * e.eta_threshold(), lambda eta: worst(
-            0.0, eta, [r]) <= 0.5 * safety * target, max_halvings, "eta " + msg)
+            0.0, eta, [r]) <= 0.5 * safety * target, "eta " + msg)
         kappa_sel[r] = _halve(0.5, lambda kappa: worst(
-            kappa, eta_sel[r], [r]) <= safety * target, max_halvings,
-            "kappa " + msg)
+            kappa, eta_sel[r], [r]) <= safety * target, "kappa " + msg)
     eta_fin, kappa_fin = min(eta_sel.values()), min(kappa_sel.values())
 
     def competition(kappa, eta, sig):
@@ -420,11 +423,11 @@ def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
     sig = sigma(eta_fin, P)
     kappa_fin = _halve(
         kappa_fin, lambda kappa: kappa <= competition(kappa, eta_fin, sig)[1],
-        max_halvings, "kappa cap bisection exhausted")
+        "kappa cap bisection exhausted")
     # Re-verify every bundle, halving eta and kappa together by 2^-k.
     scale = _halve(
         1.0, lambda f: worst(f * kappa_fin, f * eta_fin, regimes) <= target,
-        max_halvings, "final re-verification could not close")
+        "final re-verification could not close")
     if scale < 1.0:
         eta_fin, kappa_fin = scale * eta_fin, scale * kappa_fin
         sig = sigma(eta_fin, P)
@@ -482,12 +485,11 @@ class ConstantsBundle:
 
 
 def build_bundle(P: ProblemParams, u_sup: float, f_sup: float,
-                 epsilon: float | None = None, tol: float = 1e-9,
-                 probes: int = 32) -> ConstantsBundle:
+                 epsilon: float | None = None) -> ConstantsBundle:
     """Run the whole chain for one problem: selection, sigma, theta, gamma,
     lambda.  epsilon defaults to |B_1| / 2."""
     eps = epsilon if epsilon is not None else 0.5 * unit_ball_volume(P.n)
-    eta, kappa, cert = choose_eta_kappa(eps, P, tol=tol, probes=probes)
+    eta, kappa, cert = choose_eta_kappa(eps, P)
     sig = cert.sigma_at_eta
     lo, hi = sigma_bounds(eta, P)
     th = theta(kappa)

@@ -13,10 +13,6 @@ class TailDivergence(NldpError):
     """Exterior data grows too fast for the far-field integral to converge."""
 
 
-class TouchViolation(NldpError):
-    """Test function dips below the grid function inside the gluing ball."""
-
-
 class DivergentSigma(NldpError):
     """Growth exponent eta at or above the convergence threshold."""
 

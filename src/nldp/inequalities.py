@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DivergenceDetected
 from .params import (BARRIER_C1, BARRIER_C2, CoefficientField, ProblemParams,
                      barrier_eval)
-from .operator import _differences, _directional_model, phi
+from .operator import _differences, phi
 from .quadrature import adaptive_quad, near_singular_quad
 
 __all__ = [
@@ -190,9 +190,12 @@ def check_local_integrability(phi_fn, P: ProblemParams, mode: str,
 
     # Below 1e-5 the differences come from the local 2nd-order model, out
     # of rounding noise (direct subtraction is garbage below ~1e-8 and the
-    # kernel amplifies it).
+    # kernel amplifies it): central differences of phi at step 1e-4.
     px = float(np.asarray(phi_fn(np.asarray(x)), dtype=float))
-    model = _directional_model(phi_fn, x, 1.0)
+    step = 1e-4
+    fp, fm = (float(phi_fn(np.asarray(x, dtype=float) + k))
+              for k in (step, -step))
+    model = ((fp - fm) / (2 * step), (fp - 2 * px + fm) / (2 * step * step))
 
     def integrand(yv):
         yv = np.asarray(yv, dtype=float)

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonIntegrableNearField, TailDivergence, TouchViolation
+from .errors import NonIntegrableNearField, TailDivergence
 from .grid import (GridFunction, LocatedPoints, Locator, coeffs_T, grid_points,
                    in_box, sample)
 from .params import CoefficientField, ProblemParams
@@ -44,8 +44,8 @@ from .quadrature import (QuadratureSpec, adaptive_quad, geometric_tail_quad,
                          substitution_power)
 
 __all__ = [
-    "QuadratureSpec", "delta", "evaluate", "evaluate_truncated",
-    "apply_grid", "kernel_mass_matrix", "energy", "near_field_exponent",
+    "QuadratureSpec", "delta", "evaluate", "apply_grid",
+    "kernel_mass_matrix", "energy", "near_field_exponent",
 ]
 
 logger = logging.getLogger(__name__)
@@ -139,9 +139,8 @@ def _exterior_growth(ext, R: float, n: int) -> float:
 # Direct subtraction u(x) - u(x +/- y) loses all significant digits once
 # |y| drops below ~1e-8, and the singular kernel amplifies that rounding
 # garbage without bound.  Near zero the differences are therefore formed
-# from the local polynomial of the interpolant (read off its coefficients,
-# a fitted 2nd-order model for opaque callables), where the odd part
-# cancels analytically.
+# from the local polynomial of the interpolant, read off its coefficients,
+# where the odd part cancels analytically.
 
 def _poly_switch_radius(h: float, tol: float, max_kernel_exp: float) -> float:
     # Below this offset, rounding noise (~4 eps) integrated against the
@@ -188,26 +187,18 @@ def _near(u: GridFunction, plan):
     return -(b * Y + c * Y ** 2 + dp * Y ** 3), b * Y - c * Y ** 2 + dm * Y ** 3
 
 
-def _directional_model(u, x, d):
-    """(b, c) with u(x + r d) ~ u(x) + b r + c r^2 near a single point x:
-    read off the coefficients for a grid function, central differences for
-    an opaque callable."""
-    if isinstance(u, GridFunction):
-        j, t = u.locate(np.reshape(x, (-1, 1)))
-        b, c = _line(_taylor(u, j, t * u.h), np.reshape(d, (1, -1)))
-        return float(b[0, 0]), float(c[0, 0])
-    e = 1e-4
-    x = np.asarray(x, dtype=float)
-    f0 = float(u(x))
-    fp = float(u(x + e * d))
-    fm = float(u(x - e * d))
-    return (fp - fm) / (2 * e), (fp - 2 * f0 + fm) / (2 * e * e)
+def _directional_model(u: GridFunction, x, d):
+    """(b, c) with u(x + r d) ~ u(x) + b r + c r^2 near a single point x,
+    read off the interpolant's coefficients."""
+    j, t = u.locate(np.reshape(x, (-1, 1)))
+    b, c = _line(_taylor(u, j, t * u.h), np.reshape(d, (1, -1)))
+    return float(b[0, 0]), float(c[0, 0])
 
 
 def _differences(u, x, ux: float, d, r, model, r_switch: float):
     """Offsets r d and the differences u(x) - u(x +- r d) at the radii r:
-    formed directly from ``r_switch`` on, from the local model (b, c) of
-    ``_directional_model`` below it."""
+    formed directly from ``r_switch`` on, from the local model (b, c),
+    u(x + r d) ~ u(x) + b r + c r^2, below it."""
     offs = np.multiply.outer(r, d)
     dplus = ux - np.asarray(u(x + offs), dtype=float)
     dminus = ux - np.asarray(u(x - offs), dtype=float)
@@ -241,34 +232,8 @@ def _paired(P: ProblemParams, x, y, dplus, dminus):
     return g
 
 
-
 # --------------------------------------------------------------------------
 # Single-point adaptive evaluation.
-
-class _GluedField:
-    """phi inside B_rho(x0), u outside; the viscosity test function."""
-
-    def __init__(self, u: GridFunction, phi_fn, x0, rho):
-        self.u = u
-        self.phi_fn = phi_fn
-        self.x0 = np.asarray(x0, dtype=float)
-        self.rho = float(rho)
-        self.n = u.n
-        self.R = u.R
-        self.h = u.h
-        self.exterior = u.exterior
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=float)
-        if self.n == 1:
-            inside = np.abs(z - self.x0) < self.rho
-        else:
-            inside = np.sqrt(np.sum((z - self.x0) ** 2, axis=-1)) < self.rho
-        out = np.asarray(self.u(z), dtype=float)
-        if np.any(inside):
-            out = np.where(inside, np.asarray(self.phi_fn(z), dtype=float), out)
-        return out
-
 
 # Directions of the pointwise integral in 2-D: Gauss-Legendre angles on a
 # half turn.
@@ -306,8 +271,8 @@ def _sphere_crossings(x, d, radii):
     return out
 
 
-def evaluate(u, x, P: ProblemParams, Q: QuadratureSpec | None = None,
-             extra_kinks=()):
+def evaluate(u: GridFunction, x, P: ProblemParams,
+             Q: QuadratureSpec | None = None):
     """Operator value at a single interior point, with an error estimate.
 
     The integral runs along directions d through x, the paired integrand
@@ -317,7 +282,7 @@ def evaluate(u, x, P: ProblemParams, Q: QuadratureSpec | None = None,
     panels out to the far radius at tol, and the geometric tail against the
     kernel envelope at 0.1 tol max(1, |near + mid|).  The breaks of the
     integrand are panel edges: the Taylor switch of the differences, the
-    box seams, the jumps of the exterior and ``extra_kinks``.
+    box seams and the jumps of the exterior.
     Returns ``(value, error_estimate)``.
     """
     Q = Q or QuadratureSpec()
@@ -338,8 +303,7 @@ def evaluate(u, x, P: ProblemParams, Q: QuadratureSpec | None = None,
     # quadratic model's truncation error moves the value by more than tol.
     y_poly = _poly_switch_radius(h, Q.tol,
                                  max(e.sp, e.tq) + (1.0 if n == 1 else 0.0))
-    shared = ({float(k) for k in extra_kinks}
-              | {kh * h for kh in range(int(rho_near / h) + 1, 9)}
+    shared = ({kh * h for kh in range(int(rho_near / h) + 1, 9)}
               | {rho_near * 2.0 ** j for j in range(1, 30)})
     dirs, weights = (np.ones(1), np.ones(1)) if n == 1 \
         else _polar_dirs(_POLAR_DIRECTIONS)
@@ -364,44 +328,6 @@ def evaluate(u, x, P: ProblemParams, Q: QuadratureSpec | None = None,
         total += wd * (vn + vm + vt)
         err += wd * (en + em + et)
     return float(total), float(err)
-
-
-def evaluate_truncated(u: GridFunction, phi_fn, x0, rho: float,
-                       P: ProblemParams, Q: QuadratureSpec | None = None):
-    """Operator applied to the glued function (phi in B_rho(x0), u outside).
-
-    Preconditions: phi touches u at x0 (within 1e-10) and phi >= u on grid
-    probes of the ball; violation raises TouchViolation.
-    """
-    Q = Q or QuadratureSpec()
-    x0f = float(x0) if u.n == 1 else np.asarray(x0, dtype=float)
-    pu = float(u(x0f))
-    pp = float(np.asarray(phi_fn(np.atleast_1d(x0f) if u.n == 1 else x0f)).ravel()[0])
-    if abs(pu - pp) > 1e-10:
-        raise TouchViolation(f"phi(x0)={pp!r} does not touch u(x0)={pu!r}")
-    probes = _ball_probes(u, x0f, rho)
-    if len(probes):
-        pv = np.asarray(phi_fn(probes), dtype=float)
-        uv = np.asarray(u(probes), dtype=float)
-        bad = pv < uv - 1e-10
-        if np.any(bad):
-            where = probes[bad][0]
-            raise TouchViolation(f"phi < u - 1e-10 at probe {where!r}")
-    glued = _GluedField(u, phi_fn, x0f, rho)
-    val, err = evaluate(glued, x0f, P, Q, extra_kinks=(rho,))
-    return val, err
-
-
-def _ball_probes(u: GridFunction, x0, rho):
-    if u.n == 1:
-        xs = u.nodes
-        sel = np.abs(xs - x0) < rho
-        extra = x0 + rho * (np.arange(1, 64) / 64.0 * 2.0 - 1.0)
-        pts = np.concatenate([xs[sel], extra])
-        return pts[np.abs(pts - x0) < rho]
-    pts = grid_points(2, u.R, u.N).reshape(-1, 2)
-    d = np.sqrt(np.sum((pts - x0) ** 2, axis=-1))
-    return pts[d < rho]
 
 
 # --------------------------------------------------------------------------
@@ -715,9 +641,12 @@ def energy(u: GridFunction, P: ProblemParams, Q: QuadratureSpec | None = None):
 
 
 def _secant(d, r: float):
-    """phi'_r at the difference d, regularised at d = 0: (r-1)(|d| + 1e-6)^
-    (r-2), the relaxed Kacanov weight; exactly 1 at r = 2."""
-    return (r - 1.0) * (np.abs(d) + 1e-6) ** (r - 2.0)
+    """phi'_r at the difference d, regularised at d = 0: (r-1)(|d| + eps_r)^
+    (r-2), the relaxed Kacanov weight; exactly 1 at r = 2.  The shift is
+    per phase: 1e-12 for r < 2, where phi' is singular at 0 and a larger
+    shift, not the operator, would set J on flat data; 1e-6 for r > 2, where
+    phi'(0) = 0 and the shift keeps J invertible where the iterate is flat."""
+    return (r - 1.0) * (np.abs(d) + (1e-12 if r < 2.0 else 1e-6)) ** (r - 2.0)
 
 
 def _near_rows(u: GridFunction, plan: _Plan, c_near):

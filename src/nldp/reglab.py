@@ -368,7 +368,7 @@ def run_pipeline(P: ProblemParams, solve_cfg: SolveConfig, levels: int = 6,
     ctx = ScalingContext(lam=bundle.lam, mu=1.0, x0=0.0)
     P_tilde = rescale_problem(P, ctx)
     from .scaling import rescale_gridfunction
-    u_tilde = rescale_gridfunction(u, ctx, N=u.N)
+    u_tilde = rescale_gridfunction(u, ctx)
     trace, reports = dyadic_iteration(u_tilde, x0, bundle, P_tilde, levels,
                                       Q=solve_cfg.quadrature, N_level=N_level,
                                       M_bar=M_bar)

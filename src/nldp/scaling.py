@@ -88,20 +88,15 @@ def _sh(x, mu, x0):
     return mu * np.asarray(x, dtype=float) + x0
 
 
-def rescale_gridfunction(u: GridFunction, ctx: ScalingContext,
-                         N: int | None = None, shift: float = 0.0,
-                         exterior=None) -> GridFunction:
-    """Resample lambda * (u(mu x + x0) - shift) onto the box (box - x0)/mu.
-
-    By default the exterior wraps u's own glued evaluator so the transform
-    is exact (lazily composed) outside the new box.
+def rescale_gridfunction(u: GridFunction, ctx: ScalingContext) -> GridFunction:
+    """Resample lambda * u(mu x + x0) onto the box (box - x0)/mu, on u's
+    number of nodes.  The exterior wraps u's own glued evaluator, so the
+    transform is exact (lazily composed) outside the new box.
     """
     def rescaled(z):
-        return ctx.lam * (np.asarray(u(_sh(z, ctx.mu, ctx.x0)), dtype=float)
-                          - shift)
+        return ctx.lam * np.asarray(u(_sh(z, ctx.mu, ctx.x0)), dtype=float)
 
-    return sample(rescaled, u.n, u.R / ctx.mu, N if N is not None else u.N,
-                  callable_exterior(rescaled) if exterior is None else exterior)
+    return sample(rescaled, u.n, u.R / ctx.mu, u.N, callable_exterior(rescaled))
 
 
 def scaling_identity_check(u: GridFunction, P: ProblemParams,

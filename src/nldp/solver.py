@@ -1,16 +1,17 @@
 """Desk-scale solver for L u = f on a box with prescribed exterior data.
 
-The scheme is damped Newton on the discretised operator at the interior
-nodes, with the exterior (and the boundary pair of nodes) frozen.  A step
-solves J_II delta = r_I, J the Jacobian of the planned operator
-(``operator.kernel_mass_matrix``), tries u - lam delta from lam = 1 and
-halves lam while the l2 residual does not fall (Deuflhard, *Newton Methods
-for Nonlinear Problems*, 2004).  The factorisation is kept after a full step
-that cut the l2 residual fourfold, and rebuilt at the new iterate otherwise.
-On flat data J at p > 2 is only its regularisation, so there the halving
-takes the residual ratio to the power 1/(p-1) when that is smaller.  One
-step rule serves every n, p and q, and every solve is one Newton loop from
-the exterior data at the target exponents.
+``solve`` is one damped Newton loop on the discretised operator at the
+interior nodes, from the exterior data at the target exponents, with the
+exterior (and the boundary pair of nodes) frozen.  A step solves
+J_II delta = r_I, J the Jacobian of the planned operator
+(``operator.kernel_mass_matrix``, with phi' shifted at d = 0 by 1e-12 in a
+phase r < 2 and by 1e-6 in a phase r > 2), tries u - lam delta from lam = 1
+and halves lam while the l2 residual does not fall (Deuflhard, *Newton
+Methods for Nonlinear Problems*, 2004).  The inverse of J_II is kept after a
+full step that cut the l2 residual fourfold, and rebuilt at the new iterate
+otherwise.  On flat data J at p > 2 is only its regularisation, so there the
+halving takes the residual ratio to the power 1/(p-1) when that is smaller.
+One step rule serves every n, p and q.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from .grid import Exterior, GridFunction, constant_exterior, grid_points
 from .operator import QuadratureSpec, apply_grid, kernel_mass_matrix
 from .params import ProblemParams
 
-__all__ = ["SolveConfig", "SolveReport", "solve", "residual",
-           "kernel_mass_matrix"]
+__all__ = ["SolveConfig", "SolveReport", "solve", "residual"]
 
 
 @dataclass(frozen=True)
@@ -94,10 +94,6 @@ def solve(P: ProblemParams, cfg: SolveConfig):
     pts = grid_points(P.n, cfg.R, cfg.N)
     u = GridFunction(n=P.n, R=cfg.R, values=_initial_values(cfg, pts, P.n),
                      exterior=cfg.exterior)
-    return _solve_stage(P, cfg, u)
-
-
-def _solve_stage(P: ProblemParams, cfg: SolveConfig, u: GridFunction):
     Q = cfg.quadrature
     interior = (slice(1, u.N - 1),) * u.n
     ids = np.arange(u.values.size).reshape(u.values.shape)[interior].ravel()

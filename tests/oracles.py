@@ -121,13 +121,6 @@ def energy_beta_oracle(s: float, n_outer: int = 801, R: float = 2.0,
     return total
 
 
-def truncated_touch_oracle(s: float) -> float:
-    """Oracle for the barrier touched at 0 by (1 - |x|^2)^2 glued over
-    B_1/2: the glued function is the barrier itself, so the value is the
-    p=2 operator at the origin."""
-    return operator_beta_p2_oracle(0.0, s)
-
-
 def pv_eval_oneside(u, x, P, eps: float, Q=None):
     """One-sided PV evaluation with an explicit eps-exclusion ball.
 

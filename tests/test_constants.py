@@ -440,17 +440,18 @@ class TestSelection:
         assert len(calls) == 1
         assert b.sigma == b.certificate.sigma_at_eta == DESK_BUNDLE["sigma"]
 
-    def test_halve(self):
+    def test_halve(self, monkeypatch):
         seen = []
 
         def ok(x):
             seen.append(x)
             return x <= 0.1
 
-        assert _halve(1.0, ok, 60, "unused") == 0.0625
+        assert _halve(1.0, ok, "unused") == 0.0625
         assert seen == [1.0, 0.5, 0.25, 0.125, 0.0625]
+        monkeypatch.setattr(nldp.constants, "_MAX_HALVINGS", 4)
         with pytest.raises(SelectionFailed, match="^no luck$"):
-            _halve(1.0, ok, 4, "no luck")
+            _halve(1.0, ok, "no luck")
 
     def test_tail_term_monotone_in_eta(self, desk_params):
         vals = [_term_III(0.0, desk_params, eta, 1, 1e-9)

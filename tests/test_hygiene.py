@@ -4,8 +4,9 @@ Every name a module imports must be used in its body or re-exported
 through its ``__all__``; ``__init__.py`` is skipped, since its imports are
 the package's re-exports.  Every module-level private (``_name``) function
 or class must be referenced somewhere in the package outside its own
-definition.  Importing the package loads no scipy module.  The config
-defaults list exactly the fields of the objects they build.
+definition.  Every error type is raised somewhere in the package.
+Importing the package loads no scipy module.  The config defaults list
+exactly the fields of the objects they build.
 """
 
 import ast
@@ -96,6 +97,31 @@ def package_refs():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_orphan_private_helpers(path, package_refs):
     assert _orphan_private_defs(path, package_refs) == []
+
+
+def _raised_names(path: Path) -> set[str]:
+    """Names of the exceptions a module raises, called or bare, by name or
+    as an attribute (``errors.ConfigError``)."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                out.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                out.add(exc.attr)
+    return out
+
+
+def test_every_error_type_is_raised():
+    # An error type outlives its last raiser unless something checks: each
+    # subclass of NldpError must be raised by some module of the package.
+    tree = ast.parse((SRC / "errors.py").read_text())
+    types = [c.name for c in tree.body if isinstance(c, ast.ClassDef)
+             and c.name != "NldpError"]
+    assert types
+    raised = set().union(*(_raised_names(p) for p in SRC.glob("*.py")))
+    assert [t for t in types if t not in raised] == []
 
 
 def test_package_imports_no_scipy():

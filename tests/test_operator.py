@@ -10,13 +10,13 @@ import nldp.operator
 import nldp.quadrature
 from oracles import (apply_grid_1d_direct, apply_grid_2d_direct,
                      energy_beta_oracle, operator_beta_p2_oracle,
-                     pv_eval_oneside, truncated_touch_oracle)
+                     pv_eval_oneside)
 
-from nldp.errors import NldpError, TailDivergence, TouchViolation
+from nldp.errors import NldpError, TailDivergence
 from nldp.grid import (GridFunction, callable_exterior, constant_exterior,
                        dyadic_exterior, growth_exterior, sample)
 from nldp.operator import (QuadratureSpec, apply_grid, delta, energy,
-                           evaluate, evaluate_truncated)
+                           evaluate)
 from nldp.params import (barrier_eval, checkerboard_coefficient,
                          constant_coefficient, halfspace_coefficient,
                          holder_coefficient, model_params, table_kernel)
@@ -425,54 +425,6 @@ class TestPlannedApply1D:
 
     def test_plan_build_logged_once(self, caplog):
         _check_build_logged_once(1, 33, caplog)
-
-
-class TestTruncatedEvaluate:
-    def test_identity_glue(self):
-        P = pure_p_params()
-        u = beta_grid(513)
-        ref, eref = evaluate(u, 0.1, P, Q)
-        val, err = evaluate_truncated(u, lambda z: u(z), 0.1, 0.4, P, Q)
-        assert val == pytest.approx(ref, abs=max(1e-6, 2 * (err + eref)))
-
-    def test_touching_paraboloid_bounds_from_above(self):
-        # phi = u + (x - x0)^2 touches from above; monotonicity pushes the
-        # glued value down
-        P = pure_p_params()
-        u = beta_grid(513)
-        x0 = 0.1
-
-        def phi(z):
-            return np.asarray(u(z)) + (np.asarray(z, dtype=float) - x0) ** 2
-
-        val, err = evaluate_truncated(u, phi, x0, 0.3, P, Q)
-        ref, eref = evaluate(u, x0, P, Q)
-        assert val <= ref + err + eref + 1e-9
-
-    def test_barrier_touched_by_its_own_polynomial(self):
-        # phi(x) = 1 + |x|^4 - 2|x|^2 coincides with the barrier inside B_1
-        P = pure_p_params()
-        u = beta_grid(2049)
-
-        def phi(z):
-            z = np.asarray(z, dtype=float)
-            return 1.0 + z ** 4 - 2.0 * z ** 2
-
-        val, err = evaluate_truncated(u, phi, 0.0, 0.5, P, Q)
-        oracle = truncated_touch_oracle(0.6)
-        assert val == pytest.approx(oracle, rel=1e-5)
-
-    def test_touch_violation(self):
-        P = pure_p_params()
-        u = beta_grid(257)
-        with pytest.raises(TouchViolation):
-            evaluate_truncated(u, lambda z: np.asarray(u(z)) - 1e-3, 0.1, 0.3,
-                               P, Q)
-        with pytest.raises(TouchViolation):
-            # touches but dips below off-centre
-            evaluate_truncated(
-                u, lambda z: np.asarray(u(z)) - (np.asarray(z) - 0.1) ** 2,
-                0.1, 0.3, P, Q)
 
 
 class TestEnergy:
