@@ -162,9 +162,10 @@ class Exterior:
 
     def __call__(self, x, n: int = 1):
         x = np.asarray(x, dtype=float)
-        r = np.abs(x) if n == 1 else np.sqrt(np.sum(x * x, axis=-1))
         if self.tag == "constant":
-            return np.full(np.shape(r), self.value, dtype=float)
+            return np.full(x.shape if n == 1 else x.shape[:-1], self.value,
+                           dtype=float)
+        r = np.abs(x) if n == 1 else np.sqrt(np.sum(x * x, axis=-1))
         if self.tag == "growth":
             return self.amp * (self.scale * r) ** self.eta + self.offset
         if self.tag == "dyadic":
@@ -214,8 +215,9 @@ def grid_points(n: int, R: float, N: int) -> np.ndarray:
 def in_box(pts, R: float, n: int):
     """The glue rule of a grid function: its interpolant covers the points
     with |z|_inf <= R, the exterior the rest."""
-    inside = np.abs(pts) <= R
-    return inside if n == 1 else np.all(inside, axis=-1)
+    if n == 1:
+        return np.abs(pts) <= R
+    return (np.abs(pts[..., 0]) <= R) & (np.abs(pts[..., 1]) <= R)
 
 
 def _locate(pts, R: float, N: int):

@@ -20,7 +20,10 @@ plan of fixed panels built once per geometry, in 1-D and 2-D alike
 points are located once, as a cell and an in-cell position each
 (``grid.LocatedPoints``), so a sweep reads the interpolant from one
 (cells, positions) table product and one gather per entry, and the
-Jacobian scatters onto the same cells and monomials.  ``energy`` is the same
+Jacobian scatters onto the same cells and monomials.  Both go through the
+entries by runs of whole nodes (``_node_chunks``), so no temporary of a
+pass is the size of the plan, and each node's sum is one bincount over its
+own entries whatever the runs.  ``energy`` is the same
 sweep with |d|^r in place of phi, summed over the nodes on three nested
 grids, whose spread is its error estimate and its divergence test.
 """
@@ -338,7 +341,8 @@ class _Plan:
     """The iterate-independent part of the grid apply, in 1-D and 2-D.
 
     In-box entries are the offsets whose points the interpolant covers,
-    stably sorted by node; the points are located once
+    stably sorted by node, so a run of whole nodes is one slice of them;
+    the points are located once
     (``grid.LocatedPoints``), so each sweep evaluates the interpolant there
     as one table product and one gather per entry.  Exterior entries
     (out-of-box offsets and both ends of the analytic remainder) see fixed
@@ -558,34 +562,64 @@ def _plan(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
     return plan
 
 
-def _pair_weights(u: GridFunction, plan: _Plan, P: ProblemParams, f):
-    """f(d, p) w_p + f(d, q) w_q of the plan's in-box entries, exterior groups
-    and near block, d the difference u(x) - u(x + y) of each entry: the
-    arrays (M,), (G,) and (2, nodes, D, T), the near block's per sign of the
-    offset."""
+# In-box entries per pass: a sweep and the Jacobian work through the plan by
+# runs of whole nodes of about this many entries, so that no temporary of a
+# pass is the size of the plan.
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _node_chunks(node, K: int):
+    """Runs [n0, n1) of whole nodes of the node-sorted entries ``node``, with
+    their entries [a, b): about ``_CHUNK_ENTRIES`` entries, one node at
+    least."""
+    start = np.searchsorted(node, np.arange(K + 1))
+    n0 = 0
+    while n0 < K:
+        n1 = max(n0 + 1, int(np.searchsorted(start, start[n0] + _CHUNK_ENTRIES,
+                                             side="right")) - 1)
+        yield n0, n1, start[n0], start[n1]
+        n0 = n1
+
+
+def _entry_weights(plan: _Plan, P: ProblemParams, f, v, ux, a, b):
+    """f(d, p) w_p + f(d, q) w_q of the in-box entries [a, b), from the node
+    values v and ux = ``u(plan.points)``: d = u(x) - u(x + y) is formed in
+    place in ux[a:b]."""
     e = P.exponents
-    v = u.values.ravel()
-    # The in-box arrays are the size of the plan: work in place and drop
-    # each one before the next, so a pass adds little to peak memory.
+    d = ux[a:b]
+    np.subtract(v[plan.node[a:b]], d, out=d)
     # f may return its argument, so each phase is formed into a new array.
-    d = u(plan.points)
-    np.subtract(v[plan.node], d, out=d)
-    g = f(d, e.p) * plan.wp
-    g += f(d, e.q) * plan.wq
-    del d
-    d = v[plan.ext_node] - plan.ext_val
+    g = f(d, e.p) * plan.wp[a:b]
+    g += f(d, e.q) * plan.wq[a:b]
+    return g
+
+
+def _fixed_weights(u: GridFunction, plan: _Plan, P: ProblemParams, f):
+    """f(d, p) w_p + f(d, q) w_q of the exterior groups, (G,), and of the near
+    block, (2, nodes, D, T) one per sign of the offset."""
+    e = P.exponents
+    d = u.values.ravel()[plan.ext_node] - plan.ext_val
     g_ext = f(d, e.p) * plan.ext_wp + f(d, e.q) * plan.ext_wq
     g_near = np.stack([f(d, e.p) * plan.near_wp + f(d, e.q) * wq
                        for d, wq in zip(_near(u, plan), plan.near_wq)])
-    return g, g_ext, g_near
+    return g_ext, g_near
 
 
 def _sweep(u: GridFunction, plan: _Plan, P: ProblemParams, f):
-    """Per-node sums of ``_pair_weights``, shaped like ``u.values``."""
-    g, g_ext, g_near = _pair_weights(u, plan, P, f)
-    out = np.bincount(plan.node, g, minlength=u.values.size)
-    del g
-    out += np.bincount(plan.ext_node, g_ext, minlength=u.values.size)
+    """Per-node sums of f(d, p) w_p + f(d, q) w_q over the plan, shaped like
+    ``u.values``: the in-box entries by ``_node_chunks``, each node's sum one
+    bincount over its own entries in order, then the exterior groups and the
+    near block."""
+    v = u.values.ravel()
+    ux = u(plan.points)
+    out = np.empty(v.size)
+    for n0, n1, a, b in _node_chunks(plan.node, v.size):
+        out[n0:n1] = np.bincount(plan.node[a:b] - n0,
+                                 _entry_weights(plan, P, f, v, ux, a, b),
+                                 minlength=n1 - n0)
+    del ux
+    g_ext, g_near = _fixed_weights(u, plan, P, f)
+    out += np.bincount(plan.ext_node, g_ext, minlength=v.size)
     out += np.sum(g_near[0] + g_near[1], axis=(1, 2))
     return out.reshape(u.values.shape)
 
@@ -595,7 +629,8 @@ def apply_grid(u: GridFunction, P: ProblemParams, Q: QuadratureSpec):
     grid, exterior).
 
     A sweep evaluates the interpolant once at the plan's in-box points,
-    applies ``phi`` and reduces per node.  The boundary nodes see the glue
+    then, by runs of whole nodes, forms the differences, applies ``phi`` and
+    reduces per node (``_sweep``).  The boundary nodes see the glue
     seam inside their near field and are only approximate; the solver keeps
     them frozen.
     """
@@ -646,6 +681,8 @@ def _secant(d, r: float):
     per phase: 1e-12 for r < 2, where phi' is singular at 0 and a larger
     shift, not the operator, would set J on flat data; 1e-6 for r > 2, where
     phi'(0) = 0 and the shift keeps J invertible where the iterate is flat."""
+    if r == 2.0:
+        return 1.0
     return (r - 1.0) * (np.abs(d) + (1e-12 if r < 2.0 else 1e-6)) ** (r - 2.0)
 
 
@@ -678,27 +715,33 @@ def kernel_mass_matrix(u: GridFunction, P: ProblemParams,
     B the monomials of its cell at its point, and the near block's b, c and
     d+- are entries of C v.  With c = wp phi'_p(d) + wq phi'_q(d) per entry
     (``_secant``), J = diag(in-box and exterior c) + H C, H holding -c B per
-    (node, monomial, cell) and the near rows.  H is built by node chunks and
-    contracted with C transposed (``grid.coeffs_T``); neither H for all nodes
-    nor C is held.  Not an M-matrix: cubic cardinal functions have negative
-    lobes.
+    (node, monomial, cell) and the near rows.  The in-box c, their diagonal
+    and H are formed by node chunks, and H is contracted with C transposed
+    (``grid.coeffs_T``); neither c nor H for all nodes nor C is held.  Not
+    an M-matrix: cubic cardinal functions have negative lobes.
     """
     plan = _plan(P, Q, u.R, u.N, u.exterior)
     n, N, h = u.n, u.N, u.h
     K, cells, m4 = N ** n, (N - 1) ** n, 4 ** n
-    c, c_ext, c_near = _pair_weights(u, plan, P, _secant)
-    J = np.diag(np.bincount(plan.node, c, minlength=K)
-                + np.bincount(plan.ext_node, c_ext, minlength=K))
+    v = u.values.ravel()
+    ux = u(plan.points)
+    c_ext, c_near = _fixed_weights(u, plan, P, _secant)
+    diag_ext = np.bincount(plan.ext_node, c_ext, minlength=K)
     g_near, g_left = _near_rows(u, plan, c_near)
     own = np.ravel_multi_index(np.minimum(np.indices((N,) * n), N - 2),
                                (N - 1,) * n).ravel()
+    J = np.zeros((K, K))
     step = max(1, (1 << 17) // (m4 * cells))
     for lo in range(0, K, step):
         nb = min(step, K - lo)
         a, b = np.searchsorted(plan.node, (lo, lo + nb))
-        H = plan.points.scatter(-c[a:b], slice(a, b), plan.node[a:b] - lo,
-                                nb).reshape(m4, cells, nb)
+        c = _entry_weights(plan, P, _secant, v, ux, a, b)
         rows = np.arange(nb)
+        J[lo + rows, lo + rows] = (np.bincount(plan.node[a:b] - lo, c,
+                                               minlength=nb)
+                                   + diag_ext[lo:lo + nb])
+        H = plan.points.scatter(-c, slice(a, b), plan.node[a:b] - lo,
+                                nb).reshape(m4, cells, nb)
         H[:, own[lo:lo + nb], rows] += g_near[lo:lo + nb].T
         if n == 1:
             H[0, np.maximum(rows + lo - 1, 0), rows] += g_left[lo:lo + nb]

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -425,6 +426,59 @@ class TestPlannedApply1D:
 
     def test_plan_build_logged_once(self, caplog):
         _check_build_logged_once(1, 33, caplog)
+
+
+class TestChunkedSweep:
+    """A sweep and the Jacobian go through the plan by runs of whole nodes
+    (``operator._node_chunks``); each node's sum is one bincount over its own
+    entries in order, so the results do not depend on where the runs end."""
+
+    @pytest.mark.parametrize("n, N", [(1, 65), (2, 9)], ids=["1d", "2d"])
+    def test_chunk_length_leaves_the_bits(self, monkeypatch, n, N):
+        P = model_params(n=n, s=0.6, t=0.5, p=2.5, q=2.8,
+                         coefficient=halfspace_coefficient(n, 1.0))
+        u = GridFunction(n=n, R=2.0 if n == 1 else 1.0,
+                         values=np.random.default_rng(N).uniform(
+                             -0.5, 0.5, (N,) * n))
+        plan = nldp.operator._plan(P, Q, u.R, N, u.exterior)
+        M, K = len(plan.node), N ** n
+
+        def passes():
+            return ([apply_grid(u, P, Q),
+                     nldp.operator.kernel_mass_matrix(u, P, Q)]
+                    + ([np.array(energy(u, P, Q)[:2])] if n == 1 else []))
+
+        ref = passes()
+        # Runs of about three nodes, then one run over the whole plan.
+        for length, fewest, most in ((3 * M // K, K // 6, K), (M, 1, 1)):
+            monkeypatch.setattr(nldp.operator, "_CHUNK_ENTRIES", length)
+            runs = len(list(nldp.operator._node_chunks(plan.node, K)))
+            assert fewest <= runs <= most
+            assert all(np.array_equal(a, b) for a, b in zip(ref, passes()))
+
+    @pytest.mark.parametrize("n, N", [(1, 513), (2, 13)], ids=["1d", "2d"])
+    def test_sweep_peak_memory(self, n, N):
+        # Band written before the run: the interpolant's (cells, positions)
+        # table and its values at the M in-box points (8 bytes each) are the
+        # only arrays of the plan's scale a sweep may hold, plus 2 MB.
+        # Measured 15.5 and 7.8 MB against bands of 16.6 and 8.8 MB; a sweep
+        # that forms each step for the whole plan peaks at 21.0 and 13.2 MB.
+        P = model_params(n=n, s=0.6, t=0.5, p=2.0, q=2.2,
+                         coefficient=halfspace_coefficient(n, 1.0))
+        u = GridFunction(n=n, R=2.0 if n == 1 else 1.0,
+                         values=np.random.default_rng(N).uniform(
+                             -0.5, 0.5, (N,) * n))
+        apply_grid(u, P, Q)                   # builds the plan
+        plan = nldp.operator._plan(P, Q, u.R, N, u.exterior)
+        table = 8 * (N - 1) ** n * plan.points.mono.shape[1]
+        u = u.with_values(u.values + 0.01)
+        tracemalloc.start()
+        try:
+            apply_grid(u, P, Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= table + 8 * len(plan.node) + 2 * 2 ** 20, peak
 
 
 class TestEnergy:
