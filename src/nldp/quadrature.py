@@ -1,8 +1,11 @@
 """Adaptive panel quadrature built on nested Gauss-Kronrod 7/15 rules.
 
 All integrands are expected to be vectorised over numpy arrays of
-abscissae: one integrand call covers many panels (every active panel of a
-bisection pass, or a chunk of geometric tail panels).  Every routine
+abscissae: one integrand call covers many panels.  A pass (every active
+panel of a bisection pass, or a chunk of geometric tail panels of every
+unfinished row) goes to the integrand in blocks of whole panels of at most
+``_PASS_POINTS`` abscissae, so its temporaries stay small enough for the
+malloc heap to keep them between passes.  Every routine
 returns ``(value, error_estimate)`` so callers can propagate quadrature
 error budgets; the estimates are the usual Kronrod-minus-Gauss heuristics
 summed over panels plus any analytic remainder attached to unbounded
@@ -44,7 +47,13 @@ _WG = np.array([
 ])
 # A slice, not an index array: it keeps the Gauss columns a row-major view.
 _G_IDX = slice(1, 15, 2)
-# Geometric tail panels evaluated per integrand call.
+# Abscissae per integrand call of ``gk_panels``: a pass larger than this
+# runs in blocks of whole panels.  At 4,096 a desk selection keeps its heap
+# (under 20 minor faults per operation, against 16,000 at 8,192 and 27,000
+# for whole passes); at 2,048 the extra calls cost more than they save.
+_PASS_POINTS = 4096
+_BLOCK_PANELS = _PASS_POINTS // _XK.size
+# Geometric tail panels of a row per pass of ``geometric_tail_quad_rows``.
 _TAIL_CHUNK = 16
 
 
@@ -70,30 +79,45 @@ class QuadratureSpec:
 
 
 def gk_panels(f, lo, hi, row, ends=False):
-    """GK15 on every panel [lo[i], hi[i]] of row ``row[i]`` with one call
+    """GK15 on every panel [lo[i], hi[i]] of row ``row[i]``, through calls
     ``f(y, rows)``, ``rows`` giving the row of each abscissa.  Returns
     per-panel values and error estimates as arrays (the QUADPACK sharpening
     of the Kronrod-minus-Gauss difference, floored by the raw difference),
-    and, with ``ends``, the values of ``f`` at the panels' right ends, which
-    ride along in the same call.  Each panel's sums run along its own row
-    of a row-major array, in an order the panel count does not change (a
-    matrix product through BLAS blocks by it), so a row's result does not
-    depend on the rows batched with it.
+    and, with ``ends``, the values of ``f`` at the panels' right ends.
+
+    The panels go to ``f`` in blocks of whole panels, each of at most
+    ``_PASS_POINTS`` abscissae (with its right ends riding along), and each
+    block's sums are written into the per-panel arrays, so no temporary
+    grows with the abscissae of a pass (pass-sized temporaries made glibc
+    grow and trim its heap on every pass, and fault the pages in again).
+    Each panel's sums run along its own row of a row-major array, in an
+    order the panel count does not change (a matrix product through BLAS
+    blocks by it), so neither a panel's result nor a row's depends on what
+    is batched with it.
     """
-    mids = 0.5 * (lo + hi)
-    halves = 0.5 * (hi - lo)
-    pts = mids[:, None] + halves[:, None] * _XK
-    y, rows = pts.ravel(), np.repeat(row, _XK.size)
-    if ends:
-        y, rows = np.concatenate([y, hi]), np.concatenate([rows, row])
-    fx = np.asarray(f(y, rows), dtype=float)
-    fe = fx[pts.size:]
-    fx = fx[:pts.size].reshape(pts.shape)
-    kron = halves * np.einsum("ij,j->i", fx, _WK)
-    gauss = halves * np.einsum("ij,j->i", fx[:, _G_IDX], _WG)
+    n = lo.size
+    kron, gauss, fe = np.empty(n), np.empty(n), np.empty(n if ends else 0)
+    for a in range(0, n, _BLOCK_PANELS):
+        b = min(a + _BLOCK_PANELS, n)
+        halves = 0.5 * (hi[a:b] - lo[a:b])
+        pts = (0.5 * (lo[a:b] + hi[a:b]))[:, None] + halves[:, None] * _XK
+        y, rows = pts.ravel(), np.repeat(row[a:b], _XK.size)
+        if ends:
+            y = np.concatenate([y, hi[a:b]])
+            rows = np.concatenate([rows, row[a:b]])
+        fx = np.asarray(f(y, rows), dtype=float)
+        fe[a:b] = fx[pts.size:]
+        fx = fx[:pts.size].reshape(pts.shape)
+        kron[a:b] = halves * np.einsum("ij,j->i", fx, _WK)
+        gauss[a:b] = halves * np.einsum("ij,j->i", fx[:, _G_IDX], _WG)
     diff = np.abs(kron - gauss)
     err = np.minimum((200.0 * diff) ** 1.5, 200.0 * diff)
     return kron, np.maximum(err, diff), fe
+
+
+def _calls(panels: int) -> int:
+    """Integrand calls of one ``gk_panels`` pass over ``panels`` panels."""
+    return -(-panels // _BLOCK_PANELS)
 
 
 def adaptive_quad(f, a: float, b: float, tol: float = 1e-10,
@@ -114,15 +138,18 @@ def adaptive_quad_rows(f, edges, tol=1e-10, max_depth: int = 48,
     i from the panels between the increasing ``edges[i]``; ``tol`` and
     ``max_total_panels`` may be per row.  Returns per-row (value, error).
 
-    Each pass evaluates every active panel with one call of ``f`` and
-    accepts a panel when its error estimate meets its share of its row's
-    ``tol`` (absolute + relative mix, by width), at the depth cap, or when
-    it is too narrow to bisect; the rest are bisected.  These are per-panel
+    Each pass evaluates every active panel (``gk_panels``: blocks of at
+    most ``_PASS_POINTS`` abscissae per call of ``f``) and accepts a panel
+    when its error estimate meets its share of its row's ``tol`` (absolute
+    + relative mix, by width), at the depth cap, or when it is too narrow
+    to bisect; the rest are bisected.  These are per-panel
     rules, so each row accepts the panels of one-panel-at-a-time bisection.
     A panel is bisected only if both halves fit in what is left of its
     row's ``max_total_panels`` (roughness floors, e.g. rounding noise, must
     not stall the evaluation); a row that runs out keeps the estimates of
-    its unsplit panels, and the call logs one WARNING.
+    its unsplit panels, and the call logs one WARNING.  Every call logs one
+    DEBUG line with its rows, passes, panels, integrand calls and rows out
+    of budget.
     """
     edges = np.asarray(edges, dtype=float)
     m, k = edges.shape
@@ -134,10 +161,11 @@ def adaptive_quad_rows(f, edges, tol=1e-10, max_depth: int = 48,
     # The panels of each row stay in the order of its one-row run.
     lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     row = np.repeat(np.arange(m), k - 1)
-    done, spent, depth = [], np.zeros(m, dtype=int), 0
+    done, spent, depth, calls = [], np.zeros(m, dtype=int), 0, 0
     starved = np.zeros(m, dtype=bool)
     while lo.size:
         v, e, _ = gk_panels(f, lo, hi, row)
+        calls += _calls(lo.size)
         spent += np.bincount(row, minlength=m)
         width = hi - lo
         split = ~((e <= tol[row] * np.maximum(1.0, np.abs(v)) * width / span[row])
@@ -171,6 +199,9 @@ def adaptive_quad_rows(f, edges, tol=1e-10, max_depth: int = 48,
                        "budget; row %d on [%.6g, %.6g]: %d of %d panels, err "
                        "%.3g against tol %.3g", starved.sum(), m, i, *edges[i, [0, -1]],
                        spent[i], budget[i], err[i], tol[i])
+    logger.debug("adaptive_quad_rows: %d rows, %d passes, %d panels, %d "
+                 "integrand calls, %d rows out of budget", m, depth,
+                 spent.sum(), calls, starved.sum())
     return val, err
 
 
@@ -237,9 +268,12 @@ def geometric_tail_quad_rows(f, a, decay, tol=1e-11, max_panels: int = 200):
     estimate f(r) * r / decay at the right end r of a row's last panel
     drops below tol * max(1, |sum so far|); the remainder is added to the
     value and into the error budget (doubled if ``max_panels`` run out
-    first).  ``_TAIL_CHUNK`` panels of every unfinished row and their right
-    ends share one call of ``f``; edges and running sums accumulate in the
-    order of a panel-by-panel loop, so a row stops where it would alone.
+    first).  A pass takes ``_TAIL_CHUNK`` panels of every unfinished row,
+    and ``gk_panels`` evaluates them with their right ends in blocks of at
+    most ``_PASS_POINTS`` abscissae per call of ``f``; edges and running
+    sums accumulate in the order of a panel-by-panel loop, so a row stops
+    where it would alone.  Every call logs one DEBUG line with its rows,
+    passes, panels, integrand calls and rows that ran out of ``max_panels``.
     """
     a = np.asarray(a, dtype=float)
     decay, tol = np.zeros(a.shape) + decay, np.zeros(a.shape) + tol
@@ -248,9 +282,12 @@ def geometric_tail_quad_rows(f, a, decay, tol=1e-11, max_panels: int = 200):
     # Per row: sum, error sum, remainder estimate, right end of its panels.
     state = np.zeros((4, a.size))
     state[3] = a
-    live, done = np.arange(a.size), 0
+    live, done, passes, panels, calls = np.arange(a.size), 0, 0, 0, 0
     while done < max_panels and live.size:
         n = min(_TAIL_CHUNK, max_panels - done)
+        passes += 1
+        panels += live.size * n
+        calls += _calls(live.size * n)
         edges = np.cumprod(np.concatenate(
             [state[3, live, None], np.full((live.size, n), 2.0)], 1), axis=1)
         v, e, f_hi = (x.reshape(live.size, n) for x in gk_panels(
@@ -266,6 +303,9 @@ def geometric_tail_quad_rows(f, a, decay, tol=1e-11, max_panels: int = 200):
         done += n
     rem = np.abs(state[2])
     rem[live] *= 2.0
+    logger.debug("geometric_tail_quad_rows: %d rows, %d passes, %d panels, "
+                 "%d integrand calls, %d rows out of max_panels", a.size,
+                 passes, panels, calls, live.size)
     return state[0] + state[2], state[1] + rem
 
 

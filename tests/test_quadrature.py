@@ -11,6 +11,8 @@ a different order).
 """
 
 import logging
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from oracles import adaptive_quad_depth_first, geometric_tail_quad_sequential
 import nldp.constants
 import nldp.quadrature
 from nldp.constants import _term_II
-from nldp.quadrature import (_TAIL_CHUNK, adaptive_quad, adaptive_quad_rows,
+from nldp.quadrature import (_PASS_POINTS, _TAIL_CHUNK, adaptive_quad,
+                             adaptive_quad_rows,
                              geometric_tail_quad, geometric_tail_quad_rows,
                              gk_panels, near_singular_quad,
                              near_singular_quad_rows)
@@ -293,6 +296,65 @@ class TestPanelSumsIndependentOfBatch:
                                   np.zeros(1, dtype=int))
             assert (vi[0], ei[0]) == (v[i], e[i])
 
+    def test_blocked_pass_equals_one_panel_calls(self):
+        # A pass of more than three blocks of _PASS_POINTS abscissae, on
+        # rows of their own, with the right ends riding along: each call
+        # gets whole panels with their ends, and no more abscissae than a
+        # block holds, and every panel's sums are those of a call alone.
+        n = 4 * (_PASS_POINTS // 15) + 7
+        edges = np.linspace(0.0, 3.0, n + 1)
+        row = np.arange(n) % 5
+        sizes = []
+
+        def f(y, rows):
+            sizes.append(y.size)
+            return np.abs(y - 1.0 / 3.0) ** 0.2 * np.exp(-y) * (1.0 + rows)
+
+        v, e, fe = gk_panels(f, edges[:-1], edges[1:], row, ends=True)
+        assert len(sizes) == 5 and sum(sizes) == 16 * n
+        assert all(k % 16 == 0 and k - k // 16 <= _PASS_POINTS for k in sizes)
+        for i in range(n):
+            vi, ei, fi = gk_panels(f, edges[i:i + 1], edges[i + 1:i + 2],
+                                   row[i:i + 1], ends=True)
+            assert (vi[0], ei[0], fi[0]) == (v[i], e[i], fe[i])
+
+
+class TestPassMemory:
+    # 2,000 rows of 16 panels: a first pass of 32,000 panels, 480,000
+    # abscissae (512,000 with the tail's right ends).  Band, set before
+    # the run: a tracemalloc peak of at most 200 bytes per panel of that
+    # pass (6.4 MB), less than two floats per abscissa.  Evaluated in one
+    # call, the pass's abscissae, rows and values alone would exceed it.
+    ROWS, PANELS = 2000, 16
+    BAND = 200 * ROWS * PANELS
+
+    @staticmethod
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_adaptive_pass(self):
+        edges = np.linspace(0.0, 1.0, self.PANELS + 1) + np.zeros((self.ROWS, 1))
+
+        def f(y, rows):
+            return np.cos(y + rows)
+
+        assert self.peak(lambda: adaptive_quad_rows(f, edges, 1e-10)) <= self.BAND
+
+    def test_tail_pass(self):
+        # r^-2 from 1 stops at r = 2^30 at tol 1e-9: two passes of 16.
+        a = np.ones(self.ROWS)
+
+        def f(r, rows):
+            return r ** -2.0
+
+        assert self.peak(lambda: geometric_tail_quad_rows(f, a, 1.0, 1e-9)) \
+            <= self.BAND
+
 
 class TestTailStopsWithSequentialLoop:
     # f(r) = r^-2 + r^-3 from 1 with decay 1: the remainder estimate at
@@ -379,6 +441,50 @@ class TestPanelBudget:
             adaptive_quad(self.rough, 0.0, 1.0, tol=1e-8,
                           initial_edges=[0.0, 1.0 / 3.0, 1.0])
         assert not [r for r in caplog.records if r.name == "nldp.quadrature"]
+
+    def test_debug_lines_count_what_the_integrand_sees(self, caplog):
+        # 300 rows of 16 panels, one of them rough on a budget of 20: several
+        # integrand calls per pass, several passes, one row out of budget.
+        edges = np.linspace(0.0, 1.0, 17) + np.zeros((300, 1))
+        budget = np.full(300, 4000)
+        budget[0] = 20
+        seen = {"calls": 0, "points": 0}
+
+        def f(y, rows):
+            seen["calls"] += 1
+            seen["points"] += y.size
+            return np.where(rows == 0, self.rough(y), np.exp(-y * rows))
+
+        pattern = (r"(\d+) rows, (\d+) passes, (\d+) panels, (\d+) integrand "
+                   r"calls, (\d+) rows out of")
+        with caplog.at_level(logging.DEBUG, logger="nldp.quadrature"):
+            adaptive_quad_rows(f, edges, 1e-12, max_total_panels=budget)
+            counts = [int(x) for x in re.search(
+                pattern, caplog.records[-1].getMessage()).groups()]
+            assert counts[0] == 300 and counts[1] > 1 and counts[4] == 1
+            assert counts[2:4] == [seen["points"] // 15, seen["calls"]]
+            assert seen["calls"] > counts[1]
+
+            # r^-2 stops near r = 2^30 at tol 1e-9; the last 200 rows never
+            # stop and run out of their 48 panels.
+            seen.update(calls=0, points=0)
+            tol = np.where(np.arange(300) < 100, 1e-9, 1e-300)
+
+            def g(r, rows):
+                seen["calls"] += 1
+                seen["points"] += r.size
+                return (1.0 + rows) * r ** -2.0
+
+            geometric_tail_quad_rows(g, np.ones(300), 1.0, tol, max_panels=48)
+            counts = [int(x) for x in re.search(
+                pattern, caplog.records[-1].getMessage()).groups()]
+            assert counts[0] == 300 and counts[1] == 3 and counts[4] == 200
+            assert counts[2:4] == [seen["points"] // 16, seen["calls"]]
+            assert seen["calls"] > counts[1]
+        messages = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.DEBUG]
+        assert [m.split(":")[0] for m in messages] == [
+            "adaptive_quad_rows", "geometric_tail_quad_rows"]
 
     def test_initial_panels_over_budget_rejected(self):
         with pytest.raises(ValueError, match="budget"):
