@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -34,8 +35,7 @@ def _write(obj, out, indent, depth):
     elif isinstance(obj, (float, np.floating)):
         out.append(_fmt_float(float(obj)))
     elif isinstance(obj, str):
-        import json as _json
-        out.append(_json.dumps(obj))
+        out.append(json.dumps(obj))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -44,8 +44,7 @@ def _write(obj, out, indent, depth):
         keys = sorted(obj.keys(), key=str)
         for i, k in enumerate(keys):
             out.append(pad_in)
-            import json as _json
-            out.append(_json.dumps(str(k)))
+            out.append(json.dumps(str(k)))
             out.append(": ")
             _write(obj[k], out, indent, depth + 1)
             out.append(",\n" if i + 1 < len(keys) else "\n")

@@ -25,7 +25,7 @@ from .config import (build_problem, build_quadrature, build_solve_config,
                      config_hash, load_config)
 from .constants import build_bundle
 from .errors import ConfigError, NldpError, SelectionFailed
-from .grid import _atomic_write
+from .grid import _atomic_write, constant_exterior, sample
 from .inequalities import (check_local_integrability, fuzz_C2_bounds,
                            fuzz_revL1, fuzz_singular, fuzz_superlinear)
 from .operator import evaluate
@@ -150,7 +150,6 @@ def _dispatch(command: str, cfg: dict, out_dir: str) -> int:
         return 0
 
     if command == "scaling-test":
-        from .grid import constant_exterior, sample
         u = sample(barrier_eval, P.n, 2.0, 513 if P.n == 1 else 33,
                    exterior=constant_exterior(0.0))
         results = []

@@ -212,49 +212,20 @@ def grid_points(n: int, R: float, N: int) -> np.ndarray:
     return np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
 
 
-def in_box(pts, R: float, n: int):
-    """The glue rule of a grid function: its interpolant covers the points
-    with |z|_inf <= R, the exterior the rest."""
-    if n == 1:
-        return np.abs(pts) <= R
-    return (np.abs(pts[..., 0]) <= R) & (np.abs(pts[..., 1]) <= R)
-
-
-def _locate(pts, R: float, N: int):
-    """The cell of each coordinate of points of the box of the N^n grid of
-    [-R, R]^n and the offset into it in units of h: pts = -R + (j + t) h,
-    0 <= j <= N - 2."""
-    s = (pts + R) / (2.0 * R / (N - 1))
-    j = np.minimum(s.astype(np.intp), N - 2)
-    return j, s - j
-
-
-# In-cell offsets t whose integer keys rint(t 2^_KEY_BITS) form a run of
-# steps <= 1 are one offset, at the t of its middle key.  Reached from
-# different nodes, one offset lands at t values a few units of 2^-49 apart
-# at N <= 17 (rounding; at 2-D N = 13 the exact values make 17 times the
-# positions).  At N = 513 such values are ulps of s = (z + R) / h apart,
-# 2^-45 or 2^-44, and stay apart: a point keeps its own t there.
-_KEY_BITS = 49
-# A key finds its run in a table of the 2^_BINS + 1 bins of its top bits
-# where every key of a bin is in one run; searchsorted over the keys, for
-# the others, takes about 40 ns a point.
-_BINS = 16
-
-
 @dataclass(frozen=True, eq=False)
 class LocatedPoints:
-    """Points of the box of the N^n grid of [-R, R]^n, located once: each
-    is a cell and an in-cell position, shared by the points that differ by
-    whole cells.  ``GridFunction.__call__`` evaluates any grid function on
-    that grid here as one (cells, positions) table product and one gather
-    per point; ``scatter`` is the transpose."""
+    """Points of the box of the N^n grid of [-R, R]^n, each a cell and an
+    in-cell position, shared by the points that differ by whole cells; the
+    grid apply's plan takes both, exactly, from its geometry (``box_cells``).
+    ``GridFunction.__call__`` evaluates any grid function on that grid here
+    as one (cells, positions) table product and one gather per point;
+    ``scatter`` is the transpose."""
 
     n: int
     R: float
     N: int
     index: np.ndarray   # (M,) int32 cell * positions + position
-    mono: np.ndarray    # (4^n, positions) monomials, in coeffs()'s order
+    mono: np.ndarray    # (4^n, positions) ``monomials``, in coeffs()'s order
 
     @property
     def size(self) -> int:
@@ -282,11 +253,14 @@ class LocatedPoints:
         sum_e w_e mono[:, position_e] over the points e of each (cell, row),
         w and rows[e] in [0, nrows) given per point of the slice; (4,)*n +
         (N-1,)*n + (nrows,), the layout of ``coeffs_T``'s argument.  By
-        chunks of ``_CHUNK`` points, so the temporaries stay small."""
+        chunks of ``_CHUNK`` points, so the temporaries stay small; the
+        chunks fall at multiples of ``_CHUNK`` among all the points, so no
+        sum depends on where the slice starts."""
         size = (self.N - 1) ** self.n * nrows
         out = np.zeros((len(self.mono), size))
-        for lo in range(0, entries.stop - entries.start, _CHUNK):
-            part = slice(lo, lo + _CHUNK)
+        first = entries.start
+        for lo in range(first - first % _CHUNK, entries.stop, _CHUNK):
+            part = slice(max(lo - first, 0), lo + _CHUNK - first)
             cell, pos = np.divmod(self.index[entries][part],
                                   self.mono.shape[1])
             pos = pos.astype(np.intp)   # take would convert it per monomial
@@ -297,118 +271,47 @@ class LocatedPoints:
         return out.reshape((4,) * self.n + (self.N - 1,) * self.n + (nrows,))
 
 
-def _sorted_unique(a):
-    """np.unique of an int64 array by a sort (np.unique hashes them, which is
-    several times slower at the sizes of a plan block)."""
-    a = np.sort(a)
-    keep = np.ones(len(a), dtype=bool)
-    keep[1:] = a[1:] != a[:-1]
-    return a[keep]
+def monomials(t, h: float) -> np.ndarray:
+    """The (4^n, P) monomials x^3, x^2, x, 1 per axis of in-cell positions
+    t (n, P), x = t h, axis 0 outermost as in ``GridFunction.coeffs``."""
+    mono = np.ones((1, t.shape[1]))
+    for x in t * h:
+        mono = (mono[:, None] * np.vander(x, 4).T).reshape(-1, t.shape[1])
+    return np.ascontiguousarray(mono)
 
 
-class Locator:
-    """Builds ``LocatedPoints`` from blocks of points of the box in two
-    passes over the same blocks: ``observe`` each, then ``codes`` of each,
-    then ``located`` of the codes (concatenated or permuted at will).
+def edge_positions(t):
+    """t (n, P), then its copies with t = 1 on each nonempty set S of axes,
+    p's at p + P sum_{a in S} 2^a: on the box's upper edge of an axis a
+    point reads cell N - 2 at t = 1, as ``GridFunction.locate`` has it."""
+    on = (np.arange(2 ** len(t))[:, None] >> np.arange(len(t))) & 1
+    return np.concatenate([np.where(m[:, None], 1.0, t) for m in on], axis=1)
 
-    Per axis, the keys of the first pass form runs (see ``_KEY_BITS``), and
-    a position is a pair of runs that occurs, numbered as ``codes`` first
-    meets it.  A point moves by a few units of 2^-49 of a cell at most."""
 
-    def __init__(self, n: int, R: float, N: int):
-        self.n, self.R, self.N = n, R, N
-        self._seen = [[] for _ in range(n)]
-        self._pairs = np.empty(0, dtype=np.int64)   # sorted pairs of runs
-        self._ids = np.empty(0, dtype=np.int64)     # their position numbers
-
-    def _keys(self, pts):
-        j, t = _locate(np.reshape(pts, (-1, self.n)), self.R, self.N)
-        return j, np.rint(t * 2.0 ** _KEY_BITS).astype(np.int64)
-
-    def observe(self, pts):
-        k = self._keys(pts)[1]
-        for a, seen in enumerate(self._seen):
-            seen.append(_sorted_unique(k[:, a]))
-
-    def _runs(self):
-        """Per axis: the sorted keys, the run of each, the t of each run and
-        the run of each bin of keys (-1 where two runs share it)."""
-        if self._seen is not None:
-            self._axes = []
-            for seen in self._seen:
-                keys = _sorted_unique(np.concatenate(seen))
-                new = np.ones(len(keys), dtype=bool)
-                new[1:] = np.diff(keys) > 1
-                run = np.cumsum(new) - 1
-                starts = np.flatnonzero(new)
-                mid = (starts + np.append(starts[1:], len(keys)) - 1) // 2
-                bins, first = np.unique(keys >> (_KEY_BITS - _BINS),
-                                        return_index=True)
-                last = np.append(first[1:], len(keys)) - 1
-                table = np.full(2 ** _BINS + 1, -1)
-                one = run[first] == run[last]
-                table[bins[one]] = run[first[one]]
-                self._axes.append((keys, run, keys[mid] * 2.0 ** -_KEY_BITS,
-                                   table))
-            self._seen = None
-        return self._axes
-
-    def _positions(self, pairs):
-        """The position numbers of sorted pairs of runs."""
-        at = np.searchsorted(self._pairs, pairs)
-        seen = np.zeros(len(pairs), dtype=bool)
-        if len(self._pairs):
-            seen = self._pairs[np.minimum(at, len(self._pairs) - 1)] == pairs
-        fresh = pairs[~seen]
-        if len(fresh):
-            known = len(self._ids)
-            order = np.argsort(np.concatenate([self._pairs, fresh]))
-            self._pairs = np.concatenate([self._pairs, fresh])[order]
-            self._ids = np.concatenate(
-                [self._ids, np.arange(known, known + len(fresh))])[order]
-            at = np.searchsorted(self._pairs, pairs)
-        return self._ids[at]
-
-    def codes(self, pts) -> np.ndarray:
-        """cell * 2^32 + position of each point, int64.  In 1-D the runs are
-        the positions; in 2-D a pair of runs is numbered as first met."""
-        j, k = self._keys(pts)
-        pos = 0
-        for (keys, run, t, table), ka in zip(self._runs(), k.T):
-            r = table[ka >> (_KEY_BITS - _BINS)]
-            shared = r < 0
-            r[shared] = run[np.searchsorted(keys, ka[shared])]
-            pos = pos * len(t) + r
-        if self.n > 1:
-            pairs, inv = np.unique(pos, return_inverse=True)
-            pos = self._positions(pairs)[inv]
-        cell = np.ravel_multi_index(tuple(j.T), (self.N - 1,) * self.n)
-        return (cell.astype(np.int64) << 32) | pos
-
-    def located(self, codes: np.ndarray) -> LocatedPoints:
-        runs = self._runs()
-        if self.n == 1:
-            pairs = np.arange(len(runs[0][2]))
-        else:
-            pairs = np.empty(len(self._ids), dtype=np.int64)
-            pairs[self._ids] = self._pairs
-        P = len(pairs)
-        if (self.N - 1) ** self.n * P >= 2 ** 31:
-            raise NldpError(f"{P} in-cell positions of the N = {self.N} "
-                            "grid overflow an int32 table index")
-        index = np.empty(len(codes), dtype=np.int32)
-        for lo in range(0, len(codes), 8 * _CHUNK):
-            c = codes[lo:lo + 8 * _CHUNK]
-            index[lo:lo + 8 * _CHUNK] = (c >> 32) * P + (c & 0xFFFFFFFF)
-        h = 2.0 * self.R / (self.N - 1)
-        mono = np.ones((1, P))
-        which = np.unravel_index(pairs, [len(t) for _, _, t, _ in runs])
-        for (_, _, t, _), r in zip(runs, which):   # axis 0 outermost
-            x = t[r] * h
-            x2 = x * x
-            mono = (mono[:, None] * np.stack([x2 * x, x2, x, np.ones_like(x)])
-                    ).reshape(-1, P)
-        return LocatedPoints(self.n, self.R, self.N, index, mono)
+def box_cells(cell, pos, t, N: int, keep):
+    """(inside, cells, pos): which points of a block with ``keep``, given by
+    cells per axis (over the leading columns; the rest are outside) and
+    positions ``pos`` of t (n, P), lie in the box of the N^n grid, and the
+    flat (N-1)^n cell and position of those, in C order.  In cell N - 1 a
+    point is inside at t = 0 only, reading cell N - 2 at t = 1 there."""
+    inside = np.zeros(keep.shape, dtype=bool)
+    lead = inside[..., :cell[0].shape[-1]]
+    lead[...] = keep[..., :lead.shape[-1]]
+    pos = np.broadcast_to(pos, lead.shape)
+    for c, ta in zip(cell, t):
+        ok = (c >= 0) & (c < N - 1)
+        edge = np.nonzero(c == N - 1)
+        ok[edge] = ta[pos[edge]] == 0.0
+        lead &= ok
+    cell = [c[lead] for c in cell]
+    pos = pos[lead]
+    flat = 0
+    for a, c in enumerate(cell):
+        edge = c == N - 1
+        pos[edge] += t.shape[1] << a
+        c[edge] = N - 2
+        flat = flat * (N - 1) + c
+    return inside, flat, pos
 
 
 @dataclass(frozen=True)
@@ -469,7 +372,9 @@ class GridFunction:
     def locate(self, pts):
         """The cell of each coordinate of points of the box and the offset
         into it in units of h: pts = -R + (j + t) h, 0 <= j <= N - 2."""
-        return _locate(pts, self.R, self.N)
+        s = (pts + self.R) / self.h
+        j = np.minimum(s.astype(np.intp), self.N - 2)
+        return j, s - j
 
     def _cubic(self, pts):
         """The interpolant at points of the box: a Horner over the cells
@@ -507,7 +412,9 @@ class GridFunction:
         if len(pts) == 0 or (pts.min() >= -self.R and pts.max() <= self.R):
             out = self._cubic(pts)
         else:
-            inside = in_box(pts, self.R, self.n)
+            # the glue rule: the interpolant covers |z|_inf <= R
+            inside = np.abs(pts) <= self.R
+            inside = inside if self.n == 1 else inside[:, 0] & inside[:, 1]
             out = np.empty(len(pts))
             out[inside] = self._cubic(pts[inside])
             out[~inside] = np.ravel(self.exterior(pts[~inside], self.n))

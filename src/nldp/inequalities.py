@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DivergenceDetected
 from .params import (BARRIER_C1, BARRIER_C2, CoefficientField, ProblemParams,
-                     barrier_eval)
+                     barrier_eval, constant_coefficient)
 from .operator import _differences, phi
 from .quadrature import adaptive_quad, near_singular_quad
 
@@ -345,7 +345,6 @@ def fuzz_C2_bounds(count: int = 10_000, seed: int = 3, p: float = 2.0,
     y = rng.uniform(-1.0, 1.0, size=count)
     y[np.abs(y) < 1e-12] = 1e-12
     if coeff is None:
-        from .params import constant_coefficient
         coeff = constant_coefficient(1, 1.0)
     out = {}
     out["second-order"] = _report(

@@ -16,14 +16,14 @@ mid field out to the far radius, and an analytic power-law remainder fed
 by the exterior.  ``evaluate`` is the adaptive single-point entry;
 ``apply_grid`` is the batched evaluator the solver iterates: it runs from a
 plan of fixed panels built once per geometry, in 1-D and 2-D alike
-(validated against ``evaluate`` in the test suite).  The plan's in-box
-points are located once, as a cell and an in-cell position each
-(``grid.LocatedPoints``), so a sweep reads the interpolant from one
-(cells, positions) table product and one gather per entry, and the
-Jacobian scatters onto the same cells and monomials.  Both go through the
-entries by runs of whole nodes (``_node_chunks``), so no temporary of a
-pass is the size of the plan, and each node's sum is one bincount over its
-own entries whatever the runs.  ``energy`` is the same
+(validated against ``evaluate`` in the test suite).  Its geometry places
+each in-box point exactly, as a cell and an in-cell position shared by
+offsets whole cells apart (``grid.LocatedPoints``), so a sweep reads the
+interpolant from one (cells, positions) table product and one gather per
+entry, and the Jacobian scatters onto the same cells and monomials.  Both
+go through the entries by runs of whole nodes (``_node_chunks``), so no
+temporary of a pass is the size of the plan, and each node's sum is one
+bincount over its own entries whatever the runs.  ``energy`` is the same
 sweep with |d|^r in place of phi, summed over the nodes on three nested
 grids, whose spread is its error estimate and its divergence test.
 """
@@ -38,9 +38,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonIntegrableNearField, TailDivergence
-from .grid import (GridFunction, LocatedPoints, Locator, coeffs_T, grid_points,
-                   in_box, sample)
+from .errors import NldpError, NonIntegrableNearField, TailDivergence
+from .grid import (GridFunction, LocatedPoints, box_cells, coeffs_T,
+                   edge_positions, grid_points, monomials, sample)
 from .params import CoefficientField, ProblemParams
 from .quadrature import (QuadratureSpec, adaptive_quad, geometric_tail_quad,
                          near_singular_quad, panel_nodes_weights,
@@ -342,9 +342,9 @@ class _Plan:
 
     In-box entries are the offsets whose points the interpolant covers,
     stably sorted by node, so a run of whole nodes is one slice of them;
-    the points are located once
-    (``grid.LocatedPoints``), so each sweep evaluates the interpolant there
-    as one table product and one gather per entry.  Exterior entries
+    the geometry locates the points (``grid.LocatedPoints``), so each sweep
+    evaluates the interpolant there as one table product and one gather per
+    entry.  Exterior entries
     (out-of-box offsets and both ends of the analytic remainder) see fixed
     data, so they are summed per (node, exterior value).  The near block
     keeps a model of the interpolant at the nodes: the exact cell cubic in
@@ -371,71 +371,91 @@ def _near_rule(h: float, m_sub: int, t_edges):
     return h * t_pts ** m_sub, t_wts * h * m_sub * t_pts ** (m_sub - 1)
 
 
-def _edges_1d(h: float, R: float, rho_near: float, r_far: float,
-              max_panels: int = 300) -> np.ndarray:
-    # Whole cells from h to rho_near, knot-aligned geometric panels across
-    # the box span, smooth geometric panels far out.
-    edges = [h]
-    k = 1
-    while edges[-1] < rho_near - 1e-12 * h:
-        k += 1
-        edges.append(k * h)
-    # Unit cells to 32h keep panels inside single spline pieces.
-    while k < 32 and k * h < 2.0 * R:
-        k += 1
-        edges.append(k * h)
-    # Knot-aligned geometric panels across the remaining box span.
-    step = max(1, k)
-    while edges[-1] < 2.0 * R + 2.0 * h:
-        step = max(step + 1, int(math.ceil(step * 1.3)))
-        edges.append(edges[-1] + step * h)
-    # Smooth exterior region: plain geometric growth out to the far radius
-    # and beyond (the analytic remainder covers the rest).
-    while edges[-1] < r_far and len(edges) < max_panels:
+_MAX_EDGES_1D = 300      # panel edges of the 1-D apply, at most
+_BLOCK_NODES_1D = 16     # nodes per block of the 1-D plan build
+_PLAN_DIRECTIONS = 12    # directions of the 2-D apply's offsets
+
+
+def _edges_1d(near: float, far: float, N: int) -> np.ndarray:
+    """Panel edges of the 1-D apply in units of h: unit cells past ``near``
+    and to 32 (each panel in one spline piece), knot-aligned geometric
+    panels of whole cells across the box span to N + 1, then geometric ones
+    out to ``far`` and beyond, where the analytic remainder takes over."""
+    edges = [1]
+    while edges[-1] < near - 1e-12 or edges[-1] < min(32, N - 1):
+        edges.append(edges[-1] + 1)
+    step = edges[-1]
+    while edges[-1] < N + 1:
+        step = max(step + 1, math.ceil(step * 1.3))
+        edges.append(edges[-1] + step)
+    while edges[-1] < far and len(edges) < _MAX_EDGES_1D:
         edges.append(edges[-1] * 1.6)
-    while edges[-1] < r_far * 2.0 ** 12 and len(edges) < max_panels:
+    while edges[-1] < far * 2.0 ** 12 and len(edges) < _MAX_EDGES_1D:
         edges.append(edges[-1] * 2.0)
-    return np.asarray(edges)
+    return np.asarray(edges, dtype=float)
 
 
-def _geometry_1d(P, Q, R, N, dp, dq, chunk: int = 16):
+def _geometry_1d(P, Q, R, N, dp, dq):
     """Offsets of the 1-D apply: the shared panels, cut per node at its two
     seam offsets R -+ x (where x +- y crosses the box edge), so the glued
-    function is smooth on every panel; then the remainder end."""
+    function is smooth on every panel; then the remainder end.
+
+    Across the box span the panels, seam cuts included, run between whole
+    cells (node i's seams are cells N-1-i and i), so the GK15 node k of a
+    panel [a, a + L] from node i lies in cell i + a + floor(v), at the
+    in-cell position frac(v), v = L x_k with x_k node k of [0, 1]; at -y it
+    lies L x_{14-k} past -(a + L), x_{14-k} = 1 - x_k.  Farther panels
+    leave the box."""
     xs = grid_points(1, R, N)
     h = 2.0 * R / (N - 1)
-    edges = _edges_1d(h, R, Q.near_radius(h), Q.far_radius(R))
-    r_end = edges[-1]
+    edges = _edges_1d(Q.near_radius(h) / h, Q.far_radius(R) / h, N)
+    whole = edges[:np.searchsorted(edges, N + 1) + 1].astype(np.int32)
+    # Each node's seams; one on a panel edge or before the panels cuts
+    # nothing: it moves onto the first edge, an empty sub-panel.
+    i = np.arange(N, dtype=np.int32)
+    seams = np.stack([N - 1 - i, i], axis=-1)
+    seams[np.isin(seams, whole) | (seams < whole[0])] = whole[0]
+    E = np.sort(np.concatenate([np.broadcast_to(whole, (N, len(whole))),
+                                seams], axis=1), axis=1)
+    L = np.diff(E, axis=1)
+    v = np.arange(L.max() + 1)[:, None] * panel_nodes_weights(
+        np.array([0.0, 1.0]))[0]
+    t, pos = np.unique(v - np.floor(v), return_inverse=True)
+    pos, whole_v = (pos.reshape(v.shape).astype(np.int32),
+                    np.floor(v).astype(np.int32))
+    # Per sign: the whole cells and positions of node k of [0, L] (+y) or
+    # of 14 - k (-y), and the cell each panel starts from.
+    sides = [(whole_v, pos, i[:, None] + E[:, :-1]),
+             (whole_v[:, ::-1], pos[:, ::-1], i[:, None] - E[:, 1:])]
+    # The panels past the box span and the remainder end, shared by all.
+    y_far, w_far = panel_nodes_weights(edges[len(whole) - 1:] * h)
+    far = [np.append(y_far, edges[-1] * h),
+           np.append(w_far, edges[-1] * h / dp),
+           np.append(w_far, edges[-1] * h / dq)]
 
     def blocks():
-        for lo in range(0, N, chunk):
-            ids = np.arange(lo, min(lo + chunk, N))
-            x = xs[ids]
-            seams = np.stack([R - x, R + x], axis=-1)
-            # A seam on a panel edge (to rounding) or outside the panels cuts
-            # nothing: it moves onto the first edge, an empty sub-panel.
-            j = np.clip(np.searchsorted(edges, seams), 1, len(edges) - 1)
-            cuts = ((seams - edges[j - 1] > 1e-6 * h)
-                    & (edges[j] - seams > 1e-6 * h))
-            seams = np.where(cuts, seams, edges[0])
-            E = np.sort(np.concatenate(
-                [np.broadcast_to(edges, (len(ids), len(edges))), seams], axis=1),
-                axis=1)
-            y, w = panel_nodes_weights(E)
-            end = np.full((len(ids), 1), r_end)
-            yield (ids, np.concatenate([y, end], axis=1),
-                   np.concatenate([w, end / dp], axis=1),
-                   np.concatenate([w, end / dq], axis=1))
+        for lo in range(0, N, _BLOCK_NODES_1D):
+            ids = np.arange(lo, min(lo + _BLOCK_NODES_1D, N))
+            y, w = panel_nodes_weights(E[ids] * h)
+            Y, cp, cq = (np.concatenate(
+                [own, np.broadcast_to(f, (len(ids), len(f)))], axis=1)
+                for own, f in zip((y, w, w), far))
+            Lb, cols = L[ids], (len(ids), -1)
+            located = [([(start[ids][..., None] + cells[Lb]).reshape(cols)],
+                        at[Lb].reshape(cols)) for cells, at, start in sides]
+            yield ids, Y, cp, cq, located
 
     y_near, w_near = _near_rule(h, substitution_power(near_field_exponent(P)),
                                 [0.0, 0.25, 0.5, 0.75, 1.0])
-    return xs, blocks, (np.ones((1, 1)), y_near, y_near[None, :],
-                        w_near[None, :])
+    return xs, blocks, t[None, :], (np.ones((1, 1)), y_near, y_near[None, :],
+                                   w_near[None, :])
 
 
-def _geometry_2d(P, Q, R, N, dp, dq, D: int = 12):
-    """Offsets of the 2-D apply: polar radii along D directions, the radii
-    below the Taylor switch set apart as the near block."""
+def _geometry_2d(P, Q, R, N, dp, dq):
+    """Offsets of the 2-D apply: polar radii along ``_PLAN_DIRECTIONS``
+    directions, those below the Taylor switch set apart as the near block.
+    A column (sign s, direction d, radius r) lies floor(s r d / h) whole
+    cells from every node, at the in-cell position frac(s r d / h)."""
     pts = grid_points(2, R, N).reshape(-1, 2)
     e = P.exponents
     h = 2.0 * R / (N - 1)
@@ -450,7 +470,7 @@ def _geometry_2d(P, Q, R, N, dp, dq, D: int = 12):
     r_mid, w_mid = panel_nodes_weights(np.asarray(edges))
     rr = np.concatenate([r_near, r_mid])
     ww = np.concatenate([w_near, w_mid])
-    dirs, dw = _polar_dirs(D)
+    dirs, dw = _polar_dirs(_PLAN_DIRECTIONS)
     r_end = edges[-1]
     tiny = rr < _poly_switch_radius(h, Q.tol, max(e.sp, e.tq))
     # Radii past the Taylor switch, then the remainder end; the remainder
@@ -458,12 +478,26 @@ def _geometry_2d(P, Q, R, N, dp, dq, D: int = 12):
     rad = np.append(rr[~tiny], r_end)
     fp = np.append(rr[~tiny] * ww[~tiny], r_end ** 2 / dp)
     fq = np.append(rr[~tiny] * ww[~tiny], r_end ** 2 / dq)
+    Y = rad[None, :, None] * dirs[:, None, :]          # (D, radii, 2)
+    u = np.stack([Y, -Y]) / h                          # in cells, per sign
+    shift = np.floor(u)
+    t = (u - shift).reshape(-1, 2).T
+    pos = np.arange(t.shape[1], dtype=np.int32).reshape(u.shape[:-1])
+    shift = np.moveaxis(shift, -1, 2).astype(np.int32)   # (2, D, 2, radii)
+    # Past N cells on an axis, a radius leaves the box from every node.
+    w = np.count_nonzero(np.max(np.abs(u[0]), axis=-1) < N, axis=-1)
     ids = np.arange(len(pts))
-    blocks = [(ids, rad[:, None] * d[None, :], wd * fp, wd * fq)
-              for d, wd in zip(dirs, dw)]
+    cells = np.indices((N, N), dtype=np.int32).reshape(2, -1, 1)
+
+    def blocks():
+        for k, wd in enumerate(dw):
+            yield (ids, Y[k], wd * fp, wd * fq,
+                   [(cells + shift[s, k, :, None, :w[k]], pos[s, k, :w[k]])
+                    for s in (0, 1)])
+
     rt = rr[tiny]
-    return pts, lambda: blocks, (dirs, rt, rt[None, :, None] * dirs[:, None, :],
-                                 dw[:, None] * rt * ww[tiny])
+    return pts, blocks, t, (dirs, rt, rt[None, :, None] * dirs[:, None, :],
+                            dw[:, None] * rt * ww[tiny])
 
 
 def _group_exterior(node, val, wp, wq):
@@ -488,60 +522,65 @@ def _plan(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
     another geometry is asked for (plans are megabytes, and a problem built
     anew, with new kernel functions, never hits).
 
-    A geometry yields blocks ``(ids, Y, cp, cq)``: nodes, their offsets and
-    the radial quadrature factors of the two phases.  Every block is split
-    at the box for both signs of the offset; entries of zero weight (the
-    empty sub-panels of the 1-D seam cut) are dropped.
+    A geometry gives in-cell positions t (n, P) and yields blocks ``(ids, Y,
+    cp, cq, located)``: nodes, offsets, the two phases' radial factors and,
+    for +Y and -Y, the points' cells per axis and positions, on which
+    ``grid.box_cells`` splits the block at the box.  Zero-weight entries
+    (1-D empty seam sub-panels) are dropped; used positions are kept.
     """
     t0 = time.perf_counter()
     n = P.n
     dp, dq = _tail_decays(P, _exterior_growth(exterior, R, n), lift)
     geometry = _geometry_1d if n == 1 else _geometry_2d
-    X, blocks, (dirs, near_r, near_offs, near_w) = geometry(P, Q, R, N, dp, dq)
+    X, blocks, t, (dirs, near_r, near_offs, near_w) = geometry(P, Q, R, N,
+                                                                dp, dq)
     signs = (1.0, -1.0)
-    # A first pass counts each node's in-box entries and shows the locator
-    # every in-box point; the second fills the arrays in place, each node's
-    # entries in one run in the order the blocks yield them.
-    locator = Locator(n, R, N)
+    # A first pass counts each node's in-box entries and marks the positions
+    # they take; the second fills the arrays in place, each node's entries
+    # in one run in the order the blocks yield them.
     count = np.zeros(len(X), dtype=np.int64)
-    for ids, Y, cp, _ in blocks():
-        for sign in signs:
-            Zc = X[ids][:, None] + sign * Y
-            inside = in_box(Zc, R, n) & (cp > 0)
+    used = np.zeros(2 ** n * t.shape[1], dtype=bool)
+    for ids, _, cp, _, located in blocks():
+        keep = np.broadcast_to(cp > 0, (len(ids), cp.shape[-1]))
+        for cells, pos in located:
+            inside, _, pos = box_cells(cells, pos, t, N, keep)
             count[ids] += np.count_nonzero(inside, axis=1)
-            locator.observe(Zc[inside])
+            used[pos] = True
+    npos = int(np.count_nonzero(used))
+    if (N - 1) ** n * npos >= 2 ** 31:
+        raise NldpError(f"{npos} in-cell positions of the N = {N} grid "
+                        "overflow an int32 table index")
+    renumber = np.cumsum(used) - 1
     M = int(count.sum())
     fill = np.cumsum(count) - count       # the next free slot of each node
-    codes = np.empty(M, dtype=np.int64)
+    index = np.empty(M, dtype=np.int32)
     wp = np.empty(M)
     wq = np.empty(M)
     groups = []
     n_ext = 0
-    for ids, Y, cp, cq in blocks():
+    for ids, Y, cp, cq, located in blocks():
         Xb = X[ids][:, None]
         shape = (len(ids), cp.shape[-1])
         idb = np.broadcast_to(ids.astype(np.int32)[:, None], shape)
-        keep = cp > 0
+        keep = np.broadcast_to(cp > 0, shape)
         ktq = P.Ktq.eval(Xb, Y)
         bp = np.broadcast_to(cp * P.Ksp.eval(Xb, Y), shape)
-        for sign in signs:
+        for sign, (cells, pos) in zip(signs, located):
             y = sign * Y
             bq = np.broadcast_to(cq * P.c_hat * P.a.eval(Xb, y) * ktq, shape)
-            Zc = Xb + y
-            inside = in_box(Zc, R, n)
+            inside, cell, pos = box_cells(cells, pos, t, N, keep)
             out = ~inside & keep
-            inside &= keep
             per = np.count_nonzero(inside, axis=1)
             to = (np.repeat(fill[ids] - (np.cumsum(per) - per), per)
                   + np.arange(per.sum()))
             fill[ids] += per
-            codes[to] = locator.codes(Zc[inside])
+            index[to] = cell * npos + renumber[pos]
             wp[to], wq[to] = bp[inside], bq[inside]
             n_ext += int(np.count_nonzero(out))
-            groups.append(_group_exterior(idb[out], exterior(Zc[out], n),
+            groups.append(_group_exterior(idb[out], exterior((Xb + y)[out], n),
                                           bp[out], bq[out]))
-    points = locator.located(codes)
-    del codes
+    points = LocatedPoints(n, R, N, index, monomials(
+        edge_positions(t)[:, used], 2.0 * R / (N - 1)))
     ext = _group_exterior(*(np.concatenate(c) for c in zip(*groups)))
     Xn = X[:, None, None]
     ktq = P.Ktq.eval(Xn, near_offs)
@@ -716,9 +755,11 @@ def kernel_mass_matrix(u: GridFunction, P: ProblemParams,
     d+- are entries of C v.  With c = wp phi'_p(d) + wq phi'_q(d) per entry
     (``_secant``), J = diag(in-box and exterior c) + H C, H holding -c B per
     (node, monomial, cell) and the near rows.  The in-box c, their diagonal
-    and H are formed by node chunks, and H is contracted with C transposed
-    (``grid.coeffs_T``); neither c nor H for all nodes nor C is held.  Not
-    an M-matrix: cubic cardinal functions have negative lobes.
+    and H are formed by the sweep's runs of whole nodes (``_node_chunks``;
+    ``scatter``'s sums do not depend on where they end), and H is contracted
+    with C transposed (``grid.coeffs_T``); neither c nor H for all nodes nor
+    C is held.  Not an M-matrix: cubic cardinal functions have negative
+    lobes.
     """
     plan = _plan(P, Q, u.R, u.N, u.exterior)
     n, N, h = u.n, u.N, u.h
@@ -731,10 +772,8 @@ def kernel_mass_matrix(u: GridFunction, P: ProblemParams,
     own = np.ravel_multi_index(np.minimum(np.indices((N,) * n), N - 2),
                                (N - 1,) * n).ravel()
     J = np.zeros((K, K))
-    step = max(1, (1 << 17) // (m4 * cells))
-    for lo in range(0, K, step):
-        nb = min(step, K - lo)
-        a, b = np.searchsorted(plan.node, (lo, lo + nb))
+    for lo, hi, a, b in _node_chunks(plan.node, K):
+        nb = hi - lo
         c = _entry_weights(plan, P, _secant, v, ux, a, b)
         rows = np.arange(nb)
         J[lo + rows, lo + rows] = (np.bincount(plan.node[a:b] - lo, c,

@@ -11,7 +11,7 @@ recorded trace is then fitted for an empirical Holder exponent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -327,11 +327,7 @@ def _exterior_inf(u: GridFunction) -> float:
 # End-to-end pipeline: solve -> constants -> normalise -> induction.
 
 def _inflate_coefficient_bound(P: ProblemParams, bound: float) -> ProblemParams:
-    from dataclasses import replace as _rep
-    from .params import CoefficientField
-    a_new = CoefficientField(n=P.a.n, bound=bound, eval=P.a.eval, tag=P.a.tag,
-                             depends_on_offset=P.a.depends_on_offset)
-    return _rep(P, a=a_new)
+    return replace(P, a=replace(P.a, bound=bound))
 
 
 def _m_bar(P: ProblemParams, u_sup: float, f_sup: float, sigma_val: float) -> float:

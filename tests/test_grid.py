@@ -2,8 +2,11 @@
 coefficients, read by the evaluation in 1-D and 2-D and by the operator's
 near-field models.  scipy's ``CubicSpline`` (along each axis in 2-D) and
 FITPACK's interpolating bicubic are the independent references.  Points
-located once (``LocatedPoints``, the grid apply's in-box points) are checked
-against the evaluation at the points themselves."""
+located from the geometry (``LocatedPoints``, the grid apply's in-box
+points: whole cells and exact in-cell positions) are checked against the
+evaluation at the points themselves."""
+
+import itertools
 
 import tracemalloc
 
@@ -12,11 +15,13 @@ import pytest
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 import nldp.grid
-from nldp.grid import GridFunction, Locator, constant_exterior, in_box
+from nldp.grid import (GridFunction, LocatedPoints, box_cells,
+                       constant_exterior, edge_positions, monomials)
 from nldp.operator import (QuadratureSpec, _directional_model, _exterior_growth,
                            _geometry_1d, _geometry_2d, _plan, _tail_decays,
                            _taylor)
 from nldp.params import model_params
+from nldp.quadrature import panel_nodes_weights
 
 
 def _grid_2d(N, seed=3):
@@ -28,6 +33,11 @@ def _rel(got, ref):
     return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
 
+def _in_box(z, R, n):
+    """|z|_inf <= R: the interpolant's points, split in floating point."""
+    return np.all(np.abs(z) <= R, axis=-1) if n == 2 else np.abs(z) <= R
+
+
 def _plan_and_points(n, R, N):
     """The grid apply's plan (desk exponents, default quadrature, exterior 0)
     and its in-box points in its entry order, rebuilt from the same geometry:
@@ -35,13 +45,13 @@ def _plan_and_points(n, R, N):
     P = model_params(n=n, s=0.6, t=0.5, p=2.0, q=2.2)
     Q, ext = QuadratureSpec(), constant_exterior(0.0)
     dp, dq = _tail_decays(P, _exterior_growth(ext, R, n))
-    X, blocks, _ = (_geometry_1d if n == 1 else _geometry_2d)(P, Q, R, N,
-                                                               dp, dq)
+    X, blocks, _, _ = (_geometry_1d if n == 1 else _geometry_2d)(P, Q, R, N,
+                                                                  dp, dq)
     Z, node = [], []
-    for ids, Y, cp, _ in blocks():
+    for ids, Y, cp, _, _ in blocks():
         for sign in (1.0, -1.0):
             Zc = X[ids][:, None] + sign * Y
-            inside = in_box(Zc, R, n) & (cp > 0)
+            inside = _in_box(Zc, R, n) & (cp > 0)
             Z.append(Zc[inside])
             node.append(np.broadcast_to(ids[:, None], inside.shape)[inside])
     order = np.argsort(np.concatenate(node), kind="stable")
@@ -191,36 +201,120 @@ def test_2d_evaluation_memory():
         assert peak <= out.nbytes + extra + 4 * 2 ** 20, (peak, out.nbytes)
 
 
+def _horner(u, j, x):
+    """The interpolant in cells j (M, n) at offsets x (M, n) into them, by
+    a per-point Horner over each cell's coefficients, as ``_cubic`` runs it
+    on the cells and offsets it locates."""
+    n = u.n
+    c = u.coeffs().reshape(4 ** n, -1)
+    cell = np.ravel_multi_index(tuple(j.T), (u.N - 1,) * n)
+    g = c.take(cell, axis=1).reshape((4,) * n + (-1,))
+    for k in reversed(range(n)):
+        q = g[..., 0, :]
+        for b in (1, 2, 3):
+            q = q * x[:, k] + g[..., b, :]
+        g = q
+    return g
+
+
 @pytest.mark.parametrize("n, R, N", [(1, 2.0, 513), (2, 1.0, 13)])
 def test_located_points_match_direct_evaluation(n, R, N):
     # The grid apply's in-box points (desk grid in 1-D, N = 13 in 2-D),
-    # located once and grouped by in-cell position, against the evaluation
-    # at the points themselves; then with the box's right edge (t = 1) and
-    # the cells at the box edges, where the 1-D seam sub-panels lie, added.
-    # In 1-D every position keeps its exact t, so random node values, whose
-    # cubic moves by max|u| across a cell, agree to rounding.  In 2-D a
-    # position merges t values a few units of 2^-49 apart, and random
-    # values agree to about 1e-14 (as u(Z) agrees with the exact point);
-    # smooth values, as an iterate has, see the grouping at 1e-15 there.
-    u = (GridFunction(n=1, R=R, values=np.random.default_rng(N).uniform(
-        -0.5, 0.5, N)) if n == 1 else _smooth(n, R, N))
+    # located from the geometry as whole cells and exact in-cell positions.
+    # Each entry's cell and position against the point itself (rebuilt as
+    # x + y and split at the box in floating point: the same entries): z =
+    # x + y rounds to ulp(R), so they agree to 2 ulp(R) / h of a cell.  On
+    # smooth values, as an iterate has, the evaluation there agrees with
+    # the evaluation at the points, also on the entries in the first and
+    # last cell of an axis alone, where the 1-D seam sub-panels lie.  On
+    # random values, whose cubic moves by max|u| across a cell, the table
+    # product agrees with a per-point Horner at the same cells and offsets.
+    u = _smooth(n, R, N)
     plan, Z = _plan_and_points(n, R, N)
     assert plan.points.size == Z.size
-    assert _rel(u(plan.points), u(Z)) <= 1e-14
-    rng = np.random.default_rng(N)
-    edge = R - u.h * np.concatenate([[0.0], rng.uniform(0.0, 1.0, 200)])
-    if n == 1:
-        extra = np.concatenate([edge, -edge])
+    cell, pos = np.divmod(plan.points.index, plan.points.mono.shape[1])
+    j = np.stack(np.unravel_index(cell, (N - 1,) * n), axis=-1)
+    # the monomial rows linear in one axis, constant in the others: x = t h
+    x = plan.points.mono[[sum((2 if b == a else 3) * 4 ** (n - 1 - b)
+                              for b in range(n)) for a in range(n)]][:, pos].T
+    s = (Z.reshape(-1, n) + R) / u.h
+    assert np.max(np.abs(j + x / u.h - s)) <= 2 * np.spacing(R) / u.h
+    got, ref = u(plan.points), u(Z)
+    assert _rel(got, ref) <= 1e-14
+    edge = np.any((j == 0) | (j == N - 2), axis=1)
+    assert np.count_nonzero(edge) > 1000
+    assert _rel(got[edge], ref[edge]) <= 1e-14
+    u = u.with_values(np.random.default_rng(N).uniform(-0.5, 0.5, (N,) * n))
+    assert _rel(u(plan.points), _horner(u, j, x)) <= 1e-14
+
+
+@pytest.mark.parametrize("n, N, positions", [(1, 129, 758), (1, 513, 1724),
+                                             (2, 9, 3204), (2, 13, 3540)])
+def test_plan_positions(n, N, positions):
+    # Bands written before the run, from the geometry's offsets.  2-D: a
+    # position per column (sign, direction, radius) that some node sees in
+    # the box.  1-D: at most one per (panel length L, GK15 node k) of the
+    # panels some node sees in the box, -y folded onto +y; the centres
+    # (t = 0 for even L, 0.5 for odd) coincide, so 14 per L plus 2.  The
+    # counts, pinned as well, were measured before the test was written.
+    R = 2.0 if n == 1 else 1.0
+    plan, _ = _plan_and_points(n, R, N)
+    P = model_params(n=n, s=0.6, t=0.5, p=2.0, q=2.2)
+    X, blocks, _, _ = (_geometry_1d if n == 1 else _geometry_2d)(
+        P, QuadratureSpec(), R, N, 1.0, 1.0)
+    if n == 2:
+        columns = sum(np.count_nonzero(np.any(_in_box(X[:, None] + s * Y, R, 2),
+                                              axis=0))
+                      for _, Y, _, _, _ in blocks() for s in (1.0, -1.0))
+        assert columns == positions
     else:
-        free = rng.uniform(-R, R, len(edge))
-        extra = np.concatenate([np.stack(c, -1) for c in
-                                ((edge, free), (free, edge), (edge, edge),
-                                 (-edge, free), (free, -edge))])
-    pts = np.concatenate([Z, extra])
-    loc = Locator(n, R, N)
-    loc.observe(pts)
-    assert _rel(u(loc.located(loc.codes(pts))), u(pts)) <= 1e-14
-    # the right edge is cell N - 2 at t = 1, where its table column is read
+        x01 = panel_nodes_weights(np.array([0.0, 1.0]))[0]
+        h = 2.0 * R / (N - 1)
+        lengths = set()
+        for ids, Y, cp, _, _ in blocks():
+            panels = Y[:, :-1].reshape(len(ids), -1, 15)
+            L = (panels[..., -1] - panels[..., 0]) / (x01[-1] - x01[0]) / h
+            seen = np.any([_in_box(X[ids][:, None, None] + s * panels, R, 1)
+                           for s in (1.0, -1.0)], axis=(0, 3))
+            seen &= cp[:, :-1].reshape(panels.shape)[..., 0] > 0
+            lengths.update(np.rint(L[seen]).astype(int).tolist())
+        assert positions <= 14 * len(lengths) + 2
+    assert plan.points.mono.shape[1] == positions
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_points_on_the_box_edges(n):
+    # No entry of the plan lies on the box's edge: the 1-D seams are panel
+    # edges and GK15 nodes are interior.  The centres of the 1-D geometry's
+    # even-length panels lie on nodes, at t = 0; moved onto node N - 1 of an
+    # axis (both, in 2-D), they read cell N - 2 at t = 1, where u(R) reads;
+    # onto node 0, cell 0 at t = 0; at any t > 0 of cell N - 1, or in cell
+    # -1 or N, they are outside.
+    N, R = 13, 1.0
+    P = model_params(n=1, s=0.6, t=0.5, p=2.0, q=2.2)
+    t1 = _geometry_1d(P, QuadratureSpec(), R, N, 1.0, 1.0)[2][0]
+    assert np.count_nonzero(t1 == 0.0) == 1
+    t0 = np.array(list(itertools.product([0.0, t1[-1]], repeat=n))).T
+    cells = np.array(list(itertools.product([-1, 0, N - 2, N - 1, N],
+                                            repeat=n))).T[:, :, None]
+    shape = (cells.shape[1], t0.shape[1])       # every cell, every position
+    inside, cell, pos = box_cells(list(np.broadcast_to(cells, (n,) + shape)),
+                                  np.arange(shape[1]), t0, N,
+                                  np.ones(shape, dtype=bool))
+    on = (cells >= 0) & (cells <= N - 2) | (cells == N - 1) & (t0[:, None] == 0)
+    assert np.array_equal(inside, np.all(on, axis=0))
+    assert np.count_nonzero(inside) == 5 ** n
+    u = _smooth(n, R, N)
+    nodes = np.linspace(-R, R, N)
+    z = (nodes[np.minimum(cells, N - 1)] + t0[:, None] * u.h)[:, inside]
+    t = edge_positions(t0)
+    got = u(LocatedPoints(n, R, N, (cell * t.shape[1] + pos).astype(np.int32),
+                          monomials(t, u.h)))
+    assert _rel(got, u(z.T if n == 2 else z[0])) <= 1e-14
+    # on node N - 1 of every axis: that node's value, read where locate
+    # reads the box's right edge, cell N - 2 at t = 1
+    last = np.all(cells == N - 1, axis=0) & np.all(t0 == 0.0, axis=0)
+    assert got[last[inside]] == pytest.approx(u.values[(-1,) * n], abs=1e-15)
     j, t = u.locate(np.full((1, n), R))
     assert np.all(j == N - 2) and np.all(t == 1.0)
 

@@ -2,9 +2,9 @@
 
 Every name a module imports must be used in its body or re-exported
 through its ``__all__``; ``__init__.py`` is skipped, since its imports are
-the package's re-exports.  Every module-level private (``_name``) function
-or class must be referenced somewhere in the package outside its own
-definition.  Every error type is raised somewhere in the package.
+the package's re-exports.  Every module-level private (``_name``) function,
+class or constant must be referenced somewhere in the package outside its
+own definition.  Every error type is raised somewhere in the package.
 Importing the package loads no scipy module.  The config defaults list
 exactly the fields of the objects they build.
 """
@@ -53,14 +53,25 @@ def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 
 
+def _defined_name(stmt) -> str:
+    """The name a top-level statement defines: a def's or a class's, or the
+    single target of an assignment; "" for the others."""
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                   else [stmt.target])
+        if len(targets) == 1 and isinstance(targets[0], ast.Name):
+            return targets[0].id
+    return getattr(stmt, "name", "")
+
+
 def _references(path: Path) -> dict[str, set[str]]:
-    """Per top-level statement, keyed by its name ("" for statements that
-    define no name), the names and attributes referenced inside it."""
+    """Per top-level statement, keyed by the name it defines ("" for
+    statements that define none), the names and attributes referenced
+    inside it."""
     tree = ast.parse(path.read_text(), filename=str(path))
     refs: dict[str, set[str]] = {}
     for stmt in tree.body:
-        own = getattr(stmt, "name", "")
-        seen = refs.setdefault(own, set())
+        seen = refs.setdefault(_defined_name(stmt), set())
         for node in ast.walk(stmt):
             if isinstance(node, ast.Name):
                 seen.add(node.id)
@@ -71,14 +82,15 @@ def _references(path: Path) -> dict[str, set[str]]:
     return refs
 
 
-def _orphan_private_defs(path: Path, refs) -> list[str]:
+def _orphans(path: Path, refs, kinds) -> list[str]:
+    """The private names that top-level statements of these kinds define in
+    the module and that no other statement of the package references."""
     tree = ast.parse(path.read_text(), filename=str(path))
     orphans = []
     for stmt in tree.body:
-        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-            continue
-        name = stmt.name
-        if not name.startswith("_") or name.startswith("__"):
+        name = _defined_name(stmt)
+        if (not isinstance(stmt, kinds) or not name.startswith("_")
+                or name.startswith("__")):
             continue
         used = any(name in names
                    for p, by_stmt in refs.items()
@@ -96,7 +108,12 @@ def package_refs():
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_orphan_private_helpers(path, package_refs):
-    assert _orphan_private_defs(path, package_refs) == []
+    assert _orphans(path, package_refs, (ast.FunctionDef, ast.ClassDef)) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_orphan_private_constants(path, package_refs):
+    assert _orphans(path, package_refs, (ast.Assign, ast.AnnAssign)) == []
 
 
 def _raised_names(path: Path) -> set[str]:
