@@ -275,7 +275,8 @@ def _eval_point(x, n: int):
 def _report_dict(rep) -> dict:
     return {"iterations": rep.iterations, "final_residual": rep.final_residual,
             "flags": rep.flags, "jacobians": rep.jacobians,
-            "halvings": rep.halvings, "algebraic_error": rep.algebraic_error}
+            "halvings": rep.halvings, "accelerated": rep.accelerated,
+            "algebraic_error": rep.algebraic_error}
 
 
 def _bundle_dict(bundle) -> dict:

@@ -3,19 +3,31 @@
 ``solve`` is one damped Newton loop on the discretised operator at the
 interior nodes, from the exterior data at the target exponents, with the
 exterior (and the boundary pair of nodes) frozen.  A step solves
-J_II delta = r_I, J the Jacobian of the planned operator
+J_II g = r_I, J the Jacobian of the planned operator
 (``operator.kernel_mass_matrix``, with phi' shifted at d = 0 by 1e-12 in a
-phase r < 2 and by 1e-6 in a phase r > 2), tries u - lam delta from lam = 1
+phase r < 2 and by 1e-6 in a phase r > 2), tries u - lam g from lam = 1
 and halves lam while the l2 residual does not fall (Deuflhard, *Newton
 Methods for Nonlinear Problems*, 2004).  The inverse of J_II is kept after a
 full step that cut the l2 residual fourfold, and rebuilt at the new iterate
 otherwise.  On flat data J at p > 2 is only its regularisation, so there the
 halving takes the residual ratio to the power 1/(p-1) when that is smaller.
-One step rule serves every n, p and q.
+
+On a kept inverse the steps are a fixed-point iteration x -> x - g(x) that
+converges linearly, so from the third step on one inverse a type-II
+Anderson candidate (Walker & Ni, *SIAM J. Numer. Anal.* 49, 2011) is tried
+first: x - g + (dG - dX) gamma, gamma the least-squares fit of g on the
+differences dG of the last ``ANDERSON_DEPTH`` + 1 pairs (x, g) taken on
+that inverse, dX those of their iterates.  It is accepted when it lowers
+the l2 residual, and the damped step runs otherwise; the pairs are dropped
+at every rebuild.  Flat data (a constant exterior equal to every value) has
+L u = 0 exactly, so its residual is -f with no sweep.  One step rule serves
+every n, p and q.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +38,11 @@ from .operator import QuadratureSpec, apply_grid, kernel_mass_matrix
 from .params import ProblemParams
 
 __all__ = ["SolveConfig", "SolveReport", "solve", "residual"]
+
+logger = logging.getLogger(__name__)
+
+ANDERSON_DEPTH = 3   # difference columns of an Anderson candidate, at most
+ANDERSON_START = 3   # the first step on one inverse that tries a candidate
 
 
 @dataclass(frozen=True)
@@ -51,7 +68,8 @@ class SolveReport:
     residual_history: list[float]   # max-norm residual of accepted iterates
     flags: str                      # "converged" | "stalled" | "max_iters"
     jacobians: int = 0              # Jacobian builds
-    halvings: int = 0               # rejected trials
+    halvings: int = 0               # rejected damped trials
+    accelerated: int = 0            # accepted Anderson candidates
     algebraic_error: float = 0.0    # |J_II^-1 r_I|_inf at the last iterate
 
     @property
@@ -69,15 +87,17 @@ def _initial_values(cfg: SolveConfig, pts: np.ndarray, n: int) -> np.ndarray:
         return np.zeros(pts.shape[:n])
 
 
+def _is_flat(u: GridFunction) -> bool:
+    return (u.exterior.tag == "constant"
+            and bool(np.all(u.values == u.exterior.value)))
+
+
 def residual(u: GridFunction, P: ProblemParams,
              Q: QuadratureSpec | None = None) -> float:
     """Max-norm of L u - f over interior nodes."""
-    r = _residual_vec(u, P, Q or QuadratureSpec())
+    r = (apply_grid(u, P, Q or QuadratureSpec())
+         - np.asarray(P.f(grid_points(u.n, u.R, u.N))))
     return float(np.max(np.abs(r[(slice(1, u.N - 1),) * u.n])))
-
-
-def _residual_vec(u: GridFunction, P: ProblemParams, Q: QuadratureSpec):
-    return apply_grid(u, P, Q) - np.asarray(P.f(grid_points(u.n, u.R, u.N)))
 
 
 def solve(P: ProblemParams, cfg: SolveConfig):
@@ -91,13 +111,17 @@ def solve(P: ProblemParams, cfg: SolveConfig):
     bad = P.validation_report()
     if bad:
         raise ConfigError("exponent assumptions violated: " + "; ".join(bad))
+    t0 = time.perf_counter()
     pts = grid_points(P.n, cfg.R, cfg.N)
     u = GridFunction(n=P.n, R=cfg.R, values=_initial_values(cfg, pts, P.n),
                      exterior=cfg.exterior)
     Q = cfg.quadrature
+    f = np.asarray(P.f(pts))
     interior = (slice(1, u.N - 1),) * u.n
     ids = np.arange(u.values.size).reshape(u.values.shape)[interior].ravel()
-    r = _residual_vec(u, P, Q)[interior]
+    # Every difference of flat data is 0, so its L u is +0.0 at every node.
+    Lu = np.zeros_like(u.values) if _is_flat(u) else apply_grid(u, P, Q)
+    r = (Lu - f)[interior]
     rnorm = float(np.max(np.abs(r)))
     rep = SolveReport(iterations=0, final_residual=rnorm,
                       residual_history=[rnorm], flags="converged")
@@ -106,34 +130,51 @@ def solve(P: ProblemParams, cfg: SolveConfig):
         if rebuild:
             J_inv = np.linalg.inv(kernel_mass_matrix(u, P, Q)[np.ix_(ids, ids)])
             rep.jacobians += 1
+            xs, gs = [], []
+        g = J_inv @ r.ravel()
+        xs = xs[-ANDERSON_DEPTH:] + [u.values[interior].ravel()]
+        gs = gs[-ANDERSON_DEPTH:] + [g]
         step = np.zeros_like(u.values)
-        step[interior] = (J_inv @ r.ravel()).reshape(r.shape)
+        step[interior] = g.reshape(r.shape)
+        accel = None
+        if len(xs) >= ANDERSON_START:
+            dX, dG = np.diff(xs, axis=0).T, np.diff(gs, axis=0).T
+            gamma = np.linalg.lstsq(dG, g, rcond=None)[0]
+            accel = np.zeros_like(u.values)
+            accel[interior] = (g - (dG - dX) @ gamma).reshape(r.shape)
         # Flat data: every difference is 0, and the rescale is exact for a
         # single phase, homogeneous of degree p - 1.
-        flat = (u.exterior.tag == "constant"
-                and np.all(u.values == u.exterior.value))
+        flat = _is_flat(u)
         rnorm2, lam = float(np.linalg.norm(r)), 1.0
         # The l2 residual must fall, not the max norm: single near-seam
-        # components may rise while the whole contracts.
-        for halved in range(40):
+        # components may rise while the whole contracts.  A rejected
+        # Anderson candidate is a trial but not a halving.
+        for halved in range(0 if accel is None else -1, 40):
             if rep.iterations >= cfg.max_iters:
                 rep.flags = "max_iters"
                 break
-            u_trial = u.with_values(u.values - lam * step)
-            r_trial = _residual_vec(u_trial, P, Q)[interior]
+            u_trial = u.with_values(
+                u.values - (accel if halved < 0 else lam * step))
+            r_trial = (apply_grid(u_trial, P, Q) - f)[interior]
             rep.iterations += 1
             rnorm2_trial = float(np.linalg.norm(r_trial))
             if rnorm2_trial < rnorm2:
                 u, r = u_trial, r_trial
                 rep.final_residual = float(np.max(np.abs(r)))
                 rep.residual_history.append(rep.final_residual)
+                rep.accelerated += halved < 0
                 rebuild = halved > 0 or rnorm2_trial > 0.25 * rnorm2
                 break
-            rep.halvings += 1
-            lam *= min(0.5, (rnorm2 / rnorm2_trial)
-                       ** (1.0 / (P.exponents.p - 1.0))) if flat else 0.5
+            if halved >= 0:
+                rep.halvings += 1
+                lam *= min(0.5, (rnorm2 / rnorm2_trial)
+                           ** (1.0 / (P.exponents.p - 1.0))) if flat else 0.5
         else:
             rep.flags = "stalled"
     if J_inv is not None:
         rep.algebraic_error = float(np.max(np.abs(J_inv @ r.ravel())))
+    logger.debug("solve: N=%d, %d trials, %d Jacobians, %d halvings, %d "
+                 "accelerated, residual %.3e, %s, %.3f s", cfg.N,
+                 rep.iterations, rep.jacobians, rep.halvings, rep.accelerated,
+                 rep.final_residual, rep.flags, time.perf_counter() - t0)
     return u, rep

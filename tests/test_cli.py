@@ -165,7 +165,7 @@ def test_solve_artifacts(desk_config):
 
 
 def test_pipeline_summary_carries_solve_report(desk_config, tmp_path):
-    # The solve block of summary.json is the solve report, the six fields
+    # The solve block of summary.json is the solve report, the seven fields
     # of solve_report.json, from the same solve.
     path, out = desk_config
     two = ["--config", path, "--set", "reglab.levels=2"]
@@ -178,7 +178,7 @@ def test_pipeline_summary_carries_solve_report(desk_config, tmp_path):
     with open(os.path.join(solo, "solve_report.json")) as fh:
         rep = json.load(fh)
     fields = {"iterations", "final_residual", "flags", "jacobians",
-              "halvings", "algebraic_error"}
+              "halvings", "accelerated", "algebraic_error"}
     assert set(summary["solve"]) == fields
     assert summary["solve"] == {k: rep[k] for k in fields}
     with open(os.path.join(out, "solution.json")) as fh:

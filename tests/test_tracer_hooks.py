@@ -49,7 +49,8 @@ def test_tracer_installs_counts_and_closes():
     assert rep.converged
     assert tracer.counts["solver:solve"] == 1
     assert tracer.counts["solver:kernel_mass_matrix"] == rep.jacobians
-    assert tracer.counts["operator:apply_grid"] == rep.iterations + 1
+    # one sweep per trial: the flat start's residual is -f, with no sweep
+    assert tracer.counts["operator:apply_grid"] == rep.iterations
     # every sweep reads the interpolant through GridFunction.__call__, the
     # grid layer's only span in a solve
     assert tracer.counts["grid:call"] >= 1
