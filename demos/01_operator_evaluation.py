@@ -13,7 +13,7 @@ indicator coefficient switching the q-phase on over half the line.
 import numpy as np
 
 from nldp import (QuadratureSpec, barrier_eval, constant_coefficient,
-                  constant_exterior, delta, evaluate, energy,
+                  constant_exterior, delta, evaluate,
                   halfspace_coefficient, model_params, sample)
 
 Q = QuadratureSpec()
@@ -49,9 +49,3 @@ for x in (-0.5, 0.0, 0.5):
     v_dp, _ = evaluate(u, x, P_dp, Q)
     tag = "q-phase on" if x > 0 else ("switching point" if x == 0 else "q-phase off")
     print(f"  x = {x:+.1f}: p-only {v_pure:+.6f}   double {v_dp:+.6f}   ({tag})")
-print()
-
-# ---------------------------------------------------------------- energy
-val, err, report = energy(u, P_pure, Q)
-print(f"double phase energy of the bump: {val:.8f} (+- {err:.1e}), "
-      f"diverged = {report['diverged']}")

@@ -18,7 +18,7 @@ from .params import (Exponents, KernelField, CoefficientField, ProblemParams,
 from .grid import (GridFunction, Exterior, constant_exterior, growth_exterior,
                    dyadic_exterior, callable_exterior, sample)
 from .quadrature import QuadratureSpec
-from .operator import delta, evaluate, apply_grid, energy
+from .operator import delta, evaluate, apply_grid
 from .constants import (ConstantsBundle, SelectionCertificate, sigma,
                         sigma_bounds, choose_eta_kappa, theta, gamma_exponent,
                         lambda_rescale, build_bundle)

@@ -84,11 +84,14 @@ def sigma_bounds(eta: float, P: ProblemParams) -> tuple[float, float]:
     The published upper bound carries an evident brace typo in its second
     numerator (4^{tq} - eta(q-1) for 4^{tq - eta(q-1)}); the corrected form,
     which is the one the two-phase derivation actually produces, is used
-    here.  The band is a soft diagnostic either way.
+    here.  The lower bound keeps the (s, p) term alone, whose integrand is
+    at least (2^eta - 1)^(p-1) |y|^(-n-sp) on |y| >= 1/4.  The band is a
+    soft diagnostic either way.
     """
     e = P.exponents
     om = OMEGA_N[e.n]
-    lo = om * 2.0 ** (e.q - 1.0 + 2.0 * e.sp) * (2.0 ** eta - 1.0) / e.sp
+    lo = (om * 2.0 ** (e.q - 1.0 + 2.0 * e.sp)
+          * (2.0 ** eta - 1.0) ** (e.p - 1.0) / e.sp)
     dp = e.sp - eta * (e.p - 1.0)
     dq = e.tq - eta * (e.q - 1.0)
     if min(dp, dq) <= 0:

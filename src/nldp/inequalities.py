@@ -246,9 +246,9 @@ def check_local_integrability(phi_fn, P: ProblemParams, mode: str,
 # Fuzz campaigns (vectorised; a mixture of uniform, log-uniform, and
 # near-degenerate draws -- sign/power bugs live near |b| ~ 0).
 
-def _draws(rng, count, lo=-10.0, hi=10.0):
+def _draws(rng, count):
     k = count // 3
-    u = rng.uniform(lo, hi, size=count - 2 * k)
+    u = rng.uniform(-10.0, 10.0, size=count - 2 * k)
     logu = np.exp(rng.uniform(-18.0, 2.3, size=k)) * rng.choice([-1.0, 1.0], size=k)
     tiny = rng.uniform(-1e-8, 1e-8, size=k)
     return np.concatenate([u, logu, tiny])

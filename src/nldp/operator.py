@@ -23,9 +23,7 @@ interpolant from one (cells, positions) table product and one gather per
 entry, and the Jacobian scatters onto the same cells and monomials.  Both
 go through the entries by runs of whole nodes (``_node_chunks``), so no
 temporary of a pass is the size of the plan, and each node's sum is one
-bincount over its own entries whatever the runs.  ``energy`` is the same
-sweep with |d|^r in place of phi, summed over the nodes on three nested
-grids, whose spread is its error estimate and its divergence test.
+bincount over its own entries whatever the runs.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ import numpy as np
 
 from .errors import NldpError, NonIntegrableNearField, TailDivergence
 from .grid import (GridFunction, LocatedPoints, box_cells, coeffs_T,
-                   edge_positions, grid_points, monomials, sample)
+                   edge_positions, grid_points, monomials)
 from .params import CoefficientField, ProblemParams
 from .quadrature import (QuadratureSpec, adaptive_quad, geometric_tail_quad,
                          near_singular_quad, panel_nodes_weights,
@@ -48,7 +46,7 @@ from .quadrature import (QuadratureSpec, adaptive_quad, geometric_tail_quad,
 
 __all__ = [
     "QuadratureSpec", "delta", "evaluate", "apply_grid",
-    "kernel_mass_matrix", "energy", "near_field_exponent",
+    "kernel_mass_matrix", "near_field_exponent",
 ]
 
 logger = logging.getLogger(__name__)
@@ -105,19 +103,17 @@ def near_field_exponent(P: ProblemParams) -> float:
     return worst
 
 
-def _tail_decays(P: ProblemParams, growth_exp: float,
-                 lift: float = 0.0) -> tuple[float, float]:
-    """Decays sr - growth_exp (r - 1 + lift) of the two phases' remainders
-    against an exterior growing like |x|^growth_exp: lift 0 for phi_r(d)
-    (the operator), 1 for |d|^r (the energy)."""
-    e, m = P.exponents, 1.0 - lift
-    dp = e.sp - growth_exp * (e.p - m)
-    dq = e.tq - growth_exp * (e.q - m)
+def _tail_decays(P: ProblemParams, growth_exp: float) -> tuple[float, float]:
+    """Decays sr - growth_exp (r - 1) of the two phases' remainders, phi_r(d)
+    against an exterior growing like |x|^growth_exp."""
+    e = P.exponents
+    dp = e.sp - growth_exp * (e.p - 1.0)
+    dq = e.tq - growth_exp * (e.q - 1.0)
     if min(dp, dq) <= 0.0:
-        thr = min(e.sp / (e.p - m), e.tq / (e.q - m))
+        thr = min(e.sp / (e.p - 1.0), e.tq / (e.q - 1.0))
         raise TailDivergence(
             f"exterior growth exponent {growth_exp:.6g} reaches the convergence "
-            f"threshold min(sp/(p-{m:g}), tq/(q-{m:g})) = {thr:.6g}")
+            f"threshold min(sp/(p-1), tq/(q-1)) = {thr:.6g}")
     return dp, dq
 
 
@@ -513,14 +509,14 @@ def _group_exterior(node, val, wp, wq):
 
 @lru_cache(maxsize=1)
 def _plan(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
-          exterior, lift: float = 0.0) -> _Plan:
+          exterior) -> _Plan:
     """The plan of the grid apply on the N^n grid of [-R, R]^n with this
-    exterior, its remainder weighed by the decays of ``_tail_decays`` at
-    ``lift`` (0 for the operator, 1 for the energy); cached, because nothing
-    in it depends on the iterate.  The cache holds the last plan only: a
-    solve's sweeps and its residual checks share it, and it is dropped once
-    another geometry is asked for (plans are megabytes, and a problem built
-    anew, with new kernel functions, never hits).
+    exterior, its remainder weighed by the decays of ``_tail_decays``;
+    cached, because nothing in it depends on the iterate.  The cache holds
+    the last plan only: a solve's sweeps and its residual checks share it,
+    and it is dropped once another geometry is asked for (plans are
+    megabytes, and a problem built anew, with new kernel functions, never
+    hits).
 
     A geometry gives in-cell positions t (n, P) and yields blocks ``(ids, Y,
     cp, cq, located)``: nodes, offsets, the two phases' radial factors and,
@@ -530,7 +526,7 @@ def _plan(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
     """
     t0 = time.perf_counter()
     n = P.n
-    dp, dq = _tail_decays(P, _exterior_growth(exterior, R, n), lift)
+    dp, dq = _tail_decays(P, _exterior_growth(exterior, R, n))
     geometry = _geometry_1d if n == 1 else _geometry_2d
     X, blocks, t, (dirs, near_r, near_offs, near_w) = geometry(P, Q, R, N,
                                                                 dp, dq)
@@ -644,74 +640,30 @@ def _fixed_weights(u: GridFunction, plan: _Plan, P: ProblemParams, f):
     return g_ext, g_near
 
 
-def _sweep(u: GridFunction, plan: _Plan, P: ProblemParams, f):
-    """Per-node sums of f(d, p) w_p + f(d, q) w_q over the plan, shaped like
-    ``u.values``: the in-box entries by ``_node_chunks``, each node's sum one
-    bincount over its own entries in order, then the exterior groups and the
-    near block."""
-    v = u.values.ravel()
-    ux = u(plan.points)
-    out = np.empty(v.size)
-    for n0, n1, a, b in _node_chunks(plan.node, v.size):
-        out[n0:n1] = np.bincount(plan.node[a:b] - n0,
-                                 _entry_weights(plan, P, f, v, ux, a, b),
-                                 minlength=n1 - n0)
-    del ux
-    g_ext, g_near = _fixed_weights(u, plan, P, f)
-    out += np.bincount(plan.ext_node, g_ext, minlength=v.size)
-    out += np.sum(g_near[0] + g_near[1], axis=(1, 2))
-    return out.reshape(u.values.shape)
-
-
 def apply_grid(u: GridFunction, P: ProblemParams, Q: QuadratureSpec):
     """Evaluate the operator at every grid node, from the plan of (P, Q, box,
     grid, exterior).
 
     A sweep evaluates the interpolant once at the plan's in-box points,
-    then, by runs of whole nodes, forms the differences, applies ``phi`` and
-    reduces per node (``_sweep``).  The boundary nodes see the glue
-    seam inside their near field and are only approximate; the solver keeps
-    them frozen.
+    then, by runs of whole nodes (``_node_chunks``), forms the differences,
+    applies ``phi`` and writes each node's sum, one bincount over its own
+    entries in order; then it adds the exterior groups and the near block.
+    The boundary nodes see the glue seam inside their near field and are
+    only approximate; the solver keeps them frozen.
     """
-    return _sweep(u, _plan(P, Q, u.R, u.N, u.exterior), P, phi)
-
-
-def energy(u: GridFunction, P: ProblemParams, Q: QuadratureSpec | None = None):
-    """Double phase energy over box x R^n, by grid refinement:
-
-        E(u) = int_box int |d|^p K_sp + c_hat a |d|^q K_tq dy dx,
-
-    d = u(x) - u(x+y): the sweep of ``apply_grid`` with |d|^r for phi (its
-    remainder decaying like |d|^r), summed with trapezoid node weights, on
-    u's grid and on u resampled onto the (N-1)//2+1 and (N-1)//4+1 grids.
-    Returns ``(E_h, err, report)`` with err = |E_h - E_2h|.  When that fine
-    increment is not below 0.98 times the coarse one |E_2h - E_4h| (and not
-    at rounding level), e.g. for jump data with sp >= 1, the value and err
-    are +inf and the report has ``diverged`` set and ``offending_scale`` the
-    grid spacing h.  The grids nest at spacings h, 2h, 4h with 5 nodes or
-    more on the coarsest (on 3, smooth data reads as divergent), so N must
-    be 4k + 1 >= 17, else ValueError; an exterior growing like |x|^eta with
-    eta >= min(sp/p, tq/q) raises TailDivergence.  Its plans bypass
-    ``_plan``'s cache, so the plan a solve's sweeps share stays cached.
-    """
-    Q = Q or QuadratureSpec()
-    if u.N < 17 or (u.N - 1) % 4:
-        raise ValueError("energy needs N = 4k + 1 >= 17 nodes per axis for "
-                         f"three nested grids, got {u.N}")
-    E = []
-    for N in (u.N, (u.N - 1) // 2 + 1, (u.N - 1) // 4 + 1):
-        v = u if N == u.N else sample(u, u.n, u.R, N, exterior=u.exterior)
-        t = _sweep(v, _plan.__wrapped__(P, Q, u.R, N, u.exterior, 1.0), P,
-                   lambda d, r: np.abs(d) ** r)
-        w = np.full(N, v.h)
-        w[[0, -1]] *= 0.5
-        for _ in range(u.n):  # the trapezoid rule along each axis
-            t = w @ t
-        E.append(float(t))
-    fine, coarse = abs(E[0] - E[1]), abs(E[1] - E[2])
-    if fine >= 0.98 * coarse and fine > 1e-12 * abs(E[0]):
-        return math.inf, math.inf, {"diverged": True, "offending_scale": u.h}
-    return E[0], fine, {"diverged": False, "offending_scale": None}
+    plan = _plan(P, Q, u.R, u.N, u.exterior)
+    v = u.values.ravel()
+    ux = u(plan.points)
+    out = np.empty(v.size)
+    for n0, n1, a, b in _node_chunks(plan.node, v.size):
+        out[n0:n1] = np.bincount(plan.node[a:b] - n0,
+                                 _entry_weights(plan, P, phi, v, ux, a, b),
+                                 minlength=n1 - n0)
+    del ux
+    g_ext, g_near = _fixed_weights(u, plan, P, phi)
+    out += np.bincount(plan.ext_node, g_ext, minlength=v.size)
+    out += np.sum(g_near[0] + g_near[1], axis=(1, 2))
+    return out.reshape(u.values.shape)
 
 
 def _secant(d, r: float):

@@ -131,9 +131,9 @@ class KernelField:
         r = _norm(y, self.n)
         return r ** (-self.exponent)
 
-    def _probe_bounds(self, count: int = 1000):
-        pts = _probe_points(self.n, count, seed=7)
-        offs = _probe_points(self.n, count, seed=11)
+    def _probe_bounds(self):
+        pts = _probe_points(self.n, 1000, seed=7)
+        offs = _probe_points(self.n, 1000, seed=11)
         keep = _norm(offs, self.n) > 1e-9
         offs, pts = offs[keep], pts[keep]
         vals = np.asarray(self.eval(pts, offs), dtype=float)

@@ -30,22 +30,22 @@ __all__ = [
 ]
 
 
-def _ball_probe_points(u: GridFunction, center, radius: float,
-                       count: int = 1000) -> np.ndarray:
+def _ball_probe_points(u: GridFunction, center, radius: float) -> np.ndarray:
     # Closed ball: include the boundary, where radial extrema often sit.
+    # 1000 probes (in 2-D, the first 1000 of 1999 that fall in the ball).
     if u.n == 1:
-        off = vdc(count)
+        off = vdc(1000)
         pts = center + (2.0 * off - 1.0) * radius
         nodes = u.nodes
         sel = nodes[np.abs(nodes - center) <= radius * (1.0 + 1e-12)]
         return np.concatenate([pts, sel, [center, center - radius, center + radius]])
-    off = np.stack([vdc(2 * count - 1, 2), vdc(2 * count - 1, 3)], axis=-1)
+    off = np.stack([vdc(1999, 2), vdc(1999, 3)], axis=-1)
     pts = center + (2.0 * off - 1.0) * radius
     keep = np.sqrt(np.sum((pts - center) ** 2, axis=-1)) <= radius
     ang = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     ring = np.asarray(center, dtype=float) + radius * np.stack(
         [np.cos(ang), np.sin(ang)], axis=-1)
-    return np.concatenate([pts[keep][:count], ring,
+    return np.concatenate([pts[keep][:1000], ring,
                            [np.asarray(center, dtype=float)]])
 
 

@@ -86,41 +86,6 @@ def sigma_oracle(eta: float, s: float, t: float, p: float, q: float,
     return 2.0 ** (q - 1.0) * omega_n * total
 
 
-def energy_beta_oracle(s: float, n_outer: int = 801, R: float = 2.0,
-                       exterior=None) -> float:
-    """Tensor-grid oracle for the (s,2) energy of beta on [-R, R] glued to
-    ``exterior`` (0 when None) outside it: outer midpoint grid at (at least)
-    4x production resolution, inner QUADPACK sweeps split at the support
-    kinks and the box seams."""
-    xs = (np.arange(n_outer) + 0.5) / n_outer * 2.0 * R - R
-    hx = 2.0 * R / n_outer
-
-    def glued(z):
-        if abs(z) <= R or exterior is None:
-            return float(beta(z))
-        return float(exterior(z))
-
-    total = 0.0
-    for x in xs:
-        bx = float(beta(x))
-
-        def g(y):
-            d = bx - glued(x + y)
-            return d * d * abs(y) ** (-1.0 - 2.0 * s)
-
-        kinks = sorted({abs(-1.0 - x), abs(1.0 - x), R - x, R + x} - {0.0})
-        acc = 0.0
-        for sgn in (1.0, -1.0):
-            lo = 0.0
-            for hi in [k for k in kinks if k > 0] + [4.0]:
-                if hi > lo:
-                    acc += quad(lambda yy: g(sgn * yy), lo, hi, limit=200)[0]
-                    lo = hi
-            acc += quad(lambda yy: g(sgn * yy), lo, np.inf, limit=200)[0]
-        total += acc * hx
-    return total
-
-
 def pv_eval_oneside(u, x, P, eps: float, Q=None):
     """One-sided PV evaluation with an explicit eps-exclusion ball.
 

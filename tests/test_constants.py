@@ -18,7 +18,8 @@ from nldp.constants import (applicable_regimes, build_bundle,
                             _term_III, probe_points)
 from nldp.errors import DegenerateScaling, DivergentSigma, SelectionFailed
 from nldp.params import (barrier_eval, barrier_grad, barrier_hess,
-                         holder_coefficient, model_params)
+                         halfspace_coefficient, holder_coefficient,
+                         model_params)
 
 
 # Golden selections, every field bit for bit.  The worst_terms key order is
@@ -168,6 +169,28 @@ class TestSigmaBounds:
             lo, hi = sigma_bounds(eta, P)
             assert hi >= lo
             count += 1
+
+    @pytest.mark.parametrize("pq", [(2.0, 2.2), (2.5, 2.8), (3.0, 3.5)])
+    def test_band_holds_sigma_off_p2(self, pq):
+        # On |y| >= 1/4 the (s, p) integrand is at least (2^eta - 1)^(p-1)
+        # |y|^(-n-sp); a lower bound linear in 2^eta - 1 exceeds sigma for
+        # p > 2 (5.47 against sigma 2.51 at p = 3, eta = 0.1).
+        P = model_params(n=1, s=0.6, t=0.5, p=pq[0], q=pq[1],
+                         coefficient=halfspace_coefficient(1, 1.0))
+        for eta in (1e-4, 1e-2, 0.1):
+            assert eta < P.exponents.eta_threshold()
+            lo, hi = sigma_bounds(eta, P)
+            assert lo <= sigma(eta, P) <= hi
+
+    @pytest.mark.parametrize("pq", [(2.5, 2.8), (3.0, 3.5)])
+    def test_bundle_sigma_inside_band_off_p2(self, pq):
+        # The bundle's soft check warns when sigma escapes the band.
+        P = model_params(n=1, s=0.6, t=0.5, p=pq[0], q=pq[1],
+                         coefficient=halfspace_coefficient(1, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            b = build_bundle(P, u_sup=1.0, f_sup=0.5)
+        assert b.sigma_lo <= b.sigma <= b.sigma_hi
 
 
 class TestTheta:

@@ -4,7 +4,12 @@ Every name a module imports must be used in its body or re-exported
 through its ``__all__``; ``__init__.py`` is skipped, since its imports are
 the package's re-exports.  Every module-level private (``_name``) function,
 class or constant must be referenced somewhere in the package outside its
-own definition.  Every error type is raised somewhere in the package.
+own definition.  Every parameter with a default of a module-level private
+function or of a private method must be passed, by position or by keyword,
+by at least one call in the package: a default that no call overrides is a
+knob without a caller, and belongs in the body as the value it always
+takes (the tests do not count as callers).  Every error type is raised
+somewhere in the package.
 Importing the package loads no scipy module.  The config defaults list
 exactly the fields of the objects they build.
 """
@@ -114,6 +119,60 @@ def test_no_orphan_private_helpers(path, package_refs):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_orphan_private_constants(path, package_refs):
     assert _orphans(path, package_refs, (ast.Assign, ast.AnnAssign)) == []
+
+
+def _private_defs(tree):
+    """(function, is_method) for the module-level private functions and the
+    private methods of the module's classes."""
+    for stmt in tree.body:
+        method = isinstance(stmt, ast.ClassDef)
+        for node in (stmt.body if method else [stmt]):
+            if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                yield node, method
+
+
+def _defaulted(fn, method: bool):
+    """(name, position) of each parameter with a default, its position
+    counted among the arguments a call passes (a method's call passes no
+    self), None for keyword-only."""
+    args = fn.args.posonlyargs + fn.args.args
+    first = len(args) - len(fn.args.defaults)
+    out = [(a.arg, i - int(method)) for i, a in enumerate(args)
+           if i >= first]
+    out += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs,
+                                          fn.args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _passes(call: ast.Call, name: str, position) -> bool:
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return (len(call.args) > position
+            or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_default_is_passed_by_some_call():
+    trees = {p: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = (f.id if isinstance(f, ast.Name)
+                        else f.attr if isinstance(f, ast.Attribute) else None)
+                calls.setdefault(name, []).append(node)
+    unpassed = [f"{path.name}:{fn.lineno} {fn.name}({arg})"
+                for path, tree in trees.items()
+                for fn, method in _private_defs(tree)
+                for arg, position in _defaulted(fn, method)
+                if not any(_passes(c, arg, position)
+                           for c in calls.get(fn.name, []))]
+    assert unpassed == []
 
 
 def _raised_names(path: Path) -> set[str]:

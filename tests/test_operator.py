@@ -10,14 +10,12 @@ import pytest
 import nldp.operator
 import nldp.quadrature
 from oracles import (apply_grid_1d_direct, apply_grid_2d_direct,
-                     energy_beta_oracle, operator_beta_p2_oracle,
-                     pv_eval_oneside)
+                     operator_beta_p2_oracle, pv_eval_oneside)
 
 from nldp.errors import NldpError, TailDivergence
 from nldp.grid import (GridFunction, callable_exterior, constant_exterior,
                        dyadic_exterior, growth_exterior, sample)
-from nldp.operator import (QuadratureSpec, apply_grid, delta, energy,
-                           evaluate)
+from nldp.operator import QuadratureSpec, apply_grid, delta, evaluate
 from nldp.params import (barrier_eval, checkerboard_coefficient,
                          constant_coefficient, halfspace_coefficient,
                          holder_coefficient, model_params, table_kernel)
@@ -136,10 +134,15 @@ class TestEvaluate:
             evaluate(u, 1.999, pure_p_params(), Q)
 
     def test_tail_divergence_guard(self):
-        P = pure_p_params()  # threshold sp/(p-1) = 1.2
+        # sp/(p-1) = 1.2 and tq/(q-1) = 1: the q-phase's remainder sets the
+        # threshold even where a = 0, and the grid apply shares the rule.
+        P = pure_p_params()
         u = sample(barrier_eval, 1, 2.0, 257, exterior=growth_exterior(1.3))
-        with pytest.raises(TailDivergence):
-            evaluate(u, 0.0, P, Q)
+        for run in (lambda: evaluate(u, 0.0, P, Q),
+                    lambda: apply_grid(u, P, Q)):
+            with pytest.raises(TailDivergence,
+                               match=r"min\(sp/\(p-1\), tq/\(q-1\)\) = 1$"):
+                run()
 
     def test_growth_envelope_exterior_converges(self):
         P = model_params(n=1, s=0.6, t=0.5, p=2.0, q=2.2,
@@ -427,6 +430,48 @@ class TestPlannedApply1D:
     def test_plan_build_logged_once(self, caplog):
         _check_build_logged_once(1, 33, caplog)
 
+    def test_apply_keeps_the_cached_plan(self):
+        # The one-slot plan cache: three applies to the same geometry build
+        # the plan once and hit it twice.
+        P, u = pure_p_params(), beta_grid(129)
+        nldp.operator._plan.cache_clear()
+        for _ in range(3):
+            apply_grid(u, P, Q)
+        info = nldp.operator._plan.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+
+class TestApplyReadsTheProblem:
+    """The plan weighs each phase by the problem's own kernels and by
+    c_hat, in 1-D and 2-D."""
+
+    @pytest.mark.parametrize("n, N", [(1, 129), (2, 9)], ids=["1d", "2d"])
+    def test_kernels_scale_the_apply(self, n, N):
+        # Both kernels 1.5 times the Gagliardo model: the apply scales by
+        # 1.5 up to rounding.
+        radii, factors = np.array([1e-300, 1e300]), np.array([1.5, 1.5])
+        P = model_params(n=n, s=0.6, t=0.5, p=2.5, q=2.8,
+                         coefficient=halfspace_coefficient(n, 1.0))
+        scaled = dataclasses.replace(
+            P, Ksp=table_kernel(n, 0.6, 2.5, 1.5, radii, factors),
+            Ktq=table_kernel(n, 0.5, 2.8, 1.5, radii, factors))
+        u = sample(barrier_eval, n, 2.0, N, exterior=constant_exterior(0.0))
+        ref = 1.5 * apply_grid(u, P, Q)
+        assert apply_grid(u, scaled, Q) == pytest.approx(
+            ref, rel=1e-12, abs=1e-12 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("n, N", [(1, 129), (2, 9)], ids=["1d", "2d"])
+    def test_c_hat_weighs_the_q_phase(self, n, N):
+        # p = q, s = t and a = 1: the q-phase equals the p-phase, so the
+        # apply is (1 + c_hat) times the p-phase's.
+        def P(c_hat):
+            return model_params(n=n, s=0.6, t=0.6, p=2.0, q=2.0, c_hat=c_hat,
+                                coefficient=constant_coefficient(n, 1.0))
+        u = sample(barrier_eval, n, 2.0, N, exterior=constant_exterior(0.0))
+        ref = 1.5 * apply_grid(u, P(1.0), Q)
+        assert apply_grid(u, P(2.0), Q) == pytest.approx(
+            ref, rel=1e-12, abs=1e-12 * np.max(np.abs(ref)))
+
 
 class TestChunkedSweep:
     """A sweep and the Jacobian go through the plan by runs of whole nodes
@@ -444,9 +489,8 @@ class TestChunkedSweep:
         M, K = len(plan.node), N ** n
 
         def passes():
-            return ([apply_grid(u, P, Q),
-                     nldp.operator.kernel_mass_matrix(u, P, Q)]
-                    + ([np.array(energy(u, P, Q)[:2])] if n == 1 else []))
+            return [apply_grid(u, P, Q),
+                    nldp.operator.kernel_mass_matrix(u, P, Q)]
 
         ref = passes()
         # Runs of about three nodes, then one run over the whole plan.
@@ -479,108 +523,6 @@ class TestChunkedSweep:
         finally:
             tracemalloc.stop()
         assert peak <= table + 8 * len(plan.node) + 2 * 2 ** 20, peak
-
-
-class TestEnergy:
-    def test_constant_has_zero_energy(self):
-        for n, N in ((1, 129), (2, 17)):
-            P = pure_p_params(n=n)
-            u = sample(lambda x: np.ones(np.shape(x)[:np.ndim(x) + 1 - n]),
-                       n, 2.0, N, exterior=constant_exterior(1.0))
-            v, err, rep = energy(u, P, Q)
-            assert not rep["diverged"]
-            # exactly 0.0: every difference of the glued constant is 0
-            assert abs(v) <= max(err, 1e-7)
-
-    def test_energy_keeps_the_cached_plan(self):
-        # energy's three plans bypass the one-slot plan cache, so the plan
-        # of the grid apply around it is built once.
-        P, u = pure_p_params(), beta_grid(129)
-        nldp.operator._plan.cache_clear()
-        for step in (apply_grid, apply_grid, energy, apply_grid):
-            step(u, P, Q)
-        info = nldp.operator._plan.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
-
-    def test_barrier_energy_matches_tensor_oracle(self):
-        P = pure_p_params()
-        u = beta_grid(129)
-        v, err, rep = energy(u, P, Q)
-        oracle = energy_beta_oracle(0.6, n_outer=516)
-        assert not rep["diverged"]
-        assert v == pytest.approx(oracle, rel=1e-4)
-        assert abs(v - oracle) <= err
-
-    def test_energy_reads_the_problem_kernels(self):
-        # Both kernels 1.5 times the Gagliardo model: the energy scales by
-        # 1.5 up to rounding, in 1-D and 2-D, down to the smallest grid the
-        # energy accepts (N = 17), where the smooth barrier is not flagged.
-        radii, factors = np.array([1e-300, 1e300]), np.array([1.5, 1.5])
-        for n, N in ((1, 17), (1, 129), (2, 17)):
-            P = pure_p_params(n=n)
-            e = P.exponents
-            scaled = dataclasses.replace(
-                P, Ksp=table_kernel(n, e.s, e.p, 1.5, radii, factors),
-                Ktq=table_kernel(n, e.t, e.q, 1.5, radii, factors))
-            u = sample(barrier_eval, n, 2.0, N,
-                       exterior=constant_exterior(0.0))
-            v, err, rep = energy(u, P, Q)
-            assert not rep["diverged"]
-            assert energy(u, scaled, Q)[0] == pytest.approx(1.5 * v, rel=1e-8)
-
-    def test_energy_weighs_the_q_phase_by_c_hat(self):
-        # p = q, s = t and a = 1: the q-phase equals the p-phase, so the
-        # energy is (1 + c_hat) times the p-phase's.
-        def P(c_hat):
-            return model_params(n=1, s=0.6, t=0.6, p=2.0, q=2.0, c_hat=c_hat,
-                                coefficient=constant_coefficient(1, 1.0))
-        u = beta_grid(129)
-        assert energy(u, P(2.0), Q)[0] / energy(u, P(1.0), Q)[0] == \
-            pytest.approx(1.5, rel=1e-12)
-
-    def test_unnested_or_coarse_grids_are_refused(self):
-        # Three grids at spacings h, 2h, 4h need N = 4k + 1, and a 3-node
-        # coarsest grid (N = 9) has not settled: there the smooth barrier's
-        # increments grow (20.4, then 16.1 in 1-D) and would read +inf.
-        for n, N in ((1, 5), (1, 9), (2, 9), (1, 11), (1, 31)):
-            u = sample(barrier_eval, n, 2.0, N,
-                       exterior=constant_exterior(0.0))
-            with pytest.raises(ValueError, match="4k \\+ 1 >= 17"):
-                energy(u, pure_p_params(n=n), Q)
-
-    def test_jump_flags_divergence(self):
-        # Jump data with sp >= 1: inside the box at s = 0.9, and at the box
-        # seam (the barrier against the exterior 1) at sp = 1.
-        def step(x):
-            return np.where(np.asarray(x) > 0.0, 1.0, 0.0)
-
-        for s, fn, outside, N in ((0.9, step, 0.0, 513),
-                                  (0.5, barrier_eval, 1.0, 129)):
-            P = model_params(n=1, s=s, t=0.5, p=2.0, q=2.2,
-                             coefficient=constant_coefficient(1, 0.0))
-            u = sample(fn, 1, 2.0, N, exterior=constant_exterior(outside))
-            v, err, rep = energy(u, P, Q)
-            assert rep["diverged"] and v == np.inf
-            assert rep["offending_scale"] is not None
-
-    @pytest.mark.parametrize("eta", [0.1, 0.3])
-    def test_growth_exterior_matches_tensor_oracle(self, eta):
-        # amp |x/2|^eta - 1 is 0 at the seam |x| = 2, like the barrier.
-        ext = growth_exterior(eta, amp=1.0, scale=0.5, offset=-1.0)
-        u = sample(barrier_eval, 1, 2.0, 129, exterior=ext)
-        v, err, rep = energy(u, pure_p_params(), Q)
-        oracle = energy_beta_oracle(0.6, n_outer=516, exterior=ext)
-        assert not rep["diverged"]
-        assert v == pytest.approx(oracle, rel=1e-4)
-
-    def test_growth_past_the_energy_threshold_raises(self):
-        # |d|^r grows one power of the exterior faster than phi_r(d): the
-        # energy's threshold is min(sp/p, tq/q) = 0.5, below the operator's.
-        ext = growth_exterior(0.7, amp=1.0, scale=0.5, offset=-1.0)
-        u = sample(barrier_eval, 1, 2.0, 129, exterior=ext)
-        with pytest.raises(TailDivergence,
-                           match=r"min\(sp/\(p-0\), tq/\(q-0\)\) = 0\.5$"):
-            energy(u, pure_p_params(), Q)
 
 
 class TestGridFunctionIO:
