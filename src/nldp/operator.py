@@ -603,17 +603,39 @@ def _plan(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
 _CHUNK_ENTRIES = 1 << 16
 
 
-def _node_chunks(node, K: int):
-    """Runs [n0, n1) of whole nodes of the node-sorted entries ``node``, with
-    their entries [a, b): about ``_CHUNK_ENTRIES`` entries, one node at
-    least."""
-    start = np.searchsorted(node, np.arange(K + 1))
-    n0 = 0
+def _runs(start):
+    """Runs [n0, n1) of the nodes whose entries begin at the offsets
+    ``start`` (one more than the nodes), of about ``_CHUNK_ENTRIES``
+    entries, one node at least."""
+    n0, K = 0, len(start) - 1
     while n0 < K:
         n1 = max(n0 + 1, int(np.searchsorted(start, start[n0] + _CHUNK_ENTRIES,
                                              side="right")) - 1)
-        yield n0, n1, start[n0], start[n1]
+        yield n0, n1
         n0 = n1
+
+
+def _node_chunks(node, K: int):
+    """Runs [n0, n1) of whole nodes of the node-sorted entries ``node``, with
+    their entries [a, b) (``_runs``)."""
+    start = np.searchsorted(node, np.arange(K + 1))
+    for n0, n1 in _runs(start):
+        yield n0, n1, start[n0], start[n1]
+
+
+def _interior_runs(node, K: int, ids):
+    """Runs [r0, r1) of the nodes ``ids`` (increasing, of K) of the
+    node-sorted entries ``node`` (``_runs`` over their entries alone), each
+    with the slices of its entries, one per stretch of consecutive nodes
+    (the interior part of a grid row in 2-D), and the run's row of each of
+    those entries."""
+    start = np.searchsorted(node, np.arange(K + 1))
+    count = np.diff(start)[ids]
+    for r0, r1 in _runs(np.concatenate([[0], np.cumsum(count)])):
+        nodes = ids[r0:r1]
+        segs = np.split(nodes, np.flatnonzero(np.diff(nodes) != 1) + 1)
+        yield (r0, r1, [slice(start[g[0]], start[g[-1] + 1]) for g in segs],
+               np.repeat(np.arange(r1 - r0, dtype=np.int32), count[r0:r1]))
 
 
 def _entry_weights(plan: _Plan, P: ProblemParams, f, v, ux, a, b):
@@ -623,10 +645,18 @@ def _entry_weights(plan: _Plan, P: ProblemParams, f, v, ux, a, b):
     e = P.exponents
     d = ux[a:b]
     np.subtract(v[plan.node[a:b]], d, out=d)
-    # f may return its argument, so each phase is formed into a new array.
-    g = f(d, e.p) * plan.wp[a:b]
-    g += f(d, e.q) * plan.wq[a:b]
+    g = _weighed(f(d, e.p), d, plan.wp[a:b])
+    g += _weighed(f(d, e.q), d, plan.wq[a:b])
     return g
+
+
+def _weighed(x, d, w):
+    """x w, in place in x when ``f`` made x for it: f may return its
+    argument d or a scalar, and those are weighed into a new array."""
+    if isinstance(x, np.ndarray) and x is not d:
+        x *= w
+        return x
+    return x * w
 
 
 def _fixed_weights(u: GridFunction, plan: _Plan, P: ProblemParams, f):
@@ -677,65 +707,74 @@ def _secant(d, r: float):
     return (r - 1.0) * (np.abs(d) + (1e-12 if r < 2.0 else 1e-6)) ** (r - 2.0)
 
 
-def _near_rows(u: GridFunction, plan: _Plan, c_near):
+def _near_rows(plan: _Plan, c_near):
     """The near block's rows in coefficient space: the gradient of its sum of
-    c+- d+- with respect to the cell coefficients of ``_taylor`` at each node,
-    (nodes, 4^n), and (nodes,) to the cubic one of the 1-D cell on its left."""
-    n, N = u.n, u.N
+    c+- d+- with respect to the cell coefficients of ``_taylor`` at each
+    interior node (c_near (2, nodes, D, T) of those), (nodes, 4^n), and
+    (nodes,) to the cubic one of the 1-D cell on its left.  An interior node
+    is its own cell's first corner, so ``_taylor`` re-expands nothing."""
+    n = plan.dirs.shape[1]
     S = c_near @ plan.near_r[:, None] ** np.arange(1, 4)   # (2, nodes, D, 3)
     Bb, Bc = _line(np.eye(4 ** n).reshape((4,) * n + (-1,)), plan.dirs)
     g = (S[1, ..., 0] - S[0, ..., 0]) @ Bb.T - (S[0, ..., 1] + S[1, ..., 1]) @ Bc.T
     if n == 1:
         g[:, 0] -= S[0, :, 0, 2]
-    # Back through the re-expansion about the last node of an axis.
-    g = g.T.reshape((4,) * n + (-1,))
-    for k, tk in enumerate(u.h * (np.indices((N,) * n).reshape(n, -1) == N - 1)):
-        a, b, c, d = np.moveaxis(g, k, 0)
-        g = np.moveaxis(np.stack([a + tk * (3.0 * b + tk * (3.0 * c + tk * d)),
-                                  b + tk * (2.0 * c + tk * d), c + tk * d, d]),
-                        0, k)
-    return g.reshape(4 ** n, -1).T, S[1, :, 0, 2]
+    return g, S[1, :, 0, 2]
 
 
 def kernel_mass_matrix(u: GridFunction, P: ProblemParams,
                        Q: QuadratureSpec) -> np.ndarray:
-    """The (K, K) Jacobian of ``apply_grid`` at the iterate u, K = N^n.
+    """J_II, the (K_I, K_I) Jacobian of ``apply_grid`` at the iterate u on
+    its K_I = (N - 2)^n interior nodes, in C order, as ``solve`` inverts it
+    with the boundary nodes frozen.
 
     Each difference of the sweep is linear in the node values v through the
     cell coefficients C v of ``u.coeffs()``: an in-box entry's is v_i - B C v,
     B the monomials of its cell at its point, and the near block's b, c and
     d+- are entries of C v.  With c = wp phi'_p(d) + wq phi'_q(d) per entry
     (``_secant``), J = diag(in-box and exterior c) + H C, H holding -c B per
-    (node, monomial, cell) and the near rows.  The in-box c, their diagonal
-    and H are formed by the sweep's runs of whole nodes (``_node_chunks``;
-    ``scatter``'s sums do not depend on where they end), and H is contracted
-    with C transposed (``grid.coeffs_T``); neither c nor H for all nodes nor
-    C is held.  Not an M-matrix: cubic cardinal functions have negative
-    lobes.
+    (node, monomial, cell) and the near rows.  Only the interior nodes'
+    entries are read: their c, diagonal and H are formed by runs of
+    interior nodes (``_interior_runs``; ``scatter``'s sums do not depend on
+    which slices hold a node's entries), and H is contracted with C
+    transposed (``grid.coeffs_T``), of whose rows the interior ones are
+    kept.  J_II is bit for bit the interior block of the whole J; neither c
+    nor H for all nodes nor C is held.  Not an M-matrix: cubic cardinal
+    functions have negative lobes.
     """
+    t0 = time.perf_counter()
     plan = _plan(P, Q, u.R, u.N, u.exterior)
     n, N, h = u.n, u.N, u.h
     K, cells, m4 = N ** n, (N - 1) ** n, 4 ** n
+    interior = (slice(1, N - 1),) * n
+    ids = np.arange(K).reshape((N,) * n)[interior].ravel()
+    own = np.arange(cells).reshape((N - 1,) * n)[interior].ravel()
     v = u.values.ravel()
     ux = u(plan.points)
     c_ext, c_near = _fixed_weights(u, plan, P, _secant)
-    diag_ext = np.bincount(plan.ext_node, c_ext, minlength=K)
-    g_near, g_left = _near_rows(u, plan, c_near)
-    own = np.ravel_multi_index(np.minimum(np.indices((N,) * n), N - 2),
-                               (N - 1,) * n).ravel()
-    J = np.zeros((K, K))
-    for lo, hi, a, b in _node_chunks(plan.node, K):
-        nb = hi - lo
-        c = _entry_weights(plan, P, _secant, v, ux, a, b)
-        rows = np.arange(nb)
-        J[lo + rows, lo + rows] = (np.bincount(plan.node[a:b] - lo, c,
-                                               minlength=nb)
-                                   + diag_ext[lo:lo + nb])
-        H = plan.points.scatter(-c, slice(a, b), plan.node[a:b] - lo,
+    diag_ext = np.bincount(plan.ext_node, c_ext, minlength=K)[ids]
+    g_near, g_left = _near_rows(plan, c_near[:, ids])
+    J = np.zeros((len(ids), len(ids)))
+    scattered = 0
+    for r0, r1, segs, rows in _interior_runs(plan.node, K, ids):
+        nb = r1 - r0
+        c, at = np.empty(len(rows)), 0
+        for s in segs:
+            c[at:at + s.stop - s.start] = _entry_weights(plan, P, _secant, v,
+                                                         ux, s.start, s.stop)
+            at += s.stop - s.start
+        scattered += at
+        run = np.arange(nb)
+        J[r0 + run, r0 + run] = (np.bincount(rows, c, minlength=nb)
+                                 + diag_ext[r0:r1])
+        H = plan.points.scatter(np.negative(c, out=c), segs, rows,
                                 nb).reshape(m4, cells, nb)
-        H[:, own[lo:lo + nb], rows] += g_near[lo:lo + nb].T
+        H[:, own[r0:r1], run] += g_near[r0:r1].T
         if n == 1:
-            H[0, np.maximum(rows + lo - 1, 0), rows] += g_left[lo:lo + nb]
-        J[lo:lo + nb] += coeffs_T(H.reshape((4,) * n + (N - 1,) * n + (nb,)),
-                                  n, h).reshape(K, nb).T
+            H[0, own[r0:r1] - 1, run] += g_left[r0:r1]
+        J[r0:r1] += coeffs_T(H.reshape((4,) * n + (N - 1,) * n + (nb,)),
+                             n, h).reshape(K, nb)[ids].T
+    logger.debug("%d-D Jacobian: N=%d, %d interior rows, %d of %d in-box "
+                 "entries scattered, %.3f s", n, N, len(ids), scattered,
+                 len(plan.node), time.perf_counter() - t0)
     return J

@@ -229,20 +229,30 @@ def near_singular_quad_rows(f, rho, worst_exponent: float, tol=1e-11,
     0, 1/4, 1/2, 3/4, 1.  ``breaks[i]`` are offsets where row i changes
     form; their images in t become panel edges too, so bisection need not
     find them (a break outside (0, rho[i]) leaves an empty panel).
+
+    The substituted integrand is C t^(k-1) near 0, k = m (1 + e), so the
+    piece below t* is t*^k of the row's int_0^1 C t^(k-1) dt, within tol
+    of it below t* = tol^(1/k).  Deep in the first panel y is subnormal or
+    nearly, and a kernel y^-(1+sp) may overflow before the difference
+    cancels it: a point below t* whose value is not finite is dropped.
+    Finite values are always kept.
     """
     e = worst_exponent
     if e <= -1.0:
         raise ValueError("near-field exponent must exceed -1")
     m = substitution_power(e)
     rho = np.asarray(rho, dtype=float)
+    t_cut = (np.zeros(rho.size) + tol) ** (1.0 / (m * (1.0 + e)))
 
     def g(t, row):
         y = rho[row] * t ** m
         out = np.zeros_like(t)
         pos = y > 0  # t ** m underflows deep in the first panel
         if np.any(pos):
-            y, t = y[pos], t[pos]
-            out[pos] = f(y, row[pos]) * m * y / t  # dy/dt = m y / t
+            with np.errstate(over="ignore", invalid="ignore"):
+                # dy/dt = m y / t
+                out[pos] = f(y[pos], row[pos]) * m * y[pos] / t[pos]
+            out[~np.isfinite(out) & (t < t_cut[row])] = 0.0
         return out
 
     breaks = np.asarray(breaks, dtype=float)

@@ -3,7 +3,8 @@
 ``solve`` is one damped Newton loop on the discretised operator at the
 interior nodes, from the exterior data at the target exponents, with the
 exterior (and the boundary pair of nodes) frozen.  A step solves
-J_II g = r_I, J the Jacobian of the planned operator
+J_II g = r_I, J_II the Jacobian of the planned operator on the interior
+nodes alone, built from their entries only
 (``operator.kernel_mass_matrix``, with phi' shifted at d = 0 by 1e-12 in a
 phase r < 2 and by 1e-6 in a phase r > 2), tries u - lam g from lam = 1
 and halves lam while the l2 residual does not fall (Deuflhard, *Newton
@@ -118,7 +119,6 @@ def solve(P: ProblemParams, cfg: SolveConfig):
     Q = cfg.quadrature
     f = np.asarray(P.f(pts))
     interior = (slice(1, u.N - 1),) * u.n
-    ids = np.arange(u.values.size).reshape(u.values.shape)[interior].ravel()
     # Every difference of flat data is 0, so its L u is +0.0 at every node.
     Lu = np.zeros_like(u.values) if _is_flat(u) else apply_grid(u, P, Q)
     r = (Lu - f)[interior]
@@ -128,7 +128,7 @@ def solve(P: ProblemParams, cfg: SolveConfig):
     J_inv, rebuild = None, True
     while rep.final_residual > cfg.residual_tol and rep.flags == "converged":
         if rebuild:
-            J_inv = np.linalg.inv(kernel_mass_matrix(u, P, Q)[np.ix_(ids, ids)])
+            J_inv = np.linalg.inv(kernel_mass_matrix(u, P, Q))
             rep.jacobians += 1
             xs, gs = [], []
         g = J_inv @ r.ravel()

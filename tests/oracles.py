@@ -5,7 +5,9 @@ The analytic oracles integrate closed-form integrands with QUADPACK
 expectation is checked through two unrelated quadrature paths.  The
 exceptions are ``apply_grid_1d_direct`` and ``apply_grid_2d_direct``, the
 direct sums that the planned ``apply_grid`` regroups, kept to check that
-regrouping; ``adaptive_quad_depth_first`` and
+regrouping; ``jacobian_full_oracle``, the whole Jacobian of which
+``kernel_mass_matrix`` builds the interior block alone, kept to check that
+restriction; ``adaptive_quad_depth_first`` and
 ``geometric_tail_quad_sequential``, the one-panel-per-call loops that the
 batched quadrature engine replaced, kept to check that batching;
 ``term_Ip_signed_per_probe``, ``term_I_abs_per_probe``,
@@ -23,9 +25,11 @@ from scipy.interpolate import RectBivariateSpline
 
 from nldp.constants import _beta_diff
 from nldp.errors import NldpError
-from nldp.operator import (QuadratureSpec, _exterior_growth, _paired,
-                           _polar_dirs, _poly_switch_radius, _tail_decays,
-                           adaptive_quad, geometric_tail_quad,
+from nldp.grid import coeffs_T
+from nldp.operator import (QuadratureSpec, _entry_weights, _exterior_growth,
+                           _fixed_weights, _line, _node_chunks, _paired,
+                           _plan, _polar_dirs, _poly_switch_radius, _secant,
+                           _tail_decays, adaptive_quad, geometric_tail_quad,
                            near_field_exponent, panel_nodes_weights, phi)
 from nldp.params import ProblemParams, barrier_eval
 from nldp.quadrature import _G_IDX, _WG, _WK, _XK, near_singular_quad
@@ -257,6 +261,51 @@ def apply_grid_2d_direct(u, P, Q, D: int = 12):
         rem += P.c_hat * ae * (phi(vals - ue_p, e.q) + phi(vals - ue_m, e.q)) * ktqe * r_end ** 2 / dq
         out += wd * rem
     return out.reshape(u.values.shape)
+
+
+def jacobian_full_oracle(u, P, Q):
+    """The whole (K, K) Jacobian of ``apply_grid``, boundary rows and columns
+    included, assembled as ``kernel_mass_matrix`` did before it built the
+    interior block alone: every node's entries by runs of whole nodes, the
+    near rows re-expanded about the last node of an axis, and all K columns
+    of the contraction kept."""
+    plan = _plan(P, Q, u.R, u.N, u.exterior)
+    n, N, h = u.n, u.N, u.h
+    K, cells, m4 = N ** n, (N - 1) ** n, 4 ** n
+    v = u.values.ravel()
+    ux = u(plan.points)
+    c_ext, c_near = _fixed_weights(u, plan, P, _secant)
+    diag_ext = np.bincount(plan.ext_node, c_ext, minlength=K)
+    S = c_near @ plan.near_r[:, None] ** np.arange(1, 4)
+    Bb, Bc = _line(np.eye(m4).reshape((4,) * n + (-1,)), plan.dirs)
+    g = (S[1, ..., 0] - S[0, ..., 0]) @ Bb.T - (S[0, ..., 1] + S[1, ..., 1]) @ Bc.T
+    if n == 1:
+        g[:, 0] -= S[0, :, 0, 2]
+    g = g.T.reshape((4,) * n + (-1,))
+    for k, tk in enumerate(h * (np.indices((N,) * n).reshape(n, -1) == N - 1)):
+        a, b, c, d = np.moveaxis(g, k, 0)
+        g = np.moveaxis(np.stack([a + tk * (3.0 * b + tk * (3.0 * c + tk * d)),
+                                  b + tk * (2.0 * c + tk * d), c + tk * d, d]),
+                        0, k)
+    g_near, g_left = g.reshape(m4, -1).T, S[1, :, 0, 2]
+    own = np.ravel_multi_index(np.minimum(np.indices((N,) * n), N - 2),
+                               (N - 1,) * n).ravel()
+    J = np.zeros((K, K))
+    for lo, hi, a, b in _node_chunks(plan.node, K):
+        nb = hi - lo
+        c = _entry_weights(plan, P, _secant, v, ux, a, b)
+        rows = np.arange(nb)
+        J[lo + rows, lo + rows] = (np.bincount(plan.node[a:b] - lo, c,
+                                               minlength=nb)
+                                   + diag_ext[lo:lo + nb])
+        H = plan.points.scatter(-c, [slice(a, b)], plan.node[a:b] - lo,
+                                nb).reshape(m4, cells, nb)
+        H[:, own[lo:lo + nb], rows] += g_near[lo:lo + nb].T
+        if n == 1:
+            H[0, np.maximum(rows + lo - 1, 0), rows] += g_left[lo:lo + nb]
+        J[lo:lo + nb] += coeffs_T(H.reshape((4,) * n + (N - 1,) * n + (nb,)),
+                                  n, h).reshape(K, nb).T
+    return J
 
 
 def adaptive_quad_depth_first(f, a: float, b: float, tol: float = 1e-10,

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import logging
 import math
 import warnings
 
@@ -438,6 +439,29 @@ class TestSelection:
         eta, kappa, cert = choose_eta_kappa(1.0, P)
         assert (eta, kappa) == pair
         assert_certificate(cert, SINGULAR_CERTIFICATES[q])
+
+    def test_selects_where_the_kernel_overflows(self, caplog):
+        # s = 0.3, t = 0.25, p = 1.5, q = 1.7: regime 3's I_p base has the
+        # near-field exponent -0.95, so y = rho t^48 goes subnormal and
+        # y^-(1+sp) overflows deep in the first panel.  Such points lie far
+        # below the cut where the dropped piece meets tol, so they are
+        # dropped and the selection succeeds (0.5 s).  Bands written
+        # before the run: eta 2.84e-7 and kappa 9.31e-10 within 2%.
+        P = model_params(n=1, s=0.3, t=0.25, p=1.5, q=1.7,
+                         coefficient=halfspace_coefficient(1, 1.0))
+        with caplog.at_level(logging.WARNING, logger="nldp.quadrature"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eta, kappa, cert = choose_eta_kappa(1.0, P)
+        assert cert.regimes == [3]
+        assert eta == pytest.approx(2.84e-7, rel=0.02)
+        assert kappa == pytest.approx(9.31e-10, rel=0.02)
+        # No near-field row runs out of its budget.  sigma's body at tol
+        # 1e-12 still does, on the rounding noise of (8y)^eta - 1 at this
+        # eta (ROADMAP item 11(b)).
+        runs_out = [r.getMessage() for r in caplog.records
+                    if "ran out of their panel budget" in r.getMessage()]
+        assert all("on [0.25, 64]" in m for m in runs_out)
 
     def test_two_regime_selection_pinned(self):
         P = model_params(n=1, s=0.4, t=0.3, p=2.0, q=2.2)

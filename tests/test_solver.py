@@ -13,6 +13,7 @@ from nldp.params import (constant_coefficient, constant_source,
                          gaussian_source, halfspace_coefficient, model_params)
 import nldp.operator
 import nldp.solver
+from oracles import jacobian_full_oracle
 from nldp.solver import SolveConfig, kernel_mass_matrix, residual, solve
 
 Q = QuadratureSpec()
@@ -144,15 +145,25 @@ def _problem(n, p, q, coefficient):
                         coefficient=coefficient, f=constant_source(0.5))
 
 
+def _interior(n, N):
+    """The interior nodes' indices, in C order, as ``solve`` takes them."""
+    return np.arange(N ** n).reshape((N,) * n)[(slice(1, N - 1),) * n].ravel()
+
+
 class TestKernelMassMatrix:
-    # kernel_mass_matrix is the Jacobian of apply_grid, with phi'_r(d)
-    # regularised as (r-1)(|d| + eps_r)^(r-2), eps_r = 1e-12 for r < 2 and
-    # 1e-6 for r > 2 (operator._secant).  It is not an M-matrix, because the cubic
-    # cardinal functions have negative lobes.  At p = q = 2 the operator is
-    # linear, so J w is its increment up to rounding.  Otherwise the band
-    # bounds |J w - central difference| / |central difference| at step 1e-4,
-    # and the regularisation is what separates the two.  With the exact
-    # phi' in its place, the gap falls to the difference's own error.
+    # kernel_mass_matrix is J_II, the Jacobian of apply_grid on the interior
+    # nodes, with phi'_r(d) regularised as (r-1)(|d| + eps_r)^(r-2), eps_r =
+    # 1e-12 for r < 2 and 1e-6 for r > 2 (operator._secant).  It is not an
+    # M-matrix, because the cubic cardinal functions have negative lobes.
+    # A direction w that is 0 on the boundary nodes moves the interior rows
+    # of the apply by J_II w_I.  At p = q = 2 the operator is linear, so
+    # J_II w_I is their increment up to rounding.  Otherwise the band bounds
+    # |J_II w_I - central difference| at step 1e-4 on the interior rows, and
+    # the regularisation is what separates the two.  With the exact phi' in
+    # its place, the gap falls to the difference's own error.  Gaps are
+    # relative to the largest increment over all K rows: the 2-D interior
+    # rows carry about 1e-9 of the rounding of the boundary-scale weights,
+    # 5e-12 of their own largest increment at p = q = 2.
     CASES = [(1, 65, 2.0, 2.0, 1e-12), (2, 9, 2.0, 2.0, 1e-12),
              (1, 65, 2.0, 2.2, 1e-2), (1, 65, 2.5, 2.8, 1e-2),
              (2, 9, 2.0, 2.2, 1e-4)]
@@ -164,15 +175,17 @@ class TestKernelMassMatrix:
         P = _problem(n, p, q, halfspace_coefficient(n, 1.0))
         u = GridFunction(n=n, R=2.0 if n == 1 else 1.0,
                          values=0.1 * rng.standard_normal((N,) * n))
-        w = rng.standard_normal((N,) * n)
-        Jw = (kernel_mass_matrix(u, P, Q) @ w.ravel()).reshape(w.shape)
+        w = np.zeros((N,) * n)
+        interior = (slice(1, N - 1),) * n
+        w[interior] = rng.standard_normal((N,) * n)[interior]
+        Jw = kernel_mass_matrix(u, P, Q) @ w[interior].ravel()
         if p == q == 2.0:
             diff = apply_grid(u.with_values(u.values + w), P, Q) \
                 - apply_grid(u, P, Q)
         else:
             diff = (apply_grid(u.with_values(u.values + e * w), P, Q)
                     - apply_grid(u.with_values(u.values - e * w), P, Q)) / (2 * e)
-        return np.max(np.abs(Jw - diff)) / np.max(np.abs(diff))
+        return np.max(np.abs(Jw - diff[interior].ravel())) / np.max(np.abs(diff))
 
     @pytest.mark.parametrize("n, N, p, q, band", CASES, ids=IDS)
     def test_matches_central_difference(self, n, N, p, q, band):
@@ -188,8 +201,11 @@ class TestKernelMassMatrix:
     @pytest.mark.parametrize("n, N", [(1, 65), (2, 9)])
     def test_matches_apply_for_affine_values(self, n, N):
         # At p = q = 2 with a zero exterior the operator is linear, and its
-        # Jacobian is the operator: J v is the apply, for affine and for
-        # random node values alike.
+        # Jacobian is the operator: J_II v_I is the increment of the apply's
+        # interior rows from the boundary values alone.  For affine interior
+        # values on a zero boundary that is the apply's interior rows; for
+        # random values everywhere, the boundary is held.  Relative to the
+        # largest value over all K rows, as in the gaps above.
         P = _problem(n, 2.0, 2.0, constant_coefficient(n, 1.0))
         if n == 1:
             u = sample(lambda x: 0.3 * x + 0.1, 1, 2.0, N)
@@ -197,12 +213,48 @@ class TestKernelMassMatrix:
             u = sample(lambda z: 0.3 * z[..., 0] - 0.2 * z[..., 1] + 0.1,
                        2, 1.0, N)
         A = kernel_mass_matrix(u, P, Q)
-        assert A.shape == (N ** n, N ** n)
+        assert A.shape == ((N - 2) ** n, (N - 2) ** n)
+        interior = (slice(1, N - 1),) * n
+        boundary = np.ones(u.values.shape, dtype=bool)
+        boundary[interior] = False
         rng = np.random.default_rng(7)
-        for v in (u, u.with_values(rng.standard_normal(u.values.shape))):
-            Lv = apply_grid(v, P, Q).ravel()
-            err = np.max(np.abs(A @ v.values.ravel() - Lv))
+        for vals in (np.where(boundary, 0.0, u.values),
+                     rng.standard_normal(u.values.shape)):
+            Lv = apply_grid(u.with_values(vals), P, Q)
+            Lv_I = (Lv - apply_grid(u.with_values(np.where(boundary, vals, 0.0)),
+                                    P, Q))[interior]
+            err = np.max(np.abs(A @ vals[interior].ravel() - Lv_I.ravel()))
             assert err <= 1e-12 * np.max(np.abs(Lv))
+
+    @pytest.mark.parametrize("n, N", [(1, 65), (2, 9)], ids=["1d", "2d"])
+    def test_is_the_interior_block_of_the_whole_jacobian(self, n, N):
+        # Built from the interior nodes' entries alone, J_II keeps every bit
+        # of the whole Jacobian's interior block: each sum runs over the
+        # same entries in the same order.
+        P = _problem(n, 2.0, 2.2, halfspace_coefficient(n, 1.0))
+        u = GridFunction(n=n, R=2.0 if n == 1 else 1.0,
+                         values=np.random.default_rng(N).uniform(
+                             -0.5, 0.5, (N,) * n))
+        ids = _interior(n, N)
+        assert np.array_equal(kernel_mass_matrix(u, P, Q),
+                              jacobian_full_oracle(u, P, Q)[np.ix_(ids, ids)])
+
+
+    def test_logs_one_line_per_build(self, caplog):
+        # n, N, the interior rows, the entries scattered out of the plan's
+        # in-box entries, and the seconds of the build.
+        P = _problem(2, 2.0, 2.2, halfspace_coefficient(2, 1.0))
+        u = GridFunction(n=2, R=1.0, values=np.zeros((9, 9)))
+        apply_grid(u, P, Q)                   # builds the plan
+        node = nldp.operator._plan(P, Q, u.R, 9, u.exterior).node
+        with caplog.at_level(logging.DEBUG, logger="nldp.operator"):
+            kernel_mass_matrix(u, P, Q)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "nldp.operator"]
+        assert len(lines) == 1 and lines[0].startswith(
+            f"2-D Jacobian: N=9, 49 interior rows, "
+            f"{np.count_nonzero(np.isin(node, _interior(2, 9)))} of "
+            f"{len(node)} in-box entries scattered, ")
 
 
 class TestSweepCounts:
