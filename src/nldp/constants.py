@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,9 +293,11 @@ def applicable_regimes(P: ProblemParams) -> list[int]:
 
 
 def _bundle_terms(xs, P: ProblemParams, kappa: float, eta: float,
-                  regime: int, tol: float, base_cache: dict) -> dict:
+                  regime: int, tol: float, base_cache: dict,
+                  bound: float = math.inf) -> dict | None:
     """All five bundle terms at the probes ``xs`` (a scalar or an array, and
-    each term in its shape) for (kappa, eta) in one regime.
+    each term in its shape) for (kappa, eta) in one regime, or None when
+    (I_p + I_q) + III already exceeds ``bound`` at some probe.
 
     ``base_cache`` memoises the raw terms across calls by what each one
     depends on besides the probes: the I bases on the regime (kappa enters
@@ -301,6 +305,16 @@ def _bundle_terms(xs, P: ProblemParams, kappa: float, eta: float,
     is applied here) and III on (eta, regime), so the kappa bisection
     reuses III.  Each key also carries the probe set, so one cache may
     serve several.
+
+    The II pair comes last, and only for a candidate whose (I_p + I_q) +
+    III stays at or below ``bound`` at every probe; a rejected candidate
+    skips II's two integrals.  The rejection is exact: II_p and II_q
+    integrate |.|^(r-1) times c_hat a >= 0 (``CoefficientField``'s
+    contract 0 <= a <= M) times K > 0, with positive GK15 weights and a
+    nonnegative tail remainder, so they are >= 0, and rounding to nearest
+    is monotone, so the total (((I_p + I_q) + II_p) + II_q) + III is never
+    below (I_p + I_q) + III.  A NaN in that partial sum compares false and
+    falls through to the full evaluation.
     """
     e = P.exponents
     (f_ip, f_iq, f_iip, f_iiq), _, _, signed_ip = _regime(P, regime)
@@ -318,17 +332,17 @@ def _bundle_terms(xs, P: ProblemParams, kappa: float, eta: float,
     ip_base, iq_base = cached(("I", probes, regime), lambda: (
         _term_I(xs, P, e.p, P.Ksp, None, signed_ip, tol),
         _term_I(xs, P, e.q, P.Ktq, coeff_q, False, tol)))
+    i_p = f_ip * kappa ** (e.p - 1.0) * ip_base
+    i_q = f_iq * kappa ** (e.q - 1.0) * iq_base
+    iii = cached(("III", probes, eta, regime),
+                 lambda: _term_III(xs, P, eta, regime, tol))
+    if np.max(i_p + i_q + iii) > bound:
+        return None
     iip, iiq = cached(("II", probes, kappa, eta), lambda: (
         _term_II(xs, P, kappa, eta, e.p, P.Ksp, None, tol),
         _term_II(xs, P, kappa, eta, e.q, P.Ktq, coeff_q, tol)))
-    terms = {
-        "I_p": f_ip * kappa ** (e.p - 1.0) * ip_base,
-        "I_q": f_iq * kappa ** (e.q - 1.0) * iq_base,
-        "II_p": f_iip * iip,
-        "II_q": f_iiq * iiq,
-        "III": cached(("III", probes, eta, regime),
-                      lambda: _term_III(xs, P, eta, regime, tol)),
-    }
+    terms = {"I_p": i_p, "I_q": i_q, "II_p": f_iip * iip,
+             "II_q": f_iiq * iiq, "III": iii}
     terms["total"] = sum(terms.values())
     return terms
 
@@ -378,6 +392,17 @@ def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
     full one; the competition cap on the minimum pair; and the joint
     re-verification of all bundles.  The certificate records the worst
     probe margins per term and the measured competition constant and cap.
+
+    The eta and kappa searches reject a candidate whose (I_p + I_q) + III
+    already exceeds the search's bound at some probe without evaluating
+    the II pair: II is nonnegative under the ``CoefficientField`` contract
+    0 <= a <= M and rounding is monotone, so the full total would exceed
+    it too, and a NaN falls through to the full evaluation (see
+    ``_bundle_terms``).  On desk that skips 20 of the 22 II pairs the
+    searches would evaluate.  The cap bisection and the re-verification
+    evaluate all five terms.  One DEBUG line per call gives, per regime,
+    the candidates each search tried, those rejected on I + III alone and
+    the II pairs evaluated, then the call's II pairs and wall time.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -394,6 +419,7 @@ def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
     xs = probe_points(probes)
     cache: dict = {}
     safety = 0.9
+    start = time.perf_counter()
 
     def terms(kappa, eta, regime):
         return _bundle_terms(xs, P, kappa, eta, regime, tol, cache)
@@ -401,13 +427,29 @@ def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
     def worst(kappa, eta, among):
         return max(float(np.max(terms(kappa, eta, r)["total"])) for r in among)
 
+    def ii_pairs():
+        return sum(key[0] == "II" for key in cache)
+
+    # (regime, "eta" | "kappa") -> candidates the search tried; (regime,
+    # "rejected") -> those rejected on I + III; (regime, "II") -> II pairs
+    # its searches evaluated.
+    seen: Counter = Counter()
+
+    def passes(kappa, eta, r, bound, search):
+        t = _bundle_terms(xs, P, kappa, eta, r, tol, cache, bound)
+        seen[r, search] += 1
+        seen[r, "rejected"] += t is None
+        return t is not None and float(np.max(t["total"])) <= bound
+
     eta_sel, kappa_sel = {}, {}
     for r in regimes:
         msg = f"bisection exhausted {_MAX_HALVINGS} halvings in regime {r}"
-        eta_sel[r] = _halve(0.49 * e.eta_threshold(), lambda eta: worst(
-            0.0, eta, [r]) <= 0.5 * safety * target, "eta " + msg)
-        kappa_sel[r] = _halve(0.5, lambda kappa: worst(
-            kappa, eta_sel[r], [r]) <= safety * target, "kappa " + msg)
+        before = ii_pairs()
+        eta_sel[r] = _halve(0.49 * e.eta_threshold(), lambda eta: passes(
+            0.0, eta, r, 0.5 * safety * target, "eta"), "eta " + msg)
+        kappa_sel[r] = _halve(0.5, lambda kappa: passes(
+            kappa, eta_sel[r], r, safety * target, "kappa"), "kappa " + msg)
+        seen[r, "II"] = ii_pairs() - before
     eta_fin, kappa_fin = min(eta_sel.values()), min(kappa_sel.values())
 
     def competition(kappa, eta, sig):
@@ -448,6 +490,11 @@ def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
         eta=eta_fin, kappa=kappa_fin, worst_terms=worst_terms,
         worst_total=worst(kappa_fin, eta_fin, regimes), com2_constant=c_meas,
         kappa_cap=cap, sigma_at_eta=sig, probes=len(xs))
+    logger.debug("choose_eta_kappa: %s; %d II pairs in all, %.3f s", "; ".join(
+        f"regime {r}: {seen[r, 'eta']} eta and {seen[r, 'kappa']} kappa "
+        f"candidates, {seen[r, 'rejected']} rejected on I + III alone, "
+        f"{seen[r, 'II']} II pairs" for r in regimes), ii_pairs(),
+        time.perf_counter() - start)
     return eta_fin, kappa_fin, cert
 
 

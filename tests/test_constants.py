@@ -535,6 +535,70 @@ class TestSelection:
         assert eta > 0 and kappa > 0
 
 
+# Desk, the two-regime pin and the regime-3 pin, with the most `_term_II`
+# calls each selection may make.  Evaluating II at every candidate took 50,
+# 66 and 70; a search rejects its failing candidates on I + III alone, so
+# only passing candidates and the cap and final checks evaluate the pair.
+REJECTION_CASES = {
+    "desk": (None, 12),
+    "two-regime": (dict(s=0.4, t=0.3, p=2.0, q=2.2), 24),
+    "regime-3": (dict(s=0.4, t=0.3, p=1.8, q=1.95), 20),
+}
+
+
+class TestRejectionOnIAndIII:
+    @pytest.fixture(params=list(REJECTION_CASES))
+    def case(self, request, desk_params):
+        exps, most = REJECTION_CASES[request.param]
+        return (desk_params if exps is None else model_params(n=1, **exps),
+                most)
+
+    def test_term_II_calls(self, case, monkeypatch, caplog):
+        P, most = case
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return _term_II(*args, **kwargs)
+
+        monkeypatch.setattr(nldp.constants, "_term_II", counting)
+        with caplog.at_level(logging.DEBUG, logger="nldp.constants"):
+            choose_eta_kappa(1.0, P)
+        assert len(calls) <= most
+        # One DEBUG line per selection, with the II pairs it evaluated.
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("choose_eta_kappa")]
+        assert len(lines) == 1
+        assert f"{len(calls) // 2} II pairs in all" in lines[0]
+
+    def test_partial_verdict_is_the_full_one(self, case, monkeypatch):
+        # Every candidate the searches visit: rejected on (I_p + I_q) + III
+        # exactly when the full total exceeds the search's bound.
+        P, _ = case
+        seen = []
+
+        def recording(xs, P, kappa, eta, regime, tol, cache, *bound):
+            got = _bundle_terms(xs, P, kappa, eta, regime, tol, cache, *bound)
+            if bound:
+                seen.append((xs, kappa, eta, regime, tol, cache, bound[0],
+                             got))
+            return got
+
+        monkeypatch.setattr(nldp.constants, "_bundle_terms", recording)
+        choose_eta_kappa(1.0, P)
+        assert seen
+        rejected = 0
+        for xs, kappa, eta, regime, tol, cache, bound, got in seen:
+            full = _bundle_terms(xs, P, kappa, eta, regime, tol, cache)
+            partial_ok = got is not None and np.max(got["total"]) <= bound
+            assert partial_ok == (np.max(full["total"]) <= bound)
+            if got is None:
+                rejected += 1
+            else:
+                assert all(np.array_equal(got[k], full[k]) for k in full)
+        assert rejected > 0
+
+
 class TestBundle:
     def test_relations(self, desk_bundle):
         b = desk_bundle

@@ -20,7 +20,8 @@ of ``BENCHMARK.json``, each side's runs, median and quartiles
 the change wins (reads better, ties counting for neither) and the
 relative change of the medians; then the seeds, which side ran first,
 and the operations attempted and failed; then the nonzero metrics of the
-traced runs.
+traced runs.  At the end it prints, per workload, every end-to-end metric's parent and
+change medians and the pairs the change wins.
 """
 
 from __future__ import annotations
@@ -183,10 +184,12 @@ def main(argv=None) -> int:
     doc["entries"].append(entry)
     path.write_text(json.dumps(doc, indent=1, ensure_ascii=False))
     for name, _ in plan:
-        t = entry[name]["time_to_solution_s"]
-        print(f"{name}: time_to_solution_s {t['parent']['median']:.4g} -> "
-              f"{t['change']['median']:.4g} s, change wins {t['change_wins']}"
-              f"/{t['pairs']}")
+        print(f"{name}:")
+        for m in metrics:
+            t = entry[name][m["name"]]
+            print(f"  {m['name']} {t['parent']['median']:.4g} -> "
+                  f"{t['change']['median']:.4g} {m['unit']}, change wins "
+                  f"{t['change_wins']}/{t['pairs']}")
     return 0
 
 
