@@ -397,16 +397,15 @@ def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
     re-verification of all bundles.  The certificate records the worst
     probe margins per term and the measured competition constant and cap.
 
-    The eta and kappa searches reject a candidate whose (I_p + I_q) + III
-    already exceeds the search's bound at some probe without evaluating
-    the II pair: II is nonnegative under the ``CoefficientField`` contract
-    0 <= a <= M and rounding is monotone, so the full total would exceed
-    it too, and a NaN falls through to the full evaluation (see
-    ``_bundle_terms``).  On desk that skips 20 of the 22 II pairs the
-    searches would evaluate.  The cap bisection and the re-verification
-    evaluate all five terms.  One DEBUG line per call gives, per regime,
-    the candidates each search tried, those rejected on I + III alone and
-    the II pairs evaluated, then the call's II pairs and wall time.
+    The eta and kappa searches pass their bounds to ``_bundle_terms``,
+    which rejects a candidate whose (I_p + I_q) + III already exceeds the
+    bound without evaluating the II pair; that is exact, since II is
+    nonnegative under the ``CoefficientField`` contract 0 <= a <= M and
+    rounding is monotone, and a NaN falls through to the full evaluation.
+    The cap bisection and the re-verification evaluate all five terms.
+    One DEBUG line per call gives, per regime, the candidates each search
+    tried, those rejected on I + III alone and the II pairs evaluated,
+    then the call's II pairs and wall time.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")

@@ -537,8 +537,9 @@ class TestSelection:
 
 # Desk, the two-regime pin and the regime-3 pin, with the most `_term_II`
 # calls each selection may make.  Evaluating II at every candidate took 50,
-# 66 and 70; a search rejects its failing candidates on I + III alone, so
-# only passing candidates and the cap and final checks evaluate the pair.
+# 66 and 70; a search rejects most failing candidates on I + III alone, so
+# only the candidates that pass I + III, and the cap and final checks,
+# evaluate the pair.
 REJECTION_CASES = {
     "desk": (None, 12),
     "two-regime": (dict(s=0.4, t=0.3, p=2.0, q=2.2), 24),

@@ -20,8 +20,8 @@ of ``BENCHMARK.json``, each side's runs, median and quartiles
 the change wins (reads better, ties counting for neither) and the
 relative change of the medians; then the seeds, which side ran first,
 and the operations attempted and failed; then the nonzero metrics of the
-traced runs.  At the end it prints, per workload, every end-to-end metric's parent and
-change medians and the pairs the change wins.
+traced runs.  At the end it prints, per workload, every end-to-end
+metric's parent and change medians and the pairs the change wins.
 """
 
 from __future__ import annotations
