@@ -16,16 +16,17 @@ def _fmt_float(v: float) -> str:
     return f"{v:.17g}"
 
 
-def dumps_fixed(obj, indent: int = 2) -> str:
-    """json.dumps lookalike: sorted keys, %.17g floats, numpy unwrapped."""
+def dumps_fixed(obj) -> str:
+    """json.dumps lookalike: two-space indents, sorted keys, %.17g floats,
+    numpy unwrapped."""
     out: list[str] = []
-    _write(obj, out, indent, 0)
+    _write(obj, out, 0)
     return "".join(out) + "\n"
 
 
-def _write(obj, out, indent, depth):
-    pad = " " * (indent * depth)
-    pad_in = " " * (indent * (depth + 1))
+def _write(obj, out, depth):
+    pad = "  " * depth
+    pad_in = "  " * (depth + 1)
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -46,7 +47,7 @@ def _write(obj, out, indent, depth):
             out.append(pad_in)
             out.append(json.dumps(str(k)))
             out.append(": ")
-            _write(obj[k], out, indent, depth + 1)
+            _write(obj[k], out, depth + 1)
             out.append(",\n" if i + 1 < len(keys) else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
@@ -57,8 +58,8 @@ def _write(obj, out, indent, depth):
         out.append("[\n")
         for i, v in enumerate(seq):
             out.append(pad_in)
-            _write(v, out, indent, depth + 1)
+            _write(v, out, depth + 1)
             out.append(",\n" if i + 1 < len(seq) else "\n")
         out.append(pad + "]")
     else:
-        _write(str(obj), out, indent, depth)
+        _write(str(obj), out, depth)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DegenerateScaling, DivergentSigma, SelectionFailed
 from .operator import phi
-from .params import (OMEGA_N, ProblemParams, barrier_eval)
+from .params import OMEGA_N, ProblemParams, barrier_eval, validate_exponents
 from .quadrature import (adaptive_quad, adaptive_quad_rows, geometric_tail_quad,
                          geometric_tail_quad_rows, near_singular_quad_rows)
 
@@ -407,12 +407,13 @@ def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
     tried, those rejected on I + III alone and the II pairs evaluated,
     then the call's II pairs and wall time.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if P.n != 1:
         raise NotImplementedError("constant selection is implemented for n = 1")
-    bad = P.validation_report()
-    if bad and not homogeneous:
+    bad = validate_exponents(P.exponents, homogeneous=homogeneous,
+                             pure_p=P.a.bound == 0.0)
+    if bad:
         raise SelectionFailed("invalid exponents: " + "; ".join(bad))
     e = P.exponents
     target = epsilon / (max(P.Ksp.lam, P.Ktq.lam) * 2.0 ** (P.n + e.sp + e.q))

@@ -141,12 +141,12 @@ def check_C2_bounds(phi_fn, x, y, mode: str, r: float,
 # Local integrability of the near field (the five finite-integral checks).
 
 def check_local_integrability(phi_fn, P: ProblemParams, mode: str,
-                              rho: float = 1.0, x: float = 0.1,
+                              x: float = 0.1,
                               coeff: CoefficientField | None = None,
                               alpha: float | None = None,
                               shells_per_octave: int = 1,
                               _skip_condition_check: bool = False):
-    """Adaptive quadrature of the near-field integral over B_rho; the value
+    """Adaptive quadrature of the near-field integral over B_1; the value
     must be finite and stable under one mesh refinement.
 
     Modes: "p-second" (p >= 2), "p-first" (1/(1-s) < p < 2),
@@ -212,7 +212,7 @@ def check_local_integrability(phi_fn, P: ProblemParams, mode: str,
     # Cauchy test on dyadic shells: increments must eventually decay.
     # shells_per_octave > 1 refines the shell mesh (stability probing).
     m_oct = max(1, int(shells_per_octave))
-    shells = [rho * 2.0 ** (-k / m_oct) for k in range(0, 26 * m_oct)]
+    shells = [2.0 ** (-k / m_oct) for k in range(0, 26 * m_oct)]
     increments = []
     bad_run = 0
     for hi, lo in zip(shells[:-1], shells[1:]):
@@ -338,14 +338,14 @@ def fuzz_singular(count: int = 1_000_000, seed: int = 2) -> IneqReport:
 
 
 def fuzz_C2_bounds(count: int = 10_000, seed: int = 3, p: float = 2.0,
-                   q: float = 2.2, coeff: CoefficientField | None = None) -> dict:
-    """Barrier-driven fuzz of all four C^2 envelope modes; |y| <= 1."""
+                   q: float = 2.2) -> dict:
+    """Barrier-driven fuzz of all four C^2 envelope modes, the coefficient
+    modes at a = 1; |y| <= 1."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(-2.0, 2.0, size=count)
     y = rng.uniform(-1.0, 1.0, size=count)
     y[np.abs(y) < 1e-12] = 1e-12
-    if coeff is None:
-        coeff = constant_coefficient(1, 1.0)
+    coeff = constant_coefficient(1, 1.0)
     out = {}
     out["second-order"] = _report(
         "c2-second-order",

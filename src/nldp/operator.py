@@ -21,9 +21,9 @@ each in-box point exactly, as a cell and an in-cell position shared by
 offsets whole cells apart (``grid.LocatedPoints``), so a sweep reads the
 interpolant from one (cells, positions) table product and one gather per
 entry, and the Jacobian scatters onto the same cells and monomials.  Both
-go through the entries by runs of whole nodes (``_node_chunks``), so no
-temporary of a pass is the size of the plan, and each node's sum is one
-bincount over its own entries whatever the runs.
+go through the entries by runs of whole nodes (``_runs``, from the nodes'
+entry offsets), so no temporary of a pass is the size of the plan, and each
+node's sum is one bincount over its own entries whatever the runs.
 """
 
 from __future__ import annotations
@@ -337,7 +337,8 @@ class _Plan:
     """The iterate-independent part of the grid apply, in 1-D and 2-D.
 
     In-box entries are the offsets whose points the interpolant covers,
-    stably sorted by node, so a run of whole nodes is one slice of them;
+    stably sorted by node, so node k's are the slice [start[k],
+    start[k + 1]) and a run of whole nodes is one slice of them;
     the geometry locates the points (``grid.LocatedPoints``), so each sweep
     evaluates the interpolant there as one table product and one gather per
     entry.  Exterior entries
@@ -347,7 +348,7 @@ class _Plan:
     1-D, the directional Taylor model in 2-D.
     """
 
-    node: np.ndarray       # (M,) int32 node of each in-box entry, sorted
+    start: np.ndarray      # (K + 1,) offset of each node's in-box entries
     points: LocatedPoints  # the M in-box points: cell and in-cell position
     wp: np.ndarray         # (M,) p-weights w K_sp
     wq: np.ndarray         # (M,) q-weights w c_hat a K_tq
@@ -547,8 +548,9 @@ def _plan(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
         raise NldpError(f"{npos} in-cell positions of the N = {N} grid "
                         "overflow an int32 table index")
     renumber = np.cumsum(used) - 1
-    M = int(count.sum())
-    fill = np.cumsum(count) - count       # the next free slot of each node
+    start = np.concatenate([[0], np.cumsum(count)])
+    M = int(start[-1])
+    fill = start[:-1].copy()              # the next free slot of each node
     index = np.empty(M, dtype=np.int32)
     wp = np.empty(M)
     wq = np.empty(M)
@@ -585,8 +587,7 @@ def _plan(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
     near_wq = np.stack([np.broadcast_to(near_w * P.c_hat
                                         * P.a.eval(Xn, sign * near_offs) * ktq,
                                         shape) for sign in signs])
-    node = np.repeat(np.arange(len(X), dtype=np.int32), count)
-    plan = _Plan(node=node, points=points, wp=wp, wq=wq, ext_node=ext[0],
+    plan = _Plan(start=start, points=points, wp=wp, wq=wq, ext_node=ext[0],
                  ext_val=ext[1], ext_wp=ext[2], ext_wq=ext[3], dirs=dirs,
                  near_r=near_r, near_wp=near_wp, near_wq=near_wq)
     logger.debug("%d-D plan: N=%d, %d in-box entries at %d in-cell positions, "
@@ -603,50 +604,39 @@ def _plan(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
 _CHUNK_ENTRIES = 1 << 16
 
 
-def _runs(start):
-    """Runs [n0, n1) of the nodes whose entries begin at the offsets
-    ``start`` (one more than the nodes), of about ``_CHUNK_ENTRIES``
-    entries, one node at least."""
-    n0, K = 0, len(start) - 1
-    while n0 < K:
-        n1 = max(n0 + 1, int(np.searchsorted(start, start[n0] + _CHUNK_ENTRIES,
-                                             side="right")) - 1)
-        yield n0, n1
-        n0 = n1
-
-
-def _node_chunks(node, K: int):
-    """Runs [n0, n1) of whole nodes of the node-sorted entries ``node``, with
-    their entries [a, b) (``_runs``)."""
-    start = np.searchsorted(node, np.arange(K + 1))
-    for n0, n1 in _runs(start):
-        yield n0, n1, start[n0], start[n1]
-
-
-def _interior_runs(node, K: int, ids):
-    """Runs [r0, r1) of the nodes ``ids`` (increasing, of K) of the
-    node-sorted entries ``node`` (``_runs`` over their entries alone), each
-    with the slices of its entries, one per stretch of consecutive nodes
-    (the interior part of a grid row in 2-D), and the run's row of each of
-    those entries."""
-    start = np.searchsorted(node, np.arange(K + 1))
+def _runs(start, ids):
+    """Runs [r0, r1) of the nodes ``ids`` (increasing) of a plan whose node
+    k's in-box entries are [start[k], start[k + 1]), of about
+    ``_CHUNK_ENTRIES`` entries, one node at least, each with the slices of
+    its entries, one per stretch of consecutive nodes (the interior part of
+    a grid row in 2-D), and the run's row of each of those entries."""
     count = np.diff(start)[ids]
-    for r0, r1 in _runs(np.concatenate([[0], np.cumsum(count)])):
+    ends = np.concatenate([[0], np.cumsum(count)])
+    r0 = 0
+    while r0 < len(ids):
+        r1 = max(r0 + 1, int(np.searchsorted(ends, ends[r0] + _CHUNK_ENTRIES,
+                                             side="right")) - 1)
         nodes = ids[r0:r1]
         segs = np.split(nodes, np.flatnonzero(np.diff(nodes) != 1) + 1)
         yield (r0, r1, [slice(start[g[0]], start[g[-1] + 1]) for g in segs],
                np.repeat(np.arange(r1 - r0, dtype=np.int32), count[r0:r1]))
+        r0 = r1
 
 
-def _entry_weights(plan: _Plan, P: ProblemParams, f, v, ux, a, b):
-    """f(d, p) w_p + f(d, q) w_q of the in-box entries [a, b), from the node
-    values v and ux = ``u(plan.points)``: d = u(x) - u(x + y) is formed in
-    place in ux[a:b]."""
+def _entry_weights(plan: _Plan, P: ProblemParams, f, v, rows, ux, segs):
+    """f(d, p) w_p + f(d, q) w_q of the in-box entries of the slices
+    ``segs`` in turn, from the values v of a run's nodes, the run's row of
+    each entry and ux = ``u(plan.points)``: d = u(x) - u(x + y) is formed in
+    place in ux[s] when one slice s holds them all, in a copy otherwise."""
+    def entries(a):
+        return (a[segs[0]] if len(segs) == 1
+                else np.concatenate([a[s] for s in segs]))
+
     e = P.exponents
-    d = ux[a:b]
-    np.subtract(v[plan.node[a:b]], d, out=d)
-    g = _weighed(f(d, e.p), d, plan.wp[a:b])
-    g += _weighed(f(d, e.q), d, plan.wq[a:b])
+    d = entries(ux)
+    np.subtract(v[rows], d, out=d)
+    g = _weighed(f(d, e.p), d, entries(plan.wp))
+    g += _weighed(f(d, e.q), d, entries(plan.wq))
     return g
 
 
@@ -675,7 +665,7 @@ def apply_grid(u: GridFunction, P: ProblemParams, Q: QuadratureSpec):
     grid, exterior).
 
     A sweep evaluates the interpolant once at the plan's in-box points,
-    then, by runs of whole nodes (``_node_chunks``), forms the differences,
+    then, by runs of whole nodes (``_runs``), forms the differences,
     applies ``phi`` and writes each node's sum, one bincount over its own
     entries in order; then it adds the exterior groups and the near block.
     The boundary nodes see the glue seam inside their near field and are
@@ -685,10 +675,10 @@ def apply_grid(u: GridFunction, P: ProblemParams, Q: QuadratureSpec):
     v = u.values.ravel()
     ux = u(plan.points)
     out = np.empty(v.size)
-    for n0, n1, a, b in _node_chunks(plan.node, v.size):
-        out[n0:n1] = np.bincount(plan.node[a:b] - n0,
-                                 _entry_weights(plan, P, phi, v, ux, a, b),
-                                 minlength=n1 - n0)
+    for r0, r1, segs, rows in _runs(plan.start, np.arange(v.size)):
+        out[r0:r1] = np.bincount(rows, _entry_weights(plan, P, phi, v[r0:r1],
+                                                      rows, ux, segs),
+                                 minlength=r1 - r0)
     del ux
     g_ext, g_near = _fixed_weights(u, plan, P, phi)
     out += np.bincount(plan.ext_node, g_ext, minlength=v.size)
@@ -735,7 +725,7 @@ def kernel_mass_matrix(u: GridFunction, P: ProblemParams,
     (``_secant``), J = diag(in-box and exterior c) + H C, H holding -c B per
     (node, monomial, cell) and the near rows.  Only the interior nodes'
     entries are read: their c, diagonal and H are formed by runs of
-    interior nodes (``_interior_runs``; ``scatter``'s sums do not depend on
+    interior nodes (``_runs``; ``scatter``'s sums do not depend on
     which slices hold a node's entries), and H is contracted with C
     transposed (``grid.coeffs_T``), of whose rows the interior ones are
     kept.  J_II is bit for bit the interior block of the whole J; neither c
@@ -756,14 +746,10 @@ def kernel_mass_matrix(u: GridFunction, P: ProblemParams,
     g_near, g_left = _near_rows(plan, c_near[:, ids])
     J = np.zeros((len(ids), len(ids)))
     scattered = 0
-    for r0, r1, segs, rows in _interior_runs(plan.node, K, ids):
+    for r0, r1, segs, rows in _runs(plan.start, ids):
         nb = r1 - r0
-        c, at = np.empty(len(rows)), 0
-        for s in segs:
-            c[at:at + s.stop - s.start] = _entry_weights(plan, P, _secant, v,
-                                                         ux, s.start, s.stop)
-            at += s.stop - s.start
-        scattered += at
+        c = _entry_weights(plan, P, _secant, v[ids[r0:r1]], rows, ux, segs)
+        scattered += len(c)
         run = np.arange(nb)
         J[r0 + run, r0 + run] = (np.bincount(rows, c, minlength=nb)
                                  + diag_ext[r0:r1])
@@ -776,5 +762,5 @@ def kernel_mass_matrix(u: GridFunction, P: ProblemParams,
                              n, h).reshape(K, nb)[ids].T
     logger.debug("%d-D Jacobian: N=%d, %d interior rows, %d of %d in-box "
                  "entries scattered, %.3f s", n, N, len(ids), scattered,
-                 len(plan.node), time.perf_counter() - t0)
+                 plan.start[-1], time.perf_counter() - t0)
     return J

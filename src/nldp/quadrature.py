@@ -68,7 +68,7 @@ class QuadratureSpec:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
 
     def near_radius(self, h: float) -> float:

@@ -338,8 +338,7 @@ def _m_bar(P: ProblemParams, u_sup: float, f_sup: float, sigma_val: float) -> fl
 
 def run_pipeline(P: ProblemParams, solve_cfg: SolveConfig, levels: int = 6,
                  x0: float = 0.0, epsilon: float | None = None,
-                 bundle: ConstantsBundle | None = None,
-                 N_level: int = 513):
+                 bundle: ConstantsBundle | None = None):
     """Solve L u = f, build the constant chain, normalise, and run the
     dyadic induction around x0.  Returns a dict with every stage.
 
@@ -366,8 +365,7 @@ def run_pipeline(P: ProblemParams, solve_cfg: SolveConfig, levels: int = 6,
     from .scaling import rescale_gridfunction
     u_tilde = rescale_gridfunction(u, ctx)
     trace, reports = dyadic_iteration(u_tilde, x0, bundle, P_tilde, levels,
-                                      Q=solve_cfg.quadrature, N_level=N_level,
-                                      M_bar=M_bar)
+                                      Q=solve_cfg.quadrature, M_bar=M_bar)
     return {
         "u": u, "solve_report": rep, "bundle": bundle, "u_tilde": u_tilde,
         "P_tilde": P_tilde, "trace": trace, "level_reports": reports,

@@ -100,9 +100,9 @@ def rescale_gridfunction(u: GridFunction, ctx: ScalingContext) -> GridFunction:
 
 
 def scaling_identity_check(u: GridFunction, P: ProblemParams,
-                           ctx: ScalingContext, Q: QuadratureSpec | None = None,
-                           probes: int = 8) -> float:
-    """Max relative discrepancy of the scaling covariance at probe points.
+                           ctx: ScalingContext,
+                           Q: QuadratureSpec | None = None) -> float:
+    """Max relative discrepancy of the scaling covariance at 8 probe points.
 
     Evaluates L_hat(lambda u(mu . + x0)) and lambda^(p-1) mu^sp (L u)(mu x + x0)
     by independent quadratures and compares.
@@ -119,10 +119,10 @@ def scaling_identity_check(u: GridFunction, P: ProblemParams,
     if span <= 0:
         raise ValueError("no probe window: transform pushes probes out of the box")
     if u.n == 1:
-        xs = np.linspace(-span, span, probes)
+        xs = np.linspace(-span, span, 8)
     else:
-        xs = np.stack([np.linspace(-span, span, probes),
-                       np.linspace(span, -span, probes)], axis=-1) / math.sqrt(2.0)
+        xs = np.stack([np.linspace(-span, span, 8),
+                       np.linspace(span, -span, 8)], axis=-1) / math.sqrt(2.0)
     fac = ctx.lam ** (e.p - 1.0) * ctx.mu ** e.sp
     worst = 0.0
     for x in xs:

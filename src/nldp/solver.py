@@ -56,8 +56,10 @@ class SolveConfig:
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
-        if self.residual_tol <= 0:
+        if not self.residual_tol > 0:
             raise ValueError("residual_tol must be positive")
+        if not self.R > 0:
+            raise ValueError(f"solve.R = {self.R}: need a positive box radius")
         if self.N < 3:
             raise ValueError(f"solve.N = {self.N}: need 3 or more nodes")
 

@@ -27,8 +27,8 @@ from nldp.constants import _beta_diff
 from nldp.errors import NldpError
 from nldp.grid import coeffs_T
 from nldp.operator import (QuadratureSpec, _entry_weights, _exterior_growth,
-                           _fixed_weights, _line, _node_chunks, _paired,
-                           _plan, _polar_dirs, _poly_switch_radius, _secant,
+                           _fixed_weights, _line, _paired, _plan,
+                           _polar_dirs, _poly_switch_radius, _runs, _secant,
                            _tail_decays, adaptive_quad, geometric_tail_quad,
                            near_field_exponent, panel_nodes_weights, phi)
 from nldp.params import ProblemParams, barrier_eval
@@ -291,18 +291,16 @@ def jacobian_full_oracle(u, P, Q):
     own = np.ravel_multi_index(np.minimum(np.indices((N,) * n), N - 2),
                                (N - 1,) * n).ravel()
     J = np.zeros((K, K))
-    for lo, hi, a, b in _node_chunks(plan.node, K):
+    for lo, hi, segs, rows in _runs(plan.start, np.arange(K)):
         nb = hi - lo
-        c = _entry_weights(plan, P, _secant, v, ux, a, b)
-        rows = np.arange(nb)
-        J[lo + rows, lo + rows] = (np.bincount(plan.node[a:b] - lo, c,
-                                               minlength=nb)
-                                   + diag_ext[lo:lo + nb])
-        H = plan.points.scatter(-c, [slice(a, b)], plan.node[a:b] - lo,
-                                nb).reshape(m4, cells, nb)
-        H[:, own[lo:lo + nb], rows] += g_near[lo:lo + nb].T
+        c = _entry_weights(plan, P, _secant, v[lo:hi], rows, ux, segs)
+        run = np.arange(nb)
+        J[lo + run, lo + run] = (np.bincount(rows, c, minlength=nb)
+                                 + diag_ext[lo:hi])
+        H = plan.points.scatter(-c, segs, rows, nb).reshape(m4, cells, nb)
+        H[:, own[lo:hi], run] += g_near[lo:hi].T
         if n == 1:
-            H[0, np.maximum(rows + lo - 1, 0), rows] += g_left[lo:lo + nb]
+            H[0, np.maximum(run + lo - 1, 0), run] += g_left[lo:hi]
         J[lo:lo + nb] += coeffs_T(H.reshape((4,) * n + (N - 1,) * n + (nb,)),
                                   n, h).reshape(K, nb).T
     return J

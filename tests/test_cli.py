@@ -93,6 +93,19 @@ def test_config_error_exit_code(tmp_path):
                  "--out", str(tmp_path / "out")]) == 1
 
 
+@pytest.mark.parametrize("command, item", [
+    ("solve", "solve.residual_tol=NaN"), ("solve", "quadrature.tol=NaN"),
+    ("constants", "constants.epsilon=NaN"), ("solve", "solve.R=-1")],
+    ids=["residual-tol-nan", "quadrature-tol-nan", "epsilon-nan", "R-negative"])
+def test_nan_or_negative_setting_rejected(desk_config, command, item):
+    # A NaN fails every comparison, so each positivity check is written to
+    # reject it: the command exits 1 with a config error before any work.
+    path, out = desk_config
+    assert main([command, "--config", path, "--set", item, "--out", out]) == 1
+    with open(os.path.join(out, "error.json")) as fh:
+        assert json.load(fh)["kind"] == "config"
+
+
 def test_unknown_key_rejected(desk_config, tmp_path):
     # quadrature.rho_near, quadrature.R_far, solve.tau0 and
     # solve.continuation are not options: set from --set or from a file,

@@ -3,6 +3,7 @@ import inspect
 import logging
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from oracles import (sigma_oracle, term_I_abs_per_probe, term_II_per_probe,
 
 import nldp.constants
 import nldp.quadrature
+from nldp.config import build_problem, load_config
 from nldp.constants import (applicable_regimes, build_bundle,
                             choose_eta_kappa, gamma_exponent, lambda_rescale,
                             sigma, sigma_bounds, theta, _beta_diff,
@@ -463,6 +465,19 @@ class TestSelection:
                     if "ran out of their panel budget" in r.getMessage()]
         assert runs_out == []
 
+    @pytest.mark.parametrize("p, q, pair", [
+        (2.5, 2.8, (0.0007443576388888889, 0.001953125)),
+        (3.0, 3.5, (0.0026796874999999998, 0.00390625)),
+    ], ids=["p2.5-q2.8", "p3-q3.5"])
+    def test_desk_config_selection_pinned_above_p2(self, p, q, pair):
+        # demos/configs/desk.json at p > 2, with the epsilon it defaults to.
+        desk = Path(__file__).resolve().parents[1] / "demos/configs/desk.json"
+        P = build_problem(load_config(str(desk), [f"problem.p={p}",
+                                                  f"problem.q={q}"]))
+        eta, kappa, cert = choose_eta_kappa(1.0, P)
+        assert cert.regimes == [1]
+        assert (eta, kappa) == pair
+
     def test_two_regime_selection_pinned(self):
         P = model_params(n=1, s=0.4, t=0.3, p=2.0, q=2.2)
         assert P.validation_report() == []
@@ -533,6 +548,13 @@ class TestSelection:
         eta, kappa, cert = choose_eta_kappa(1.0, P, tol=1e-8, probes=8,
                                             homogeneous=True)
         assert eta > 0 and kappa > 0
+
+    def test_homogeneous_mode_keeps_the_other_checks(self):
+        # q/p = 1.4 > s/t = 1.2: invalid in both modes, so the homogeneous
+        # selection fails too instead of selecting a pair.
+        P = model_params(n=1, s=0.3, t=0.25, p=2.0, q=2.8)
+        with pytest.raises(SelectionFailed, match="q/p=1.4 > s/t"):
+            choose_eta_kappa(1.0, P, tol=1e-8, probes=8, homogeneous=True)
 
 
 # Desk, the two-regime pin and the regime-3 pin, with the most `_term_II`

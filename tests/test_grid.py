@@ -320,16 +320,17 @@ def test_points_on_the_box_edges(n):
 
 
 def test_2d_plan_bytes_per_entry():
-    # Per in-box entry the plan keeps its node, its table index and its two
-    # weights: 24 bytes, where the points themselves took 16 more.
+    # Per in-box entry the plan keeps its table index and its two weights:
+    # 20 bytes, where the points themselves took 16 more; the nodes' entries
+    # are given by their offsets.
     plan, Z = _plan_and_points(2, 1.0, 13)
     M = len(Z)
-    per_entry = (plan.node, plan.points.index, plan.wp, plan.wq)
+    per_entry = (plan.points.index, plan.wp, plan.wq)
     assert all(len(a) == M for a in per_entry)
-    assert sum(a.nbytes for a in per_entry) <= 24 * M
+    assert sum(a.nbytes for a in per_entry) <= 20 * M
     # nothing else grows with the entries: the monomials are per position
     # (3,540 of them, 1.4 bytes per entry)
     others = [a for a in vars(plan).values() if isinstance(a, np.ndarray)
-              and a is not plan.node and a is not plan.wp and a is not plan.wq]
+              and a is not plan.wp and a is not plan.wq]
     assert all(len(a) < M / 10 for a in others)
     assert plan.points.mono.nbytes <= 2 * M

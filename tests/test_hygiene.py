@@ -8,8 +8,10 @@ own definition.  Every parameter with a default of a module-level private
 function or of a private method must be passed, by position or by keyword,
 by at least one call in the package: a default that no call overrides is a
 knob without a caller, and belongs in the body as the value it always
-takes (the tests do not count as callers).  Every error type is raised
-somewhere in the package.
+takes (the tests do not count as callers).  Every default of a public
+function or method must be passed by some call in the package, its tests,
+demos, tools or benchmark.  Every error type is raised somewhere in the
+package.
 Importing the package loads no scipy module.  The config defaults list
 exactly the fields of the objects they build.
 """
@@ -23,7 +25,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "nldp"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "nldp"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -121,14 +124,16 @@ def test_no_orphan_private_constants(path, package_refs):
     assert _orphans(path, package_refs, (ast.Assign, ast.AnnAssign)) == []
 
 
-def _private_defs(tree):
-    """(function, is_method) for the module-level private functions and the
-    private methods of the module's classes."""
+def _defs(tree, public: bool):
+    """(function, is_method) for the module-level functions and the methods
+    of the module's classes whose names are public, or private (``_name``)
+    when not ``public``; dunder methods are neither."""
     for stmt in tree.body:
         method = isinstance(stmt, ast.ClassDef)
         for node in (stmt.body if method else [stmt]):
-            if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
-                    and not node.name.startswith("__")):
+            if (isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("__")
+                    and node.name.startswith("_") != public):
                 yield node, method
 
 
@@ -155,24 +160,38 @@ def _passes(call: ast.Call, name: str, position) -> bool:
             or any(isinstance(a, ast.Starred) for a in call.args))
 
 
-def test_every_default_is_passed_by_some_call():
+def _unpassed(public: bool, callers) -> list[str]:
+    """The defaults of the package's public or private functions and
+    methods that no call in the files ``callers`` passes, matched by the
+    called name."""
     trees = {p: ast.parse(p.read_text(), filename=str(p))
              for p in sorted(SRC.glob("*.py"))}
     calls = {}
-    for tree in trees.values():
-        for node in ast.walk(tree):
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Call):
                 f = node.func
                 name = (f.id if isinstance(f, ast.Name)
                         else f.attr if isinstance(f, ast.Attribute) else None)
                 calls.setdefault(name, []).append(node)
-    unpassed = [f"{path.name}:{fn.lineno} {fn.name}({arg})"
-                for path, tree in trees.items()
-                for fn, method in _private_defs(tree)
-                for arg, position in _defaulted(fn, method)
-                if not any(_passes(c, arg, position)
-                           for c in calls.get(fn.name, []))]
-    assert unpassed == []
+    return [f"{path.name}:{fn.lineno} {fn.name}({arg})"
+            for path, tree in trees.items()
+            for fn, method in _defs(tree, public)
+            for arg, position in _defaulted(fn, method)
+            if not any(_passes(c, arg, position)
+                       for c in calls.get(fn.name, []))]
+
+
+def test_every_default_is_passed_by_some_call():
+    assert _unpassed(False, sorted(SRC.glob("*.py"))) == []
+
+
+def test_every_public_default_is_passed_by_some_call():
+    # A public default may be passed from outside the package: by the tests,
+    # the demos, the tools or the benchmark.
+    callers = sorted(p for d in ("src", "tests", "demos", "tools", "perfbench")
+                     for p in (ROOT / d).rglob("*.py"))
+    assert _unpassed(True, callers) == []
 
 
 def _raised_names(path: Path) -> set[str]:

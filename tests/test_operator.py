@@ -475,7 +475,7 @@ class TestApplyReadsTheProblem:
 
 class TestChunkedSweep:
     """A sweep and the Jacobian go through the plan by runs of whole nodes
-    (``operator._node_chunks``); each node's sum is one bincount over its own
+    (``operator._runs``); each node's sum is one bincount over its own
     entries in order, so the results do not depend on where the runs end."""
 
     @pytest.mark.parametrize("n, N", [(1, 65), (2, 9)], ids=["1d", "2d"])
@@ -486,7 +486,7 @@ class TestChunkedSweep:
                          values=np.random.default_rng(N).uniform(
                              -0.5, 0.5, (N,) * n))
         plan = nldp.operator._plan(P, Q, u.R, N, u.exterior)
-        M, K = len(plan.node), N ** n
+        M, K = plan.start[-1], N ** n
 
         def passes():
             return [apply_grid(u, P, Q),
@@ -496,7 +496,7 @@ class TestChunkedSweep:
         # Runs of about three nodes, then one run over the whole plan.
         for length, fewest, most in ((3 * M // K, K // 6, K), (M, 1, 1)):
             monkeypatch.setattr(nldp.operator, "_CHUNK_ENTRIES", length)
-            runs = len(list(nldp.operator._node_chunks(plan.node, K)))
+            runs = len(list(nldp.operator._runs(plan.start, np.arange(K))))
             assert fewest <= runs <= most
             assert all(np.array_equal(a, b) for a, b in zip(ref, passes()))
 
@@ -522,7 +522,7 @@ class TestChunkedSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= table + 8 * len(plan.node) + 2 * 2 ** 20, peak
+        assert peak <= table + 8 * plan.start[-1] + 2 * 2 ** 20, peak
 
 
 class TestGridFunctionIO:
