@@ -308,7 +308,17 @@ def _bundle_terms(xs, P: ProblemParams, kappa: float, eta: float,
     only as a power), the II pair on (kappa, eta) (its regime front factor
     is applied here) and III on (eta, regime), so the kappa bisection
     reuses III.  Each key also carries the probe set, so one cache may
-    serve several.
+    serve several.  Under ("over", probes, regime) it keeps the row where
+    that regime's last rejected candidate went furthest over its bound.
+
+    With a finite ``bound`` and no III cached at (eta, regime), III comes
+    first on that one row (the origin, row 0, before any rejection), and
+    the candidate is rejected when (I_p + I_q) + III exceeds ``bound``
+    there; only a candidate that passes on that row integrates III on all
+    rows, which are cached.  The verdict is the one of all rows: a row's
+    result does not depend on the rows that share its call, so the one-row
+    III is bit for bit that row of the full call, and a rejection on any
+    row is a rejection.
 
     The II pair comes last, and only for a candidate whose (I_p + I_q) +
     III stays at or below ``bound`` at every probe; a rejected candidate
@@ -338,9 +348,16 @@ def _bundle_terms(xs, P: ProblemParams, kappa: float, eta: float,
         _term_I(xs, P, e.q, P.Ktq, coeff_q, False, tol)))
     i_p = f_ip * kappa ** (e.p - 1.0) * ip_base
     i_q = f_iq * kappa ** (e.q - 1.0) * iq_base
-    iii = cached(("III", probes, eta, regime),
-                 lambda: _term_III(xs, P, eta, regime, tol))
-    if np.max(i_p + i_q + iii) > bound:
+    iii_key, over_key = ("III", probes, eta, regime), ("over", probes, regime)
+    if bound < math.inf and iii_key not in base_cache:
+        j = base_cache.get(over_key, 0)
+        if (i_p.flat[j] + i_q.flat[j]) \
+                + _term_III(xs.flat[j], P, eta, regime, tol) > bound:
+            return None
+    iii = cached(iii_key, lambda: _term_III(xs, P, eta, regime, tol))
+    partial = i_p + i_q + iii
+    if np.max(partial) > bound:
+        base_cache[over_key] = int(np.argmax(partial))
         return None
     iip, iiq = cached(("II", probes, kappa, eta), lambda: (
         _term_II(xs, P, kappa, eta, e.p, P.Ksp, None, tol),
@@ -399,13 +416,13 @@ def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
 
     The eta and kappa searches pass their bounds to ``_bundle_terms``,
     which rejects a candidate whose (I_p + I_q) + III already exceeds the
-    bound without evaluating the II pair; that is exact, since II is
-    nonnegative under the ``CoefficientField`` contract 0 <= a <= M and
-    rounding is monotone, and a NaN falls through to the full evaluation.
+    bound without evaluating the II pair, and judges a new eta on one probe
+    row of III before it integrates all rows; both are exact (see there).
     The cap bisection and the re-verification evaluate all five terms.
     One DEBUG line per call gives, per regime, the candidates each search
-    tried, those rejected on I + III alone and the II pairs evaluated,
-    then the call's II pairs and wall time.
+    tried, those rejected on I + III alone and how many of them on one
+    probe row, and the II pairs and full-row III evaluations; then the
+    call's II pairs, full-row III evaluations and wall time.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -431,12 +448,14 @@ def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
     def worst(kappa, eta, among):
         return max(float(np.max(terms(kappa, eta, r)["total"])) for r in among)
 
-    def ii_pairs():
-        return sum(key[0] == "II" for key in cache)
+    def in_cache(kind):
+        return sum(key[0] == kind for key in cache)
 
     # (regime, "eta" | "kappa") -> candidates the search tried; (regime,
-    # "rejected") -> those rejected on I + III; (regime, "II") -> II pairs
-    # its searches evaluated.
+    # "rejected") -> those rejected on I + III; (regime, "II" | "III") ->
+    # II pairs and full-row III evaluations its searches made.  Only an eta
+    # candidate that passes on one probe row takes III on all rows, so the
+    # others, eta candidates less full-row III, were rejected on that row.
     seen: Counter = Counter()
 
     def passes(kappa, eta, r, bound, search):
@@ -448,12 +467,13 @@ def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
     eta_sel, kappa_sel = {}, {}
     for r in regimes:
         msg = f"bisection exhausted {_MAX_HALVINGS} halvings in regime {r}"
-        before = ii_pairs()
+        before = {kind: in_cache(kind) for kind in ("II", "III")}
         eta_sel[r] = _halve(0.49 * e.eta_threshold(), lambda eta: passes(
             0.0, eta, r, 0.5 * safety * target, "eta"), "eta " + msg)
         kappa_sel[r] = _halve(0.5, lambda kappa: passes(
             kappa, eta_sel[r], r, safety * target, "kappa"), "kappa " + msg)
-        seen[r, "II"] = ii_pairs() - before
+        for kind, count in before.items():
+            seen[r, kind] = in_cache(kind) - count
     eta_fin, kappa_fin = min(eta_sel.values()), min(kappa_sel.values())
 
     def competition(kappa, eta, sig):
@@ -494,11 +514,15 @@ def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
         eta=eta_fin, kappa=kappa_fin, worst_terms=worst_terms,
         worst_total=worst(kappa_fin, eta_fin, regimes), com2_constant=c_meas,
         kappa_cap=cap, sigma_at_eta=sig, probes=len(xs))
-    logger.debug("choose_eta_kappa: %s; %d II pairs in all, %.3f s", "; ".join(
-        f"regime {r}: {seen[r, 'eta']} eta and {seen[r, 'kappa']} kappa "
-        f"candidates, {seen[r, 'rejected']} rejected on I + III alone, "
-        f"{seen[r, 'II']} II pairs" for r in regimes), ii_pairs(),
-        time.perf_counter() - start)
+    logger.debug(
+        "choose_eta_kappa: %s; %d II pairs in all, %d full-row III, %.3f s",
+        "; ".join(
+            f"regime {r}: {seen[r, 'eta']} eta and {seen[r, 'kappa']} kappa "
+            f"candidates, {seen[r, 'rejected']} rejected on I + III alone, "
+            f"{seen[r, 'eta'] - seen[r, 'III']} of them on one probe row, "
+            f"{seen[r, 'II']} II pairs, {seen[r, 'III']} full-row III"
+            for r in regimes),
+        in_cache("II"), in_cache("III"), time.perf_counter() - start)
     return eta_fin, kappa_fin, cert
 
 

@@ -115,7 +115,7 @@ class KernelField:
     tag: str = "custom"
 
     def __post_init__(self):
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError("ellipticity constant must be positive")
         self._probe_bounds()
 
@@ -168,7 +168,7 @@ def scaled_kernel(n: int, s: float, p: float, lam: float) -> KernelField:
     """Gagliardo kernel modulated by a smooth x-dependent factor in the
     Lambda-band.  Artifact plumbing: the source text fixes no non-model
     kernel, so this provides a concrete in-band example."""
-    if lam < 1.0:
+    if not lam >= 1.0:
         raise ValueError("lam must be >= 1")
     amp = math.log(lam)
     expo = n + s * p
@@ -216,7 +216,7 @@ class CoefficientField:
     depends_on_offset: bool = True
 
     def __post_init__(self):
-        if self.bound < 0:
+        if not self.bound >= 0:
             raise ValueError("coefficient bound must be nonnegative")
         pts = _probe_points(self.n, 1000, seed=23)
         offs = _probe_points(self.n, 1000, seed=29)
@@ -317,7 +317,7 @@ class ProblemParams:
     f: SourceTerm = field(default_factory=lambda: constant_source(0.0))
 
     def __post_init__(self):
-        if self.c_hat <= 0:
+        if not self.c_hat > 0:
             raise ValueError("dilation constant c_hat must be positive")
         e = self.exponents
         if self.Ksp.n != e.n or self.Ktq.n != e.n or self.a.n != e.n:

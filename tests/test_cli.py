@@ -93,15 +93,19 @@ def test_config_error_exit_code(tmp_path):
                  "--out", str(tmp_path / "out")]) == 1
 
 
-@pytest.mark.parametrize("command, item", [
-    ("solve", "solve.residual_tol=NaN"), ("solve", "quadrature.tol=NaN"),
-    ("constants", "constants.epsilon=NaN"), ("solve", "solve.R=-1")],
-    ids=["residual-tol-nan", "quadrature-tol-nan", "epsilon-nan", "R-negative"])
-def test_nan_or_negative_setting_rejected(desk_config, command, item):
+@pytest.mark.parametrize("command, items", [
+    ("solve", ["solve.residual_tol=NaN"]), ("solve", ["quadrature.tol=NaN"]),
+    ("constants", ["constants.epsilon=NaN"]), ("solve", ["solve.R=-1"]),
+    ("solve", ["problem.c_hat=NaN"]), ("solve", ["problem.coefficient.M=NaN"]),
+    ("solve", ["problem.Lambda=NaN", "problem.kernel.type=scaled"])],
+    ids=["residual-tol-nan", "quadrature-tol-nan", "epsilon-nan", "R-negative",
+         "c-hat-nan", "M-nan", "Lambda-nan"])
+def test_nan_or_negative_setting_rejected(desk_config, command, items):
     # A NaN fails every comparison, so each positivity check is written to
     # reject it: the command exits 1 with a config error before any work.
     path, out = desk_config
-    assert main([command, "--config", path, "--set", item, "--out", out]) == 1
+    sets = [arg for item in items for arg in ("--set", item)]
+    assert main([command, "--config", path, *sets, "--out", out]) == 1
     with open(os.path.join(out, "error.json")) as fh:
         assert json.load(fh)["kind"] == "config"
 

@@ -2,7 +2,9 @@ import dataclasses
 import inspect
 import logging
 import math
+import re
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -561,30 +563,42 @@ class TestSelection:
 # calls each selection may make.  Evaluating II at every candidate took 50,
 # 66 and 70; a search rejects most failing candidates on I + III alone, so
 # only the candidates that pass I + III, and the cap and final checks,
-# evaluate the pair.
+# evaluate the pair.  Last, the band on the full-row `_term_III` calls of a
+# selection: III on all 33 rows at every eta candidate took 13, 26 and 15;
+# an eta candidate is judged on one probe row first, so only those that
+# pass there, at least the selected one per regime, take all rows.
 REJECTION_CASES = {
-    "desk": (None, 12),
-    "two-regime": (dict(s=0.4, t=0.3, p=2.0, q=2.2), 24),
-    "regime-3": (dict(s=0.4, t=0.3, p=1.8, q=1.95), 20),
+    "desk": (None, 12, (1, 1)),
+    "two-regime": (dict(s=0.4, t=0.3, p=2.0, q=2.2), 24, (2, 5)),
+    "regime-3": (dict(s=0.4, t=0.3, p=1.8, q=1.95), 20, (1, 3)),
 }
 
 
 class TestRejectionOnIAndIII:
     @pytest.fixture(params=list(REJECTION_CASES))
-    def case(self, request, desk_params):
-        exps, most = REJECTION_CASES[request.param]
+    def name(self, request):
+        return request.param
+
+    @pytest.fixture
+    def case(self, name, desk_params):
+        exps, most, _ = REJECTION_CASES[name]
         return (desk_params if exps is None else model_params(n=1, **exps),
                 most)
 
     def test_term_II_calls(self, case, monkeypatch, caplog):
         P, most = case
-        calls = []
+        calls, iii = [], []
 
         def counting(*args, **kwargs):
             calls.append(args)
             return _term_II(*args, **kwargs)
 
+        def recording(xs, P, eta, regime, tol):
+            iii.append((np.size(xs), eta, regime))
+            return _term_III(xs, P, eta, regime, tol)
+
         monkeypatch.setattr(nldp.constants, "_term_II", counting)
+        monkeypatch.setattr(nldp.constants, "_term_III", recording)
         with caplog.at_level(logging.DEBUG, logger="nldp.constants"):
             choose_eta_kappa(1.0, P)
         assert len(calls) <= most
@@ -593,6 +607,53 @@ class TestRejectionOnIAndIII:
                  if r.getMessage().startswith("choose_eta_kappa")]
         assert len(lines) == 1
         assert f"{len(calls) // 2} II pairs in all" in lines[0]
+        # Per regime, the candidates rejected on one probe row: those whose
+        # III was integrated on one row and never on all of them.
+        full = {(eta, r) for size, eta, r in iii if size > 1}
+        probed = Counter(r for eta, r in {(eta, r) for size, eta, r in iii
+                                          if size == 1} - full)
+        logged = re.findall(r"regime (\d): [^;]*?(\d+) of them on one probe "
+                            r"row", lines[0])
+        assert {int(r): int(k) for r, k in logged} == {
+            r: probed[r] for r in applicable_regimes(P)}
+        assert sum(probed.values()) > 0
+
+    def test_full_row_term_III_calls(self, name, case, monkeypatch, caplog):
+        P, _ = case
+        lo, hi = REJECTION_CASES[name][2]
+        full = []
+
+        def counting(xs, *args):
+            full.append(np.size(xs) > 1)
+            return _term_III(xs, *args)
+
+        monkeypatch.setattr(nldp.constants, "_term_III", counting)
+        with caplog.at_level(logging.DEBUG, logger="nldp.constants"):
+            choose_eta_kappa(1.0, P)
+        assert lo <= sum(full) <= hi
+        line, = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("choose_eta_kappa")]
+        assert f"in all, {sum(full)} full-row III," in line
+
+    def test_one_row_is_that_row_of_the_full_call(self, case, monkeypatch):
+        # At every eta the searches visit, III on one probe row is bit for
+        # bit that row of III on all rows: a row's result does not depend
+        # on the rows that share its call.
+        P, _ = case
+        visited = set()
+
+        def recording(xs, P, eta, regime, tol):
+            visited.add((eta, regime, tol))
+            return _term_III(xs, P, eta, regime, tol)
+
+        monkeypatch.setattr(nldp.constants, "_term_III", recording)
+        choose_eta_kappa(1.0, P)
+        assert visited
+        xs = probe_points()
+        for eta, regime, tol in visited:
+            full = _term_III(xs, P, eta, regime, tol)
+            rows = np.array([_term_III(x, P, eta, regime, tol) for x in xs])
+            assert rows.tobytes() == full.tobytes()
 
     def test_partial_verdict_is_the_full_one(self, case, monkeypatch):
         # Every candidate the searches visit: rejected on (I_p + I_q) + III
