@@ -2,8 +2,9 @@
 
 Subcommands: validate, eval, constants, scaling-test, check-inequalities,
 solve, holder, pipeline.  Artifacts are written atomically into the output
-directory, every one stamped with the toolkit version and the hash of the
-effective config; identical config + seed reproduce bit-identical JSON.
+directory ``--out`` (default ``out``), every one stamped with the toolkit
+version and the hash of the effective config; the same config (seed
+included) reproduces bit-identical artifacts, wherever they are written.
 
 Exit codes: 0 success, 1 config/assumption error, 2 numerical failure
 (divergence, failed selection).  A machine-readable error.json is written
@@ -71,28 +72,21 @@ def main(argv=None) -> int:
         "validate", "eval", "constants", "scaling-test", "check-inequalities",
         "solve", "holder", "pipeline"])
     ap.add_argument("--config", default=None, help="JSON config path")
-    ap.add_argument("--seed", type=int, default=None, help="override RNG seed")
-    ap.add_argument("--out", default=None, help="output directory")
+    ap.add_argument("--out", default="out", help="output directory")
     ap.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                     help="config override (repeatable, dotted keys)")
     args = ap.parse_args(argv)
 
-    out_dir = args.out or "out"
     try:
         cfg = load_config(args.config, args.set)
-        if args.seed is not None:
-            cfg["seed"] = int(args.seed)
-        if args.out is not None:
-            cfg["output_dir"] = args.out
-        out_dir = cfg["output_dir"]
-        os.makedirs(out_dir, exist_ok=True)
-        return _dispatch(args.command, cfg, out_dir)
+        os.makedirs(args.out, exist_ok=True)
+        return _dispatch(args.command, cfg, args.out)
     except (ConfigError, ValueError) as ex:
-        _emit_error(out_dir, str(ex), kind="config")
+        _emit_error(args.out, str(ex), kind="config")
         print(f"error: {ex}", file=sys.stderr)
         return 1
     except (SelectionFailed, NldpError) as ex:
-        _emit_error(out_dir, str(ex), kind="numerical")
+        _emit_error(args.out, str(ex), kind="numerical")
         print(f"numerical failure: {ex}", file=sys.stderr)
         return 2
 
@@ -161,7 +155,7 @@ def _dispatch(command: str, cfg: dict, out_dir: str) -> int:
         return 0
 
     if command == "check-inequalities":
-        seed = int(cfg["seed"])
+        seed = cfg["seed"]
         reports = {
             "difference_bound": fuzz_revL1(seed=seed),
             "superlinear_bound": fuzz_superlinear(seed=seed + 1),

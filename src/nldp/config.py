@@ -4,26 +4,29 @@ The schema (all floats IEEE doubles):
 
 {
   "schema_version": 1,
-  "seed": 0,
+  "seed": 0,                                    # a non-negative integer
   "problem": {
     "n": 1, "s": 0.6, "t": 0.5, "p": 2.0, "q": 2.2,
     "Lambda": 1.0, "c_hat": 1.0,
-    "kernel": {"type": "gagliardo"},            # | scaled | custom-table
+    "kernel": {"type": "gagliardo"},            # | scaled
     "coefficient": {"type": "constant", "M": 1.0},
-        # | indicator-of-halfspace | checkerboard | holder | custom-table
-    "f": {"type": "constant", "value": 0.0}     # | gaussian
+        # | indicator-of-halfspace | checkerboard (+"cell") | holder (+"alpha")
+    "f": {"type": "constant", "value": 0.0}
+        # | gaussian (+"amplitude", "width")
   },
   "quadrature": {"tol": 1e-8},
   "solve": {"R": 2.0, "N": 257,
-            "exterior": {"tag": "constant", "value": 0.0},
+            "exterior": {"tag": "constant", "value": 0.0},  # | growth (+"eta")
             "residual_tol": 1e-8, "max_iters": 50000},
   "constants": {"epsilon": null},
   "reglab": {"center": 0.0, "levels": 5},
-  "eval": {"points": [0.0]},
-  "output_dir": "out"
+  "eval": {"points": [0.0]}
 }
 
-Seen keys are validated; unknown keys are rejected so typos fail loudly.
+Unknown keys are rejected so typos fail loudly.  The four polymorphic
+objects (kernel, coefficient, f, exterior) accept the keys their builders
+read for any of their types; where files go is the CLI's ``--out``, not a
+part of the config or of its hash.
 """
 
 from __future__ import annotations
@@ -32,15 +35,12 @@ import copy
 import hashlib
 import json
 
-import numpy as np
-
 from .errors import ConfigError
 from .grid import Exterior, constant_exterior, growth_exterior
-from .params import (CoefficientField, Exponents, ProblemParams, SourceTerm,
-                     checkerboard_coefficient, constant_coefficient,
-                     constant_source, gagliardo_kernel, gaussian_source,
-                     halfspace_coefficient, holder_coefficient, scaled_kernel,
-                     table_kernel)
+from .params import (Exponents, ProblemParams, checkerboard_coefficient,
+                     constant_coefficient, constant_source, gagliardo_kernel,
+                     gaussian_source, halfspace_coefficient,
+                     holder_coefficient, scaled_kernel)
 from .quadrature import QuadratureSpec
 from .solver import SolveConfig
 
@@ -63,13 +63,15 @@ _DEFAULTS = {
     "constants": {"epsilon": None},
     "reglab": {"center": 0.0, "levels": 5},
     "eval": {"points": [0.0]},
-    "output_dir": "out",
 }
 
 
-# Polymorphic sub-objects validated by their builders, not the schema walk.
-_FREE_FORM = {"problem.kernel", "problem.coefficient", "problem.f",
-              "solve.exterior"}
+# Polymorphic sub-objects: the keys their builders read, over all types.
+# Defaults merge into them key by key, so keys of another type may stay.
+_FREE_FORM = {"problem.kernel": {"type"},
+              "problem.coefficient": {"type", "M", "cell", "alpha"},
+              "problem.f": {"type", "value", "amplitude", "width"},
+              "solve.exterior": {"tag", "value", "eta"}}
 
 
 def _merge(base: dict, extra: dict, path="") -> dict:
@@ -122,7 +124,24 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
         if parts[-1] not in node and ".".join(parts[:-1]) not in _FREE_FORM:
             raise ConfigError(f"unknown config key {key!r}")
         node[parts[-1]] = parsed
+    _check(cfg)
     return cfg
+
+
+def _check(cfg: dict):
+    seed = cfg["seed"]
+    if not (type(seed) is int and seed >= 0):
+        raise ConfigError(f"seed {seed!r}: need a non-negative integer")
+    sections = [k for k, v in _DEFAULTS.items() if isinstance(v, dict)]
+    for path in sections + list(_FREE_FORM):
+        node = cfg
+        for part in path.split("."):
+            node = node[part]
+        if not isinstance(node, dict):
+            raise ConfigError(f"{path} {node!r}: need a JSON object")
+        extra = sorted(set(node) - _FREE_FORM.get(path, set(node)))
+        if extra:
+            raise ConfigError(f"unknown config key {path + '.' + extra[0]!r}")
 
 
 def config_hash(cfg: dict) -> str:
@@ -146,11 +165,6 @@ def build_problem(cfg: dict) -> ProblemParams:
     elif ktype == "scaled":
         ksp = scaled_kernel(n, e.s, e.p, lam)
         ktq = scaled_kernel(n, e.t, e.q, lam)
-    elif ktype == "custom-table":
-        radii = np.asarray(kspec["radii"], dtype=float)
-        factors = np.asarray(kspec["factors"], dtype=float)
-        ksp = table_kernel(n, e.s, e.p, lam, radii, factors)
-        ktq = table_kernel(n, e.t, e.q, lam, radii, factors)
     else:
         raise ConfigError(f"unknown kernel type {ktype!r}")
 
@@ -165,21 +179,6 @@ def build_problem(cfg: dict) -> ProblemParams:
         coeff = checkerboard_coefficient(n, M, cell=float(cc.get("cell", 0.5)))
     elif ctype == "holder":
         coeff = holder_coefficient(n, M, alpha=float(cc.get("alpha", 0.5)))
-    elif ctype == "custom-table":
-        xs = np.asarray(cc["xs"], dtype=float)
-        vals = np.clip(np.asarray(cc["values"], dtype=float), 0.0, M)
-
-        def ev(x, y, _xs=xs, _vals=vals):
-            x1 = np.asarray(x, dtype=float)
-            if n == 2:
-                x1 = x1[..., 0]
-            out = np.interp(x1, _xs, _vals)
-            yr = np.abs(np.asarray(y, dtype=float)) if n == 1 \
-                else np.sqrt(np.sum(np.asarray(y, dtype=float) ** 2, axis=-1))
-            return np.broadcast_to(out, np.broadcast_shapes(out.shape, yr.shape)).copy()
-
-        coeff = CoefficientField(n=n, bound=M, eval=ev, tag="custom-table",
-                                 depends_on_offset=False)
     else:
         raise ConfigError(f"unknown coefficient type {ctype!r}")
 
@@ -192,8 +191,6 @@ def build_problem(cfg: dict) -> ProblemParams:
                             width=float(fc.get("width", 1.0)))
     else:
         raise ConfigError(f"unknown source type {ftype!r}")
-    if "sup" in fc and fc["sup"] is not None:
-        f = SourceTerm(eval=f.eval, sup=float(fc["sup"]), tag=f.tag)
 
     return ProblemParams(exponents=e, Ksp=ksp, Ktq=ktq, a=coeff,
                          c_hat=float(pc["c_hat"]), f=f)
@@ -208,10 +205,7 @@ def build_exterior(spec: dict) -> Exterior:
     if tag == "constant":
         return constant_exterior(float(spec.get("value", 0.0)))
     if tag == "growth":
-        return growth_exterior(eta=float(spec["eta"]),
-                               amp=float(spec.get("amp", 2.0)),
-                               scale=float(spec.get("scale", 2.0)),
-                               offset=float(spec.get("offset", -1.0)))
+        return growth_exterior(eta=float(spec["eta"]))
     raise ConfigError(f"unknown exterior tag {tag!r} in config")
 
 

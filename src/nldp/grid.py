@@ -146,17 +146,14 @@ class Exterior:
     """Closed-form extension of a grid function outside its box.
 
     Tags double as the serialisation schema: ``constant`` carries ``value``;
-    ``growth`` is the envelope amp*|scale*x|^eta + offset (the proof's
-    2|2x|^eta - 1 shape); ``dyadic`` is a piecewise-constant shell envelope;
-    ``callable`` wraps an arbitrary function and cannot be serialised.
+    ``growth`` is the proof's envelope 2|2x|^eta - 1, whose one parameter is
+    ``eta``; ``dyadic`` is a piecewise-constant shell envelope; ``callable``
+    wraps an arbitrary function and cannot be serialised.
     """
 
     tag: str
     value: float = 0.0
     eta: float = 0.0
-    amp: float = 2.0
-    scale: float = 2.0
-    offset: float = -1.0
     shells: tuple[float, ...] = ()
     fn: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -167,7 +164,7 @@ class Exterior:
                            dtype=float)
         r = np.abs(x) if n == 1 else np.sqrt(np.sum(x * x, axis=-1))
         if self.tag == "growth":
-            return self.amp * (self.scale * r) ** self.eta + self.offset
+            return 2.0 * (2.0 * r) ** self.eta - 1.0
         if self.tag == "dyadic":
             lev = np.clip(np.floor(np.log2(np.maximum(r, 1.0))).astype(int),
                           0, len(self.shells) - 1)
@@ -189,10 +186,9 @@ def constant_exterior(value: float = 0.0) -> Exterior:
     return Exterior(tag="constant", value=value)
 
 
-def growth_exterior(eta: float, amp: float = 2.0, scale: float = 2.0,
-                    offset: float = -1.0) -> Exterior:
-    """The proof's exterior envelope amp*|scale*x|^eta + offset."""
-    return Exterior(tag="growth", eta=eta, amp=amp, scale=scale, offset=offset)
+def growth_exterior(eta: float) -> Exterior:
+    """The proof's exterior envelope 2|2x|^eta - 1."""
+    return Exterior(tag="growth", eta=eta)
 
 
 def dyadic_exterior(shells) -> Exterior:
@@ -466,7 +462,6 @@ class GridFunction:
             "interp": "cubic",
             "exterior": {
                 "tag": ext.tag, "value": ext.value, "eta": ext.eta,
-                "amp": ext.amp, "scale": ext.scale, "offset": ext.offset,
                 "shells": list(ext.shells),
             },
         }
@@ -489,8 +484,13 @@ class GridFunction:
             N = int(meta["N"])
             values = raw[:, 2].reshape(N, N)
         e = meta["exterior"]
-        ext = Exterior(tag=e["tag"], value=e["value"], eta=e["eta"], amp=e["amp"],
-                       scale=e["scale"], offset=e["offset"], shells=tuple(e["shells"]))
+        # Older sidecars carry the growth envelope's constants 2, 2 and -1.
+        if (e.get("amp", 2.0), e.get("scale", 2.0), e.get("offset", -1.0)) \
+                != (2.0, 2.0, -1.0):
+            raise NldpError("unsupported exterior: the growth envelope is "
+                            "2|2x|^eta - 1")
+        ext = Exterior(tag=e["tag"], value=e["value"], eta=e["eta"],
+                       shells=tuple(e["shells"]))
         return GridFunction(n=n, R=float(meta["R"]), values=values, exterior=ext)
 
 

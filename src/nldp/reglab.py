@@ -17,7 +17,7 @@ import numpy as np
 
 from .constants import ConstantsBundle, build_bundle, vdc
 from .errors import DegenerateFit, NldpError
-from .grid import GridFunction, grid_points
+from .grid import GridFunction, grid_points, growth_exterior
 from .operator import QuadratureSpec, evaluate
 from .params import ProblemParams
 from .scaling import ScalingContext, blowup_step, rescale_problem
@@ -177,7 +177,7 @@ def growth_lemma_check(u: GridFunction, bundle: ConstantsBundle,
     ext_pts = np.concatenate([shells, -shells])
     ext_vals = np.asarray(u.exterior(ext_pts, 1), dtype=float)
     rad = np.abs(ext_pts)
-    env = 2.0 * (2.0 * rad) ** eta - 1.0
+    env = growth_exterior(eta)(rad)
     bad = ext_vals > env + 1e-9
     hyp["exterior_growth"] = {
         "ok": not bool(np.any(bad)),

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, callable_exterior, dyadic_exterior, sample
+from .grid import (GridFunction, callable_exterior, dyadic_exterior,
+                   growth_exterior, sample)
 from .params import (CoefficientField, KernelField, ProblemParams, SourceTerm)
 from .operator import evaluate, QuadratureSpec
 
@@ -232,13 +233,11 @@ def _chain_at(chain, i: int) -> float:
 
 
 def _exterior_chain_ok(ext, gamma: float, eta: float | None):
-    radii = 2.0 ** np.arange(0, len(ext.shells) + 2) * 1.0
     # check at shell left edges (the envelope is piecewise constant)
-    for r in radii:
-        bound_g = 2.0 * (2.0 * r) ** gamma - 1.0
-        val = float(ext(np.asarray([r]), 1)[0])
-        if val > bound_g + 1e-9:
-            return False, float(r)
-        if eta is not None and val > 2.0 * (2.0 * r) ** eta - 1.0 + 1e-9:
-            return False, float(r)
-    return True, None
+    radii = 2.0 ** np.arange(0, len(ext.shells) + 2) * 1.0
+    vals = ext(radii, 1)
+    bad = np.zeros(len(radii), dtype=bool)
+    for e in (gamma, eta):
+        if e is not None:
+            bad |= vals > growth_exterior(e)(radii) + 1e-9
+    return (False, float(radii[bad][0])) if bad.any() else (True, None)

@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from nldp.cli import main
+from nldp.config import build_problem, build_solve_config, load_config
+from nldp.grid import growth_exterior
+from nldp.params import (checkerboard_coefficient, holder_coefficient,
+                         scaled_kernel)
 
 
 @pytest.fixture
@@ -19,7 +23,6 @@ def desk_config(tmp_path):
         },
         "solve": {"N": 97, "residual_tol": 1e-7},
         "eval": {"points": [0.0, 0.5]},
-        "output_dir": str(tmp_path / "out"),
     }
     path = tmp_path / "desk.json"
     path.write_text(json.dumps(cfg))
@@ -28,7 +31,7 @@ def desk_config(tmp_path):
 
 def test_validate_ok(desk_config):
     path, out = desk_config
-    assert main(["validate", "--config", path]) == 0
+    assert main(["validate", "--config", path, "--out", out]) == 0
     with open(os.path.join(out, "validate.json")) as fh:
         rep = json.load(fh)
     assert rep["ok"] is True
@@ -37,7 +40,8 @@ def test_validate_ok(desk_config):
 
 def test_validate_reports_violations(desk_config):
     path, out = desk_config
-    rc = main(["validate", "--config", path, "--set", "problem.q=3.0"])
+    rc = main(["validate", "--config", path, "--set", "problem.q=3.0",
+               "--out", out])
     assert rc == 0  # violations are data, not failures
     with open(os.path.join(out, "validate.json")) as fh:
         rep = json.load(fh)
@@ -46,8 +50,9 @@ def test_validate_reports_violations(desk_config):
 
 def test_eval_inside_and_outside_margin(desk_config):
     path, out = desk_config
-    assert main(["eval", "--config", path]) == 0
-    rc = main(["eval", "--config", path, "--set", "eval.points=[1.999]"])
+    assert main(["eval", "--config", path, "--out", out]) == 0
+    rc = main(["eval", "--config", path, "--set", "eval.points=[1.999]",
+               "--out", out])
     assert rc == 1
     with open(os.path.join(out, "error.json")) as fh:
         err = json.load(fh)
@@ -62,7 +67,7 @@ def test_eval_2d_points(desk_config):
              "--set", "solve.R=1", "--set", "problem.f.type=constant",
              "--set", "problem.f.value=0.5"]
     assert main(["eval", "--config", path, *two_d,
-                 "--set", "eval.points=[[0.0,0.0]]"]) == 0
+                 "--set", "eval.points=[[0.0,0.0]]", "--out", out]) == 0
     with open(os.path.join(out, "eval.json")) as fh:
         (row,) = json.load(fh)["points"]
     assert row["x"] == [0.0, 0.0]
@@ -81,7 +86,7 @@ def test_eval_point_shape_rejected(desk_config, dims, points):
     # config error.
     path, out = desk_config
     assert main(["eval", "--config", path, *dims,
-                 "--set", f"eval.points={points}"]) == 1
+                 "--set", f"eval.points={points}", "--out", out]) == 1
     with open(os.path.join(out, "error.json")) as fh:
         assert json.load(fh)["kind"] == "config"
 
@@ -110,10 +115,60 @@ def test_nan_or_negative_setting_rejected(desk_config, command, items):
         assert json.load(fh)["kind"] == "config"
 
 
+@pytest.mark.parametrize("item", [
+    "problem.f.amplitdue=0.5", "problem.f.sup=1.0",
+    "problem.kernel.radii=[0.5]", "problem.coefficient.values=[1.0]",
+    "solve.exterior.amp=3.0", "problem.f=0.5", "quadrature=5",
+    "seed=-1", "seed=1.5", 'seed="7"', "seed=true"],
+    ids=["f-typo", "f-sup", "kernel-radii", "coefficient-values",
+         "exterior-amp", "f-not-object", "section-not-object",
+         "seed-negative", "seed-float", "seed-string", "seed-bool"])
+def test_object_typo_or_bad_seed_rejected(desk_config, item):
+    # The kernel, coefficient, f and exterior objects take the keys their
+    # builders read and no other, so a typo there fails like one elsewhere,
+    # and each object of the schema stays an object rather than reaching a
+    # builder as a number; the seed is a non-negative integer.
+    path, out = desk_config
+    assert main(["validate", "--config", path, "--set", item,
+                 "--out", out]) == 1
+    with open(os.path.join(out, "error.json")) as fh:
+        assert json.load(fh)["kind"] == "config"
+
+
+_XS = np.linspace(-1.9, 1.9, 17)
+_YS = np.linspace(0.05, 1.0, 17)
+
+
+@pytest.mark.parametrize("sets, built, direct", [
+    (["problem.coefficient.type=checkerboard",
+      "problem.coefficient.cell=0.25"],
+     lambda P, sc: P.a, checkerboard_coefficient(1, 1.0, cell=0.25)),
+    (["problem.coefficient.type=holder", "problem.coefficient.alpha=0.3"],
+     lambda P, sc: P.a, holder_coefficient(1, 1.0, alpha=0.3)),
+    (["problem.kernel.type=scaled", "problem.Lambda=2.0"],
+     lambda P, sc: P.Ktq, scaled_kernel(1, 0.5, 2.2, 2.0))],
+    ids=["checkerboard", "holder", "scaled"])
+def test_config_builds_each_field_type(sets, built, direct):
+    cfg = load_config(None, sets)
+    got = built(build_problem(cfg), build_solve_config(cfg))
+    assert got.tag == direct.tag
+    np.testing.assert_array_equal(got.eval(_XS, _YS), direct.eval(_XS, _YS))
+
+
+def test_config_builds_the_growth_exterior():
+    cfg = load_config(None, ["solve.exterior.tag=growth",
+                             "solve.exterior.eta=0.1"])
+    ext = build_solve_config(cfg).exterior
+    assert ext == growth_exterior(0.1)
+    np.testing.assert_array_equal(ext(_XS), 2.0 * (2.0 * np.abs(_XS)) ** 0.1
+                                  - 1.0)
+
+
 def test_unknown_key_rejected(desk_config, tmp_path):
-    # quadrature.rho_near, quadrature.R_far, solve.tau0 and
-    # solve.continuation are not options: set from --set or from a file,
-    # they fail like a typo.
+    # quadrature.rho_near, quadrature.R_far, solve.tau0, solve.continuation
+    # and output_dir are not options: set from --set or from a file, they
+    # fail like a typo.  --out is the one place files go, and --set seed=N
+    # the one way to set the seed.
     path, out = desk_config
     err = Path(out) / "error.json"
 
@@ -124,13 +179,16 @@ def test_unknown_key_rejected(desk_config, tmp_path):
 
     for item in ("problem.zz=1", "quadrature.rho_near=0.1",
                  "quadrature.R_far=100", "solve.tau0=0.5",
-                 "solve.continuation=[[2.0,2.1]]"):
+                 "solve.continuation=[[2.0,2.1]]", "output_dir=elsewhere"):
         assert rejected("--config", path, "--set", item)
     old = tmp_path / "old.json"
     for text in ('{"quadrature": {"rho_near": null, "tol": 1e-8}}',
-                 '{"solve": {"continuation": null}}'):
+                 '{"solve": {"continuation": null}}', '{"output_dir": "out"}',
+                 '{"problem": {"f": {"type": "gaussian", "amplitdue": 1}}}'):
         old.write_text(text)
         assert rejected("--config", str(old))
+    with pytest.raises(SystemExit):
+        main(["validate", "--seed", "7", "--out", out])
 
 
 def test_config_error_goes_to_out(tmp_path, monkeypatch):
@@ -147,7 +205,8 @@ def test_too_small_grid_rejected(desk_config):
     # N = 2 leaves no interior node: a config error with error.json, not a
     # traceback from the operator.
     path, out = desk_config
-    assert main(["solve", "--config", path, "--set", "solve.N=2"]) == 1
+    assert main(["solve", "--config", path, "--set", "solve.N=2",
+                 "--out", out]) == 1
     with open(os.path.join(out, "error.json")) as fh:
         err = json.load(fh)
     assert err["kind"] == "config" and "solve.N" in err["error"]
@@ -167,7 +226,7 @@ def test_2d_solve_on_three_nodes(tmp_path):
 
 def test_solve_artifacts(desk_config):
     path, out = desk_config
-    assert main(["solve", "--config", path]) == 0
+    assert main(["solve", "--config", path, "--out", out]) == 0
     for name in ("solution.csv", "solution.json", "solve_report.json",
                  "residual_history.csv"):
         assert os.path.exists(os.path.join(out, name)), name
@@ -186,7 +245,7 @@ def test_pipeline_summary_carries_solve_report(desk_config, tmp_path):
     # of solve_report.json, from the same solve.
     path, out = desk_config
     two = ["--config", path, "--set", "reglab.levels=2"]
-    assert main(["pipeline", *two]) == 0
+    assert main(["pipeline", *two, "--out", out]) == 0
     with open(os.path.join(out, "summary.json")) as fh:
         summary = json.load(fh)
     assert summary["levels_passed"] == 2
@@ -206,7 +265,7 @@ def test_pipeline_summary_carries_solve_report(desk_config, tmp_path):
 def test_check_inequalities_artifact(desk_config, tmp_path):
     path, out = desk_config
     rc = main(["check-inequalities", "--config", path,
-               "--set", "seed=7"])
+               "--set", "seed=7", "--out", out])
     assert rc == 0
     with open(os.path.join(out, "inequalities.json")) as fh:
         rep = json.load(fh)
@@ -216,7 +275,7 @@ def test_check_inequalities_artifact(desk_config, tmp_path):
 
 def test_scaling_subcommand(desk_config):
     path, out = desk_config
-    assert main(["scaling-test", "--config", path]) == 0
+    assert main(["scaling-test", "--config", path, "--out", out]) == 0
     with open(os.path.join(out, "scaling.json")) as fh:
         rep = json.load(fh)
     by_ctx = {(c["lambda"], c["mu"]): c["max_rel_discrepancy"]
@@ -228,7 +287,7 @@ def test_scaling_subcommand(desk_config):
 def test_holder_subcommand(desk_config):
     path, out = desk_config
     rc = main(["holder", "--config", path, "--set", "reglab.levels=4",
-               "--set", "solve.N=257"])
+               "--set", "solve.N=257", "--out", out])
     assert rc == 0
     assert os.path.exists(os.path.join(out, "oscillation.csv"))
     with open(os.path.join(out, "holder.json")) as fh:
@@ -237,24 +296,16 @@ def test_holder_subcommand(desk_config):
 
 
 def test_reproducibility_bit_identical(desk_config, tmp_path):
+    # Where a run writes is not part of what it computes: two runs of one
+    # config into different directories write the same bytes, hash included.
     path, _ = desk_config
-    out1 = str(tmp_path / "r1")
-    out2 = str(tmp_path / "r2")
-    assert main(["solve", "--config", path, "--seed", "7", "--out", out1]) == 0
-    assert main(["solve", "--config", path, "--seed", "7", "--out", out2]) == 0
-    for name in ("solve_report.json", "residual_history.csv", "solution.csv"):
-        with open(os.path.join(out1, name)) as fh:
-            a = fh.read()
-        with open(os.path.join(out2, name)) as fh:
-            b = fh.read()
-        # the config hash embeds the output dir; mask it out
-        a = a.replace(out1, "OUT").replace(_sha_line(a), "SHA")
-        b = b.replace(out2, "OUT").replace(_sha_line(b), "SHA")
-        assert a == b, name
-
-
-def _sha_line(text: str) -> str:
-    for line in text.splitlines():
-        if "config_sha256" in line:
-            return line
-    return "\x00"
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    for out in (out1, out2):
+        assert main(["solve", "--config", path, "--set", "seed=7",
+                     "--out", str(out)]) == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    assert {"solve_report.json", "residual_history.csv", "solution.csv",
+            "solution.json"} <= set(names)
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name

@@ -34,7 +34,7 @@ def test_artifacts_match_the_golden_files(desk_run):
     # Bits depend on the numpy and BLAS build: a mismatch first says
     # whether they differ from the build that wrote the golden files.
     _, new = desk_run
-    old = golden.golden_files()
+    old = golden.artifacts(golden.GOLDEN)
     assert old, "no golden files; write them with tools/golden.py"
     if set(old) == set(new) and all(
             old[k].read_bytes() == new[k].read_bytes() for k in old):

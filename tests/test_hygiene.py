@@ -13,12 +13,15 @@ function or method must be passed by some call in the package, its tests,
 demos, tools or benchmark.  Every error type is raised somewhere in the
 package.
 Importing the package loads no scipy module.  The config defaults list
-exactly the fields of the objects they build.
+exactly the fields of the objects they build, and every type or tag the
+config builders accept is set by some config or ``--set`` outside the
+package.
 """
 
 import ast
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -244,3 +247,62 @@ def test_config_sections_match_their_dataclasses():
 
     assert set(_DEFAULTS["quadrature"]) == names(QuadratureSpec)
     assert set(_DEFAULTS["solve"]) == names(SolveConfig) - {"quadrature"}
+
+
+_OBJECT_OF = {"ktype": "problem.kernel.type",
+              "ctype": "problem.coefficient.type",
+              "ftype": "problem.f.type", "tag": "solve.exterior.tag"}
+
+
+def _config_branches() -> set[str]:
+    """``<object>.<type|tag>=<value>`` for each string that ``build_problem``
+    or ``build_exterior`` compares a type or tag against."""
+    tree = ast.parse((SRC / "config.py").read_text())
+    out = set()
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef)
+                and fn.name in ("build_problem", "build_exterior")):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Compare)
+                    and isinstance(node.left, ast.Name)
+                    and isinstance(node.comparators[0], ast.Constant)
+                    and isinstance(node.comparators[0].value, str)):
+                assert node.left.id in _OBJECT_OF, node.left.id
+                out.add(f"{_OBJECT_OF[node.left.id]}="
+                        f"{node.comparators[0].value}")
+    return out
+
+
+def _config_settings() -> set[str]:
+    """The same strings as set by a ``--set`` or by a JSON config (a file, or
+    a dict literal a test writes as one) in the tests, demos or benchmark,
+    and by the defaults, which every config that names no type takes; the
+    golden artifacts are output, not config."""
+    from nldp.config import _DEFAULTS
+    q = "[\"']"
+    setting = {s.split(".")[1]: s for s in _OBJECT_OF.values()}
+    out = set()
+    for full in setting.values():
+        section, name, key = full.split(".")
+        out.add(f"{full}={_DEFAULTS[section][name][key]}")
+    for d in ("tests", "demos", "perfbench"):
+        for path in (ROOT / d).rglob("*"):
+            if path.suffix not in (".py", ".json") or "golden" in path.parts:
+                continue
+            text = path.read_text()
+            out.update(m.group(1) for m in re.finditer(
+                r"((?:problem\.(?:kernel|coefficient|f)\.type"
+                r"|solve\.exterior\.tag)=[\w-]+)", text))
+            for m in re.finditer(
+                    rf"{q}(kernel|coefficient|f|exterior){q}:\s*\{{[^{{}}]*?"
+                    rf"{q}(?:type|tag){q}:\s*{q}([\w-]+){q}", text):
+                out.add(f"{setting[m.group(1)]}={m.group(2)}")
+    return out
+
+
+def test_every_config_branch_has_a_caller():
+    # A type or tag that no run sets is an input without a caller.
+    branches = _config_branches()
+    assert len(branches) >= 10
+    assert sorted(branches - _config_settings()) == []

@@ -541,6 +541,28 @@ class TestGridFunctionIO:
             json.dump({**meta, "sup_bound": None}, fh)
         assert np.array_equal(GridFunction.load(prefix).values, u.values)
 
+    @pytest.mark.parametrize("key, value, ok", [
+        ("amp", 2.0, True), ("scale", 2, True), ("offset", -1.0, True),
+        ("amp", 3.0, False), ("scale", 1.0, False), ("offset", 0.0, False)])
+    def test_older_envelope_keys(self, tmp_path, key, value, ok):
+        # Older sidecars carry the growth envelope's amp, scale and offset.
+        # At the envelope's 2, 2 and -1 load ignores them; any other value
+        # named an envelope that no longer exists, and load says so.
+        u = sample(barrier_eval, 1, 1.5, 65, exterior=growth_exterior(0.1))
+        prefix = str(tmp_path / "u")
+        u.save(prefix)
+        with open(prefix + ".json") as fh:
+            meta = json.load(fh)
+        assert not {"amp", "scale", "offset"} & set(meta["exterior"])
+        meta["exterior"][key] = value
+        with open(prefix + ".json", "w") as fh:
+            json.dump(meta, fh)
+        if ok:
+            assert GridFunction.load(prefix).exterior == u.exterior
+        else:
+            with pytest.raises(NldpError, match="growth envelope"):
+                GridFunction.load(prefix)
+
     def test_linear_sidecar_rejected_on_load(self, tmp_path):
         u = sample(barrier_eval, 1, 1.5, 65)
         prefix = str(tmp_path / "u")

@@ -20,7 +20,6 @@ import contextlib
 import io
 import json
 import math
-import os
 import shutil
 import sys
 import tempfile
@@ -42,33 +41,22 @@ def environment() -> dict:
 
 
 def run_desk(root: Path) -> dict[str, int]:
-    """Run every subcommand on desk.json into ``root/<command>/out``, from
-    that command's directory, and return the exit codes."""
+    """Run every subcommand on desk.json into ``root/<command>`` and return
+    the exit codes."""
     from nldp.cli import main
     codes = {}
-    cwd = os.getcwd()
-    try:
-        for command in COMMANDS:
-            where = root / command
-            where.mkdir(parents=True)
-            os.chdir(where)
-            with contextlib.redirect_stdout(io.StringIO()):
-                codes[command] = main([command, "--config", str(DESK),
-                                       "--out", "out"])
-    finally:
-        os.chdir(cwd)
+    for command in COMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes[command] = main([command, "--config", str(DESK),
+                                   "--out", str(root / command)])
     return codes
 
 
 def artifacts(root: Path) -> dict[str, Path]:
-    """The artifacts of one desk run by ``<command>/<name>``."""
+    """The artifacts of one desk run, or the golden files, by
+    ``<command>/<name>``."""
     return {f"{c}/{p.name}": p for c in COMMANDS
-            for p in sorted((root / c / "out").glob("*"))}
-
-
-def golden_files() -> dict[str, Path]:
-    return {f"{c}/{p.name}": p for c in COMMANDS
-            for p in sorted((GOLDEN / c).glob("*"))}
+            for p in sorted((root / c).glob("*"))}
 
 
 def _flat_json(obj, key="") -> dict[str, list]:
@@ -181,7 +169,7 @@ def main() -> int:
                   file=sys.stderr)
             return 1
         new = artifacts(Path(tmp))
-        listing = moves(golden_files(), new)
+        listing = moves(artifacts(GOLDEN), new)
         if GOLDEN.exists():
             shutil.rmtree(GOLDEN)
         for name, path in new.items():
