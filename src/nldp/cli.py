@@ -106,6 +106,7 @@ def _dispatch(command: str, cfg: dict, out_dir: str) -> int:
     Q = build_quadrature(cfg)
 
     if command == "validate":
+        build_solve_config(cfg)   # rejects what ``solve`` would reject
         report = P.validation_report()
         _write_json(out_dir, "validate.json", cfg, {
             "ok": not report, "violations": report,

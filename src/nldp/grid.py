@@ -222,6 +222,7 @@ class LocatedPoints:
     N: int
     index: np.ndarray   # (M,) int32 cell * positions + position
     mono: np.ndarray    # (4^n, positions) ``monomials``, in coeffs()'s order
+    groups: ShiftGroups | None = None   # the positions by cell shift, 2-D
 
     @property
     def size(self) -> int:
@@ -231,7 +232,8 @@ class LocatedPoints:
 
     @property
     def nbytes(self) -> int:
-        return self.index.nbytes + self.mono.nbytes
+        return self.index.nbytes + self.mono.nbytes + (
+            0 if self.groups is None else self.groups.nbytes)
 
     def values(self, c: np.ndarray) -> np.ndarray:
         """The interpolant with coefficients c (``coeffs()``) at the points:
@@ -250,25 +252,140 @@ class LocatedPoints:
                        mode="wrap")
         return out
 
-    def scatter(self, w, entries, rows, nrows: int) -> np.ndarray:
+    def scatter(self, w, entries, rows, nodes) -> np.ndarray:
         """The transpose of ``values`` on some of the points, per row:
         sum_e w_e mono[:, position_e] over the points e of each (cell, row),
         the points those of the increasing slices ``entries`` in turn, w and
-        rows[e] in [0, nrows) given per point of them; (4,)*n + (N-1,)*n +
-        (nrows,), the layout of ``coeffs_T``'s argument.  By pieces, each
-        the points of the slices in one run of ``_CHUNK`` among all the
-        points, so the temporaries stay small and no sum over a row's
-        points depends on which slices hold them."""
-        size = (self.N - 1) ** self.n * nrows
-        out = np.zeros((len(self.mono), size))
-        for part, index in _pieces(self.index, entries):
-            cell, pos = np.divmod(index, self.mono.shape[1])
-            pos = pos.astype(np.intp)   # take would convert it per monomial
-            idx = cell * nrows + rows[part]
-            for m, mono in enumerate(self.mono):
-                out[m] += np.bincount(idx, w[part] * mono.take(pos),
-                                      minlength=size)
+        rows[e] in [0, len(nodes)) given per point of them, row r the node
+        ``nodes[r]`` (flat, C order) of its points; (4,)*n + (N-1,)*n +
+        (rows,), the layout of ``coeffs_T``'s argument.  With ``groups`` (the
+        2-D plan) by one product per cell shift (``_products``); otherwise
+        one bincount per monomial, by pieces, each the points of the slices
+        in one run of ``_CHUNK`` among all the points, so the temporaries
+        stay small.  Either way no sum over a row's points depends on which
+        slices or rows the call holds besides its own."""
+        nrows = len(nodes)
+        if self.groups is not None:
+            out = self._products(w, entries, rows, nodes)
+        else:
+            size = (self.N - 1) ** self.n * nrows
+            out = np.zeros((len(self.mono), size))
+            for part, index in _pieces(self.index, entries):
+                cell, pos = np.divmod(index, self.mono.shape[1])
+                pos = pos.astype(np.intp)   # take would convert it per monomial
+                idx = cell * nrows + rows[part]
+                for m, mono in enumerate(self.mono):
+                    out[m] += np.bincount(idx, w[part] * mono.take(pos),
+                                          minlength=size)
         return out.reshape((4,) * self.n + (self.N - 1,) * self.n + (nrows,))
+
+    def _products(self, w, entries, rows, nodes) -> np.ndarray:
+        """``scatter`` by cell shifts: w goes into a dense (rows, positions)
+        array W at each point's row and its position's column of
+        ``groups``.  A node's points at the positions P_g of a group lie in
+        one cell, its own shifted by the group's shift, one point per
+        position, so that cell's sum for each row is W[row, P_g] @
+        mono[:, P_g].T.  The products run one line of nodes (one first
+        index) at a time, one batched ``einsum`` per size of group, on the
+        groups whose first shift keeps the line in the box
+        (``ShiftGroups.lines``).  ``einsum`` rounds each product and adds
+        them in column order, as the bincount adds its points, where BLAS
+        would fuse and regroup them; a row's sums do not depend on the
+        other rows."""
+        g, m4, npos = self.groups, len(self.mono), self.mono.shape[1]
+        N, nrows = self.N, len(nodes)
+        # The cell of each (group, row); a group with no point of a row
+        # may shift that row's node out of the box.
+        at = [c + s[:, None] for c, s in
+              zip(np.unravel_index(nodes, (N,) * self.n), g.shift)]
+        inside = np.logical_and.reduce([(c >= 0) & (c < N - 1) for c in at])
+        to = (np.ravel_multi_index(at, (N - 1,) * self.n, mode="clip")
+              * nrows + np.arange(nrows))
+        index = np.concatenate([self.index[s] for s in entries])
+        # index % npos, at a quarter of the time
+        col = g.rank.take(index - index // npos * npos)
+        W = np.zeros((nrows, npos))
+        W.reshape(-1)[rows * npos + col] = w
+        line = nodes // N
+        bounds = np.append(np.flatnonzero(np.diff(line, prepend=-1)), nrows)
+        prod = np.empty((g.shift.shape[1], nrows, m4))
+        for r0, r1 in zip(bounds[:-1], bounds[1:]):
+            for a, b, c0, c1, mono in g.lines[line[r0]]:
+                np.einsum("rgk,gkm->grm",
+                          W[r0:r1, c0:c1].reshape(r1 - r0, b - a, -1), mono,
+                          out=prod[a:b, r0:r1])
+        # Written with the monomials last, a row of 4^n per (cell, row).
+        out = np.zeros(((N - 1) ** self.n * nrows, m4))
+        out[to[inside]] = prod[inside]
+        return out.T
+
+
+@dataclass(frozen=True, eq=False)
+class ShiftGroups:
+    """The in-cell positions of ``LocatedPoints`` grouped by their cell's
+    whole-cell shift from the node of each point: the 2-D plan's geometry
+    places a position the same shift from every node, with at most one
+    point of a node there, so a node's points at a group's positions all
+    lie in one cell (``LocatedPoints._products``).  A group's positions
+    take consecutive columns, and the groups go by size, then by shift: one
+    batched product serves all the groups of a size (25 sizes for 184
+    groups at N = 9), and those of a size whose first shift keeps a line
+    of nodes in the box are one slice of them."""
+
+    rank: np.ndarray     # (positions,) int32 column of each position
+    mono_T: np.ndarray   # (positions, 4^n) the monomials of each column
+    start: np.ndarray    # (G + 1,) the first column of each group, and P
+    shift: np.ndarray    # (n, G) int32 each group's shift, per axis
+    # Per first node index, per size with a group that keeps that line in
+    # the box: the groups [a, b), their columns [c0, c1) and a (b - a,
+    # size, 4^n) view of mono_T on them.
+    lines: tuple
+
+    @property
+    def nbytes(self) -> int:
+        return (self.rank.nbytes + self.mono_T.nbytes + self.start.nbytes
+                + self.shift.nbytes)
+
+
+def shift_groups(shift, mono, N: int) -> ShiftGroups:
+    """``ShiftGroups`` of the positions with whole-cell shifts ``shift``
+    (n, P) and monomials ``mono`` (4^n, P) on a grid of N nodes per axis;
+    in a group, the positions keep their order."""
+    order = np.lexsort(shift[::-1])
+    s = shift[:, order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(s[:, 1:] != s[:, :-1], axis=0)
+    starts = np.flatnonzero(new)
+    size = np.diff(np.append(starts, len(order)))
+    by = np.argsort(size, kind="stable")
+    first = np.empty(len(by), dtype=np.int64)
+    first[by] = np.cumsum(size[by]) - size[by]
+    group = np.repeat(np.arange(len(size)), size)
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = first[group] + np.arange(len(order)) - starts[group]
+    mono_T = np.empty((len(order), len(mono)))
+    mono_T[rank] = mono.T
+    shift, size = s[:, starts[by]], size[by]
+    start = np.append(first[by], len(order))
+    lines = []
+    for i in range(N):
+        # The groups of a size go by shift, so those with 0 <= i + shift
+        # < N - 1 on the first axis are one slice of them.
+        keep = (shift[0] >= -i) & (shift[0] < N - 1 - i)
+        runs = np.flatnonzero(np.diff(np.concatenate(
+            [[False], keep, [False]]).astype(np.int8)))
+        lines.append(tuple(
+            (a, b, start[a], start[b], mono_T[start[a]:start[b]].reshape(
+                b - a, size[a], -1))
+            for a, b in zip(runs[::2], runs[1::2])
+            for a, b in _by_value(size, a, b)))
+    return ShiftGroups(rank, mono_T, start, shift, tuple(lines))
+
+
+def _by_value(v, a, b):
+    """The runs [a', b') of equal values of the sorted v within [a, b)."""
+    edges = np.flatnonzero(np.diff(v[a:b])) + a + 1
+    return zip(np.concatenate([[a], edges]), np.concatenate([edges, [b]]))
 
 
 def _pieces(index, entries):
@@ -304,6 +421,13 @@ def edge_positions(t):
     point reads cell N - 2 at t = 1, as ``GridFunction.locate`` has it."""
     on = (np.arange(2 ** len(t))[:, None] >> np.arange(len(t))) & 1
     return np.concatenate([np.where(m[:, None], 1.0, t) for m in on], axis=1)
+
+
+def edge_shifts(shift):
+    """The whole-cell shifts of ``edge_positions``' positions from a node,
+    those of t being ``shift`` (n, P): one cell less on the axes at t = 1."""
+    on = (np.arange(2 ** len(shift))[:, None] >> np.arange(len(shift))) & 1
+    return np.concatenate([shift - m[:, None] for m in on], axis=1)
 
 
 def box_cells(cell, pos, t, N: int, keep):

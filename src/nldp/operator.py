@@ -20,10 +20,11 @@ plan of fixed panels built once per geometry, in 1-D and 2-D alike
 each in-box point exactly, as a cell and an in-cell position shared by
 offsets whole cells apart (``grid.LocatedPoints``), so a sweep reads the
 interpolant from one (cells, positions) table product and one gather per
-entry, and the Jacobian scatters onto the same cells and monomials.  Both
-go through the entries by runs of whole nodes (``_runs``, from the nodes'
-entry offsets), so no temporary of a pass is the size of the plan, and each
-node's sum is one bincount over its own entries whatever the runs.
+entry, and the Jacobian scatters onto the same cells and monomials: in 2-D
+by one small matrix product per whole-cell shift of the positions, in 1-D
+by one bincount per monomial.  Both go through the entries by runs of
+whole nodes (``_runs``, from the nodes' entry offsets), so no temporary of
+a pass is the size of the plan, and no node's sum depends on the runs.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ import numpy as np
 
 from .errors import NldpError, NonIntegrableNearField, TailDivergence
 from .grid import (GridFunction, LocatedPoints, box_cells, coeffs_T,
-                   edge_positions, grid_points, monomials)
+                   edge_positions, edge_shifts, grid_points, monomials,
+                   shift_groups)
 from .params import CoefficientField, ProblemParams
 from .quadrature import (QuadratureSpec, adaptive_quad, geometric_tail_quad,
                          near_singular_quad, panel_nodes_weights,
@@ -444,15 +446,17 @@ def _geometry_1d(P, Q, R, N, dp, dq):
 
     y_near, w_near = _near_rule(h, substitution_power(near_field_exponent(P)),
                                 [0.0, 0.25, 0.5, 0.75, 1.0])
-    return xs, blocks, t[None, :], (np.ones((1, 1)), y_near, y_near[None, :],
-                                   w_near[None, :])
+    return xs, blocks, t[None, :], None, (np.ones((1, 1)), y_near,
+                                         y_near[None, :], w_near[None, :])
 
 
 def _geometry_2d(P, Q, R, N, dp, dq):
     """Offsets of the 2-D apply: polar radii along ``_PLAN_DIRECTIONS``
     directions, those below the Taylor switch set apart as the near block.
     A column (sign s, direction d, radius r) lies floor(s r d / h) whole
-    cells from every node, at the in-cell position frac(s r d / h)."""
+    cells from every node, at the in-cell position frac(s r d / h): one
+    position per column, so the per-position shifts go with the positions
+    (for ``grid.shift_groups``)."""
     pts = grid_points(2, R, N).reshape(-1, 2)
     e = P.exponents
     h = 2.0 * R / (N - 1)
@@ -480,6 +484,7 @@ def _geometry_2d(P, Q, R, N, dp, dq):
     shift = np.floor(u)
     t = (u - shift).reshape(-1, 2).T
     pos = np.arange(t.shape[1], dtype=np.int32).reshape(u.shape[:-1])
+    shifts = shift.reshape(-1, 2).T.astype(np.int32)
     shift = np.moveaxis(shift, -1, 2).astype(np.int32)   # (2, D, 2, radii)
     # Past N cells on an axis, a radius leaves the box from every node.
     w = np.count_nonzero(np.max(np.abs(u[0]), axis=-1) < N, axis=-1)
@@ -493,8 +498,9 @@ def _geometry_2d(P, Q, R, N, dp, dq):
                     for s in (0, 1)])
 
     rt = rr[tiny]
-    return pts, blocks, t, (dirs, rt, rt[None, :, None] * dirs[:, None, :],
-                            dw[:, None] * rt * ww[tiny])
+    return pts, blocks, t, shifts, (dirs, rt,
+                                    rt[None, :, None] * dirs[:, None, :],
+                                    dw[:, None] * rt * ww[tiny])
 
 
 def _group_exterior(node, val, wp, wq):
@@ -519,18 +525,20 @@ def _plan(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
     megabytes, and a problem built anew, with new kernel functions, never
     hits).
 
-    A geometry gives in-cell positions t (n, P) and yields blocks ``(ids, Y,
-    cp, cq, located)``: nodes, offsets, the two phases' radial factors and,
-    for +Y and -Y, the points' cells per axis and positions, on which
+    A geometry gives in-cell positions t (n, P), in 2-D their whole-cell
+    shifts from the node (None in 1-D), and yields blocks ``(ids, Y, cp, cq,
+    located)``: nodes, offsets, the two phases' radial factors and, for +Y
+    and -Y, the points' cells per axis and positions, on which
     ``grid.box_cells`` splits the block at the box.  Zero-weight entries
-    (1-D empty seam sub-panels) are dropped; used positions are kept.
+    (1-D empty seam sub-panels) are dropped; used positions are kept, in
+    2-D grouped by shift for the Jacobian's scatter.
     """
     t0 = time.perf_counter()
     n = P.n
     dp, dq = _tail_decays(P, _exterior_growth(exterior, R, n))
     geometry = _geometry_1d if n == 1 else _geometry_2d
-    X, blocks, t, (dirs, near_r, near_offs, near_w) = geometry(P, Q, R, N,
-                                                                dp, dq)
+    X, blocks, t, shifts, (dirs, near_r, near_offs, near_w) = geometry(
+        P, Q, R, N, dp, dq)
     signs = (1.0, -1.0)
     # A first pass counts each node's in-box entries and marks the positions
     # they take; the second fills the arrays in place, each node's entries
@@ -577,8 +585,10 @@ def _plan(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
             n_ext += int(np.count_nonzero(out))
             groups.append(_group_exterior(idb[out], exterior((Xb + y)[out], n),
                                           bp[out], bq[out]))
-    points = LocatedPoints(n, R, N, index, monomials(
-        edge_positions(t)[:, used], 2.0 * R / (N - 1)))
+    mono = monomials(edge_positions(t)[:, used], 2.0 * R / (N - 1))
+    points = LocatedPoints(n, R, N, index, mono, None if shifts is None else
+                           shift_groups(edge_shifts(shifts)[:, used], mono,
+                                        N))
     ext = _group_exterior(*(np.concatenate(c) for c in zip(*groups)))
     Xn = X[:, None, None]
     ktq = P.Ktq.eval(Xn, near_offs)
@@ -728,9 +738,11 @@ def kernel_mass_matrix(u: GridFunction, P: ProblemParams,
     interior nodes (``_runs``; ``scatter``'s sums do not depend on
     which slices hold a node's entries), and H is contracted with C
     transposed (``grid.coeffs_T``), of whose rows the interior ones are
-    kept.  J_II is bit for bit the interior block of the whole J; neither c
-    nor H for all nodes nor C is held.  Not an M-matrix: cubic cardinal
-    functions have negative lobes.
+    kept.  In 2-D ``scatter`` forms H by one product per cell shift of the
+    plan's positions (``grid.ShiftGroups``), in 1-D by 16 bincounts.  J_II
+    is bit for bit the interior block of the whole J; neither c nor H for
+    all nodes nor C is held.  Not an M-matrix: cubic cardinal functions
+    have negative lobes.
     """
     t0 = time.perf_counter()
     plan = _plan(P, Q, u.R, u.N, u.exterior)
@@ -754,13 +766,16 @@ def kernel_mass_matrix(u: GridFunction, P: ProblemParams,
         J[r0 + run, r0 + run] = (np.bincount(rows, c, minlength=nb)
                                  + diag_ext[r0:r1])
         H = plan.points.scatter(np.negative(c, out=c), segs, rows,
-                                nb).reshape(m4, cells, nb)
+                                ids[r0:r1]).reshape(m4, cells, nb)
         H[:, own[r0:r1], run] += g_near[r0:r1].T
         if n == 1:
             H[0, own[r0:r1] - 1, run] += g_left[r0:r1]
         J[r0:r1] += coeffs_T(H.reshape((4,) * n + (N - 1,) * n + (nb,)),
                              n, h).reshape(K, nb)[ids].T
+    groups = plan.points.groups
     logger.debug("%d-D Jacobian: N=%d, %d interior rows, %d of %d in-box "
-                 "entries scattered, %.3f s", n, N, len(ids), scattered,
-                 plan.start[-1], time.perf_counter() - t0)
+                 "entries scattered, %s%.3f s", n, N, len(ids), scattered,
+                 plan.start[-1], "" if groups is None
+                 else f"{groups.shift.shape[1]} shift groups, ",
+                 time.perf_counter() - t0)
     return J

@@ -7,7 +7,9 @@ exceptions are ``apply_grid_1d_direct`` and ``apply_grid_2d_direct``, the
 direct sums that the planned ``apply_grid`` regroups, kept to check that
 regrouping; ``jacobian_full_oracle``, the whole Jacobian of which
 ``kernel_mass_matrix`` builds the interior block alone, kept to check that
-restriction; ``adaptive_quad_depth_first`` and
+restriction; ``scatter_bincount``, the one-bincount-per-monomial
+scatter that the 2-D products by cell shift replaced, kept to check those
+products; ``adaptive_quad_depth_first`` and
 ``geometric_tail_quad_sequential``, the one-panel-per-call loops that the
 batched quadrature engine replaced, kept to check that batching;
 ``term_Ip_signed_per_probe``, ``term_I_abs_per_probe``,
@@ -25,7 +27,7 @@ from scipy.interpolate import RectBivariateSpline
 
 from nldp.constants import _beta_diff
 from nldp.errors import NldpError
-from nldp.grid import coeffs_T
+from nldp.grid import _pieces, coeffs_T
 from nldp.operator import (QuadratureSpec, _entry_weights, _exterior_growth,
                            _fixed_weights, _line, _paired, _plan,
                            _polar_dirs, _poly_switch_radius, _runs, _secant,
@@ -297,13 +299,28 @@ def jacobian_full_oracle(u, P, Q):
         run = np.arange(nb)
         J[lo + run, lo + run] = (np.bincount(rows, c, minlength=nb)
                                  + diag_ext[lo:hi])
-        H = plan.points.scatter(-c, segs, rows, nb).reshape(m4, cells, nb)
+        H = plan.points.scatter(-c, segs, rows,
+                                np.arange(lo, hi)).reshape(m4, cells, nb)
         H[:, own[lo:hi], run] += g_near[lo:hi].T
         if n == 1:
             H[0, np.maximum(run + lo - 1, 0), run] += g_left[lo:hi]
         J[lo:lo + nb] += coeffs_T(H.reshape((4,) * n + (N - 1,) * n + (nb,)),
                                   n, h).reshape(K, nb).T
     return J
+
+
+def scatter_bincount(points, w, entries, rows, nrows):
+    """``LocatedPoints.scatter`` as it was before the 2-D products by cell
+    shift: one bincount per monomial over (cell, row), by the pieces of
+    ``grid._pieces``; the 1-D path still sums this way."""
+    size = (points.N - 1) ** points.n * nrows
+    out = np.zeros((len(points.mono), size))
+    for part, index in _pieces(points.index, entries):
+        cell, pos = np.divmod(index, points.mono.shape[1])
+        idx = cell * nrows + rows[part]
+        for m, mono in enumerate(points.mono):
+            out[m] += np.bincount(idx, w[part] * mono[pos], minlength=size)
+    return out.reshape((4,) * points.n + (points.N - 1,) * points.n + (nrows,))
 
 
 def adaptive_quad_depth_first(f, a: float, b: float, tol: float = 1e-10,

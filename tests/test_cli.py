@@ -212,6 +212,18 @@ def test_too_small_grid_rejected(desk_config):
     assert err["kind"] == "config" and "solve.N" in err["error"]
 
 
+def test_validate_rejects_what_solve_rejects(desk_config):
+    # validate builds the solve settings too, so a config that solve
+    # rejects is not reported ok: exit 1, kind config, no validate.json.
+    path, out = desk_config
+    assert main(["validate", "--config", path, "--set", "solve.N=2",
+                 "--out", out]) == 1
+    with open(os.path.join(out, "error.json")) as fh:
+        err = json.load(fh)
+    assert err["kind"] == "config" and "solve.N" in err["error"]
+    assert not os.path.exists(os.path.join(out, "validate.json"))
+
+
 def test_2d_solve_on_three_nodes(tmp_path):
     # N = 3 passes SolveConfig; the axis-by-axis cubic is then a parabola.
     # FITPACK's bicubic needed four nodes per axis and died with a traceback.

@@ -16,7 +16,8 @@ from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 import nldp.grid
 from nldp.grid import (GridFunction, LocatedPoints, box_cells,
-                       constant_exterior, edge_positions, monomials)
+                       constant_exterior, edge_positions, edge_shifts,
+                       monomials)
 from nldp.operator import (QuadratureSpec, _directional_model, _exterior_growth,
                            _geometry_1d, _geometry_2d, _plan, _tail_decays,
                            _taylor)
@@ -45,8 +46,8 @@ def _plan_and_points(n, R, N):
     P = model_params(n=n, s=0.6, t=0.5, p=2.0, q=2.2)
     Q, ext = QuadratureSpec(), constant_exterior(0.0)
     dp, dq = _tail_decays(P, _exterior_growth(ext, R, n))
-    X, blocks, _, _ = (_geometry_1d if n == 1 else _geometry_2d)(P, Q, R, N,
-                                                                  dp, dq)
+    X, blocks, _, _, _ = (_geometry_1d if n == 1 else _geometry_2d)(
+        P, Q, R, N, dp, dq)
     Z, node = [], []
     for ids, Y, cp, _, _ in blocks():
         for sign in (1.0, -1.0):
@@ -260,7 +261,7 @@ def test_plan_positions(n, N, positions):
     R = 2.0 if n == 1 else 1.0
     plan, _ = _plan_and_points(n, R, N)
     P = model_params(n=n, s=0.6, t=0.5, p=2.0, q=2.2)
-    X, blocks, _, _ = (_geometry_1d if n == 1 else _geometry_2d)(
+    X, blocks, _, _, _ = (_geometry_1d if n == 1 else _geometry_2d)(
         P, QuadratureSpec(), R, N, 1.0, 1.0)
     if n == 2:
         columns = sum(np.count_nonzero(np.any(_in_box(X[:, None] + s * Y, R, 2),
@@ -317,6 +318,22 @@ def test_points_on_the_box_edges(n):
     assert got[last[inside]] == pytest.approx(u.values[(-1,) * n], abs=1e-15)
     j, t = u.locate(np.full((1, n), R))
     assert np.all(j == N - 2) and np.all(t == 1.0)
+
+
+def test_edge_shifts_follow_box_cells():
+    # A point on the box's upper edge of an axis reads cell N - 2 at t = 1
+    # (``box_cells``): its position's shift from the node is one cell less
+    # there (``edge_shifts``), so node + shift is its cell at every position.
+    N = 5
+    t0 = np.array([[0.0, 0.0, 0.25, 0.5], [0.0, 0.75, 0.0, 0.5]])
+    shift = np.array([[-2, 1, 3, 0], [4, -1, 0, 2]])
+    node = np.indices((N, N)).reshape(2, -1, 1)
+    keep = np.ones((N * N, t0.shape[1]), dtype=bool)
+    inside, cell, pos = box_cells(list(node + shift[:, None, :]),
+                                  np.arange(t0.shape[1]), t0, N, keep)
+    at = node[:, :, 0][:, np.nonzero(inside)[0]] + edge_shifts(shift)[:, pos]
+    assert np.array_equal(cell, at[0] * (N - 1) + at[1])
+    assert np.count_nonzero(pos >= t0.shape[1]) == 8   # edge positions read
 
 
 def test_2d_plan_bytes_per_entry():

@@ -10,7 +10,8 @@ import pytest
 import nldp.operator
 import nldp.quadrature
 from oracles import (apply_grid_1d_direct, apply_grid_2d_direct,
-                     operator_beta_p2_oracle, pv_eval_oneside)
+                     operator_beta_p2_oracle, pv_eval_oneside,
+                     scatter_bincount)
 
 from nldp.errors import NldpError, TailDivergence
 from nldp.grid import (GridFunction, callable_exterior, constant_exterior,
@@ -476,7 +477,9 @@ class TestApplyReadsTheProblem:
 class TestChunkedSweep:
     """A sweep and the Jacobian go through the plan by runs of whole nodes
     (``operator._runs``); each node's sum is one bincount over its own
-    entries in order, so the results do not depend on where the runs end."""
+    entries in order, and the 2-D Jacobian's scatter sums each row's
+    products alone, in column order, so the results do not depend on where
+    the runs end."""
 
     @pytest.mark.parametrize("n, N", [(1, 65), (2, 9)], ids=["1d", "2d"])
     def test_chunk_length_leaves_the_bits(self, monkeypatch, n, N):
@@ -523,6 +526,62 @@ class TestChunkedSweep:
         finally:
             tracemalloc.stop()
         assert peak <= table + 8 * plan.start[-1] + 2 * 2 ** 20, peak
+
+
+class TestScatterByShift:
+    """The 2-D Jacobian's scatter (``LocatedPoints._products``): one product
+    per cell shift, on the plan's positions grouped by shift."""
+
+    @staticmethod
+    def _plan(N, p=2.0, q=2.2, s=0.6, t=0.5):
+        P = model_params(n=2, s=s, t=t, p=p, q=q,
+                         coefficient=halfspace_coefficient(2, 1.0))
+        return P, nldp.operator._plan(P, Q, 1.0, N, constant_exterior(0.0))
+
+    @pytest.mark.parametrize("N", [9, 13, 17])
+    @pytest.mark.parametrize("exps", [(2.0, 2.2, 0.6, 0.5),
+                                      (1.5, 1.7, 0.3, 0.25)],
+                             ids=["desk", "singular"])
+    def test_shift_table_places_every_entry(self, N, exps):
+        # Every in-box entry lies in its node's cell shifted by its
+        # position's group shift, and a node has one entry at most per
+        # position: what lets a product per shift stand for the scatter.
+        plan = self._plan(N, *exps)[1]
+        points, start, g = plan.points, plan.start, plan.points.groups
+        npos = points.mono.shape[1]
+        group = np.searchsorted(g.start, g.rank, side="right") - 1
+        node = np.repeat(np.arange(N * N), np.diff(start))
+        cell, pos = np.divmod(points.index.astype(np.int64), npos)
+        for a, (c, k) in enumerate(zip(np.divmod(cell, N - 1),
+                                       np.divmod(node, N))):
+            assert np.array_equal(c, k + g.shift[a, group[pos]])
+        assert len(np.unique(node * npos + pos)) == len(node)
+
+    @pytest.mark.parametrize("N", [9, 13])
+    def test_matches_bincount_reference(self, N):
+        # Band: 1e-14 of the largest |H|, room for the rounding of sums of
+        # up to 164 terms in another order.  Measured 1.0e-15 (N = 9) and
+        # 6.7e-16 (N = 13).  The products add their terms rounded and in
+        # order, as the bincount does, so nearly all of H is the same bits:
+        # 99.2% of the nonzero entries at N = 9 and 13 (71-75% when a
+        # BLAS product fuses and regroups them), held to 98%.
+        P, plan = self._plan(N)
+        u = GridFunction(n=2, R=1.0, values=np.random.default_rng(N).uniform(
+            -0.5, 0.5, (N, N)))
+        ux = u(plan.points)
+        ids = np.arange(N * N).reshape(N, N)[1:-1, 1:-1].ravel()
+        runs = same = total = 0
+        for r0, r1, segs, rows in nldp.operator._runs(plan.start, ids):
+            w = nldp.operator._entry_weights(plan, P, nldp.operator._secant,
+                                             u.values.ravel()[ids[r0:r1]],
+                                             rows, ux, segs)
+            got = plan.points.scatter(w, segs, rows, ids[r0:r1])
+            ref = scatter_bincount(plan.points, w, segs, rows, r1 - r0)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+            same += np.count_nonzero(got[ref != 0] == ref[ref != 0])
+            total += np.count_nonzero(ref)
+            runs += 1
+        assert runs >= 2 and same >= 0.98 * total
 
 
 class TestGridFunctionIO:

@@ -242,7 +242,8 @@ class TestKernelMassMatrix:
 
     def test_logs_one_line_per_build(self, caplog):
         # n, N, the interior rows, the entries scattered out of the plan's
-        # in-box entries, and the seconds of the build.
+        # in-box entries, in 2-D the shift groups of the scatter's products
+        # (184 at N = 9), and the seconds of the build.
         P = _problem(2, 2.0, 2.2, halfspace_coefficient(2, 1.0))
         u = GridFunction(n=2, R=1.0, values=np.zeros((9, 9)))
         apply_grid(u, P, Q)                   # builds the plan
@@ -254,7 +255,7 @@ class TestKernelMassMatrix:
         assert len(lines) == 1 and lines[0].startswith(
             f"2-D Jacobian: N=9, 49 interior rows, "
             f"{np.diff(start)[_interior(2, 9)].sum()} of "
-            f"{start[-1]} in-box entries scattered, ")
+            f"{start[-1]} in-box entries scattered, 184 shift groups, ")
 
 
 class TestSweepCounts:
@@ -264,7 +265,9 @@ class TestSweepCounts:
     # 4 / 3 (desk.json at p = 2.5, q = 2.8, N = 129, tol 2e-4), 10 / 3 and
     # 11 / 4 (p = 2.5, q = 2.8 and p = 3, q = 3.5 at N = 129, tol 1e-9),
     # 5 / 2 (2-D, N = 13, tol 1e-8), 3 / 2 (2-D, N = 9, tol 3e-4) and
-    # 12 / 7 (p = 1.5 in 1-D and 2-D).
+    # 12 / 7 (p = 1.5 in 1-D and 2-D; 13 / 7 in 2-D on two BLAS threads).
+    # The 2-D p = 1.5 trial band is the spread of rounding-level moves of J
+    # (test_singular_phase).
     def test_desk_n513(self, desk_params):
         # A chord iteration on the one Jacobian built at flat data: the
         # Anderson candidates cut its linear tail.
@@ -311,18 +314,26 @@ class TestSweepCounts:
         assert rep.converged and rep.iterations <= most
         assert residual(u, P, sc.quadrature) <= tol
 
-    @pytest.mark.parametrize("n, N", [(1, 129), (2, 13)], ids=["1d", "2d"])
-    def test_singular_phase(self, n, N):
+    @pytest.mark.parametrize("n, N, most, jacobians",
+                             [(1, 129, 13, 7), (2, 13, 15, 7)],
+                             ids=["1d", "2d"])
+    def test_singular_phase(self, n, N, most, jacobians):
         # p = 1.5, q = 1.7 from zero data: phi' is singular at d = 0, so the
         # Jacobian's shift there must be tiny (operator._secant).  12 trials
-        # and 7 Jacobians measured in both.
+        # and 7 Jacobians measured in 1-D, and 12 / 7 and 13 / 7 in 2-D on
+        # one and on two BLAS threads.  The 2-D trials follow the rounding
+        # of J and of its inverse: with half of J's entries moved 1 ulp in
+        # random directions, 16 seeds on one and on two BLAS threads, the
+        # scatter by bincount per monomial took 11-15 trials, and the trial
+        # band is that spread.
         P = model_params(n=n, s=0.3, t=0.25, p=1.5, q=1.7,
                          coefficient=halfspace_coefficient(n, 1.0),
                          f=constant_source(0.5))
         sc = SolveConfig(R=2.0 if n == 1 else 1.0, N=N,
                          exterior=constant_exterior(0.0), residual_tol=1e-8)
         u, rep = solve(P, sc)
-        assert rep.converged and rep.iterations <= 13 and rep.jacobians <= 7
+        assert rep.converged and rep.iterations <= most
+        assert rep.jacobians <= jacobians
         assert residual(u, P, sc.quadrature) <= 1e-8
 
     def test_report_counts(self, caplog):
