@@ -234,19 +234,22 @@ def _term_II(xs, P: ProblemParams, kappa: float, eta: float,
     return np.add(*(body + tail).reshape(2, -1)).reshape(np.shape(xs))[()]
 
 
-def _term_III(xs, P: ProblemParams, eta: float, regime: int, tol: float):
-    """The radial tail term over {|y| > 1/4}, with the regime's weights, at
-    every probe x of ``xs`` (a scalar or an array; one row each)."""
+def _term_III(xs, P: ProblemParams, eta, regime: int, tol: float):
+    """The radial tail integral over {|y| > 1/4}, with the regime's weights,
+    at every pair of probe x of ``xs`` and ``eta`` (scalars or arrays,
+    broadcast together; one row each), without the regime's front factor:
+    that one depends on the coefficient bound, the integral does not."""
     e = P.exponents
-    _, front, q_tail, _ = _regime(P, regime)
-    x = np.ravel(xs)
+    q_tail = _regime(P, regime)[2]
+    shape = np.broadcast(xs, eta).shape
+    x, eta = (np.broadcast_to(v, shape).ravel() for v in (xs, eta))
 
     def make(r_exp, kernel, c):
         def f(yv, row):
             xr = x[row]
             w = 2.0 if c is None else c * P.a.eval(xr, yv) + c * P.a.eval(xr, -yv)
-            return 0.5 * w * np.expm1(eta * np.log(8.0 * yv)) ** (r_exp - 1.0) \
-                * (kernel(xr, yv) + kernel(xr, -yv))
+            return 0.5 * w * np.expm1(eta[row] * np.log(8.0 * yv)) \
+                ** (r_exp - 1.0) * (kernel(xr, yv) + kernel(xr, -yv))
         return f
 
     edges = np.broadcast_to(np.geomspace(0.25, 64.0, 16), (x.size, 16))
@@ -258,7 +261,7 @@ def _term_III(xs, P: ProblemParams, eta: float, regime: int, tol: float):
         tail, _ = geometric_tail_quad_rows(f, np.full(x.size, 64.0), decay,
                                            tol=tol)
         total += body + tail
-    return (front * total).reshape(np.shape(xs))[()]
+    return total.reshape(shape)[()]
 
 
 def _regime(P: ProblemParams, regime: int):
@@ -296,29 +299,39 @@ def applicable_regimes(P: ProblemParams) -> list[int]:
     return out
 
 
+# Halving candidates whose one-row III one ``_term_III`` call integrates.
+_III_BLOCK = 16
+
+
 def _bundle_terms(xs, P: ProblemParams, kappa: float, eta: float,
                   regime: int, tol: float, base_cache: dict,
-                  bound: float = math.inf) -> dict | None:
+                  bound: float = math.inf, ahead: int = 1) -> dict | None:
     """All five bundle terms at the probes ``xs`` (a scalar or an array, and
     each term in its shape) for (kappa, eta) in one regime, or None when
     (I_p + I_q) + III already exceeds ``bound`` at some probe.
 
     ``base_cache`` memoises the raw terms across calls by what each one
     depends on besides the probes: the I bases on the regime (kappa enters
-    only as a power), the II pair on (kappa, eta) (its regime front factor
-    is applied here) and III on (eta, regime), so the kappa bisection
-    reuses III.  Each key also carries the probe set, so one cache may
-    serve several.  Under ("over", probes, regime) it keeps the row where
-    that regime's last rejected candidate went furthest over its bound.
+    only as a power), the II pair on (kappa, eta) and III's integral on
+    (eta, regime), so the kappa bisection reuses III.  The regime front
+    factors are applied here, so no cached value depends on the
+    coefficient bound, and one cache may serve problems that differ only
+    in it.  Each key also carries the probe set, so one cache may serve
+    several.  Under ("over", probes, regime) it keeps the row where that
+    regime's last rejected candidate went furthest over its bound.
 
     With a finite ``bound`` and no III cached at (eta, regime), III comes
-    first on that one row (the origin, row 0, before any rejection), and
+    first on that one row j (the origin, row 0, before any rejection), and
     the candidate is rejected when (I_p + I_q) + III exceeds ``bound``
     there; only a candidate that passes on that row integrates III on all
     rows, which are cached.  The verdict is the one of all rows: a row's
     result does not depend on the rows that share its call, so the one-row
     III is bit for bit that row of the full call, and a rejection on any
-    row is a rejection.
+    row is a rejection.  ``ahead`` is how many of eta, eta/2, eta/4, ...
+    the caller's halving search may still try: when row j holds no III at
+    eta, one call integrates it there at the first ``_III_BLOCK`` of them
+    (at most ``ahead``), cached under ("III row", probes, j, eta', regime)
+    each.
 
     The II pair comes last, and only for a candidate whose (I_p + I_q) +
     III stays at or below ``bound`` at every probe; a rejected candidate
@@ -331,7 +344,7 @@ def _bundle_terms(xs, P: ProblemParams, kappa: float, eta: float,
     falls through to the full evaluation.
     """
     e = P.exponents
-    (f_ip, f_iq, f_iip, f_iiq), _, _, signed_ip = _regime(P, regime)
+    (f_ip, f_iq, f_iip, f_iiq), front, _, signed_ip = _regime(P, regime)
     xs = np.asarray(xs, dtype=float)
     probes = (xs.shape, xs.tobytes())
 
@@ -351,10 +364,15 @@ def _bundle_terms(xs, P: ProblemParams, kappa: float, eta: float,
     iii_key, over_key = ("III", probes, eta, regime), ("over", probes, regime)
     if bound < math.inf and iii_key not in base_cache:
         j = base_cache.get(over_key, 0)
-        if (i_p.flat[j] + i_q.flat[j]) \
-                + _term_III(xs.flat[j], P, eta, regime, tol) > bound:
+        row = ("III row", probes, j, eta, regime)
+        if row not in base_cache:
+            etas = np.ldexp(eta, -np.arange(min(_III_BLOCK, ahead)))
+            vals = _term_III(xs.flat[j], P, etas, regime, tol)
+            base_cache.update({("III row", probes, j, float(h), regime): v
+                               for h, v in zip(etas, vals)})
+        if (i_p.flat[j] + i_q.flat[j]) + front * base_cache[row] > bound:
             return None
-    iii = cached(iii_key, lambda: _term_III(xs, P, eta, regime, tol))
+    iii = front * cached(iii_key, lambda: _term_III(xs, P, eta, regime, tol))
     partial = i_p + i_q + iii
     if np.max(partial) > bound:
         base_cache[over_key] = int(np.argmax(partial))
@@ -403,7 +421,8 @@ def _halve(x: float, ok, message: str) -> float:
 
 
 def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
-                     probes: int = 32, homogeneous: bool = False
+                     probes: int = 32, homogeneous: bool = False,
+                     cache: dict | None = None
                      ) -> tuple[float, float, SelectionCertificate]:
     """Select (eta, kappa) so every applicable bundle stays below
     eps / (Lambda 2^(n+sp+q)) at all probe x in B_{3/4}.
@@ -418,11 +437,19 @@ def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
     which rejects a candidate whose (I_p + I_q) + III already exceeds the
     bound without evaluating the II pair, and judges a new eta on one probe
     row of III before it integrates all rows; both are exact (see there).
-    The cap bisection and the re-verification evaluate all five terms.
-    One DEBUG line per call gives, per regime, the candidates each search
-    tried, those rejected on I + III alone and how many of them on one
-    probe row, and the II pairs and full-row III evaluations; then the
-    call's II pairs, full-row III evaluations and wall time.
+    The eta search tells it how many halvings it has left, so that one
+    call integrates that row for a block of the candidates ahead.  The cap
+    bisection and the re-verification evaluate all five terms.  One DEBUG
+    line per call gives, per regime, the candidates each search tried,
+    those rejected on I + III alone and how many of them on one probe row,
+    the one-row III calls and their rows, used and speculative, and the II
+    pairs and full-row III evaluations; then the call's II pairs, full-row
+    III evaluations and wall time.
+
+    ``cache`` (a dict, filled here) keeps the integrals of the bundle
+    terms for a later selection on the same probes and tolerance whose
+    problem differs only in the coefficient bound: no cached value depends
+    on it (see ``_bundle_terms``).
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -438,7 +465,7 @@ def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
     if not regimes:
         raise SelectionFailed("no regime matches these exponents")
     xs = probe_points(probes)
-    cache: dict = {}
+    cache = {} if cache is None else cache
     safety = 0.9
     start = time.perf_counter()
 
@@ -452,28 +479,44 @@ def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
         return sum(key[0] == kind for key in cache)
 
     # (regime, "eta" | "kappa") -> candidates the search tried; (regime,
-    # "rejected") -> those rejected on I + III; (regime, "II" | "III") ->
-    # II pairs and full-row III evaluations its searches made.  Only an eta
-    # candidate that passes on one probe row takes III on all rows, so the
-    # others, eta candidates less full-row III, were rejected on that row.
+    # "rejected") -> those rejected on I + III, and (regime, "on one row")
+    # those of them rejected on one probe row; (regime, "II" | "III") -> II
+    # pairs and full-row III evaluations its searches made; (regime,
+    # "one-row" | "rows" | "used") -> one-row III calls, the rows they
+    # integrated and those a candidate was judged on (the rest were
+    # speculative).  ``judged`` holds the cache keys of the judged rows.
     seen: Counter = Counter()
+    probed, judged = (xs.shape, xs.tobytes()), set()
+    earlier = {kind: in_cache(kind) for kind in ("II", "III")}
 
     def passes(kappa, eta, r, bound, search):
-        t = _bundle_terms(xs, P, kappa, eta, r, tol, cache, bound)
+        full = ("III", probed, eta, r)
+        on_row = full not in cache
+        if on_row:
+            judged.add(("III row", probed, cache.get(("over", probed, r), 0),
+                        eta, r))
+        batched = in_cache("III row")
+        t = _bundle_terms(xs, P, kappa, eta, r, tol, cache, bound,
+                          _MAX_HALVINGS - seen[r, search])
+        seen[r, "one-row"] += in_cache("III row") > batched
         seen[r, search] += 1
         seen[r, "rejected"] += t is None
+        seen[r, "on one row"] += on_row and full not in cache
         return t is not None and float(np.max(t["total"])) <= bound
 
     eta_sel, kappa_sel = {}, {}
     for r in regimes:
         msg = f"bisection exhausted {_MAX_HALVINGS} halvings in regime {r}"
         before = {kind: in_cache(kind) for kind in ("II", "III")}
+        old_rows = {key for key in cache if key[0] == "III row"}
         eta_sel[r] = _halve(0.49 * e.eta_threshold(), lambda eta: passes(
             0.0, eta, r, 0.5 * safety * target, "eta"), "eta " + msg)
         kappa_sel[r] = _halve(0.5, lambda kappa: passes(
             kappa, eta_sel[r], r, safety * target, "kappa"), "kappa " + msg)
         for kind, count in before.items():
             seen[r, kind] = in_cache(kind) - count
+        rows = {key for key in cache if key[0] == "III row"} - old_rows
+        seen[r, "rows"], seen[r, "used"] = len(rows), len(rows & judged)
     eta_fin, kappa_fin = min(eta_sel.values()), min(kappa_sel.values())
 
     def competition(kappa, eta, sig):
@@ -519,10 +562,14 @@ def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
         "; ".join(
             f"regime {r}: {seen[r, 'eta']} eta and {seen[r, 'kappa']} kappa "
             f"candidates, {seen[r, 'rejected']} rejected on I + III alone, "
-            f"{seen[r, 'eta'] - seen[r, 'III']} of them on one probe row, "
+            f"{seen[r, 'on one row']} of them on one probe row, "
+            f"{seen[r, 'one-row']} one-row III calls of {seen[r, 'rows']} "
+            f"rows ({seen[r, 'used']} used, "
+            f"{seen[r, 'rows'] - seen[r, 'used']} speculative), "
             f"{seen[r, 'II']} II pairs, {seen[r, 'III']} full-row III"
             for r in regimes),
-        in_cache("II"), in_cache("III"), time.perf_counter() - start)
+        in_cache("II") - earlier["II"], in_cache("III") - earlier["III"],
+        time.perf_counter() - start)
     return eta_fin, kappa_fin, cert
 
 
@@ -563,11 +610,13 @@ class ConstantsBundle:
 
 
 def build_bundle(P: ProblemParams, u_sup: float, f_sup: float,
-                 epsilon: float | None = None) -> ConstantsBundle:
+                 epsilon: float | None = None,
+                 cache: dict | None = None) -> ConstantsBundle:
     """Run the whole chain for one problem: selection, sigma, theta, gamma,
-    lambda.  epsilon defaults to |B_1| / 2."""
+    lambda.  epsilon defaults to |B_1| / 2; ``cache`` goes to
+    ``choose_eta_kappa``."""
     eps = epsilon if epsilon is not None else 0.5 * unit_ball_volume(P.n)
-    eta, kappa, cert = choose_eta_kappa(eps, P)
+    eta, kappa, cert = choose_eta_kappa(eps, P, cache=cache)
     sig = cert.sigma_at_eta
     lo, hi = sigma_bounds(eta, P)
     th = theta(kappa)

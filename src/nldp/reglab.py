@@ -353,12 +353,16 @@ def run_pipeline(P: ProblemParams, solve_cfg: SolveConfig, levels: int = 6,
     u_sup = float(np.max(np.abs(u.values)))
     f_sup = P.f.sup
     if bundle is None:
-        bundle = build_bundle(P, u_sup=u_sup, f_sup=f_sup, epsilon=epsilon)
+        # The second selection differs only in the coefficient bound, so it
+        # reuses every integral of the first.
+        cache: dict = {}
+        bundle = build_bundle(P, u_sup=u_sup, f_sup=f_sup, epsilon=epsilon,
+                              cache=cache)
         M_bar = _m_bar(P, u_sup, f_sup, bundle.sigma)
         if M_bar > P.M_hat * (1.0 + 1e-9):
             P_eff = _inflate_coefficient_bound(P, M_bar / max(P.c_hat, 1e-300))
             bundle = build_bundle(P_eff, u_sup=u_sup, f_sup=f_sup,
-                                  epsilon=epsilon)
+                                  epsilon=epsilon, cache=cache)
     M_bar = _m_bar(P, u_sup, f_sup, bundle.sigma)
     ctx = ScalingContext(lam=bundle.lam, mu=1.0, x0=0.0)
     P_tilde = rescale_problem(P, ctx)

@@ -19,8 +19,8 @@ from nldp.config import build_problem, load_config
 from nldp.constants import (applicable_regimes, build_bundle,
                             choose_eta_kappa, gamma_exponent, lambda_rescale,
                             sigma, sigma_bounds, theta, _beta_diff,
-                            _bundle_terms, _halve, _term_I, _term_II,
-                            _term_III, probe_points)
+                            _bundle_terms, _halve, _regime, _term_I,
+                            _term_II, _term_III, probe_points)
 from nldp.errors import DegenerateScaling, DivergentSigma, SelectionFailed
 from nldp.params import (barrier_eval, barrier_grad, barrier_hess,
                          halfspace_coefficient, holder_coefficient,
@@ -400,14 +400,16 @@ class TestBatchedTermsMatchPerProbe:
         for P in self.cases(desk_params):
             for eta in self.ETAS:
                 for regime in (1, 2, 3):
-                    got = _term_III(self.XS, P, eta, regime, 1e-9)
+                    # _term_III leaves out the regime's front factor.
+                    got = _regime(P, regime)[1] \
+                        * _term_III(self.XS, P, eta, regime, 1e-9)
                     want = [term_III_per_probe(float(x), P, eta, regime, 1e-9)
                             for x in self.XS]
                     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_scalar_probe(self, desk_params):
         P = desk_params
-        got = _term_III(0.37, P, 0.01, 1, 1e-9)
+        got = _regime(P, 1)[1] * _term_III(0.37, P, 0.01, 1, 1e-9)
         assert np.ndim(got) == 0
         assert got == pytest.approx(term_III_per_probe(0.37, P, 0.01, 1, 1e-9),
                                     rel=1e-13)
@@ -563,15 +565,59 @@ class TestSelection:
 # calls each selection may make.  Evaluating II at every candidate took 50,
 # 66 and 70; a search rejects most failing candidates on I + III alone, so
 # only the candidates that pass I + III, and the cap and final checks,
-# evaluate the pair.  Last, the band on the full-row `_term_III` calls of a
+# evaluate the pair.  Then the band on the full-row `_term_III` calls of a
 # selection: III on all 33 rows at every eta candidate took 13, 26 and 15;
 # an eta candidate is judged on one probe row first, so only those that
-# pass there, at least the selected one per regime, take all rows.
+# pass there, at least the selected one per regime, take all rows.  Last,
+# the most one-row `_term_III` calls: one per eta candidate took 13, 25 and
+# 15; one call integrates the row for a block of the halvings ahead.
 REJECTION_CASES = {
-    "desk": (None, 12, (1, 1)),
-    "two-regime": (dict(s=0.4, t=0.3, p=2.0, q=2.2), 24, (2, 5)),
-    "regime-3": (dict(s=0.4, t=0.3, p=1.8, q=1.95), 20, (1, 3)),
+    "desk": (None, 12, (1, 1), 2),
+    "two-regime": (dict(s=0.4, t=0.3, p=2.0, q=2.2), 24, (2, 5), 2),
+    "regime-3": (dict(s=0.4, t=0.3, p=1.8, q=1.95), 20, (1, 3), 2),
 }
+
+
+def _spy_term_III(monkeypatch) -> list:
+    """Record each ``_term_III`` call as its per-row (probe, eta) pairs, its
+    regime and tol, and the value it returned for each pair."""
+    calls = []
+
+    def recording(xs, P, eta, regime, tol):
+        got = _term_III(xs, P, eta, regime, tol)
+        x, h = np.broadcast_arrays(xs, eta)
+        calls.append((list(zip(x.ravel().tolist(), h.ravel().tolist())),
+                      regime, tol, np.ravel(got)))
+        return got
+
+    monkeypatch.setattr(nldp.constants, "_term_III", recording)
+    return calls
+
+
+def _full_row(pairs) -> bool:
+    """A full-row call is one over the probe set at one eta."""
+    return ([x for x, _ in pairs] == probe_points().tolist()
+            and len({h for _, h in pairs}) == 1)
+
+
+def _spy_judged(monkeypatch) -> list:
+    """Record the (eta, regime) of each candidate a search judges (each
+    ``_bundle_terms`` call with a bound)."""
+    judged = []
+
+    def recording(xs, P, kappa, eta, regime, tol, cache, *bound):
+        if bound:
+            judged.append((eta, regime))
+        return _bundle_terms(xs, P, kappa, eta, regime, tol, cache, *bound)
+
+    monkeypatch.setattr(nldp.constants, "_bundle_terms", recording)
+    return judged
+
+
+def _debug_line(caplog) -> str:
+    line, = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("choose_eta_kappa")]
+    return line
 
 
 class TestRejectionOnIAndIII:
@@ -581,79 +627,118 @@ class TestRejectionOnIAndIII:
 
     @pytest.fixture
     def case(self, name, desk_params):
-        exps, most, _ = REJECTION_CASES[name]
+        exps, most, _, _ = REJECTION_CASES[name]
         return (desk_params if exps is None else model_params(n=1, **exps),
                 most)
 
     def test_term_II_calls(self, case, monkeypatch, caplog):
         P, most = case
-        calls, iii = [], []
+        calls = []
 
         def counting(*args, **kwargs):
             calls.append(args)
             return _term_II(*args, **kwargs)
 
-        def recording(xs, P, eta, regime, tol):
-            iii.append((np.size(xs), eta, regime))
-            return _term_III(xs, P, eta, regime, tol)
-
         monkeypatch.setattr(nldp.constants, "_term_II", counting)
-        monkeypatch.setattr(nldp.constants, "_term_III", recording)
+        iii, judged = _spy_term_III(monkeypatch), _spy_judged(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="nldp.constants"):
             choose_eta_kappa(1.0, P)
         assert len(calls) <= most
         # One DEBUG line per selection, with the II pairs it evaluated.
-        lines = [r.getMessage() for r in caplog.records
-                 if r.getMessage().startswith("choose_eta_kappa")]
-        assert len(lines) == 1
-        assert f"{len(calls) // 2} II pairs in all" in lines[0]
-        # Per regime, the candidates rejected on one probe row: those whose
-        # III was integrated on one row and never on all of them.
-        full = {(eta, r) for size, eta, r in iii if size > 1}
-        probed = Counter(r for eta, r in {(eta, r) for size, eta, r in iii
-                                          if size == 1} - full)
+        line = _debug_line(caplog)
+        assert f"{len(calls) // 2} II pairs in all" in line
+        # Per regime, the candidates rejected on one probe row: judged etas
+        # whose III was integrated on a row and never on all rows.
+        full = {(pairs[0][1], r) for pairs, r, _, _ in iii if _full_row(pairs)}
+        on_row = {(h, r) for pairs, r, _, _ in iii if not _full_row(pairs)
+                  for _, h in pairs}
+        probed = Counter(r for _, r in (on_row & set(judged)) - full)
         logged = re.findall(r"regime (\d): [^;]*?(\d+) of them on one probe "
-                            r"row", lines[0])
+                            r"row", line)
         assert {int(r): int(k) for r, k in logged} == {
             r: probed[r] for r in applicable_regimes(P)}
         assert sum(probed.values()) > 0
 
+    def test_one_row_term_III_calls(self, name, case, monkeypatch, caplog):
+        # Per regime, the one-row calls and their rows as logged, at most
+        # the case's band of calls, and every eta candidate judged on one
+        # of their rows (a fresh cache holds no full-row III before the
+        # search reaches its eta); the other rows were speculative.
+        P, _ = case
+        iii = _spy_term_III(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="nldp.constants"):
+            choose_eta_kappa(1.0, P)
+        batches = [(len(pairs), r) for pairs, r, _, _ in iii
+                   if not _full_row(pairs)]
+        assert len(batches) <= REJECTION_CASES[name][3]
+        assert any(size > 1 for size, _ in batches)
+        logged = re.findall(
+            r"regime (\d): (\d+) eta [^;]*? (\d+) one-row III calls of (\d+) "
+            r"rows \((\d+) used, (\d+) speculative\)", _debug_line(caplog))
+        assert [int(r) for r, *_ in logged] == applicable_regimes(P)
+        for r, etas, ncalls, rows, used, speculative in logged:
+            mine = [size for size, rr in batches if rr == int(r)]
+            assert (int(ncalls), int(rows)) == (len(mine), sum(mine))
+            assert int(used) == int(etas)
+            assert int(used) + int(speculative) == int(rows)
+
     def test_full_row_term_III_calls(self, name, case, monkeypatch, caplog):
         P, _ = case
         lo, hi = REJECTION_CASES[name][2]
-        full = []
-
-        def counting(xs, *args):
-            full.append(np.size(xs) > 1)
-            return _term_III(xs, *args)
-
-        monkeypatch.setattr(nldp.constants, "_term_III", counting)
+        iii = _spy_term_III(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="nldp.constants"):
             choose_eta_kappa(1.0, P)
-        assert lo <= sum(full) <= hi
-        line, = [r.getMessage() for r in caplog.records
-                 if r.getMessage().startswith("choose_eta_kappa")]
-        assert f"in all, {sum(full)} full-row III," in line
+        full = sum(_full_row(pairs) for pairs, _, _, _ in iii)
+        assert lo <= full <= hi
+        assert f"in all, {full} full-row III," in _debug_line(caplog)
 
     def test_one_row_is_that_row_of_the_full_call(self, case, monkeypatch):
         # At every eta the searches visit, III on one probe row is bit for
         # bit that row of III on all rows: a row's result does not depend
         # on the rows that share its call.
         P, _ = case
-        visited = set()
-
-        def recording(xs, P, eta, regime, tol):
-            visited.add((eta, regime, tol))
-            return _term_III(xs, P, eta, regime, tol)
-
-        monkeypatch.setattr(nldp.constants, "_term_III", recording)
+        iii = _spy_term_III(monkeypatch)
         choose_eta_kappa(1.0, P)
+        visited = {(h, regime, tol) for pairs, regime, tol, _ in iii
+                   for _, h in pairs}
         assert visited
         xs = probe_points()
         for eta, regime, tol in visited:
             full = _term_III(xs, P, eta, regime, tol)
             rows = np.array([_term_III(x, P, eta, regime, tol) for x in xs])
             assert rows.tobytes() == full.tobytes()
+
+    def test_batched_rows_are_the_one_row_and_full_row_values(
+            self, case, monkeypatch):
+        # Every row of a batched one-row call (one probe, several etas) is
+        # bit for bit the one-row call at its eta and that probe's row of
+        # the full-row call at its eta.
+        P, _ = case
+        iii = _spy_term_III(monkeypatch)
+        choose_eta_kappa(1.0, P)
+        batched = [c for c in iii if not _full_row(c[0])]
+        assert any(len(pairs) > 1 for pairs, _, _, _ in batched)
+        xs = probe_points()
+        for pairs, regime, tol, got in batched:
+            for (x, eta), value in zip(pairs, got):
+                one = np.float64(_term_III(x, P, eta, regime, tol))
+                full = _term_III(xs, P, eta, regime, tol)
+                assert value.tobytes() == one.tobytes()
+                assert value.tobytes() == full[xs.tolist().index(x)].tobytes()
+
+    def test_batches_stop_at_the_halving_cap(self, desk_params, monkeypatch):
+        # With 4 halvings desk's eta search (13 candidates) fails.  Its
+        # batches integrate exactly the 4 candidates it judged, and the
+        # failure keeps its message.
+        monkeypatch.setattr(nldp.constants, "_MAX_HALVINGS", 4)
+        iii, judged = _spy_term_III(monkeypatch), _spy_judged(monkeypatch)
+        with pytest.raises(SelectionFailed, match=r"^eta bisection exhausted "
+                           r"4 halvings in regime 1$"):
+            choose_eta_kappa(1.0, desk_params)
+        assert len(judged) == 4
+        assert all(len(pairs) <= 4 for pairs, _, _, _ in iii)
+        assert [(h, r) for pairs, r, _, _ in iii if not _full_row(pairs)
+                for _, h in pairs] == judged
 
     def test_partial_verdict_is_the_full_one(self, case, monkeypatch):
         # Every candidate the searches visit: rejected on (I_p + I_q) + III

@@ -31,8 +31,9 @@ def test_every_subcommand_exits_0(desk_run):
 
 
 def test_artifacts_match_the_golden_files(desk_run):
-    # Bits depend on the numpy and BLAS build: a mismatch first says
-    # whether they differ from the build that wrote the golden files.
+    # Bits depend on the numpy and BLAS build and the thread setting: a
+    # mismatch first says whether they differ from those that wrote the
+    # golden files.
     _, new = desk_run
     old = golden.artifacts(golden.GOLDEN)
     assert old, "no golden files; write them with tools/golden.py"
@@ -43,3 +44,15 @@ def test_artifacts_match_the_golden_files(desk_run):
     pytest.fail("desk artifacts differ from tests/golden/desk ("
                 + golden.environment_note(recorded) + "); largest relative "
                 "moves:\n" + "\n".join(golden.moves(old, new)))
+
+
+@pytest.mark.parametrize("key", golden.THREAD_VARIABLES + ("cpu_count",))
+def test_environment_note_names_the_threads(key):
+    # A record that differs from this process only in the thread setting
+    # says so, and names nothing else.
+    here = golden.environment()
+    assert golden.environment_note(here) == (
+        "numpy, BLAS and the thread setting are as recorded")
+    recorded = dict(here, **{key: 3 if here[key] == 2 else 2})
+    note = golden.environment_note(recorded)
+    assert note == f"{key} {here[key]!r} here, {recorded[key]!r} recorded"

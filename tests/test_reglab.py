@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import nldp.constants
+import nldp.reglab
 from nldp.constants import ConstantsBundle, gamma_exponent, sigma as sigma_fn, \
     sigma_bounds, theta as theta_fn
 from nldp.errors import DegenerateFit
@@ -8,7 +10,8 @@ from nldp.grid import constant_exterior, sample
 from nldp.operator import QuadratureSpec
 from nldp.params import OMEGA_N, barrier_eval, model_params
 from nldp.reglab import (dyadic_iteration, growth_lemma_check, holder_fit,
-                         oscillation, sublevel_measure)
+                         oscillation, run_pipeline, sublevel_measure)
+from nldp.solver import SolveConfig
 
 Q = QuadratureSpec()
 
@@ -209,3 +212,35 @@ class TestPipeline:
     def test_m_bar_report(self, pipeline_result):
         for rep in pipeline_result["level_reports"]:
             assert rep["blowup"].a_sup_probe <= pipeline_result["M_bar"] + 1e-9
+
+    def test_second_selection_reuses_the_first(self, desk_params,
+                                               monkeypatch):
+        # On desk the inflated coefficient bound asks for a second
+        # selection.  The bound moves only III's front factor, so with the
+        # first selection's cache the second integrates no (kappa, eta)
+        # pair of II and no full-row III that the first one integrated.
+        term_II, term_III = nldp.constants._term_II, nldp.constants._term_III
+        build_bundle = nldp.reglab.build_bundle
+        selections = []
+
+        def selecting(*args, **kwargs):
+            selections.append(set())
+            return build_bundle(*args, **kwargs)
+
+        def pair(xs, P, kappa, eta, *rest):
+            selections[-1].add(("II", kappa, eta))
+            return term_II(xs, P, kappa, eta, *rest)
+
+        def tail(xs, P, eta, regime, tol):
+            if np.ndim(eta) == 0 and np.size(xs) > 1:
+                selections[-1].add(("III", eta, regime))
+            return term_III(xs, P, eta, regime, tol)
+
+        monkeypatch.setattr(nldp.reglab, "build_bundle", selecting)
+        monkeypatch.setattr(nldp.constants, "_term_II", pair)
+        monkeypatch.setattr(nldp.constants, "_term_III", tail)
+        cfg = SolveConfig(R=2.0, N=513, exterior=constant_exterior(0.0),
+                          residual_tol=1e-9, max_iters=3000)
+        run_pipeline(desk_params, cfg, levels=2)
+        first, second = selections
+        assert first and not first & second

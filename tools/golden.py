@@ -5,13 +5,15 @@
 Runs the eight ``nldp`` subcommands on ``demos/configs/desk.json`` in one
 process, each into a fresh directory, and replaces ``tests/golden/desk/``
 with what they wrote: ``<command>/<artifact>`` per subcommand, and
-``environment.json`` with the numpy version and BLAS build that wrote them
-(the bits depend on both).  Then prints, per artifact, every JSON key and
-CSV column whose value moved, with the largest relative move
-``|new - old| / max(|new|, |old|)`` over its entries; a key that is not a
-number reads ``changed``, and a key or file that appears or goes away reads
-``added`` or ``removed``.  ``tests/test_golden.py`` compares a fresh run
-with these files byte for byte and prints the same listing on a mismatch.
+``environment.json`` with the numpy version, BLAS build and thread setting
+that wrote them (the bits depend on all three: ``np.linalg.inv`` rounds
+differently on one and on two OpenBLAS threads).  Then prints, per
+artifact, every JSON key and CSV column whose value moved, with the
+largest relative move ``|new - old| / max(|new|, |old|)`` over its
+entries; a key that is not a number reads ``changed``, and a key or file
+that appears or goes away reads ``added`` or ``removed``.
+``tests/test_golden.py`` compares a fresh run with these files byte for
+byte and prints the same listing on a mismatch.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import shutil
 import sys
 import tempfile
@@ -32,12 +35,18 @@ COMMANDS = ("validate", "eval", "constants", "scaling-test",
             "check-inequalities", "solve", "holder", "pipeline")
 
 
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def environment() -> dict:
-    """The numpy version and BLAS build of this process."""
+    """The numpy version, BLAS build and thread setting of this process:
+    the thread variables (their value, or "unset") and the CPU count."""
     import numpy as np
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "blas": blas.get("name"),
-            "blas_version": blas.get("version")}
+            "blas_version": blas.get("version"),
+            **{v: os.environ.get(v, "unset") for v in THREAD_VARIABLES},
+            "cpu_count": os.cpu_count()}
 
 
 def run_desk(root: Path) -> dict[str, int]:
@@ -151,12 +160,13 @@ def moves(old: dict[str, Path], new: dict[str, Path]) -> list[str]:
 
 
 def environment_note(recorded: dict) -> str:
-    """Which of numpy and BLAS differ from the recorded build, if any."""
+    """Which of numpy, BLAS and the thread setting differ from the recorded
+    environment, if any."""
     here = environment()
     differ = [f"{k} {here[k]!r} here, {recorded.get(k)!r} recorded"
               for k in here if here[k] != recorded.get(k)]
     return ("; ".join(differ) if differ
-            else "numpy and BLAS are as recorded")
+            else "numpy, BLAS and the thread setting are as recorded")
 
 
 def main() -> int:
