@@ -202,7 +202,7 @@ def _dispatch(command: str, cfg: dict, out_dir: str) -> int:
         if not rep.converged:
             raise NldpError(f"solve did not converge: {rep.flags}")
         center = float(cfg["reglab"]["center"])
-        levels = int(cfg["reglab"]["levels"])
+        levels = cfg["reglab"]["levels"]
         gamma_hat, pref, resid = holder_fit(u, center, 0, levels)
         rows = []
         for i in range(levels + 1):
@@ -220,7 +220,7 @@ def _dispatch(command: str, cfg: dict, out_dir: str) -> int:
 
     if command == "pipeline":
         sc = build_solve_config(cfg)
-        out = run_pipeline(P, sc, levels=int(cfg["reglab"]["levels"]),
+        out = run_pipeline(P, sc, levels=cfg["reglab"]["levels"],
                            x0=float(cfg["reglab"]["center"]),
                            epsilon=cfg["constants"]["epsilon"])
         out["u"].save(os.path.join(out_dir, "solution"),

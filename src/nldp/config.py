@@ -23,6 +23,10 @@ The schema (all floats IEEE doubles):
   "eval": {"points": [0.0]}
 }
 
+seed, problem.n, solve.N (>= 3), solve.max_iters (>= 1) and reglab.levels
+(>= 1) are JSON integers, not floats or booleans, so none is truncated on
+the way in.
+
 Unknown keys are rejected so typos fail loudly.  The four polymorphic
 objects (kernel, coefficient, f, exterior) accept the keys their builders
 read for any of their types; where files go is the CLI's ``--out``, not a
@@ -128,20 +132,30 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
     return cfg
 
 
+# Integer settings and the least value each may take.
+_INTEGERS = {"seed": 0, "problem.n": 1, "solve.N": 3, "solve.max_iters": 1,
+             "reglab.levels": 1}
+
+
+def _at(cfg: dict, path: str):
+    for part in path.split("."):
+        cfg = cfg[part]
+    return cfg
+
+
 def _check(cfg: dict):
-    seed = cfg["seed"]
-    if not (type(seed) is int and seed >= 0):
-        raise ConfigError(f"seed {seed!r}: need a non-negative integer")
     sections = [k for k, v in _DEFAULTS.items() if isinstance(v, dict)]
     for path in sections + list(_FREE_FORM):
-        node = cfg
-        for part in path.split("."):
-            node = node[part]
+        node = _at(cfg, path)
         if not isinstance(node, dict):
             raise ConfigError(f"{path} {node!r}: need a JSON object")
         extra = sorted(set(node) - _FREE_FORM.get(path, set(node)))
         if extra:
             raise ConfigError(f"unknown config key {path + '.' + extra[0]!r}")
+    for path, least in _INTEGERS.items():
+        value = _at(cfg, path)
+        if not (type(value) is int and value >= least):
+            raise ConfigError(f"{path} {value!r}: need an integer >= {least}")
 
 
 def config_hash(cfg: dict) -> str:
@@ -151,7 +165,7 @@ def config_hash(cfg: dict) -> str:
 
 def build_problem(cfg: dict) -> ProblemParams:
     pc = cfg["problem"]
-    n = int(pc["n"])
+    n = pc["n"]
     e = Exponents(n=n, s=float(pc["s"]), t=float(pc["t"]),
                   p=float(pc["p"]), q=float(pc["q"]))
     lam = float(pc["Lambda"])
@@ -212,8 +226,8 @@ def build_exterior(spec: dict) -> Exterior:
 def build_solve_config(cfg: dict) -> SolveConfig:
     sc = cfg["solve"]
     return SolveConfig(
-        R=float(sc["R"]), N=int(sc["N"]),
+        R=float(sc["R"]), N=sc["N"],
         exterior=build_exterior(sc["exterior"]),
         residual_tol=float(sc["residual_tol"]),
-        max_iters=int(sc["max_iters"]),
+        max_iters=sc["max_iters"],
         quadrature=build_quadrature(cfg))

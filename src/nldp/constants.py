@@ -120,7 +120,7 @@ def gamma_exponent(theta_val: float, eta: float) -> float:
     """Largest gamma in (0, 1) with (2 - theta)/2 <= 2^-gamma and gamma <= eta."""
     if not 0.0 < theta_val < 1.0:
         raise ValueError("theta must lie in (0, 1)")
-    if eta <= 0.0:
+    if not eta > 0.0:
         raise ValueError("eta must be positive")
     g = min(eta, math.log2(2.0 / (2.0 - theta_val)))
     return min(max(g, 1e-300), 1.0 - 1e-12)
@@ -128,11 +128,11 @@ def gamma_exponent(theta_val: float, eta: float) -> float:
 
 def lambda_rescale(u_sup: float, f_sup: float, sigma_val: float, p: float) -> float:
     """Normalisation lambda = 1 / (2 (||u|| + (||f||/sigma)^(1/(p-1))))."""
-    if u_sup < 0 or f_sup < 0:
+    if not (u_sup >= 0 and f_sup >= 0):
         raise ValueError("sup norms must be nonnegative")
     if u_sup == 0.0 and f_sup == 0.0:
         raise DegenerateScaling("cannot normalise identically-zero data")
-    if sigma_val <= 0:
+    if not sigma_val > 0:
         raise ValueError("sigma must be positive")
     return 0.5 / (u_sup + (f_sup / sigma_val) ** (1.0 / (p - 1.0)))
 
@@ -317,21 +317,23 @@ def _bundle_terms(xs, P: ProblemParams, kappa: float, eta: float,
     factors are applied here, so no cached value depends on the
     coefficient bound, and one cache may serve problems that differ only
     in it.  Each key also carries the probe set, so one cache may serve
-    several.  Under ("over", probes, regime) it keeps the row where that
-    regime's last rejected candidate went furthest over its bound.
+    several.  Under "counts" a Counter keeps, by (regime, kind), the work
+    done here: the "I" bases, "II" pairs and full-row "III" integrated,
+    the "one-row" III calls and the "rows" they integrated, the candidates
+    "judged" on one row, and the rejections "on one row" and "on all
+    rows".
 
     With a finite ``bound`` and no III cached at (eta, regime), III comes
-    first on that one row j (the origin, row 0, before any rejection), and
-    the candidate is rejected when (I_p + I_q) + III exceeds ``bound``
-    there; only a candidate that passes on that row integrates III on all
-    rows, which are cached.  The verdict is the one of all rows: a row's
-    result does not depend on the rows that share its call, so the one-row
-    III is bit for bit that row of the full call, and a rejection on any
-    row is a rejection.  ``ahead`` is how many of eta, eta/2, eta/4, ...
-    the caller's halving search may still try: when row j holds no III at
-    eta, one call integrates it there at the first ``_III_BLOCK`` of them
-    (at most ``ahead``), cached under ("III row", probes, j, eta', regime)
-    each.
+    first on row 0, the origin, and the candidate is rejected when
+    (I_p + I_q) + III exceeds ``bound`` there; only a candidate that
+    passes on that row integrates III on all rows, which are cached.  The
+    verdict is the one of all rows: a row's result does not depend on the
+    rows that share its call, so the one-row III is bit for bit that row
+    of the full call, and a rejection on any row is a rejection.
+    ``ahead`` is how many of eta, eta/2, eta/4, ... the caller's halving
+    search may still try: when row 0 holds no III at eta, one call
+    integrates it there at the first ``_III_BLOCK`` of them (at most
+    ``ahead``), cached under ("III row", probes, eta', regime) each.
 
     The II pair comes last, and only for a candidate whose (I_p + I_q) +
     III stays at or below ``bound`` at every probe; a rejected candidate
@@ -347,37 +349,42 @@ def _bundle_terms(xs, P: ProblemParams, kappa: float, eta: float,
     (f_ip, f_iq, f_iip, f_iiq), front, _, signed_ip = _regime(P, regime)
     xs = np.asarray(xs, dtype=float)
     probes = (xs.shape, xs.tobytes())
+    counts = base_cache.setdefault("counts", Counter())
 
-    def cached(key, compute):
+    def cached(key, kind, compute):
         if key not in base_cache:
             base_cache[key] = compute()
+            counts[regime, kind] += 1
         return base_cache[key]
 
     def coeff_q(xx, yy):
         return P.c_hat * P.a.eval(xx, yy)
 
-    ip_base, iq_base = cached(("I", probes, regime), lambda: (
+    ip_base, iq_base = cached(("I", probes, regime), "I", lambda: (
         _term_I(xs, P, e.p, P.Ksp, None, signed_ip, tol),
         _term_I(xs, P, e.q, P.Ktq, coeff_q, False, tol)))
     i_p = f_ip * kappa ** (e.p - 1.0) * ip_base
     i_q = f_iq * kappa ** (e.q - 1.0) * iq_base
-    iii_key, over_key = ("III", probes, eta, regime), ("over", probes, regime)
+    iii_key = ("III", probes, eta, regime)
     if bound < math.inf and iii_key not in base_cache:
-        j = base_cache.get(over_key, 0)
-        row = ("III row", probes, j, eta, regime)
+        counts[regime, "judged"] += 1
+        row = ("III row", probes, eta, regime)
         if row not in base_cache:
             etas = np.ldexp(eta, -np.arange(min(_III_BLOCK, ahead)))
-            vals = _term_III(xs.flat[j], P, etas, regime, tol)
-            base_cache.update({("III row", probes, j, float(h), regime): v
+            vals = _term_III(xs.flat[0], P, etas, regime, tol)
+            base_cache.update({("III row", probes, float(h), regime): v
                                for h, v in zip(etas, vals)})
-        if (i_p.flat[j] + i_q.flat[j]) + front * base_cache[row] > bound:
+            counts[regime, "one-row"] += 1
+            counts[regime, "rows"] += etas.size
+        if (i_p.flat[0] + i_q.flat[0]) + front * base_cache[row] > bound:
+            counts[regime, "on one row"] += 1
             return None
-    iii = front * cached(iii_key, lambda: _term_III(xs, P, eta, regime, tol))
-    partial = i_p + i_q + iii
-    if np.max(partial) > bound:
-        base_cache[over_key] = int(np.argmax(partial))
+    iii = front * cached(iii_key, "III",
+                         lambda: _term_III(xs, P, eta, regime, tol))
+    if np.max(i_p + i_q + iii) > bound:
+        counts[regime, "on all rows"] += 1
         return None
-    iip, iiq = cached(("II", probes, kappa, eta), lambda: (
+    iip, iiq = cached(("II", probes, kappa, eta), "II", lambda: (
         _term_II(xs, P, kappa, eta, e.p, P.Ksp, None, tol),
         _term_II(xs, P, kappa, eta, e.q, P.Ktq, coeff_q, tol)))
     terms = {"I_p": i_p, "I_q": i_q, "II_p": f_iip * iip,
@@ -435,21 +442,22 @@ def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
 
     The eta and kappa searches pass their bounds to ``_bundle_terms``,
     which rejects a candidate whose (I_p + I_q) + III already exceeds the
-    bound without evaluating the II pair, and judges a new eta on one probe
-    row of III before it integrates all rows; both are exact (see there).
-    The eta search tells it how many halvings it has left, so that one
-    call integrates that row for a block of the candidates ahead.  The cap
-    bisection and the re-verification evaluate all five terms.  One DEBUG
-    line per call gives, per regime, the candidates each search tried,
-    those rejected on I + III alone and how many of them on one probe row,
-    the one-row III calls and their rows, used and speculative, and the II
-    pairs and full-row III evaluations; then the call's II pairs, full-row
-    III evaluations and wall time.
+    bound without evaluating the II pair, and judges a new eta on the
+    origin's row of III before it integrates all rows; both are exact (see
+    there).  The eta search tells it how many halvings it has left, so
+    that one call integrates that row for a block of the candidates ahead.
+    The cap bisection and the re-verification evaluate all five terms.
+    One DEBUG line per call gives, per regime, the candidates each search
+    tried, those rejected on I + III alone and how many of them on one
+    probe row, the one-row III calls and their rows, the candidates judged
+    on one row, and the II pairs and full-row III evaluations; then the
+    call's II pairs, full-row III evaluations and wall time.
 
     ``cache`` (a dict, filled here) keeps the integrals of the bundle
     terms for a later selection on the same probes and tolerance whose
     problem differs only in the coefficient bound: no cached value depends
-    on it (see ``_bundle_terms``).
+    on it (see ``_bundle_terms``).  Each call starts the cache's counts
+    afresh, so they are the call's own.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -466,6 +474,7 @@ def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
         raise SelectionFailed("no regime matches these exponents")
     xs = probe_points(probes)
     cache = {} if cache is None else cache
+    counts = cache["counts"] = Counter()
     safety = 0.9
     start = time.perf_counter()
 
@@ -475,48 +484,22 @@ def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
     def worst(kappa, eta, among):
         return max(float(np.max(terms(kappa, eta, r)["total"])) for r in among)
 
-    def in_cache(kind):
-        return sum(key[0] == kind for key in cache)
-
-    # (regime, "eta" | "kappa") -> candidates the search tried; (regime,
-    # "rejected") -> those rejected on I + III, and (regime, "on one row")
-    # those of them rejected on one probe row; (regime, "II" | "III") -> II
-    # pairs and full-row III evaluations its searches made; (regime,
-    # "one-row" | "rows" | "used") -> one-row III calls, the rows they
-    # integrated and those a candidate was judged on (the rest were
-    # speculative).  ``judged`` holds the cache keys of the judged rows.
-    seen: Counter = Counter()
-    probed, judged = (xs.shape, xs.tobytes()), set()
-    earlier = {kind: in_cache(kind) for kind in ("II", "III")}
-
+    # ``_bundle_terms`` counts its integrals and rejections; this counts
+    # the candidates each search tried under (regime, "eta" | "kappa").
     def passes(kappa, eta, r, bound, search):
-        full = ("III", probed, eta, r)
-        on_row = full not in cache
-        if on_row:
-            judged.add(("III row", probed, cache.get(("over", probed, r), 0),
-                        eta, r))
-        batched = in_cache("III row")
         t = _bundle_terms(xs, P, kappa, eta, r, tol, cache, bound,
-                          _MAX_HALVINGS - seen[r, search])
-        seen[r, "one-row"] += in_cache("III row") > batched
-        seen[r, search] += 1
-        seen[r, "rejected"] += t is None
-        seen[r, "on one row"] += on_row and full not in cache
+                          _MAX_HALVINGS - counts[r, search])
+        counts[r, search] += 1
         return t is not None and float(np.max(t["total"])) <= bound
 
     eta_sel, kappa_sel = {}, {}
     for r in regimes:
         msg = f"bisection exhausted {_MAX_HALVINGS} halvings in regime {r}"
-        before = {kind: in_cache(kind) for kind in ("II", "III")}
-        old_rows = {key for key in cache if key[0] == "III row"}
         eta_sel[r] = _halve(0.49 * e.eta_threshold(), lambda eta: passes(
             0.0, eta, r, 0.5 * safety * target, "eta"), "eta " + msg)
         kappa_sel[r] = _halve(0.5, lambda kappa: passes(
             kappa, eta_sel[r], r, safety * target, "kappa"), "kappa " + msg)
-        for kind, count in before.items():
-            seen[r, kind] = in_cache(kind) - count
-        rows = {key for key in cache if key[0] == "III row"} - old_rows
-        seen[r, "rows"], seen[r, "used"] = len(rows), len(rows & judged)
+    seen = Counter(counts)     # the searches' counts
     eta_fin, kappa_fin = min(eta_sel.values()), min(kappa_sel.values())
 
     def competition(kappa, eta, sig):
@@ -561,15 +544,14 @@ def choose_eta_kappa(epsilon: float, P: ProblemParams, tol: float = 1e-9,
         "choose_eta_kappa: %s; %d II pairs in all, %d full-row III, %.3f s",
         "; ".join(
             f"regime {r}: {seen[r, 'eta']} eta and {seen[r, 'kappa']} kappa "
-            f"candidates, {seen[r, 'rejected']} rejected on I + III alone, "
-            f"{seen[r, 'on one row']} of them on one probe row, "
-            f"{seen[r, 'one-row']} one-row III calls of {seen[r, 'rows']} "
-            f"rows ({seen[r, 'used']} used, "
-            f"{seen[r, 'rows'] - seen[r, 'used']} speculative), "
-            f"{seen[r, 'II']} II pairs, {seen[r, 'III']} full-row III"
-            for r in regimes),
-        in_cache("II") - earlier["II"], in_cache("III") - earlier["III"],
-        time.perf_counter() - start)
+            f"candidates, {seen[r, 'on one row'] + seen[r, 'on all rows']} "
+            f"rejected on I + III alone, {seen[r, 'on one row']} of them on "
+            f"one probe row, {seen[r, 'one-row']} one-row III calls of "
+            f"{seen[r, 'rows']} rows, {seen[r, 'judged']} candidates judged "
+            f"on one row, {seen[r, 'II']} II pairs, {seen[r, 'III']} "
+            f"full-row III" for r in regimes),
+        sum(counts[r, "II"] for r in regimes),
+        sum(counts[r, "III"] for r in regimes), time.perf_counter() - start)
     return eta_fin, kappa_fin, cert
 
 

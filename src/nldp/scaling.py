@@ -37,7 +37,7 @@ class ScalingContext:
     x0: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        if self.lam <= 0 or self.mu <= 0:
+        if not (self.lam > 0 and self.mu > 0):
             raise ValueError("lambda and mu must be positive")
 
     def compose(self, inner: "ScalingContext") -> "ScalingContext":

@@ -62,6 +62,9 @@ class SolveConfig:
             raise ValueError(f"solve.R = {self.R}: need a positive box radius")
         if self.N < 3:
             raise ValueError(f"solve.N = {self.N}: need 3 or more nodes")
+        if not self.max_iters >= 1:
+            raise ValueError(
+                f"solve.max_iters = {self.max_iters}: need 1 or more")
 
 
 @dataclass

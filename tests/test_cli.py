@@ -102,12 +102,22 @@ def test_config_error_exit_code(tmp_path):
     ("solve", ["solve.residual_tol=NaN"]), ("solve", ["quadrature.tol=NaN"]),
     ("constants", ["constants.epsilon=NaN"]), ("solve", ["solve.R=-1"]),
     ("solve", ["problem.c_hat=NaN"]), ("solve", ["problem.coefficient.M=NaN"]),
-    ("solve", ["problem.Lambda=NaN", "problem.kernel.type=scaled"])],
+    ("solve", ["problem.Lambda=NaN", "problem.kernel.type=scaled"]),
+    ("solve", ["solve.max_iters=0"]), ("solve", ["solve.max_iters=-3"]),
+    ("solve", ["solve.max_iters=1.5"]), ("solve", ["solve.max_iters=true"]),
+    ("solve", ["solve.N=129.5"]), ("solve", ["solve.N=257.0"]),
+    ("pipeline", ["reglab.levels=4.9"]), ("pipeline", ["reglab.levels=0"]),
+    ("validate", ["problem.n=1.9"]), ("validate", ["problem.n=true"])],
     ids=["residual-tol-nan", "quadrature-tol-nan", "epsilon-nan", "R-negative",
-         "c-hat-nan", "M-nan", "Lambda-nan"])
+         "c-hat-nan", "M-nan", "Lambda-nan", "max-iters-zero",
+         "max-iters-negative", "max-iters-float", "max-iters-bool",
+         "N-fraction", "N-float", "levels-float", "levels-zero",
+         "n-fraction", "n-bool"])
 def test_nan_or_negative_setting_rejected(desk_config, command, items):
     # A NaN fails every comparison, so each positivity check is written to
-    # reject it: the command exits 1 with a config error before any work.
+    # reject it, and an integer setting is a JSON integer in its range, not
+    # a float or a bool truncated on the way in: the command exits 1 with a
+    # config error before any work.
     path, out = desk_config
     sets = [arg for item in items for arg in ("--set", item)]
     assert main([command, "--config", path, *sets, "--out", out]) == 1

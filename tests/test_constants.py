@@ -246,6 +246,12 @@ class TestGamma:
         assert gamma_exponent(0.2, 0.5) >= gamma_exponent(0.1, 0.5)
         assert gamma_exponent(0.2, 0.5) >= gamma_exponent(0.2, 0.05)
 
+    @pytest.mark.parametrize("theta_val, eta", [
+        (0.1, math.nan), (math.nan, 0.5), (0.1, 0.0), (0.1, -0.5)])
+    def test_nan_or_nonpositive_rejected(self, theta_val, eta):
+        with pytest.raises(ValueError):
+            gamma_exponent(theta_val, eta)
+
 
 class TestLambda:
     def test_pure_solution_scale(self):
@@ -263,6 +269,14 @@ class TestLambda:
     def test_degenerate(self):
         with pytest.raises(DegenerateScaling):
             lambda_rescale(0.0, 0.0, 0.3, 2.0)
+
+    @pytest.mark.parametrize("args", [
+        (math.nan, 1.0, 0.1), (1.0, math.nan, 0.1), (1.0, 1.0, math.nan),
+        (-1.0, 1.0, 0.1), (1.0, 1.0, 0.0)],
+        ids=["u-nan", "f-nan", "sigma-nan", "u-negative", "sigma-zero"])
+    def test_nan_or_negative_rejected(self, args):
+        with pytest.raises(ValueError):
+            lambda_rescale(*args, 2.0)
 
 
 class TestBarrierTerms:
@@ -661,9 +675,10 @@ class TestRejectionOnIAndIII:
 
     def test_one_row_term_III_calls(self, name, case, monkeypatch, caplog):
         # Per regime, the one-row calls and their rows as logged, at most
-        # the case's band of calls, and every eta candidate judged on one
-        # of their rows (a fresh cache holds no full-row III before the
-        # search reaches its eta); the other rows were speculative.
+        # the case's band of calls, all of them on the origin's row, and
+        # every eta candidate judged on one of their rows (a fresh cache
+        # holds no full-row III before the search reaches its eta); the
+        # other rows were speculative.
         P, _ = case
         iii = _spy_term_III(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="nldp.constants"):
@@ -672,15 +687,16 @@ class TestRejectionOnIAndIII:
                    if not _full_row(pairs)]
         assert len(batches) <= REJECTION_CASES[name][3]
         assert any(size > 1 for size, _ in batches)
+        assert {x for pairs, _, _, _ in iii if not _full_row(pairs)
+                for x, _ in pairs} == {probe_points()[0]}
         logged = re.findall(
             r"regime (\d): (\d+) eta [^;]*? (\d+) one-row III calls of (\d+) "
-            r"rows \((\d+) used, (\d+) speculative\)", _debug_line(caplog))
+            r"rows, (\d+) candidates judged on one row", _debug_line(caplog))
         assert [int(r) for r, *_ in logged] == applicable_regimes(P)
-        for r, etas, ncalls, rows, used, speculative in logged:
+        for r, etas, ncalls, rows, judged in logged:
             mine = [size for size, rr in batches if rr == int(r)]
             assert (int(ncalls), int(rows)) == (len(mine), sum(mine))
-            assert int(used) == int(etas)
-            assert int(used) + int(speculative) == int(rows)
+            assert int(judged) == int(etas) <= int(rows)
 
     def test_full_row_term_III_calls(self, name, case, monkeypatch, caplog):
         P, _ = case

@@ -218,7 +218,9 @@ class TestPipeline:
         # On desk the inflated coefficient bound asks for a second
         # selection.  The bound moves only III's front factor, so with the
         # first selection's cache the second integrates no (kappa, eta)
-        # pair of II and no full-row III that the first one integrated.
+        # pair of II and no full-row III that the first one integrated,
+        # and makes no one-row III call: both judge new etas on the
+        # origin's row, which the first one's batch already holds.
         term_II, term_III = nldp.constants._term_II, nldp.constants._term_III
         build_bundle = nldp.reglab.build_bundle
         selections = []
@@ -234,6 +236,8 @@ class TestPipeline:
         def tail(xs, P, eta, regime, tol):
             if np.ndim(eta) == 0 and np.size(xs) > 1:
                 selections[-1].add(("III", eta, regime))
+            else:
+                selections[-1].add(("III row", np.size(eta), regime))
             return term_III(xs, P, eta, regime, tol)
 
         monkeypatch.setattr(nldp.reglab, "build_bundle", selecting)
@@ -244,3 +248,5 @@ class TestPipeline:
         run_pipeline(desk_params, cfg, levels=2)
         first, second = selections
         assert first and not first & second
+        assert ("III row", 16, 1) in first
+        assert not {key for key in second if key[0] == "III row"}

@@ -14,6 +14,13 @@ def beta_grid(N=513):
     return sample(barrier_eval, 1, 2.0, N, exterior=constant_exterior(0.0))
 
 
+@pytest.mark.parametrize("lam, mu", [
+    (float("nan"), 1.0), (1.0, float("nan")), (0.0, 1.0), (1.0, -2.0)])
+def test_context_rejects_nan_or_nonpositive(lam, mu):
+    with pytest.raises(ValueError, match="must be positive"):
+        ScalingContext(lam=lam, mu=mu)
+
+
 class TestRescaleProblem:
     def test_identity_context(self, desk_params):
         Pr = rescale_problem(desk_params, ScalingContext(1.0, 1.0, 0.0))

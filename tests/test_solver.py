@@ -48,6 +48,14 @@ def dense_solve(P, cfg):
     return out
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_iters", 0), ("max_iters", -3), ("max_iters", float("nan")),
+    ("N", 2), ("R", float("nan")), ("residual_tol", 0.0)])
+def test_solve_config_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolveConfig(**{field: value})
+
+
 class TestSolve:
     def test_constant_data_immediate(self):
         P = model_params(n=1, s=0.6, t=0.5, p=2.0, q=2.2,
