@@ -430,6 +430,37 @@ def edge_shifts(shift):
     return np.concatenate([shift - m[:, None] for m in on], axis=1)
 
 
+def ray_prefix(shift, pos, t, N: int):
+    """The box split of the rays from every node of the N^n grid whose
+    points lie ``shift`` (n, J) whole cells from the node at positions
+    ``pos`` (J,) of t (n, P), in order of distance: how many of each node's
+    points are in the box, and the positions they take.  The box is convex
+    and a ray starts at a node, so its in-box points are a prefix of its
+    points; by ``box_cells``' rule a node coordinate i on an axis keeps
+    point j while -shift_k <= i <= N - 2 - shift_k + [t_k = 0] at every
+    k <= j, so the running bounds give each coordinate's prefix by one
+    ``searchsorted``, and a node's is the least over its axes.  Returns the
+    prefix lengths (N^n,) in C order, and the positions p + P sum_{a in S}
+    2^a of the in-box points, S the axes on which some node reaching the
+    point has it in cell N - 1, once per such S."""
+    i = np.arange(N)
+    length, sides = np.array(len(pos)), []
+    for s, ta in zip(shift, t):
+        lo = np.maximum.accumulate(-s)
+        hi = np.minimum.accumulate(N - 2 - s + (ta[pos] == 0.0))
+        length = np.minimum.outer(length, np.minimum(
+            np.searchsorted(lo, i, side="right"),
+            np.searchsorted(-hi, -i, side="right")))
+        # The coordinates [a, b] reach point j; at N - 1 - s_j it lies in
+        # cell N - 1, below that it does not.
+        a, b, edge = np.maximum(lo, 0), np.minimum(hi, N - 1), N - 1 - s
+        sides.append((a <= np.minimum(b, edge - 1), (a <= edge) & (edge <= b)))
+    on = (np.arange(2 ** len(t))[:, None] >> np.arange(len(t))) & 1
+    return length.ravel(), np.concatenate(
+        [pos[np.logical_and.reduce([sd[e] for sd, e in zip(sides, m)])]
+         + t.shape[1] * k for k, m in enumerate(on)])
+
+
 def box_cells(cell, pos, t, N: int, keep):
     """(inside, cells, pos): which points of a block with ``keep``, given by
     cells per axis (over the leading columns; the rest are outside) and

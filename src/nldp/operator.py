@@ -40,7 +40,7 @@ import numpy as np
 from .errors import NldpError, NonIntegrableNearField, TailDivergence
 from .grid import (GridFunction, LocatedPoints, box_cells, coeffs_T,
                    edge_positions, edge_shifts, grid_points, monomials,
-                   shift_groups)
+                   ray_prefix, shift_groups)
 from .params import CoefficientField, ProblemParams
 from .quadrature import (QuadratureSpec, adaptive_quad, geometric_tail_quad,
                          near_singular_quad, panel_nodes_weights,
@@ -412,7 +412,8 @@ def _geometry_1d(P, Q, R, N, dp, dq):
     # Each node's seams; one on a panel edge or before the panels cuts
     # nothing: it moves onto the first edge, an empty sub-panel.
     i = np.arange(N, dtype=np.int32)
-    seams = np.stack([N - 1 - i, i], axis=-1)
+    exits = np.stack([N - 1 - i, i], axis=-1)
+    seams = exits.copy()
     seams[np.isin(seams, whole) | (seams < whole[0])] = whole[0]
     E = np.sort(np.concatenate([np.broadcast_to(whole, (N, len(whole))),
                                 seams], axis=1), axis=1)
@@ -426,6 +427,17 @@ def _geometry_1d(P, Q, R, N, dp, dq):
     # of 14 - k (-y), and the cell each panel starts from.
     sides = [(whole_v, pos, i[:, None] + E[:, :-1]),
              (whole_v[:, ::-1], pos[:, ::-1], i[:, None] - E[:, 1:])]
+    # A ray leaves the box at its seam, a panel edge, and no in-box point
+    # lies in cell N - 1 (a GK15 node is interior to its panel): node i's
+    # in-box entries are the nodes of its nonempty panels that end by its
+    # unmoved seam, N - 1 - i at +y and i at -y (one below whole[0] ends
+    # none), at the positions of their lengths.
+    runs = (E[:, 1:, None] <= exits[:, None, :]) & (L > 0)[..., None]
+    count = 15 * np.count_nonzero(runs, axis=(1, 2))
+    lengths = np.zeros(len(pos), dtype=bool)
+    lengths[L[np.any(runs, axis=-1)]] = True
+    used = np.zeros(2 * len(t), dtype=bool)
+    used[pos[lengths]] = True
     # The panels past the box span and the remainder end, shared by all.
     y_far, w_far = panel_nodes_weights(edges[len(whole) - 1:] * h)
     far = [np.append(y_far, edges[-1] * h),
@@ -446,8 +458,8 @@ def _geometry_1d(P, Q, R, N, dp, dq):
 
     y_near, w_near = _near_rule(h, substitution_power(near_field_exponent(P)),
                                 [0.0, 0.25, 0.5, 0.75, 1.0])
-    return xs, blocks, t[None, :], None, (np.ones((1, 1)), y_near,
-                                         y_near[None, :], w_near[None, :])
+    return xs, blocks, t[None, :], None, (count, used), (
+        np.ones((1, 1)), y_near, y_near[None, :], w_near[None, :])
 
 
 def _geometry_2d(P, Q, R, N, dp, dq):
@@ -488,6 +500,15 @@ def _geometry_2d(P, Q, R, N, dp, dq):
     shift = np.moveaxis(shift, -1, 2).astype(np.int32)   # (2, D, 2, radii)
     # Past N cells on an axis, a radius leaves the box from every node.
     w = np.count_nonzero(np.max(np.abs(u[0]), axis=-1) < N, axis=-1)
+    # Every weight is positive, so a node's in-box entries are its rays'
+    # in-box prefixes.
+    count = np.zeros(len(pts), dtype=np.int64)
+    used = np.zeros(4 * t.shape[1], dtype=bool)
+    for s, k in np.ndindex(2, len(dw)):
+        length, taken = ray_prefix(shift[s, k, :, :w[k]], pos[s, k, :w[k]],
+                                   t, N)
+        count += length
+        used[taken] = True
     ids = np.arange(len(pts))
     cells = np.indices((N, N), dtype=np.int32).reshape(2, -1, 1)
 
@@ -498,20 +519,31 @@ def _geometry_2d(P, Q, R, N, dp, dq):
                     for s in (0, 1)])
 
     rt = rr[tiny]
-    return pts, blocks, t, shifts, (dirs, rt,
+    return pts, blocks, t, shifts, (count, used), (dirs, rt,
                                     rt[None, :, None] * dirs[:, None, :],
                                     dw[:, None] * rt * ww[tiny])
+
+
+def _masked_sum(X, Y, mask):
+    """(X + Y)[mask] for a mask over all but the last axis of 2-D points:
+    one axis at a time, as one (nodes, offsets, n) mask takes numpy's slow
+    path."""
+    if X.ndim == mask.ndim:
+        return (X + Y)[mask]
+    return np.stack([(X[..., a] + Y[..., a])[mask]
+                     for a in range(X.shape[-1])], axis=-1)
 
 
 def _group_exterior(node, val, wp, wq):
     """Sum the weights of the entries that share (node, exterior value)."""
     order = np.lexsort((val, node))
-    node, val = node[order], val[order]
+    if np.any(order[1:] < order[:-1]):   # a constant exterior's are in order
+        node, val, wp, wq = node[order], val[order], wp[order], wq[order]
     new = np.ones(len(node), dtype=bool)
     new[1:] = (node[1:] != node[:-1]) | (val[1:] != val[:-1])
     starts = np.flatnonzero(new)
-    return (node[starts], val[starts], np.add.reduceat(wp[order], starts),
-            np.add.reduceat(wq[order], starts))
+    return (node[starts], val[starts], np.add.reduceat(wp, starts),
+            np.add.reduceat(wq, starts))
 
 
 @lru_cache(maxsize=1)
@@ -526,31 +558,23 @@ def _plan(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
     hits).
 
     A geometry gives in-cell positions t (n, P), in 2-D their whole-cell
-    shifts from the node (None in 1-D), and yields blocks ``(ids, Y, cp, cq,
-    located)``: nodes, offsets, the two phases' radial factors and, for +Y
-    and -Y, the points' cells per axis and positions, on which
-    ``grid.box_cells`` splits the block at the box.  Zero-weight entries
-    (1-D empty seam sub-panels) are dropped; used positions are kept, in
-    2-D grouped by shift for the Jacobian's scatter.
+    shifts from the node (None in 1-D), each node's count of in-box entries
+    and the positions they take (2^n P flags, the edge copies of
+    ``grid.edge_positions`` included), both read from where each ray leaves
+    the box, and yields blocks ``(ids, Y, cp, cq, located)``: nodes,
+    offsets, the two phases' radial factors and, for +Y and -Y, the points'
+    cells per axis and positions, on which ``grid.box_cells`` splits the
+    block at the box.  Zero-weight entries (1-D empty seam sub-panels) are
+    dropped; used positions are kept, in 2-D grouped by shift for the
+    Jacobian's scatter.
     """
     t0 = time.perf_counter()
     n = P.n
     dp, dq = _tail_decays(P, _exterior_growth(exterior, R, n))
     geometry = _geometry_1d if n == 1 else _geometry_2d
-    X, blocks, t, shifts, (dirs, near_r, near_offs, near_w) = geometry(
-        P, Q, R, N, dp, dq)
+    X, blocks, t, shifts, (count, used), near = geometry(P, Q, R, N, dp, dq)
+    dirs, near_r, near_offs, near_w = near
     signs = (1.0, -1.0)
-    # A first pass counts each node's in-box entries and marks the positions
-    # they take; the second fills the arrays in place, each node's entries
-    # in one run in the order the blocks yield them.
-    count = np.zeros(len(X), dtype=np.int64)
-    used = np.zeros(2 ** n * t.shape[1], dtype=bool)
-    for ids, _, cp, _, located in blocks():
-        keep = np.broadcast_to(cp > 0, (len(ids), cp.shape[-1]))
-        for cells, pos in located:
-            inside, _, pos = box_cells(cells, pos, t, N, keep)
-            count[ids] += np.count_nonzero(inside, axis=1)
-            used[pos] = True
     npos = int(np.count_nonzero(used))
     if (N - 1) ** n * npos >= 2 ** 31:
         raise NldpError(f"{npos} in-cell positions of the N = {N} grid "
@@ -558,6 +582,8 @@ def _plan(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
     renumber = np.cumsum(used) - 1
     start = np.concatenate([[0], np.cumsum(count)])
     M = int(start[-1])
+    # One pass fills the arrays in place, each node's entries in one run in
+    # the order the blocks yield them.
     fill = start[:-1].copy()              # the next free slot of each node
     index = np.empty(M, dtype=np.int32)
     wp = np.empty(M)
@@ -571,9 +597,12 @@ def _plan(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
         keep = np.broadcast_to(cp > 0, shape)
         ktq = P.Ktq.eval(Xb, Y)
         bp = np.broadcast_to(cp * P.Ksp.eval(Xb, Y), shape)
+        bq = None
         for sign, (cells, pos) in zip(signs, located):
             y = sign * Y
-            bq = np.broadcast_to(cq * P.c_hat * P.a.eval(Xb, y) * ktq, shape)
+            if bq is None or P.a.depends_on_offset:
+                bq = np.broadcast_to(cq * P.c_hat * P.a.eval(Xb, y) * ktq,
+                                     shape)
             inside, cell, pos = box_cells(cells, pos, t, N, keep)
             out = ~inside & keep
             per = np.count_nonzero(inside, axis=1)
@@ -583,8 +612,11 @@ def _plan(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
             index[to] = cell * npos + renumber[pos]
             wp[to], wq[to] = bp[inside], bq[inside]
             n_ext += int(np.count_nonzero(out))
-            groups.append(_group_exterior(idb[out], exterior((Xb + y)[out], n),
+            groups.append(_group_exterior(idb[out],
+                                          exterior(_masked_sum(Xb, y, out), n),
                                           bp[out], bq[out]))
+    if not np.array_equal(fill, start[1:]):
+        raise NldpError("the rays' in-box counts disagree with the box split")
     mono = monomials(edge_positions(t)[:, used], 2.0 * R / (N - 1))
     points = LocatedPoints(n, R, N, index, mono, None if shifts is None else
                            shift_groups(edge_shifts(shifts)[:, used], mono,

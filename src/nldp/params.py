@@ -225,10 +225,14 @@ class CoefficientField:
             raise BoundViolation("coefficient escapes [0, M] at a probe point")
 
 
+def _points_shape(y, n: int) -> tuple:
+    """The shape of an array of points in R^n: that of |y|."""
+    return np.shape(y) if n == 1 else np.shape(y)[:-1]
+
+
 def constant_coefficient(n: int, value: float) -> CoefficientField:
     def ev(x, y):
-        xr = _norm(x, n)
-        shape = np.broadcast_shapes(np.shape(xr), np.shape(_norm(y, n)))
+        shape = np.broadcast_shapes(_points_shape(x, n), _points_shape(y, n))
         return np.full(shape, value, dtype=float)
 
     return CoefficientField(n=n, bound=value, eval=ev, tag="constant",
@@ -242,7 +246,8 @@ def halfspace_coefficient(n: int, value: float) -> CoefficientField:
         x = np.asarray(x, dtype=float)
         x1 = x if n == 1 else x[..., 0]
         out = np.where(x1 > 0.0, value, 0.0)
-        return np.broadcast_to(out, np.broadcast_shapes(np.shape(out), np.shape(_norm(y, n)))).copy()
+        return np.broadcast_to(out, np.broadcast_shapes(
+            np.shape(out), _points_shape(y, n))).copy()
 
     return CoefficientField(n=n, bound=value, eval=ev, tag="indicator-of-halfspace",
                             depends_on_offset=False)
@@ -256,7 +261,8 @@ def checkerboard_coefficient(n: int, value: float, cell: float = 0.5) -> Coeffic
         else:
             idx = np.floor(x[..., 0] / cell) + np.floor(x[..., 1] / cell)
         out = np.where(np.mod(idx, 2) == 0, value, 0.0)
-        return np.broadcast_to(out, np.broadcast_shapes(np.shape(out), np.shape(_norm(y, n)))).copy()
+        return np.broadcast_to(out, np.broadcast_shapes(
+            np.shape(out), _points_shape(y, n))).copy()
 
     return CoefficientField(n=n, bound=value, eval=ev, tag="checkerboard",
                             depends_on_offset=False)

@@ -9,7 +9,10 @@ regrouping; ``jacobian_full_oracle``, the whole Jacobian of which
 ``kernel_mass_matrix`` builds the interior block alone, kept to check that
 restriction; ``scatter_bincount``, the one-bincount-per-monomial
 scatter that the 2-D products by cell shift replaced, kept to check those
-products; ``adaptive_quad_depth_first`` and
+products; ``plan_split_brute``, the plan's split at the box by
+``box_cells`` over every entry of every block, which the rays' in-box
+prefixes replaced, kept to check those prefixes;
+``adaptive_quad_depth_first`` and
 ``geometric_tail_quad_sequential``, the one-panel-per-call loops that the
 batched quadrature engine replaced, kept to check that batching;
 ``term_Ip_signed_per_probe``, ``term_I_abs_per_probe``,
@@ -27,9 +30,10 @@ from scipy.interpolate import RectBivariateSpline
 
 from nldp.constants import _beta_diff
 from nldp.errors import NldpError
-from nldp.grid import _pieces, coeffs_T
+from nldp.grid import _pieces, box_cells, coeffs_T
 from nldp.operator import (QuadratureSpec, _entry_weights, _exterior_growth,
-                           _fixed_weights, _line, _paired, _plan,
+                           _fixed_weights, _geometry_1d, _geometry_2d,
+                           _line, _paired, _plan,
                            _polar_dirs, _poly_switch_radius, _runs, _secant,
                            _tail_decays, adaptive_quad, geometric_tail_quad,
                            near_field_exponent, panel_nodes_weights, phi)
@@ -307,6 +311,58 @@ def jacobian_full_oracle(u, P, Q):
         J[lo:lo + nb] += coeffs_T(H.reshape((4,) * n + (N - 1,) * n + (nb,)),
                                   n, h).reshape(K, nb).T
     return J
+
+
+def _group_by_sort(node, val, wp, wq):
+    """The weights summed per (node, exterior value), the entries always
+    permuted into (node, value) order first."""
+    order = np.lexsort((val, node))
+    node, val = node[order], val[order]
+    new = np.ones(len(node), dtype=bool)
+    new[1:] = (node[1:] != node[:-1]) | (val[1:] != val[:-1])
+    starts = np.flatnonzero(new)
+    return (node[starts], val[starts], np.add.reduceat(wp[order], starts),
+            np.add.reduceat(wq[order], starts))
+
+
+def plan_split_brute(P, Q, R, N, exterior):
+    """The grid apply's split at the box as the plan built it before the
+    rays' prefixes: ``box_cells`` over every entry of every block and sign
+    of the geometry, each entry's position with its edge copy marked used,
+    the in-box entries stably sorted by node, and the exterior entries'
+    points formed as (nodes, offsets, n) arrays and grouped per block and
+    sign, then over all.  Returns (start, index, used, (node, value,
+    p-weight, q-weight) of the exterior groups)."""
+    n = P.n
+    dp, dq = _tail_decays(P, _exterior_growth(exterior, R, n))
+    X, blocks, t = (_geometry_1d if n == 1 else _geometry_2d)(
+        P, Q, R, N, dp, dq)[:3]
+    used = np.zeros(2 ** n * t.shape[1], dtype=bool)
+    nodes, raw, groups = [], [], []
+    for ids, Y, cp, cq, located in blocks():
+        Xb = X[ids][:, None]
+        shape = (len(ids), cp.shape[-1])
+        keep = np.broadcast_to(cp > 0, shape)
+        idb = np.broadcast_to(ids.astype(np.int32)[:, None], shape)
+        bp = np.broadcast_to(cp * P.Ksp.eval(Xb, Y), shape)
+        for sign, (cells, pos) in zip((1.0, -1.0), located):
+            y = sign * Y
+            bq = np.broadcast_to(cq * P.c_hat * P.a.eval(Xb, y)
+                                 * P.Ktq.eval(Xb, Y), shape)
+            inside, cell, pos = box_cells(cells, pos, t, N, keep)
+            used[pos] = True
+            nodes.append(idb[inside])
+            raw.append((cell, pos))
+            out = ~inside & keep
+            groups.append(_group_by_sort(idb[out], exterior((Xb + y)[out], n),
+                                         bp[out], bq[out]))
+    renumber = np.cumsum(used) - 1
+    node = np.concatenate(nodes)
+    index = np.concatenate([c * np.count_nonzero(used) + renumber[p]
+                            for c, p in raw]).astype(np.int32)
+    start = np.searchsorted(np.sort(node), np.arange(len(X) + 1))
+    return (start, index[np.argsort(node, kind="stable")], used,
+            _group_by_sort(*(np.concatenate(c) for c in zip(*groups))))
 
 
 def scatter_bincount(points, w, entries, rows, nrows):

@@ -1,9 +1,11 @@
 """The desk artifacts, byte for byte.
 
 Every subcommand runs on ``demos/configs/desk.json`` in this process and
-must write exactly the files under ``tests/golden/desk/``.  A change that
-moves a bit on purpose rewrites them with ``python3 tools/golden.py`` and
-states the moves that tool prints.
+must write exactly the files under ``tests/golden/desk/``; ``solve`` on
+desk.json in 2-D (N = 9 on [-1, 1]^2) must write those under
+``tests/golden/desk2d/``.  A change that moves a bit on purpose rewrites
+them with ``python3 tools/golden.py`` and states the moves that tool
+prints.
 """
 
 import importlib.util
@@ -25,25 +27,47 @@ def desk_run(tmp_path_factory):
     return golden.run_desk(root), golden.artifacts(root)
 
 
+@pytest.fixture(scope="module")
+def desk_2d_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("desk2d")
+    return (golden.run_desk(root, golden.COMMANDS_2D, golden.DESK_2D),
+            golden.artifacts(root, golden.COMMANDS_2D))
+
+
+def _assert_golden(new, where, commands):
+    # Bits depend on the numpy and BLAS build and the thread setting: a
+    # mismatch first says whether they differ from those that wrote the
+    # golden files.
+    old = golden.artifacts(where, commands)
+    assert old, "no golden files; write them with tools/golden.py"
+    if set(old) == set(new) and all(
+            old[k].read_bytes() == new[k].read_bytes() for k in old):
+        return
+    recorded = json.loads((golden.GOLDEN / "environment.json").read_text())
+    pytest.fail(f"{where.name} artifacts differ from tests/golden/"
+                f"{where.name} (" + golden.environment_note(recorded)
+                + "); largest relative moves:\n"
+                + "\n".join(golden.moves(old, new)))
+
+
 def test_every_subcommand_exits_0(desk_run):
     codes, _ = desk_run
     assert codes == {c: 0 for c in golden.COMMANDS}
 
 
 def test_artifacts_match_the_golden_files(desk_run):
-    # Bits depend on the numpy and BLAS build and the thread setting: a
-    # mismatch first says whether they differ from those that wrote the
-    # golden files.
-    _, new = desk_run
-    old = golden.artifacts(golden.GOLDEN)
-    assert old, "no golden files; write them with tools/golden.py"
-    if set(old) == set(new) and all(
-            old[k].read_bytes() == new[k].read_bytes() for k in old):
-        return
-    recorded = json.loads((golden.GOLDEN / "environment.json").read_text())
-    pytest.fail("desk artifacts differ from tests/golden/desk ("
-                + golden.environment_note(recorded) + "); largest relative "
-                "moves:\n" + "\n".join(golden.moves(old, new)))
+    _assert_golden(desk_run[1], golden.GOLDEN, golden.COMMANDS)
+
+
+def test_2d_solve_exits_0(desk_2d_run):
+    codes, _ = desk_2d_run
+    assert codes == {"solve": 0}
+
+
+def test_2d_solve_matches_the_golden_files(desk_2d_run):
+    # The 2-D plan's bits (its in-box entries, exterior groups and near
+    # block) reach the solution, its residual history and the report.
+    _assert_golden(desk_2d_run[1], golden.GOLDEN_2D, golden.COMMANDS_2D)
 
 
 @pytest.mark.parametrize("key", golden.THREAD_VARIABLES + ("cpu_count",))

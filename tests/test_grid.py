@@ -16,13 +16,15 @@ from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 import nldp.grid
 from nldp.grid import (GridFunction, LocatedPoints, box_cells,
-                       constant_exterior, edge_positions, edge_shifts,
-                       monomials)
+                       callable_exterior, constant_exterior, dyadic_exterior,
+                       edge_positions, edge_shifts, growth_exterior,
+                       monomials, ray_prefix)
 from nldp.operator import (QuadratureSpec, _directional_model, _exterior_growth,
                            _geometry_1d, _geometry_2d, _plan, _tail_decays,
                            _taylor)
-from nldp.params import model_params
+from nldp.params import halfspace_coefficient, model_params
 from nldp.quadrature import panel_nodes_weights
+from oracles import plan_split_brute
 
 
 def _grid_2d(N, seed=3):
@@ -46,8 +48,8 @@ def _plan_and_points(n, R, N):
     P = model_params(n=n, s=0.6, t=0.5, p=2.0, q=2.2)
     Q, ext = QuadratureSpec(), constant_exterior(0.0)
     dp, dq = _tail_decays(P, _exterior_growth(ext, R, n))
-    X, blocks, _, _, _ = (_geometry_1d if n == 1 else _geometry_2d)(
-        P, Q, R, N, dp, dq)
+    X, blocks = (_geometry_1d if n == 1 else _geometry_2d)(
+        P, Q, R, N, dp, dq)[:2]
     Z, node = [], []
     for ids, Y, cp, _, _ in blocks():
         for sign in (1.0, -1.0):
@@ -261,8 +263,8 @@ def test_plan_positions(n, N, positions):
     R = 2.0 if n == 1 else 1.0
     plan, _ = _plan_and_points(n, R, N)
     P = model_params(n=n, s=0.6, t=0.5, p=2.0, q=2.2)
-    X, blocks, _, _, _ = (_geometry_1d if n == 1 else _geometry_2d)(
-        P, QuadratureSpec(), R, N, 1.0, 1.0)
+    X, blocks = (_geometry_1d if n == 1 else _geometry_2d)(
+        P, QuadratureSpec(), R, N, 1.0, 1.0)[:2]
     if n == 2:
         columns = sum(np.count_nonzero(np.any(_in_box(X[:, None] + s * Y, R, 2),
                                               axis=0))
@@ -351,3 +353,82 @@ def test_2d_plan_bytes_per_entry():
               and a is not plan.wp and a is not plan.wq]
     assert all(len(a) < M / 10 for a in others)
     assert plan.points.mono.nbytes <= 2 * M
+
+
+def _recording_exterior(record):
+    """A callable exterior that keeps a copy of every argument it sees."""
+    def fn(x):
+        record.append(np.array(x))
+        x = np.asarray(x)
+        return np.cos(3.0 * (x if x.ndim == 1 else x[:, 0] - 0.5 * x[:, 1]))
+    return callable_exterior(fn)
+
+
+_EXTERIORS = {"constant": lambda _: constant_exterior(0.25),
+              "dyadic": lambda _: dyadic_exterior((0.0, 0.5, 1.0)),
+              "growth": lambda _: growth_exterior(0.1),
+              "callable": _recording_exterior}
+
+
+@pytest.mark.parametrize("ext", list(_EXTERIORS))
+@pytest.mark.parametrize("n, N", [(1, 3), (1, 4), (1, 5), (1, 9), (1, 33),
+                                  (2, 3), (2, 4), (2, 5), (2, 9)])
+def test_plan_split_matches_box_cells(n, N, ext):
+    # The plan reads each node's in-box entries and the positions they take
+    # from where its rays leave the box; ``box_cells`` over every entry of
+    # every block splits them the same: the same entries per node, in the
+    # same order, at the same cells and positions, and the same exterior
+    # groups, whose points reach the exterior in the same order.
+    P = model_params(n=n, s=0.6, t=0.5, p=2.0, q=2.2,
+                     coefficient=halfspace_coefficient(n, 1.0))
+    Q, R = QuadratureSpec(), 2.0 if n == 1 else 1.0
+    seen, seen_brute = [], []
+    _plan.cache_clear()
+    plan = _plan(P, Q, R, N, _EXTERIORS[ext](seen))
+    start, index, used, groups = plan_split_brute(
+        P, Q, R, N, _EXTERIORS[ext](seen_brute))
+    t = (_geometry_1d if n == 1 else _geometry_2d)(P, Q, R, N, 1.0, 1.0)[2]
+    assert np.array_equal(plan.start, start)
+    assert np.array_equal(plan.points.index, index)
+    assert np.array_equal(plan.points.mono,
+                          monomials(edge_positions(t)[:, used],
+                                    2.0 * R / (N - 1)))
+    for got, ref in zip((plan.ext_node, plan.ext_val, plan.ext_wp,
+                         plan.ext_wq), groups):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert len(seen) == len(seen_brute)
+    assert all(a.shape == b.shape and np.array_equal(a, b)
+               for a, b in zip(seen, seen_brute))
+    if ext == "callable":
+        assert sum(len(a) for a in seen) > len(plan.ext_node) > 0
+
+
+@pytest.mark.parametrize("d", [(1.0,), (-1.0,), (0.75,), (1.0, 0.0),
+                               (0.5, 1.0), (-1.0, 0.5), (1.0, -0.25),
+                               (0.0, -1.0), (0.75, 0.75)])
+def test_ray_prefix_matches_box_cells(d):
+    # Rays r d, r = 0.25, 0.5, ..., 7 cells, of exact binary offsets, with
+    # points at t = 0 on whole cells and in cell N - 1, where a point is in
+    # the box at t = 0 only (it reads cell N - 2 at t = 1): each node's
+    # prefix is the count ``box_cells`` keeps, those are its leading
+    # points, and the positions taken, their edge copies included, are
+    # those ``box_cells`` gives.
+    n, N = len(d), 5
+    u = np.arange(1, 29)[None, :] * 0.25 * np.asarray(d)[:, None]
+    shift = np.floor(u).astype(np.int32)
+    pos, t = np.arange(u.shape[1]), u - shift
+    length, taken = ray_prefix(shift, pos, t, N)
+    node = np.indices((N,) * n).reshape(n, -1, 1)
+    cells = list(node + shift[:, None, :])
+    keep = np.ones((N ** n, len(pos)), dtype=bool)
+    inside, cell, kept = box_cells(cells, pos, t, N, keep)
+    assert np.array_equal(inside, np.arange(len(pos)) < length[:, None])
+    assert np.array_equal(np.sort(taken), np.unique(kept))
+    # some ray's last in-box point lies on the box's upper edge at t = 0,
+    # on an axis along which the ray goes up
+    last = np.maximum(length - 1, 0)
+    up = np.asarray(d) > 0
+    on_edge = [(np.take_along_axis(c, last[:, None], 1)[:, 0] == N - 1)
+               & (t[a, last] == 0.0) & up[a] & (length < len(pos))
+               for a, c in enumerate(np.broadcast_arrays(*cells))]
+    assert np.any(on_edge) == bool(np.any(up))

@@ -4,9 +4,10 @@ import pytest
 from nldp.errors import NldpError
 from nldp.params import (BARRIER_C1, BARRIER_C2, BoundViolation, Exponents,
                          CoefficientField, KernelField, barrier_eval,
-                         barrier_grad, barrier_hess, constant_coefficient,
-                         gagliardo_kernel, halfspace_coefficient,
-                         scaled_kernel, validate_exponents)
+                         barrier_grad, barrier_hess, checkerboard_coefficient,
+                         constant_coefficient, gagliardo_kernel,
+                         halfspace_coefficient, scaled_kernel,
+                         validate_exponents)
 
 
 class TestValidateExponents:
@@ -135,3 +136,46 @@ class TestBarrier:
     def test_2d_barrier_radial(self):
         pt = np.array([[0.3, 0.4]])  # |x| = 0.5
         assert barrier_eval(pt)[0] == pytest.approx(9.0 / 16.0)
+
+
+def _norm_shape(z, n):
+    """The shape of |z|, formed: the coefficients' shapes before they read
+    it off their arguments."""
+    z = np.asarray(z, dtype=float)
+    return np.shape(np.abs(z) if n == 1 else np.sqrt(np.sum(z * z, axis=-1)))
+
+
+_M, _K = 5, 3
+_SHAPES = {1: [((), ()), ((), (_M,)), ((_M,), ()), ((_M,), (_M,)),
+               ((_M, 1), (_M, _K)), ((_M, _K), (_M, _K))],
+           2: [((2,), (_M, 2)), ((_M, 2), (_M, 2)), ((_M, 1, 2), (_M, _K, 2)),
+               ((_M, _K, 2), (_K, 2))]}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind", ["constant", "halfspace", "checkerboard"])
+def test_coefficient_shapes_without_norms(kind, n):
+    # The coefficients that ignore y take the shape of |x| and |y| from
+    # their arguments' shapes: the same values, dtype, shape and a fresh
+    # writeable array as when they formed the norms, on scalar, (M,) and
+    # (M, K) arguments in 1-D and (M, 2) and (M, K, 2) ones in 2-D.
+    a = {"constant": constant_coefficient, "halfspace": halfspace_coefficient,
+         "checkerboard": checkerboard_coefficient}[kind](n, 0.75)
+    rng = np.random.default_rng(7)
+    for xs, ys in _SHAPES[n]:
+        x, y = rng.uniform(-1.0, 1.0, xs), rng.uniform(-1.0, 1.0, ys)
+        got = a.eval(x, y)
+        shape = np.broadcast_shapes(_norm_shape(x, n), _norm_shape(y, n))
+        x1 = x if n == 1 else x[..., 0]
+        if kind == "constant":
+            ref = np.full(shape, 0.75)
+        elif kind == "halfspace":
+            ref = np.broadcast_to(np.where(x1 > 0.0, 0.75, 0.0), shape)
+        else:
+            idx = np.floor(x / 0.5) if n == 1 else (
+                np.floor(x[..., 0] / 0.5) + np.floor(x[..., 1] / 0.5))
+            ref = np.broadcast_to(np.where(np.mod(idx, 2) == 0, 0.75, 0.0),
+                                  shape)
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        assert got.shape == shape and np.array_equal(got, ref)
+        assert got.flags.writeable and got.flags.owndata

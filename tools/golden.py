@@ -7,7 +7,9 @@ process, each into a fresh directory, and replaces ``tests/golden/desk/``
 with what they wrote: ``<command>/<artifact>`` per subcommand, and
 ``environment.json`` with the numpy version, BLAS build and thread setting
 that wrote them (the bits depend on all three: ``np.linalg.inv`` rounds
-differently on one and on two OpenBLAS threads).  Then prints, per
+differently on one and on two OpenBLAS threads).  Likewise ``solve`` on
+desk.json in 2-D (``DESK_2D``: N = 9 on [-1, 1]^2, the grid of perfbench's
+solve-2d) replaces ``tests/golden/desk2d/``.  Then prints, per
 artifact, every JSON key and CSV column whose value moved, with the
 largest relative move ``|new - old| / max(|new|, |old|)`` over its
 entries; a key that is not a number reads ``changed``, and a key or file
@@ -33,6 +35,9 @@ DESK = REPO / "demos" / "configs" / "desk.json"
 GOLDEN = REPO / "tests" / "golden" / "desk"
 COMMANDS = ("validate", "eval", "constants", "scaling-test",
             "check-inequalities", "solve", "holder", "pipeline")
+GOLDEN_2D = REPO / "tests" / "golden" / "desk2d"
+COMMANDS_2D = ("solve",)
+DESK_2D = ("problem.n=2", "solve.N=9", "solve.R=1.0")
 
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -49,22 +54,23 @@ def environment() -> dict:
             "cpu_count": os.cpu_count()}
 
 
-def run_desk(root: Path) -> dict[str, int]:
-    """Run every subcommand on desk.json into ``root/<command>`` and return
-    the exit codes."""
+def run_desk(root: Path, commands=COMMANDS, sets=()) -> dict[str, int]:
+    """Run the subcommands on desk.json, with the ``--set`` overrides
+    ``sets``, into ``root/<command>`` and return the exit codes."""
     from nldp.cli import main
+    extra = [a for kv in sets for a in ("--set", kv)]
     codes = {}
-    for command in COMMANDS:
+    for command in commands:
         with contextlib.redirect_stdout(io.StringIO()):
             codes[command] = main([command, "--config", str(DESK),
-                                   "--out", str(root / command)])
+                                   "--out", str(root / command)] + extra)
     return codes
 
 
-def artifacts(root: Path) -> dict[str, Path]:
+def artifacts(root: Path, commands=COMMANDS) -> dict[str, Path]:
     """The artifacts of one desk run, or the golden files, by
     ``<command>/<name>``."""
-    return {f"{c}/{p.name}": p for c in COMMANDS
+    return {f"{c}/{p.name}": p for c in commands
             for p in sorted((root / c).glob("*"))}
 
 
@@ -169,22 +175,31 @@ def environment_note(recorded: dict) -> str:
             else "numpy, BLAS and the thread setting are as recorded")
 
 
+RUNS = ((GOLDEN, COMMANDS, ()), (GOLDEN_2D, COMMANDS_2D, DESK_2D))
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO / "src"))
+    listing = []
     with tempfile.TemporaryDirectory() as tmp:
-        codes = run_desk(Path(tmp))
-        failed = {c: rc for c, rc in codes.items() if rc != 0}
-        if failed:
-            print(f"golden: subcommands failed, nothing written: {failed}",
-                  file=sys.stderr)
-            return 1
-        new = artifacts(Path(tmp))
-        listing = moves(artifacts(GOLDEN), new)
-        if GOLDEN.exists():
-            shutil.rmtree(GOLDEN)
-        for name, path in new.items():
-            (GOLDEN / name).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copyfile(path, GOLDEN / name)
+        runs = []
+        for golden, commands, sets in RUNS:
+            root = Path(tmp) / golden.name
+            codes = run_desk(root, commands, sets)
+            failed = {c: rc for c, rc in codes.items() if rc != 0}
+            if failed:
+                print(f"golden: {golden.name} subcommands failed, nothing "
+                      f"written: {failed}", file=sys.stderr)
+                return 1
+            runs.append((golden, commands, artifacts(root, commands)))
+        for golden, commands, new in runs:
+            listing += [f"{golden.name}/{line}" for line in
+                        moves(artifacts(golden, commands), new)]
+            if golden.exists():
+                shutil.rmtree(golden)
+            for name, path in new.items():
+                (golden / name).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copyfile(path, golden / name)
     (GOLDEN / "environment.json").write_text(
         json.dumps(environment(), indent=2, sort_keys=True) + "\n")
     print("\n".join(listing) if listing else "no moves")
