@@ -2,20 +2,23 @@
 
     python3 tools/golden.py
 
-Runs the eight ``nldp`` subcommands on ``demos/configs/desk.json`` in one
-process, each into a fresh directory, and replaces ``tests/golden/desk/``
-with what they wrote: ``<command>/<artifact>`` per subcommand, and
-``environment.json`` with the numpy version, BLAS build and thread setting
-that wrote them (the bits depend on all three: ``np.linalg.inv`` rounds
-differently on one and on two OpenBLAS threads).  Likewise ``solve`` on
+Runs the eight ``nldp`` subcommands on ``demos/configs/desk.json``, each
+into a fresh directory, and replaces ``tests/golden/desk/`` with what they
+wrote: ``<command>/<artifact>`` per subcommand.  Likewise ``solve`` on
 desk.json in 2-D (``DESK_2D``: N = 9 on [-1, 1]^2, the grid of perfbench's
-solve-2d) replaces ``tests/golden/desk2d/``.  Then prints, per
-artifact, every JSON key and CSV column whose value moved, with the
-largest relative move ``|new - old| / max(|new|, |old|)`` over its
-entries; a key that is not a number reads ``changed``, and a key or file
-that appears or goes away reads ``added`` or ``removed``.
-``tests/test_golden.py`` compares a fresh run with these files byte for
-byte and prints the same listing on a mismatch.
+solve-2d) replaces ``tests/golden/desk2d/``.  All nine run in one child
+process with ``OPENBLAS_NUM_THREADS=1`` and ``OMP_NUM_THREADS=1`` set
+before numpy loads (``PINNED``): the bits depend on the thread count, as
+``np.linalg.inv`` rounds differently on one and on two OpenBLAS threads,
+so the pin makes them the same whatever the caller's setting.
+``tests/golden/desk/environment.json`` records the child's numpy version,
+BLAS build and thread setting.  Then prints, per artifact, every JSON key
+and CSV column whose value moved, with the largest relative move
+``|new - old| / max(|new|, |old|)`` over its entries; a key that is not a
+number reads ``changed``, and a key or file that appears or goes away
+reads ``added`` or ``removed``.  ``tests/test_golden.py`` runs the same
+child and compares what it writes with these files byte for byte, and
+prints the same listing on a mismatch.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import json
 import math
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -41,6 +45,7 @@ DESK_2D = ("problem.n=2", "solve.N=9", "solve.R=1.0")
 
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+PINNED = {v: "1" for v in THREAD_VARIABLES}
 
 
 def environment() -> dict:
@@ -65,6 +70,32 @@ def run_desk(root: Path, commands=COMMANDS, sets=()) -> dict[str, int]:
             codes[command] = main([command, "--config", str(DESK),
                                    "--out", str(root / command)] + extra)
     return codes
+
+
+def run_pinned(root: Path) -> dict[str, dict[str, int]]:
+    """Every run of ``RUNS`` in one child process with the ``PINNED``
+    thread setting, into ``root/<golden directory name>``; returns their
+    exit codes by that name.  The child writes its ``environment()`` to
+    ``root/environment.json``."""
+    code = (f"import sys; sys.path[:0] = [{str(REPO / 'tools')!r}, "
+            f"{str(REPO / 'src')!r}]\n"
+            f"import golden; golden.run_all(golden.Path({str(root)!r}))")
+    done = subprocess.run([sys.executable, "-c", code], timeout=900,
+                          env=dict(os.environ, **PINNED), capture_output=True,
+                          text=True, check=False)
+    if done.returncode != 0:
+        raise RuntimeError(f"golden runs failed:\n{done.stderr[-2000:]}")
+    return json.loads((root / "codes.json").read_text())
+
+
+def run_all(root: Path):
+    """``run_pinned``'s child: the runs, their exit codes and the
+    environment."""
+    codes = {golden.name: run_desk(root / golden.name, commands, sets)
+             for golden, commands, sets in RUNS}
+    (root / "codes.json").write_text(json.dumps(codes))
+    (root / "environment.json").write_text(
+        json.dumps(environment(), indent=2, sort_keys=True) + "\n")
 
 
 def artifacts(root: Path, commands=COMMANDS) -> dict[str, Path]:
@@ -165,10 +196,10 @@ def moves(old: dict[str, Path], new: dict[str, Path]) -> list[str]:
     return lines
 
 
-def environment_note(recorded: dict) -> str:
-    """Which of numpy, BLAS and the thread setting differ from the recorded
-    environment, if any."""
-    here = environment()
+def environment_note(recorded: dict, here: dict | None = None) -> str:
+    """Which of numpy, BLAS and the thread setting of ``here`` (this
+    process's by default) differ from the recorded environment, if any."""
+    here = here or environment()
     differ = [f"{k} {here[k]!r} here, {recorded.get(k)!r} recorded"
               for k in here if here[k] != recorded.get(k)]
     return ("; ".join(differ) if differ
@@ -179,20 +210,18 @@ RUNS = ((GOLDEN, COMMANDS, ()), (GOLDEN_2D, COMMANDS_2D, DESK_2D))
 
 
 def main() -> int:
-    sys.path.insert(0, str(REPO / "src"))
     listing = []
     with tempfile.TemporaryDirectory() as tmp:
-        runs = []
-        for golden, commands, sets in RUNS:
-            root = Path(tmp) / golden.name
-            codes = run_desk(root, commands, sets)
-            failed = {c: rc for c, rc in codes.items() if rc != 0}
+        root = Path(tmp)
+        codes = run_pinned(root)
+        for golden, commands, _ in RUNS:
+            failed = {c: rc for c, rc in codes[golden.name].items() if rc}
             if failed:
                 print(f"golden: {golden.name} subcommands failed, nothing "
                       f"written: {failed}", file=sys.stderr)
                 return 1
-            runs.append((golden, commands, artifacts(root, commands)))
-        for golden, commands, new in runs:
+        for golden, commands, _ in RUNS:
+            new = artifacts(root / golden.name, commands)
             listing += [f"{golden.name}/{line}" for line in
                         moves(artifacts(golden, commands), new)]
             if golden.exists():
@@ -200,8 +229,8 @@ def main() -> int:
             for name, path in new.items():
                 (golden / name).parent.mkdir(parents=True, exist_ok=True)
                 shutil.copyfile(path, golden / name)
-    (GOLDEN / "environment.json").write_text(
-        json.dumps(environment(), indent=2, sort_keys=True) + "\n")
+        shutil.copyfile(root / "environment.json",
+                        GOLDEN / "environment.json")
     print("\n".join(listing) if listing else "no moves")
     return 0
 
