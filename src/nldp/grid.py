@@ -212,7 +212,8 @@ def grid_points(n: int, R: float, N: int) -> np.ndarray:
 class LocatedPoints:
     """Points of the box of the N^n grid of [-R, R]^n, each a cell and an
     in-cell position, shared by the points that differ by whole cells; the
-    grid apply's plan takes both, exactly, from its geometry (``box_cells``).
+    grid apply's plan takes both, exactly, from its geometry
+    (``flat_cells``).
     ``GridFunction.__call__`` evaluates any grid function on that grid here
     as one (cells, positions) table product and one gather per point;
     ``scatter`` is the transpose."""
@@ -285,13 +286,13 @@ class LocatedPoints:
         ``groups``.  A node's points at the positions P_g of a group lie in
         one cell, its own shifted by the group's shift, one point per
         position, so that cell's sum for each row is W[row, P_g] @
-        mono[:, P_g].T.  The products run one line of nodes (one first
-        index) at a time, one batched ``einsum`` per size of group, on the
-        groups whose first shift keeps the line in the box
-        (``ShiftGroups.lines``).  ``einsum`` rounds each product and adds
-        them in column order, as the bincount adds its points, where BLAS
-        would fuse and regroup them; a row's sums do not depend on the
-        other rows."""
+        mono[:, P_g].T.  One batched ``einsum`` per size of group
+        (``ShiftGroups.runs``) forms those products for every group and
+        row; a (group, row) whose shifted cell leaves the box holds no
+        point and is dropped.  ``einsum`` rounds each product and adds them
+        in column order, as the bincount adds its points, where BLAS would
+        fuse and regroup them; a row's sums do not depend on the other
+        rows."""
         g, m4, npos = self.groups, len(self.mono), self.mono.shape[1]
         N, nrows = self.N, len(nodes)
         # The cell of each (group, row); a group with no point of a row
@@ -306,14 +307,10 @@ class LocatedPoints:
         col = g.rank.take(index - index // npos * npos)
         W = np.zeros((nrows, npos))
         W.reshape(-1)[rows * npos + col] = w
-        line = nodes // N
-        bounds = np.append(np.flatnonzero(np.diff(line, prepend=-1)), nrows)
         prod = np.empty((g.shift.shape[1], nrows, m4))
-        for r0, r1 in zip(bounds[:-1], bounds[1:]):
-            for a, b, c0, c1, mono in g.lines[line[r0]]:
-                np.einsum("rgk,gkm->grm",
-                          W[r0:r1, c0:c1].reshape(r1 - r0, b - a, -1), mono,
-                          out=prod[a:b, r0:r1])
+        for a, b, c0, c1, mono in g.runs:
+            np.einsum("rgk,gkm->grm", W[:, c0:c1].reshape(nrows, b - a, -1),
+                      mono, out=prod[a:b])
         # Written with the monomials last, a row of 4^n per (cell, row).
         out = np.zeros(((N - 1) ** self.n * nrows, m4))
         out[to[inside]] = prod[inside]
@@ -329,17 +326,15 @@ class ShiftGroups:
     lie in one cell (``LocatedPoints._products``).  A group's positions
     take consecutive columns, and the groups go by size, then by shift: one
     batched product serves all the groups of a size (25 sizes for 184
-    groups at N = 9), and those of a size whose first shift keeps a line
-    of nodes in the box are one slice of them."""
+    groups at N = 9)."""
 
     rank: np.ndarray     # (positions,) int32 column of each position
     mono_T: np.ndarray   # (positions, 4^n) the monomials of each column
     start: np.ndarray    # (G + 1,) the first column of each group, and P
     shift: np.ndarray    # (n, G) int32 each group's shift, per axis
-    # Per first node index, per size with a group that keeps that line in
-    # the box: the groups [a, b), their columns [c0, c1) and a (b - a,
+    # Per size: the groups [a, b), their columns [c0, c1) and a (b - a,
     # size, 4^n) view of mono_T on them.
-    lines: tuple
+    runs: tuple
 
     @property
     def nbytes(self) -> int:
@@ -347,10 +342,10 @@ class ShiftGroups:
                 + self.shift.nbytes)
 
 
-def shift_groups(shift, mono, N: int) -> ShiftGroups:
+def shift_groups(shift, mono) -> ShiftGroups:
     """``ShiftGroups`` of the positions with whole-cell shifts ``shift``
-    (n, P) and monomials ``mono`` (4^n, P) on a grid of N nodes per axis;
-    in a group, the positions keep their order."""
+    (n, P) and monomials ``mono`` (4^n, P); in a group, the positions keep
+    their order."""
     order = np.lexsort(shift[::-1])
     s = shift[:, order]
     new = np.ones(len(order), dtype=bool)
@@ -367,25 +362,11 @@ def shift_groups(shift, mono, N: int) -> ShiftGroups:
     mono_T[rank] = mono.T
     shift, size = s[:, starts[by]], size[by]
     start = np.append(first[by], len(order))
-    lines = []
-    for i in range(N):
-        # The groups of a size go by shift, so those with 0 <= i + shift
-        # < N - 1 on the first axis are one slice of them.
-        keep = (shift[0] >= -i) & (shift[0] < N - 1 - i)
-        runs = np.flatnonzero(np.diff(np.concatenate(
-            [[False], keep, [False]]).astype(np.int8)))
-        lines.append(tuple(
-            (a, b, start[a], start[b], mono_T[start[a]:start[b]].reshape(
-                b - a, size[a], -1))
-            for a, b in zip(runs[::2], runs[1::2])
-            for a, b in _by_value(size, a, b)))
-    return ShiftGroups(rank, mono_T, start, shift, tuple(lines))
-
-
-def _by_value(v, a, b):
-    """The runs [a', b') of equal values of the sorted v within [a, b)."""
-    edges = np.flatnonzero(np.diff(v[a:b])) + a + 1
-    return zip(np.concatenate([[a], edges]), np.concatenate([edges, [b]]))
+    edges = np.flatnonzero(np.diff(size)) + 1
+    return ShiftGroups(rank, mono_T, start, shift, tuple(
+        (a, b, start[a], start[b],
+         mono_T[start[a]:start[b]].reshape(b - a, size[a], -1))
+        for a, b in zip(np.append(0, edges), np.append(edges, len(size)))))
 
 
 def _pieces(index, entries):
@@ -436,13 +417,14 @@ def ray_prefix(shift, pos, t, N: int):
     ``pos`` (J,) of t (n, P), in order of distance: how many of each node's
     points are in the box, and the positions they take.  The box is convex
     and a ray starts at a node, so its in-box points are a prefix of its
-    points; by ``box_cells``' rule a node coordinate i on an axis keeps
-    point j while -shift_k <= i <= N - 2 - shift_k + [t_k = 0] at every
-    k <= j, so the running bounds give each coordinate's prefix by one
-    ``searchsorted``, and a node's is the least over its axes.  Returns the
-    prefix lengths (N^n,) in C order, and the positions p + P sum_{a in S}
-    2^a of the in-box points, S the axes on which some node reaching the
-    point has it in cell N - 1, once per such S."""
+    points.  A point is in the box when its cell on every axis is 0 to
+    N - 2, or N - 1 at t = 0 (the box's upper edge), so a node coordinate
+    i on an axis keeps point j while -shift_k <= i <= N - 2 - shift_k +
+    [t_k = 0] at every k <= j, the running bounds give each coordinate's
+    prefix by one ``searchsorted``, and a node's is the least over its
+    axes.  Returns the prefix lengths (N^n,) in C order, and the positions
+    p + P sum_{a in S} 2^a of the in-box points, S the axes on which some
+    node reaching the point has it in cell N - 1, once per such S."""
     i = np.arange(N)
     length, sides = np.array(len(pos)), []
     for s, ta in zip(shift, t):
@@ -461,30 +443,22 @@ def ray_prefix(shift, pos, t, N: int):
          + t.shape[1] * k for k, m in enumerate(on)])
 
 
-def box_cells(cell, pos, t, N: int, keep):
-    """(inside, cells, pos): which points of a block with ``keep``, given by
-    cells per axis (over the leading columns; the rest are outside) and
-    positions ``pos`` of t (n, P), lie in the box of the N^n grid, and the
-    flat (N-1)^n cell and position of those, in C order.  In cell N - 1 a
-    point is inside at t = 0 only, reading cell N - 2 at t = 1 there."""
-    inside = np.zeros(keep.shape, dtype=bool)
-    lead = inside[..., :cell[0].shape[-1]]
-    lead[...] = keep[..., :lead.shape[-1]]
-    pos = np.broadcast_to(pos, lead.shape)
-    for c, ta in zip(cell, t):
-        ok = (c >= 0) & (c < N - 1)
-        edge = np.nonzero(c == N - 1)
-        ok[edge] = ta[pos[edge]] == 0.0
-        lead &= ok
-    cell = [c[lead] for c in cell]
-    pos = pos[lead]
+def flat_cells(cell, pos, t, N: int, inside):
+    """The flat (N-1)^n cell, in C order, and the position of the points of
+    a block at ``inside``, the block given by cells per axis (over the
+    leading columns of ``inside``) and positions ``pos`` of t (n, P): a
+    point in the box in cell N - 1 of an axis (at t = 0 there) reads cell
+    N - 2 at t = 1, the position p + P 2^a of ``edge_positions``."""
+    inside = inside[..., :cell[0].shape[-1]]
+    pos = np.broadcast_to(pos, inside.shape)[inside]
     flat = 0
     for a, c in enumerate(cell):
+        c = c[inside]
         edge = c == N - 1
         pos[edge] += t.shape[1] << a
         c[edge] = N - 2
         flat = flat * (N - 1) + c
-    return inside, flat, pos
+    return flat, pos
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NldpError, NonIntegrableNearField, TailDivergence
-from .grid import (GridFunction, LocatedPoints, box_cells, coeffs_T,
-                   edge_positions, edge_shifts, grid_points, monomials,
+from .grid import (GridFunction, LocatedPoints, coeffs_T, edge_positions,
+                   edge_shifts, flat_cells, grid_points, monomials,
                    ray_prefix, shift_groups)
 from .params import CoefficientField, ProblemParams
 from .quadrature import (QuadratureSpec, adaptive_quad, geometric_tail_quad,
@@ -423,19 +423,21 @@ def _geometry_1d(P, Q, R, N, dp, dq):
     t, pos = np.unique(v - np.floor(v), return_inverse=True)
     pos, whole_v = (pos.reshape(v.shape).astype(np.int32),
                     np.floor(v).astype(np.int32))
-    # Per sign: the whole cells and positions of node k of [0, L] (+y) or
-    # of 14 - k (-y), and the cell each panel starts from.
-    sides = [(whole_v, pos, i[:, None] + E[:, :-1]),
-             (whole_v[:, ::-1], pos[:, ::-1], i[:, None] - E[:, 1:])]
     # A ray leaves the box at its seam, a panel edge, and no in-box point
     # lies in cell N - 1 (a GK15 node is interior to its panel): node i's
-    # in-box entries are the nodes of its nonempty panels that end by its
-    # unmoved seam, N - 1 - i at +y and i at -y (one below whole[0] ends
-    # none), at the positions of their lengths.
-    runs = (E[:, 1:, None] <= exits[:, None, :]) & (L > 0)[..., None]
+    # in-box entries are the nodes of its panels that end by its unmoved
+    # seam, N - 1 - i at +y and i at -y (one below whole[0] ends none),
+    # bar the empty ones, at the positions of their lengths.
+    ends = E[:, 1:, None] <= exits[:, None, :]
+    runs = ends & (L > 0)[..., None]
     count = 15 * np.count_nonzero(runs, axis=(1, 2))
     lengths = np.zeros(len(pos), dtype=bool)
     lengths[L[np.any(runs, axis=-1)]] = True
+    # Per sign: the whole cells and positions of node k of [0, L] (+y) or
+    # of 14 - k (-y), the cell each panel starts from, and the prefix.
+    sides = [(whole_v, pos, i[:, None] + E[:, :-1]),
+             (whole_v[:, ::-1], pos[:, ::-1], i[:, None] - E[:, 1:])]
+    prefix = 15 * np.count_nonzero(ends, axis=1)
     used = np.zeros(2 * len(t), dtype=bool)
     used[pos[lengths]] = True
     # The panels past the box span and the remainder end, shared by all.
@@ -453,7 +455,8 @@ def _geometry_1d(P, Q, R, N, dp, dq):
                 for own, f in zip((y, w, w), far))
             Lb, cols = L[ids], (len(ids), -1)
             located = [([(start[ids][..., None] + cells[Lb]).reshape(cols)],
-                        at[Lb].reshape(cols)) for cells, at, start in sides]
+                        at[Lb].reshape(cols), prefix[ids, k])
+                       for k, (cells, at, start) in enumerate(sides)]
             yield ids, Y, cp, cq, located
 
     y_near, w_near = _near_rule(h, substitution_power(near_field_exponent(P)),
@@ -502,12 +505,11 @@ def _geometry_2d(P, Q, R, N, dp, dq):
     w = np.count_nonzero(np.max(np.abs(u[0]), axis=-1) < N, axis=-1)
     # Every weight is positive, so a node's in-box entries are its rays'
     # in-box prefixes.
-    count = np.zeros(len(pts), dtype=np.int64)
+    prefix = np.zeros((2, len(dw), len(pts)), dtype=np.int64)
     used = np.zeros(4 * t.shape[1], dtype=bool)
     for s, k in np.ndindex(2, len(dw)):
-        length, taken = ray_prefix(shift[s, k, :, :w[k]], pos[s, k, :w[k]],
-                                   t, N)
-        count += length
+        prefix[s, k], taken = ray_prefix(shift[s, k, :, :w[k]],
+                                         pos[s, k, :w[k]], t, N)
         used[taken] = True
     ids = np.arange(len(pts))
     cells = np.indices((N, N), dtype=np.int32).reshape(2, -1, 1)
@@ -515,10 +517,11 @@ def _geometry_2d(P, Q, R, N, dp, dq):
     def blocks():
         for k, wd in enumerate(dw):
             yield (ids, Y[k], wd * fp, wd * fq,
-                   [(cells + shift[s, k, :, None, :w[k]], pos[s, k, :w[k]])
-                    for s in (0, 1)])
+                   [(cells + shift[s, k, :, None, :w[k]], pos[s, k, :w[k]],
+                     prefix[s, k]) for s in (0, 1)])
 
     rt = rr[tiny]
+    count = prefix.sum(axis=(0, 1))
     return pts, blocks, t, shifts, (count, used), (dirs, rt,
                                     rt[None, :, None] * dirs[:, None, :],
                                     dw[:, None] * rt * ww[tiny])
@@ -563,10 +566,12 @@ def _plan(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
     ``grid.edge_positions`` included), both read from where each ray leaves
     the box, and yields blocks ``(ids, Y, cp, cq, located)``: nodes,
     offsets, the two phases' radial factors and, for +Y and -Y, the points'
-    cells per axis and positions, on which ``grid.box_cells`` splits the
-    block at the box.  Zero-weight entries (1-D empty seam sub-panels) are
-    dropped; used positions are kept, in 2-D grouped by shift for the
-    Jacobian's scatter.
+    cells per axis, their positions and each node's prefix length.  The box
+    is convex and a ray starts at a node, so a node's in-box entries of a
+    block and sign are its first ``length``, bar the zero-weight ones (1-D
+    empty seam sub-panels), which are dropped; the rest are exterior.  The
+    in-box points' cells and positions are ``grid.flat_cells``'; used
+    positions are kept, in 2-D grouped by shift for the Jacobian's scatter.
     """
     t0 = time.perf_counter()
     n = P.n
@@ -597,13 +602,15 @@ def _plan(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
         keep = np.broadcast_to(cp > 0, shape)
         ktq = P.Ktq.eval(Xb, Y)
         bp = np.broadcast_to(cp * P.Ksp.eval(Xb, Y), shape)
+        column = np.arange(shape[1])
         bq = None
-        for sign, (cells, pos) in zip(signs, located):
+        for sign, (cells, pos, length) in zip(signs, located):
             y = sign * Y
             if bq is None or P.a.depends_on_offset:
                 bq = np.broadcast_to(cq * P.c_hat * P.a.eval(Xb, y) * ktq,
                                      shape)
-            inside, cell, pos = box_cells(cells, pos, t, N, keep)
+            inside = keep & (column < length[:, None])
+            cell, pos = flat_cells(cells, pos, t, N, inside)
             out = ~inside & keep
             per = np.count_nonzero(inside, axis=1)
             to = (np.repeat(fill[ids] - (np.cumsum(per) - per), per)
@@ -615,12 +622,9 @@ def _plan(P: ProblemParams, Q: QuadratureSpec, R: float, N: int,
             groups.append(_group_exterior(idb[out],
                                           exterior(_masked_sum(Xb, y, out), n),
                                           bp[out], bq[out]))
-    if not np.array_equal(fill, start[1:]):
-        raise NldpError("the rays' in-box counts disagree with the box split")
     mono = monomials(edge_positions(t)[:, used], 2.0 * R / (N - 1))
     points = LocatedPoints(n, R, N, index, mono, None if shifts is None else
-                           shift_groups(edge_shifts(shifts)[:, used], mono,
-                                        N))
+                           shift_groups(edge_shifts(shifts)[:, used], mono))
     ext = _group_exterior(*(np.concatenate(c) for c in zip(*groups)))
     Xn = X[:, None, None]
     ktq = P.Ktq.eval(Xn, near_offs)
@@ -677,18 +681,7 @@ def _entry_weights(plan: _Plan, P: ProblemParams, f, v, rows, ux, segs):
     e = P.exponents
     d = entries(ux)
     np.subtract(v[rows], d, out=d)
-    g = _weighed(f(d, e.p), d, entries(plan.wp))
-    g += _weighed(f(d, e.q), d, entries(plan.wq))
-    return g
-
-
-def _weighed(x, d, w):
-    """x w, in place in x when ``f`` made x for it: f may return its
-    argument d or a scalar, and those are weighed into a new array."""
-    if isinstance(x, np.ndarray) and x is not d:
-        x *= w
-        return x
-    return x * w
+    return f(d, e.p) * entries(plan.wp) + f(d, e.q) * entries(plan.wq)
 
 
 def _fixed_weights(u: GridFunction, plan: _Plan, P: ProblemParams, f):

@@ -125,8 +125,10 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10,
                   max_total_panels: int = 4000):
     """``adaptive_quad_rows`` of ``f`` over [a, b] as one row; ``initial_edges``
     seed the panels (useful to align them with known kinks of ``f``)."""
+    # np.unique without return_inverse imports numpy.ma (numpy 2.4).
     edges = np.array([a, b], dtype=float) if initial_edges is None else \
-        np.unique(np.concatenate([[a], np.clip(initial_edges, a, b), [b]]))
+        np.unique(np.concatenate([[a], np.clip(initial_edges, a, b), [b]]),
+                  return_inverse=True)[0]
     val, err = adaptive_quad_rows(lambda y, row: f(y), edges[None, :], tol,
                                   max_depth, max_total_panels)
     return float(val[0]), float(err[0])

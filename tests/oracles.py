@@ -9,7 +9,8 @@ regrouping; ``jacobian_full_oracle``, the whole Jacobian of which
 ``kernel_mass_matrix`` builds the interior block alone, kept to check that
 restriction; ``scatter_bincount``, the one-bincount-per-monomial
 scatter that the 2-D products by cell shift replaced, kept to check those
-products; ``plan_split_brute``, the plan's split at the box by
+products; ``box_cells``, the test of every point of a block against the
+box's bounds, and ``plan_split_brute``, the plan's split at the box by
 ``box_cells`` over every entry of every block, which the rays' in-box
 prefixes replaced, kept to check those prefixes;
 ``adaptive_quad_depth_first`` and
@@ -30,7 +31,7 @@ from scipy.interpolate import RectBivariateSpline
 
 from nldp.constants import _beta_diff
 from nldp.errors import NldpError
-from nldp.grid import _pieces, box_cells, coeffs_T
+from nldp.grid import _pieces, coeffs_T
 from nldp.operator import (QuadratureSpec, _entry_weights, _exterior_growth,
                            _fixed_weights, _geometry_1d, _geometry_2d,
                            _line, _paired, _plan,
@@ -325,6 +326,32 @@ def _group_by_sort(node, val, wp, wq):
             np.add.reduceat(wq[order], starts))
 
 
+def box_cells(cell, pos, t, N: int, keep):
+    """(inside, cells, pos): which points of a block with ``keep``, given by
+    cells per axis (over the leading columns; the rest are outside) and
+    positions ``pos`` of t (n, P), lie in the box of the N^n grid, and the
+    flat (N-1)^n cell and position of those, in C order.  In cell N - 1 a
+    point is inside at t = 0 only, reading cell N - 2 at t = 1 there."""
+    inside = np.zeros(keep.shape, dtype=bool)
+    lead = inside[..., :cell[0].shape[-1]]
+    lead[...] = keep[..., :lead.shape[-1]]
+    pos = np.broadcast_to(pos, lead.shape)
+    for c, ta in zip(cell, t):
+        ok = (c >= 0) & (c < N - 1)
+        edge = np.nonzero(c == N - 1)
+        ok[edge] = ta[pos[edge]] == 0.0
+        lead &= ok
+    cell = [c[lead] for c in cell]
+    pos = pos[lead]
+    flat = 0
+    for a, c in enumerate(cell):
+        edge = c == N - 1
+        pos[edge] += t.shape[1] << a
+        c[edge] = N - 2
+        flat = flat * (N - 1) + c
+    return inside, flat, pos
+
+
 def plan_split_brute(P, Q, R, N, exterior):
     """The grid apply's split at the box as the plan built it before the
     rays' prefixes: ``box_cells`` over every entry of every block and sign
@@ -345,7 +372,7 @@ def plan_split_brute(P, Q, R, N, exterior):
         keep = np.broadcast_to(cp > 0, shape)
         idb = np.broadcast_to(ids.astype(np.int32)[:, None], shape)
         bp = np.broadcast_to(cp * P.Ksp.eval(Xb, Y), shape)
-        for sign, (cells, pos) in zip((1.0, -1.0), located):
+        for sign, (cells, pos, _) in zip((1.0, -1.0), located):
             y = sign * Y
             bq = np.broadcast_to(cq * P.c_hat * P.a.eval(Xb, y)
                                  * P.Ktq.eval(Xb, Y), shape)

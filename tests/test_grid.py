@@ -15,16 +15,16 @@ import pytest
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 import nldp.grid
-from nldp.grid import (GridFunction, LocatedPoints, box_cells,
-                       callable_exterior, constant_exterior, dyadic_exterior,
-                       edge_positions, edge_shifts, growth_exterior,
-                       monomials, ray_prefix)
+from nldp.grid import (GridFunction, LocatedPoints, callable_exterior,
+                       constant_exterior, dyadic_exterior, edge_positions,
+                       edge_shifts, flat_cells, growth_exterior, monomials,
+                       ray_prefix)
 from nldp.operator import (QuadratureSpec, _directional_model, _exterior_growth,
                            _geometry_1d, _geometry_2d, _plan, _tail_decays,
                            _taylor)
 from nldp.params import halfspace_coefficient, model_params
 from nldp.quadrature import panel_nodes_weights
-from oracles import plan_split_brute
+from oracles import box_cells, plan_split_brute
 
 
 def _grid_2d(N, seed=3):
@@ -292,7 +292,8 @@ def test_points_on_the_box_edges(n):
     # even-length panels lie on nodes, at t = 0; moved onto node N - 1 of an
     # axis (both, in 2-D), they read cell N - 2 at t = 1, where u(R) reads;
     # onto node 0, cell 0 at t = 0; at any t > 0 of cell N - 1, or in cell
-    # -1 or N, they are outside.
+    # -1 or N, they are outside (``box_cells``, the oracle).  The plan's
+    # ``flat_cells`` gives the same cells and positions to those inside.
     N, R = 13, 1.0
     P = model_params(n=1, s=0.6, t=0.5, p=2.0, q=2.2)
     t1 = _geometry_1d(P, QuadratureSpec(), R, N, 1.0, 1.0)[2][0]
@@ -301,9 +302,11 @@ def test_points_on_the_box_edges(n):
     cells = np.array(list(itertools.product([-1, 0, N - 2, N - 1, N],
                                             repeat=n))).T[:, :, None]
     shape = (cells.shape[1], t0.shape[1])       # every cell, every position
-    inside, cell, pos = box_cells(list(np.broadcast_to(cells, (n,) + shape)),
-                                  np.arange(shape[1]), t0, N,
-                                  np.ones(shape, dtype=bool))
+    located = (list(np.broadcast_to(cells, (n,) + shape)),
+               np.arange(shape[1]), t0, N)
+    inside, cell, pos = box_cells(*located, np.ones(shape, dtype=bool))
+    flat, at = flat_cells(*located, inside)
+    assert np.array_equal(flat, cell) and np.array_equal(at, pos)
     on = (cells >= 0) & (cells <= N - 2) | (cells == N - 1) & (t0[:, None] == 0)
     assert np.array_equal(inside, np.all(on, axis=0))
     assert np.count_nonzero(inside) == 5 ** n
@@ -324,15 +327,18 @@ def test_points_on_the_box_edges(n):
 
 def test_edge_shifts_follow_box_cells():
     # A point on the box's upper edge of an axis reads cell N - 2 at t = 1
-    # (``box_cells``): its position's shift from the node is one cell less
-    # there (``edge_shifts``), so node + shift is its cell at every position.
+    # (``box_cells``, the oracle, and the plan's ``flat_cells`` alike): its
+    # position's shift from the node is one cell less there
+    # (``edge_shifts``), so node + shift is its cell at every position.
     N = 5
     t0 = np.array([[0.0, 0.0, 0.25, 0.5], [0.0, 0.75, 0.0, 0.5]])
     shift = np.array([[-2, 1, 3, 0], [4, -1, 0, 2]])
     node = np.indices((N, N)).reshape(2, -1, 1)
     keep = np.ones((N * N, t0.shape[1]), dtype=bool)
-    inside, cell, pos = box_cells(list(node + shift[:, None, :]),
-                                  np.arange(t0.shape[1]), t0, N, keep)
+    located = (list(node + shift[:, None, :]), np.arange(t0.shape[1]), t0, N)
+    inside, cell, pos = box_cells(*located, keep)
+    flat, at_pos = flat_cells(*located, inside)
+    assert np.array_equal(flat, cell) and np.array_equal(at_pos, pos)
     at = node[:, :, 0][:, np.nonzero(inside)[0]] + edge_shifts(shift)[:, pos]
     assert np.array_equal(cell, at[0] * (N - 1) + at[1])
     assert np.count_nonzero(pos >= t0.shape[1]) == 8   # edge positions read
@@ -375,10 +381,11 @@ _EXTERIORS = {"constant": lambda _: constant_exterior(0.25),
                                   (2, 3), (2, 4), (2, 5), (2, 9)])
 def test_plan_split_matches_box_cells(n, N, ext):
     # The plan reads each node's in-box entries and the positions they take
-    # from where its rays leave the box; ``box_cells`` over every entry of
-    # every block splits them the same: the same entries per node, in the
-    # same order, at the same cells and positions, and the same exterior
-    # groups, whose points reach the exterior in the same order.
+    # from where its rays leave the box; ``box_cells`` (the oracle) over
+    # every entry of every block splits them the same: the same entries per
+    # node, in the same order, at the same cells and positions, and the
+    # same exterior groups, whose points reach the exterior in the same
+    # order.
     P = model_params(n=n, s=0.6, t=0.5, p=2.0, q=2.2,
                      coefficient=halfspace_coefficient(n, 1.0))
     Q, R = QuadratureSpec(), 2.0 if n == 1 else 1.0
@@ -410,9 +417,10 @@ def test_ray_prefix_matches_box_cells(d):
     # Rays r d, r = 0.25, 0.5, ..., 7 cells, of exact binary offsets, with
     # points at t = 0 on whole cells and in cell N - 1, where a point is in
     # the box at t = 0 only (it reads cell N - 2 at t = 1): each node's
-    # prefix is the count ``box_cells`` keeps, those are its leading
-    # points, and the positions taken, their edge copies included, are
-    # those ``box_cells`` gives.
+    # prefix is the count ``box_cells`` (the oracle) keeps, those are its
+    # leading points, and the positions taken, their edge copies included,
+    # are those ``box_cells`` gives; ``flat_cells`` on the prefixes gives
+    # its cells and positions.
     n, N = len(d), 5
     u = np.arange(1, 29)[None, :] * 0.25 * np.asarray(d)[:, None]
     shift = np.floor(u).astype(np.int32)
@@ -423,6 +431,8 @@ def test_ray_prefix_matches_box_cells(d):
     keep = np.ones((N ** n, len(pos)), dtype=bool)
     inside, cell, kept = box_cells(cells, pos, t, N, keep)
     assert np.array_equal(inside, np.arange(len(pos)) < length[:, None])
+    flat, at = flat_cells(cells, pos, t, N, inside)
+    assert np.array_equal(flat, cell) and np.array_equal(at, kept)
     assert np.array_equal(np.sort(taken), np.unique(kept))
     # some ray's last in-box point lies on the box's upper edge at t = 0,
     # on an axis along which the ray goes up

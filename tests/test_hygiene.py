@@ -12,7 +12,8 @@ takes (the tests do not count as callers).  Every default of a public
 function or method must be passed by some call in the package, its tests,
 demos, tools or benchmark.  Every error type is raised somewhere in the
 package.
-Importing the package loads no scipy module.  The config defaults list
+Importing the package loads no scipy module, and selecting the desk
+constants no ``numpy.ma``.  The config defaults list
 exactly the fields of the objects they build, and every type or tag the
 config builders accept is set by some config or ``--set`` outside the
 package.
@@ -234,6 +235,22 @@ def test_package_imports_no_scipy():
                           capture_output=True, text=True, timeout=120,
                           check=True)
     assert done.stdout.strip() == "[]", done.stdout
+
+
+def test_desk_selection_leaves_numpy_ma_unloaded(tmp_path):
+    # Under numpy 2.4, np.unique without return_inverse imports numpy.ma,
+    # about 1 MB held for the life of every process that integrates.
+    desk = ROOT / "demos" / "configs" / "desk.json"
+    code = ("import sys\nfrom nldp.cli import main\n"
+            f"rc = main(['constants', '--config', {str(desk)!r}, "
+            f"'--out', {str(tmp_path)!r}])\n"
+            "print(rc, 'numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert done.stdout.strip().splitlines()[-1] == "0 False", done.stdout
 
 
 def test_config_sections_match_their_dataclasses():

@@ -1,5 +1,6 @@
 import functools
 import logging
+import math
 from pathlib import Path
 
 import numpy as np
@@ -481,3 +482,44 @@ class TestComparisonAndBounds:
         f_scale = P.f.sup ** (1.0 / (P.exponents.p - 1.0))
         assert np.all(u.values >= min(0.1, -C * f_scale) - 1e-8)
         assert np.all(u.values <= max(0.1, C * f_scale) + 1e-8)
+
+
+class TestDiscretisationOrder:
+    """The solved torsion problem against its exact solution: p = q = 2,
+    a = 0, f = 1 on [-1, 1] with exterior 0, whose solution is
+    sin(pi s) / pi (1 - x^2)_+^s.  The solution is only C^s at the box's
+    edge, so the max-norm error over the whole box falls at order s, and
+    at first order on |x| <= 1/2, away from the edge.  Bands written
+    before the first run."""
+
+    S = 0.6
+
+    @pytest.fixture(scope="class")
+    def errors(self):
+        P = model_params(n=1, s=self.S, t=0.5, p=2.0, q=2.0,
+                         coefficient=constant_coefficient(1, 0.0),
+                         f=constant_source(1.0))
+        whole, inner = [], []
+        for N in (129, 257, 513):
+            u, rep = solve(P, SolveConfig(R=1.0, N=N, residual_tol=1e-9,
+                                          exterior=constant_exterior(0.0)))
+            assert rep.converged
+            x = u.nodes
+            err = np.abs(u.values - math.sin(math.pi * self.S) / math.pi
+                         * np.maximum(1.0 - x * x, 0.0) ** self.S)
+            whole.append(float(np.max(err)))
+            inner.append(float(np.max(err[np.abs(x) <= 0.5])))
+        return np.array(whole), np.array(inner)
+
+    def test_order_s_on_the_whole_box(self, errors):
+        whole, _ = errors
+        order = np.log2(whole[:-1] / whole[1:])
+        assert np.all((order >= self.S - 0.05) & (order <= self.S + 0.05)), \
+            (whole, order)
+        assert whole[-1] <= 2e-3, whole
+
+    def test_first_order_away_from_the_edge(self, errors):
+        _, inner = errors
+        order = np.log2(inner[:-1] / inner[1:])
+        assert np.all((order >= 0.9) & (order <= 1.1)), (inner, order)
+        assert inner[-1] <= 3e-4, inner

@@ -4,7 +4,10 @@
         --change "what the change does" replay-desk:1-10 solve-2d:1-3
 
 Exports ``HEAD``, the parent of the uncommitted change, with
-``git archive`` into a temporary directory and runs each side's own
+``git archive`` into a temporary directory, and the change next to it: the
+working tree's files that git tracks or would track (``git ls-files -co
+--exclude-standard``), so that neither side carries ignored bytecode
+caches and both compile every module alike.  It runs each side's own
 ``perfbench/run.py --trace 0`` for ``BENCHMARK.json``'s ``run_seconds`` on
 every workload and seed given, one pair per seed, alternating which side
 runs first (the parent on odd seeds).  Workloads run in the order given,
@@ -30,6 +33,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -50,6 +54,16 @@ def _export(commit: str, dest: Path):
                          capture_output=True).stdout
     dest.mkdir()
     subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
+
+
+def _export_tree(dest: Path):
+    """The working tree's tracked and untracked files that are not ignored,
+    copied as they are (one deleted but still tracked is skipped)."""
+    names = _git("ls-files", "-co", "--exclude-standard", "-z")
+    for name in names.split("\0"):
+        if name and (REPO / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(REPO / name, dest / name)
 
 
 def _seeds(spec: str) -> list[int]:
@@ -164,9 +178,10 @@ def main(argv=None) -> int:
     entry["method"] = (
         f"python3 tools/bench_pairs.py: python3 perfbench/run.py --workload W "
         f"--seed K --seconds {seconds:g} --trace 0, the parent from git "
-        f"archive of {parent} with its own perfbench/, the change from the "
-        f"working tree, alternating which side runs first (parent first on "
-        f"odd seeds); " + ", then ".join(
+        f"archive of {parent} with its own perfbench/, the change from a copy "
+        f"of the working tree's files (git ls-files -co --exclude-standard), "
+        f"neither with bytecode caches, alternating which side runs first "
+        f"(parent first on odd seeds); " + ", then ".join(
             f"seeds {seeds} on {name}" for name, seeds in specs) +
         ". Values are the runs' metrics in reference seconds (hostcal.py) "
         "and MB. Quartiles are statistics.quantiles(n=4), as in prove.py. "
@@ -175,8 +190,9 @@ def main(argv=None) -> int:
         "does not). Traced: one --trace 1 run per side and workload on its "
         "first seed; only the nonzero metrics are kept.")
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
-        sides = {"parent": Path(tmp) / "parent", "change": REPO}
+        sides = {side: Path(tmp) / side for side in ("parent", "change")}
         _export("HEAD", sides["parent"])
+        _export_tree(sides["change"])
         for name, seeds in plan:
             entry[name] = _pairs(sides, name, seeds, seconds, metrics)
         entry["traced"] = {name: _traced(sides, name, seeds[0], seconds)

@@ -214,10 +214,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         codes = run_pinned(root)
-        for golden, commands, _ in RUNS:
-            failed = {c: rc for c, rc in codes[golden.name].items() if rc}
+        for name, run in codes.items():
+            failed = {c: rc for c, rc in run.items() if rc}
             if failed:
-                print(f"golden: {golden.name} subcommands failed, nothing "
+                print(f"golden: {name} subcommands failed, nothing "
                       f"written: {failed}", file=sys.stderr)
                 return 1
         for golden, commands, _ in RUNS:
