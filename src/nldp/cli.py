@@ -124,10 +124,10 @@ def _dispatch(command: str, cfg: dict, out_dir: str) -> int:
         u, rep = solve(P, build_solve_config(cfg))
         if not rep.converged:
             raise NldpError(f"solve did not converge: {rep.flags}")
-        rows = []
-        for x, xa in zip(points, xs):
-            val, err = evaluate(u, xa, P, Q)  # raises ValueError off-margin
-            rows.append({"x": x, "value": val, "error": err})
+        # Raises ValueError for a point off the interior margin.
+        vals, errs = evaluate(u, np.reshape(xs, (-1, P.n)), P, Q)
+        rows = [{"x": x, "value": float(val), "error": float(err)}
+                for x, val, err in zip(points, vals, errs)]
         _write_json(out_dir, "eval.json", cfg, {"points": rows})
         for xa, r in zip(xs, rows):
             where = ", ".join(f"{v:+.6g}" for v in np.atleast_1d(xa))

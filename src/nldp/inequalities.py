@@ -17,7 +17,7 @@ from .errors import DivergenceDetected
 from .params import (BARRIER_C1, BARRIER_C2, CoefficientField, ProblemParams,
                      barrier_eval, constant_coefficient)
 from .operator import _differences, phi
-from .quadrature import adaptive_quad, near_singular_quad
+from .quadrature import adaptive_quad_rows, near_singular_quad_rows
 
 __all__ = [
     "IneqReport", "check_revL1", "check_superlinear", "check_singular",
@@ -144,8 +144,7 @@ def check_local_integrability(phi_fn, P: ProblemParams, mode: str,
                               x: float = 0.1,
                               coeff: CoefficientField | None = None,
                               alpha: float | None = None,
-                              shells_per_octave: int = 1,
-                              _skip_condition_check: bool = False):
+                              shells_per_octave: int = 1):
     """Adaptive quadrature of the near-field integral over B_1; the value
     must be finite and stable under one mesh refinement.
 
@@ -162,24 +161,24 @@ def check_local_integrability(phi_fn, P: ProblemParams, mode: str,
     e = P.exponents
     if mode == "p-second":
         r, kern = e.p, P.Ksp
-        if not _skip_condition_check and e.p < 2.0:
+        if e.p < 2.0:
             raise ValueError("p-second mode needs p >= 2")
         worst = min(e.p, 2.0 * (e.p - 1.0)) - e.sp - 1.0
     elif mode == "p-first":
         r, kern = e.p, P.Ksp
-        if not _skip_condition_check and not (1.0 / (1.0 - e.s) < e.p < 2.0):
+        if not 1.0 / (1.0 - e.s) < e.p < 2.0:
             raise ValueError("p-first mode needs 1/(1-s) < p < 2")
         worst = 2.0 * (e.p - 1.0) - e.sp - 1.0
     elif mode in ("q-bounded", "q-holder", "q-symmetric"):
         r, kern = e.q, P.Ktq
         if coeff is None:
             raise ValueError("q modes need a coefficient field")
-        if mode == "q-holder" and not _skip_condition_check:
+        if mode == "q-holder":
             if alpha is None:
                 raise ValueError("q-holder mode needs the Holder exponent alpha")
             if e.q < 2.0 or e.q <= (1.0 - alpha) / (1.0 - e.t):
                 raise ValueError("q-holder mode needs q >= 2 and q > (1-alpha)/(1-t)")
-        if mode == "q-symmetric" and not _skip_condition_check:
+        if mode == "q-symmetric":
             if e.q < 2.0 or coeff.depends_on_offset:
                 raise ValueError("q-symmetric mode needs q >= 2 and a symmetric coefficient")
         worst = (e.q - 1.0) - e.tq - 1.0
@@ -197,7 +196,7 @@ def check_local_integrability(phi_fn, P: ProblemParams, mode: str,
               for k in (step, -step))
     model = ((fp - fm) / (2 * step), (fp - 2 * px + fm) / (2 * step * step))
 
-    def integrand(yv):
+    def integrand(yv, _rows):
         yv = np.asarray(yv, dtype=float)
         _, dplus, dminus = _differences(phi_fn, x, px, 1.0, yv, model, 1e-5)
         dp = phi(dplus, r)
@@ -213,13 +212,11 @@ def check_local_integrability(phi_fn, P: ProblemParams, mode: str,
     # shells_per_octave > 1 refines the shell mesh (stability probing).
     m_oct = max(1, int(shells_per_octave))
     shells = [2.0 ** (-k / m_oct) for k in range(0, 26 * m_oct)]
-    increments = []
+    increments = adaptive_quad_rows(
+        integrand, np.stack([shells[1:], shells[:-1]], 1), 1e-9)[0].tolist()
     bad_run = 0
-    for hi, lo in zip(shells[:-1], shells[1:]):
-        v, _ = adaptive_quad(integrand, lo, hi, tol=1e-9)
-        increments.append(v)
-        if len(increments) >= 2 and v >= 0.98 ** (1.0 / m_oct) * increments[-2] \
-                and v > 1e-13:
+    for lo, prev, v in zip(shells[2:], increments, increments[1:]):
+        if v >= 0.98 ** (1.0 / m_oct) * prev and v > 1e-13:
             bad_run += 1
             if bad_run >= 3 * m_oct:
                 raise DivergenceDetected(
@@ -238,8 +235,8 @@ def check_local_integrability(phi_fn, P: ProblemParams, mode: str,
         return head
     if e_eff <= -1.0:
         raise DivergenceDetected("near-field exponent at or below -1")
-    tail, _ = near_singular_quad(integrand, shells[-1], e_eff, tol=1e-11)
-    return head + tail
+    tail, _ = near_singular_quad_rows(integrand, [shells[-1]], e_eff, 1e-11)
+    return head + float(tail[0])
 
 
 # --------------------------------------------------------------------------

@@ -42,9 +42,9 @@ from .grid import (GridFunction, LocatedPoints, coeffs_T, edge_positions,
                    edge_shifts, flat_cells, grid_points, monomials,
                    ray_prefix, shift_groups)
 from .params import CoefficientField, ProblemParams
-from .quadrature import (QuadratureSpec, adaptive_quad, geometric_tail_quad,
-                         near_singular_quad, panel_nodes_weights,
-                         substitution_power)
+from .quadrature import (QuadratureSpec, adaptive_quad,
+                         geometric_tail_quad_rows, near_singular_quad_rows,
+                         panel_nodes_weights, substitution_power)
 
 __all__ = [
     "QuadratureSpec", "delta", "evaluate", "apply_grid",
@@ -188,24 +188,25 @@ def _near(u: GridFunction, plan):
     return -(b * Y + c * Y ** 2 + dp * Y ** 3), b * Y - c * Y ** 2 + dm * Y ** 3
 
 
-def _directional_model(u: GridFunction, x, d):
-    """(b, c) with u(x + r d) ~ u(x) + b r + c r^2 near a single point x,
+def _directional_model(u: GridFunction, pts, dirs):
+    """(b, c), each (m, D), with u(x + r d) ~ u(x) + b r + c r^2 near each
+    of the points ``pts`` (m, n) along each direction ``dirs`` (D, n),
     read off the interpolant's coefficients."""
-    j, t = u.locate(np.reshape(x, (-1, 1)))
-    b, c = _line(_taylor(u, j, t * u.h), np.reshape(d, (1, -1)))
-    return float(b[0, 0]), float(c[0, 0])
+    j, t = u.locate(pts.T)
+    return _line(_taylor(u, j, t * u.h), dirs)
 
 
-def _differences(u, x, ux: float, d, r, model, r_switch: float):
-    """Offsets r d and the differences u(x) - u(x +- r d) at the radii r:
-    formed directly from ``r_switch`` on, from the local model (b, c),
-    u(x + r d) ~ u(x) + b r + c r^2, below it."""
-    offs = np.multiply.outer(r, d)
+def _differences(u, x, ux, d, r, model, r_switch: float):
+    """Offsets r d and the differences u(x) - u(x +- r d) at the radii r,
+    with x, u(x), d (a scalar in 1-D) and the local model (b, c) one each or
+    one per radius: formed directly from ``r_switch`` on, from u(x + r d) ~
+    u(x) + b r + c r^2 below it."""
+    offs = r * d if np.ndim(d) == 0 else r[:, None] * d
     dplus = ux - np.asarray(u(x + offs), dtype=float)
     dminus = ux - np.asarray(u(x - offs), dtype=float)
     tiny = r < r_switch
     if np.any(tiny):
-        b, c = model
+        b, c = (np.broadcast_to(m, r.shape)[tiny] for m in model)
         rt = r[tiny]
         dplus[tiny] = -(b * rt + c * rt * rt)
         dminus[tiny] = b * rt - c * rt * rt
@@ -274,61 +275,80 @@ def _sphere_crossings(x, d, radii):
 
 def evaluate(u: GridFunction, x, P: ProblemParams,
              Q: QuadratureSpec | None = None):
-    """Operator value at a single interior point, with an error estimate.
+    """Operator value and error estimate at one interior point x (a scalar
+    in 1-D, a pair in 2-D), as floats, or at a batch, (m,) in 1-D or (m, 2)
+    in 2-D, as (m,) arrays.
 
     The integral runs along directions d through x, the paired integrand
     at x +- r d times the polar measure r^(n-1): the axis in 1-D,
-    ``_POLAR_DIRECTIONS`` Gauss-Legendre angles in 2-D.  Along each one,
-    a substituted near field (0, 4h) at 0.1 tol, adaptive mid-field
-    panels out to the far radius at tol, and the geometric tail against the
-    kernel envelope at 0.1 tol max(1, |near + mid|).  The breaks of the
-    integrand are panel edges: the Taylor switch of the differences, the
-    box seams and the jumps of the exterior.
-    Returns ``(value, error_estimate)``.
+    ``_POLAR_DIRECTIONS`` Gauss-Legendre angles in 2-D.  Each (point,
+    direction) pair is a row: a substituted near field (0, 4h) at 0.1 tol,
+    adaptive mid-field panels out to the far radius at tol, and the
+    geometric tail against the kernel envelope at 0.1 tol max(1, |near +
+    mid|), in one ``near_singular_quad_rows`` call, one ``adaptive_quad``
+    call per row and one ``geometric_tail_quad_rows`` call.  A row gives
+    what it gives alone and a point sums its directions in order, so no
+    value depends on the batch.  The breaks of the integrand are panel
+    edges: the Taylor switch of the differences, the box seams and the
+    jumps of the exterior.
     """
     Q = Q or QuadratureSpec()
-    n = u.n
-    x = float(x) if n == 1 else np.asarray(x, dtype=float)
-    h, R = u.h, u.R
+    n, h, R = u.n, u.h, u.R
+    pts = np.asarray(x, dtype=float)
+    single, pts = pts.ndim == n - 1, pts.reshape(-1, n)
     rho_near = Q.near_radius(h)
-    if np.max(np.abs(x)) > R - rho_near:
-        raise ValueError(
-            f"evaluation point {x} violates the interior margin {rho_near:.3g}")
+    off = np.max(np.abs(pts), axis=1) > R - rho_near
+    if np.any(off):
+        bad = pts[np.argmax(off)]
+        raise ValueError(f"evaluation point {bad[0] if n == 1 else bad} "
+                         f"violates the interior margin {rho_near:.3g}")
     worst = near_field_exponent(P)
     e = P.exponents
     dp, dq = _tail_decays(P, _exterior_growth(u.exterior, R, n))
     r_far = Q.far_radius(R)
-    ux = float(u(x))
     # 1-D switches at the kernel exponent 1 + max(sp, tq).  2-D keeps
     # max(sp, tq): at 1 + max(sp, tq) its switch radius is larger, and the
     # quadratic model's truncation error moves the value by more than tol.
     y_poly = _poly_switch_radius(h, Q.tol,
                                  max(e.sp, e.tq) + (1.0 if n == 1 else 0.0))
+    dirs, weights = (np.ones((1, 1)), np.ones(1)) if n == 1 \
+        else _polar_dirs(_POLAR_DIRECTIONS)
+    # Row k is point k // D along direction k % D.
+    D, m = len(weights), len(pts)
+    if m == 0:
+        return np.zeros(0), np.zeros(0)
+    b, c = (v.ravel() for v in _directional_model(u, pts, dirs))
+    rx, rd = np.repeat(pts, D, axis=0), np.tile(dirs, (m, 1))
+    if n == 1:   # the points and directions as scalars
+        rx, rd = rx[:, 0], rd[:, 0]
+    ux = u(rx)
+
+    def paired(r, k):
+        xk, dk = rx[k], 1.0 if n == 1 else rd[k]
+        offs, dplus, dminus = _differences(u, xk, ux[k], dk, r, (b[k], c[k]),
+                                           y_poly)
+        return _paired(P, xk, offs, dplus, dminus) * r ** (n - 1)
+
+    rows = m * D
+    vn, en = near_singular_quad_rows(paired, np.full(rows, rho_near), worst,
+                                     0.1 * Q.tol, np.full((rows, 1), y_poly))
     shared = ({kh * h for kh in range(int(rho_near / h) + 1, 9)}
               | {rho_near * 2.0 ** j for j in range(1, 30)})
-    dirs, weights = (np.ones(1), np.ones(1)) if n == 1 \
-        else _polar_dirs(_POLAR_DIRECTIONS)
-    total = err = 0.0
-    for d, wd in zip(dirs, weights):
-        model = _directional_model(u, x, d)
-
-        def paired(r, d=d, model=model):
-            offs, dplus, dminus = _differences(u, x, ux, d, r, model, y_poly)
-            return _paired(P, x, offs, dplus, dminus) * r ** (n - 1)
-
-        cuts = (shared | set(_box_seams(x, d, R))
-                | set(_sphere_crossings(x, d, u.exterior.jump_radii)))
-        edges = sorted({rho_near, r_far} | {k for k in cuts
-                                            if rho_near < k < r_far})
-        vn, en = near_singular_quad(paired, rho_near, worst,
-                                    tol=0.1 * Q.tol, breaks=(y_poly,))
-        vm, em = adaptive_quad(paired, rho_near, r_far, tol=Q.tol,
-                               initial_edges=edges)
-        vt, et = geometric_tail_quad(paired, r_far, min(dp, dq),
-                                     tol=0.1 * Q.tol * max(1.0, abs(vn + vm)))
-        total += wd * (vn + vm + vt)
-        err += wd * (en + em + et)
-    return float(total), float(err)
+    vm, em = np.empty(rows), np.empty(rows)
+    for k in range(rows):
+        cuts = (shared | set(_box_seams(rx[k], rd[k], R))
+                | set(_sphere_crossings(rx[k], rd[k], u.exterior.jump_radii)))
+        edges = sorted({rho_near, r_far} | {y for y in cuts
+                                            if rho_near < y < r_far})
+        vm[k], em[k] = adaptive_quad(lambda r, k=k: paired(r, k), rho_near,
+                                     r_far, tol=Q.tol, initial_edges=edges)
+    vt, et = geometric_tail_quad_rows(
+        paired, np.full(rows, r_far), min(dp, dq),
+        0.1 * Q.tol * np.maximum(1.0, np.abs(vn + vm)))
+    parts, total = np.reshape([vn + vm + vt, en + em + et], (2, m, D)), 0.0
+    for k, wd in enumerate(weights):
+        total += wd * parts[..., k]
+    return (float(total[0, 0]), float(total[1, 0])) if single else tuple(total)
 
 
 # --------------------------------------------------------------------------

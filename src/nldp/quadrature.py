@@ -213,14 +213,6 @@ def substitution_power(worst_exponent: float) -> int:
     return int(np.clip(math.ceil(3.0 / (1.0 + worst_exponent)), 4, 48))
 
 
-def near_singular_quad(f, rho: float, worst_exponent: float,
-                       tol: float = 1e-11, breaks=()):
-    """``near_singular_quad_rows`` of ``f`` over (0, rho) as one row."""
-    val, err = near_singular_quad_rows(lambda y, row: f(y), [rho],
-                                       worst_exponent, tol, [list(breaks)])
-    return float(val[0]), float(err[0])
-
-
 def near_singular_quad_rows(f, rho, worst_exponent: float, tol=1e-11,
                             breaks=()):
     """Integrate ``f(y, i)`` over (0, rho[i]) for every row i when f ~ y**e

@@ -125,14 +125,10 @@ def scaling_identity_check(u: GridFunction, P: ProblemParams,
         xs = np.stack([np.linspace(-span, span, 8),
                        np.linspace(span, -span, 8)], axis=-1) / math.sqrt(2.0)
     fac = ctx.lam ** (e.p - 1.0) * ctx.mu ** e.sp
-    worst = 0.0
-    for x in xs:
-        lhs, el = evaluate(w, x, P_hat, Q)
-        rhs_val, er = evaluate(u, _sh(x, ctx.mu, ctx.x0), P, Q)
-        rhs = fac * rhs_val
-        scale = max(abs(lhs), abs(rhs), 1e-12)
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst
+    lhs, _ = evaluate(w, xs, P_hat, Q)
+    rhs = fac * evaluate(u, _sh(xs, ctx.mu, ctx.x0), P, Q)[0]
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-12)
+    return float(np.max(np.abs(lhs - rhs) / scale))
 
 
 # --------------------------------------------------------------------------

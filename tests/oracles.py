@@ -36,10 +36,11 @@ from nldp.operator import (QuadratureSpec, _entry_weights, _exterior_growth,
                            _fixed_weights, _geometry_1d, _geometry_2d,
                            _line, _paired, _plan,
                            _polar_dirs, _poly_switch_radius, _runs, _secant,
-                           _tail_decays, adaptive_quad, geometric_tail_quad,
-                           near_field_exponent, panel_nodes_weights, phi)
+                           _tail_decays, near_field_exponent,
+                           panel_nodes_weights, phi)
 from nldp.params import ProblemParams, barrier_eval
-from nldp.quadrature import _G_IDX, _WG, _WK, _XK, near_singular_quad
+from nldp.quadrature import (_G_IDX, _WG, _WK, _XK, adaptive_quad,
+                             geometric_tail_quad, near_singular_quad_rows)
 
 
 def beta(x):
@@ -483,7 +484,8 @@ def term_Ip_signed_per_probe(x: float, P: ProblemParams, tol: float) -> float:
         return (phi(_beta_diff(x, yv), e.p) + phi(_beta_diff(x, -yv), e.p)) * ksp
 
     worst = min(e.p, 2.0 * (e.p - 1.0)) - e.sp - 1.0
-    val, _ = near_singular_quad(paired, min(r0, 0.25), worst, tol=tol)
+    (val,), _ = near_singular_quad_rows(lambda y, row: paired(y),
+                                        [min(r0, 0.25)], worst, tol)
     if r0 > 0.25:
         v2, _ = adaptive_quad(paired, 0.25, r0, tol=tol)
         val += v2
@@ -516,7 +518,8 @@ def term_I_abs_per_probe(x: float, P: ProblemParams, r_exp: float, kernel,
             return w * np.abs(_beta_diff(x, sgn * yv)) ** (r_exp - 1.0) \
                 * kernel(x, yv)
 
-        v, _ = near_singular_quad(f, min(hi, 0.25), near_exp, tol=tol)
+        (v,), _ = near_singular_quad_rows(lambda y, row: f(y),
+                                          [min(hi, 0.25)], near_exp, tol)
         if hi > 0.25:
             v2, _ = adaptive_quad(f, 0.25, hi, tol=tol)
             v += v2

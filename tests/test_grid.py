@@ -150,17 +150,19 @@ def test_2d_directional_model_matches_fitpack():
     u = _grid_2d(13)
     spl = RectBivariateSpline(u.nodes, u.nodes, u.values, kx=3, ky=3)
     rng = np.random.default_rng(5)
-    for x in rng.uniform(-0.9, 0.9, (20, 2)):
-        ang = rng.uniform(0.0, np.pi)
-        d = np.array([np.cos(ang), np.sin(ang)])
-        g = [spl.ev(*x, dx=dx, dy=dy) for dx, dy in
-             ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))]
-        b_ref = g[0] * d[0] + g[1] * d[1]
-        c_ref = 0.5 * (g[2] * d[0] ** 2 + 2 * g[3] * d[0] * d[1]
-                       + g[4] * d[1] ** 2)
-        b, c = _directional_model(u, x, d)
-        assert b == pytest.approx(b_ref, rel=1e-12, abs=1e-12)
-        assert c == pytest.approx(c_ref, rel=1e-12, abs=1e-11)
+    xs = rng.uniform(-0.9, 0.9, (20, 2))
+    ang = rng.uniform(0.0, np.pi, 20)
+    d = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    # Every point along every direction, from one call.
+    b, c = _directional_model(u, xs, d)
+    assert b.shape == c.shape == (20, 20)
+    g = [spl.ev(xs[:, 0], xs[:, 1], dx=dx, dy=dy)[:, None] for dx, dy in
+         ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))]
+    d0, d1 = d[:, 0], d[:, 1]
+    b_ref = g[0] * d0 + g[1] * d1
+    c_ref = 0.5 * (g[2] * d0 ** 2 + 2 * g[3] * d0 * d1 + g[4] * d1 ** 2)
+    assert b == pytest.approx(b_ref, rel=1e-12, abs=1e-12)
+    assert c == pytest.approx(c_ref, rel=1e-12, abs=1e-11)
 
 
 def test_2d_three_nodes_reproduce_biquadratics():

@@ -127,12 +127,12 @@ class TestLocalIntegrability:
                                        shells_per_octave=2)
         assert abs(v1 - v2) <= 1e-3 * abs(v1)
 
-    def test_divergence_detected_for_corner(self):
-        P = model_params(n=1, s=0.9, t=0.5, p=1.5, q=2.2)
+    def test_divergence_detected_for_corner(self, desk_params):
+        # At the corner of |z - 0.1| the paired p-integrand is 2|y| K_sp,
+        # |y|^-1.2 at s = 0.6, p = 2: its shell increments grow.
         corner = lambda z: np.abs(np.asarray(z, dtype=float) - 0.1)
-        with pytest.raises(DivergenceDetected):
-            check_local_integrability(corner, P, "p-first", x=0.1,
-                                      _skip_condition_check=True)
+        with pytest.raises(DivergenceDetected, match="at scale 0.0625"):
+            check_local_integrability(corner, desk_params, "p-second", x=0.1)
 
     def test_mode_condition_enforced(self, desk_params):
         with pytest.raises(ValueError):

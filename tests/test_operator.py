@@ -192,15 +192,15 @@ class TestBreaksAreEdges:
         # With the switch left to bisection, the near field took 49
         # integrand calls, one per level down to the cap.
         calls = []
-        near = nldp.operator.near_singular_quad
+        near = nldp.operator.near_singular_quad_rows
 
         def counting(f, *args, **kwargs):
-            def g(y):
+            def g(y, rows):
                 calls.append(np.size(y))
-                return f(y)
+                return f(y, rows)
             return near(g, *args, **kwargs)
 
-        monkeypatch.setattr(nldp.operator, "near_singular_quad", counting)
+        monkeypatch.setattr(nldp.operator, "near_singular_quad_rows", counting)
         evaluate(beta_grid(513), 0.37, desk_params, Q)
         assert 0 < len(calls) <= 8
 
@@ -236,6 +236,53 @@ class TestBreaksAreEdges:
             v, err = evaluate(u, np.array([1.9, 1.9]), P, Q)
         assert np.isfinite(v) and err < 1e-6
         assert not caplog.records
+
+
+class TestBatchedEvaluate:
+    """``evaluate`` over a batch of points runs every (point, direction) row
+    through one near-field and one tail call, and gives each point the bits
+    of its own one-point call."""
+
+    @staticmethod
+    def assert_batch_is_pointwise(u, xs, P):
+        vals, errs = evaluate(u, xs, P, Q)
+        assert vals.shape == errs.shape == (len(xs),)
+        for x, v, e in zip(xs, vals, errs):
+            assert (v, e) == evaluate(u, x, P, Q)
+
+    def test_1d_with_sphere_crossing_cuts(self, desk_params):
+        # The dyadic exterior jumps at |z| = 2, 4, 8, 16, so the rows carry
+        # their own sphere-crossing cuts; 0.9375 = R - 4h is on the margin.
+        u = sample(lambda x: 0.5 * np.cos(np.asarray(x)), 1, 1.0, 129,
+                   exterior=dyadic_exterior([0.2, -0.1, 0.3, 0.05, 0.7]))
+        assert 1.0 - Q.near_radius(u.h) == 0.9375
+        self.assert_batch_is_pointwise(
+            u, np.array([0.0, -0.6, 0.3, 0.45, 0.9375]), desk_params)
+
+    def test_2d_three_points(self):
+        P = model_params(n=2, s=0.6, t=0.5, p=2.0, q=2.2)
+        u = sample(lambda p: np.cos(np.sum(np.asarray(p) ** 2, axis=-1)),
+                   2, 1.0, 17, exterior=dyadic_exterior([0.0, 0.5, -0.5]))
+        self.assert_batch_is_pointwise(
+            u, np.array([[0.0, 0.0], [0.3, -0.2], [-0.5, 0.45]]), P)
+
+    def test_growth_lemma_makes_one_call_of_each(self, desk_params,
+                                                 desk_bundle, monkeypatch):
+        from nldp.reglab import growth_lemma_check
+
+        calls = []
+        for name in ("near_singular_quad_rows", "geometric_tail_quad_rows"):
+            def counting(*args, _orig=getattr(nldp.operator, name),
+                         _name=name, **kwargs):
+                calls.append(_name)
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(nldp.operator, name, counting)
+        u = sample(lambda x: 0.5 * barrier_eval(np.asarray(x)), 1, 1.0, 257,
+                   exterior=constant_exterior(0.0))
+        gl = growth_lemma_check(u, desk_bundle, desk_params, Q)
+        assert gl.hypotheses["operator_leq_sigma"]["probes"] == 12
+        assert sorted(calls) == ["geometric_tail_quad_rows",
+                                 "near_singular_quad_rows"]
 
 
 class TestNearFieldSlopes:

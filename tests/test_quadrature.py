@@ -2,8 +2,7 @@
 
 ``adaptive_quad_rows`` refines a stack of rows breadth first and
 ``geometric_tail_quad_rows`` takes their geometric panels a chunk at a
-time (``adaptive_quad``, ``near_singular_quad`` and ``geometric_tail_quad``
-are one-row calls); neither may change which panels a row accepts or where
+time (``adaptive_quad`` and ``geometric_tail_quad`` are one-row calls); neither may change which panels a row accepts or where
 its tail stops, whatever the other rows do.  The oracles in ``oracles.py``
 are the previous loops, so a panel count here is compared exactly and a value
 to the last few bits (the batched kernel sums each panel's 15 products in
@@ -26,8 +25,7 @@ from nldp.constants import _term_II
 from nldp.quadrature import (_PASS_POINTS, _TAIL_CHUNK, adaptive_quad,
                              adaptive_quad_rows,
                              geometric_tail_quad, geometric_tail_quad_rows,
-                             gk_panels, near_singular_quad,
-                             near_singular_quad_rows)
+                             gk_panels, near_singular_quad_rows)
 
 DESK_KAPPA = 2.0 ** -12
 DESK_ETA = 0.00010965983072916666
@@ -103,8 +101,8 @@ class TestAdaptiveMatchesDepthFirst:
         assert panels == 31
 
     def test_near_singular_substitution(self, monkeypatch):
-        # near_singular_quad is one row of one row-batched call in the
-        # substituted variable; that row is replayed alone.
+        # A one-row near_singular_quad_rows is one row of one row-batched
+        # call in the substituted variable; that row is replayed alone.
         calls = []
 
         def rec(f, edges, tol):
@@ -112,7 +110,8 @@ class TestAdaptiveMatchesDepthFirst:
             return adaptive_quad_rows(f, edges, tol)
 
         monkeypatch.setattr(nldp.quadrature, "adaptive_quad_rows", rec)
-        v, _ = near_singular_quad(lambda y: y ** -0.6, 0.5, -0.6, tol=1e-11)
+        (v,), _ = near_singular_quad_rows(lambda y, row: y ** -0.6, [0.5],
+                                          -0.6, 1e-11)
         monkeypatch.undo()
         assert v == pytest.approx(0.5 ** 0.4 / 0.4, rel=1e-10)
         assert len(calls) == 1
@@ -247,7 +246,7 @@ class TestRowsMatchOneRowRuns:
 
 class TestNearSingularRows:
     """Rows of ``near_singular_quad_rows`` with their own radius and break
-    return the one-row ``near_singular_quad`` of each, bit for bit."""
+    return the one-row run of each, bit for bit."""
 
     @staticmethod
     def f(y, rows):
@@ -263,9 +262,9 @@ class TestNearSingularRows:
         val, err = near_singular_quad_rows(self.f, self.RHO, -0.6, 1e-11,
                                            self.BREAKS)
         for i, (rho, (b,)) in enumerate(zip(self.RHO, self.BREAKS)):
-            vo, eo = near_singular_quad(
-                lambda y, i=i: self.f(y, np.full(np.shape(y), i)), rho, -0.6,
-                tol=1e-11, breaks=(b,))
+            (vo,), (eo,) = near_singular_quad_rows(
+                lambda y, row, i=i: self.f(y, np.full(np.shape(y), i)), [rho],
+                -0.6, 1e-11, [[b]])
             assert (val[i], err[i]) == (vo, eo)
 
     def test_break_is_an_edge(self):
